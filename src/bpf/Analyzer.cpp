@@ -28,6 +28,12 @@ struct AnalyzerMetrics {
   Counter InsnVisits{"tnums_analyzer_insn_visits_total"};
   Counter Revisits{"tnums_analyzer_worklist_revisits_total"};
   Counter NotConverged{"tnums_analyzer_nonconverged_total"};
+  /// Propagations of a reachable state into a successor: "subsumed" left
+  /// the successor's in-state unchanged, "changed" grew it.
+  Counter JoinsSubsumed{"tnums_analyzer_joins_total", "result=\"subsumed\""};
+  Counter JoinsChanged{"tnums_analyzer_joins_total", "result=\"changed\""};
+  /// Growing joins past the widening threshold (widening applied).
+  Counter Widenings{"tnums_analyzer_widenings_total"};
   Counter TransferLoadImm{"tnums_analyzer_transfer_total", "op=\"loadimm\""};
   Counter TransferLoad{"tnums_analyzer_transfer_total", "op=\"load\""};
   Counter TransferStore{"tnums_analyzer_transfer_total", "op=\"store\""};
@@ -460,10 +466,13 @@ AnalysisResult Analyzer::run() {
     if (!State.Reachable)
       return;
     AbstractState &Slot = Result.InStates[Target];
-    if (State.isSubsetOf(Slot))
+    if (State.isSubsetOf(Slot)) {
+      Metrics.JoinsSubsumed.add();
       return;
+    }
     AbstractState Joined = Slot.joinWith(State);
     if (++JoinCounts[Target] > Opts.WideningThreshold && Slot.Reachable) {
+      Metrics.Widenings.add();
       AbstractState Widened = Joined;
       for (unsigned R = 0; R != NumRegs; ++R)
         Widened.Regs[R] = WidenReg(Slot.Regs[R], Joined.Regs[R]);
@@ -472,8 +481,11 @@ AnalysisResult Analyzer::run() {
             WidenReg(Slot.Slots[SlotIdx], Joined.Slots[SlotIdx]);
       Joined = Widened;
     }
-    if (Joined == Slot)
+    if (Joined == Slot) {
+      Metrics.JoinsSubsumed.add();
       return;
+    }
+    Metrics.JoinsChanged.add();
     Slot = Joined;
     Push(Target);
   };

@@ -7,12 +7,20 @@
 
 #include "domain/RegValue.h"
 
+#include "support/Metrics.h"
 #include "support/Table.h"
 #include "tnum/TnumOps.h"
 
 #include <algorithm>
 
 using namespace tnums;
+
+/// Reduction rounds run by sync(), one per reduceOnce() (observation only;
+/// see support/Metrics.h).
+static Counter &syncRounds() {
+  static Counter Rounds{"tnums_domain_sync_rounds_total"};
+  return Rounds;
+}
 
 RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV)
     : TnumPart(T), UnsignedPart(U), SignedPart(S), Width(WidthV),
@@ -217,15 +225,19 @@ bool RegValue::reduceOnce() {
 void RegValue::sync() {
   if (Bottom)
     return;
+  uint64_t Rounds = 0;
   for (;;) {
     if (TnumPart.isBottom() || UnsignedPart.isBottom() ||
         SignedPart.isBottom()) {
       *this = makeBottom(Width);
-      return;
+      break;
     }
+    ++Rounds;
     if (!reduceOnce())
-      return;
+      break;
   }
+  if (metricsEnabled())
+    syncRounds().add(Rounds);
 }
 
 RegValue tnums::applyBinary(BinaryOp Op, const RegValue &L,

@@ -9,11 +9,15 @@
 
 #include "bpf/Builder.h"
 #include "bpf/Verifier.h"
+#include "service/ProgramGen.h"
+#include "support/Checkpoint.h"
+#include "support/Table.h"
 
 #include <gtest/gtest.h>
 
 using namespace tnums;
 using namespace tnums::bpf;
+using namespace tnums::service;
 
 namespace {
 
@@ -382,6 +386,77 @@ TEST(Analyzer, StateDumpMentionsTnums) {
   std::string Dump = R.toString(P);
   EXPECT_NE(Dump.find("r3="), std::string::npos);
   EXPECT_NE(Dump.find("tnum="), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Fixpoint parity
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a over the verdict fields and every reachable fixpoint state of
+/// the first 256 seed-2022 programs of \p Profile plus 64 mutants of them,
+/// all analyzed by one reused engine.
+uint64_t fixpointDigest(GenProfile Profile) {
+  GenOptions Gen;
+  Gen.Profile = Profile;
+  ProgramGen Generator(2022, Gen);
+  Analyzer::Options Opts;
+  Opts.MemSize = Gen.MemSize;
+  Analyzer Engine;
+  Fnv1a Hash;
+  auto Mix = [&](const Program &P) {
+    if (P.validate()) {
+      Hash.mixString("structural");
+      return;
+    }
+    AnalysisResult R = Engine.analyze(P, Opts);
+    Hash.mixU64(R.Converged);
+    Hash.mixU64(R.InsnVisits);
+    for (const Violation &V : R.Violations) {
+      Hash.mixU64(V.Pc);
+      Hash.mixString(V.Message);
+    }
+    for (size_t Pc = 0; Pc != R.InStates.size(); ++Pc) {
+      if (!R.InStates[Pc].Reachable)
+        continue;
+      Hash.mixU64(Pc);
+      Hash.mixString(R.InStates[Pc].toString());
+    }
+  };
+  std::vector<Program> Programs;
+  for (unsigned I = 0; I != 256; ++I)
+    Programs.push_back(Generator.next());
+  for (const Program &P : Programs)
+    Mix(P);
+  for (unsigned I = 0; I != 64; ++I)
+    Mix(Generator.mutate(Programs[I]));
+  return Hash.digest();
+}
+
+TEST(Analyzer, FixpointStatesMatchRecordedDigests) {
+  // Recorded before the state layer learned to skip equal entries and grow
+  // its stack lazily. Verdict fingerprints cannot see a join that loses
+  // precision without flipping a verdict; these digests can. A change
+  // here is a change to the analysis and needs an analyzerVersionTag()
+  // bump.
+  struct Expected {
+    GenProfile Profile;
+    uint64_t Digest;
+  };
+  static constexpr Expected Recorded[] = {
+      {GenProfile::AluMix, 0x129d5582769dcdc6},
+      {GenProfile::BoundsCheck, 0x1c583667e42492e7},
+      {GenProfile::PacketFilter, 0x5c164602b96bb301},
+      {GenProfile::Loops, 0xf440b63e7a5fbd42},
+      {GenProfile::MaskIdx, 0xd9f843c469aa19e3},
+      {GenProfile::Scaled, 0x47c69bce1db57335},
+      {GenProfile::Mixed, 0xdca9f0860f821d13},
+  };
+  for (const Expected &E : Recorded)
+    EXPECT_EQ(formatString("%016llx", static_cast<unsigned long long>(
+                                          fixpointDigest(E.Profile))),
+              formatString("%016llx",
+                           static_cast<unsigned long long>(E.Digest)))
+        << genProfileName(E.Profile);
 }
 
 } // namespace
