@@ -9,6 +9,8 @@
 
 #include "support/Table.h"
 
+#include <algorithm>
+
 using namespace tnums;
 using namespace tnums::bpf;
 
@@ -67,17 +69,22 @@ AbstractState AbstractState::makeEntry(uint64_t MemSize) {
   return State;
 }
 
+// Every program point holds one state, and every visit copies one.
+static_assert(sizeof(AbstractState) < 1024,
+              "the stack belongs in the lazily grown vector, not inline");
+
+const AbsReg &AbstractState::uninitSlot() {
+  static const AbsReg Uninit;
+  return Uninit;
+}
+
 AbstractState AbstractState::joinWith(const AbstractState &Q) const {
   if (!Reachable)
     return Q;
   if (!Q.Reachable)
     return *this;
-  AbstractState Out;
-  Out.Reachable = true;
-  for (unsigned I = 0; I != NumRegs; ++I)
-    Out.Regs[I] = Regs[I].joinWith(Q.Regs[I]);
-  for (unsigned I = 0; I != NumStackSlots; ++I)
-    Out.Slots[I] = Slots[I].joinWith(Q.Slots[I]);
+  AbstractState Out = *this;
+  Out.joinInPlace(Q, [](AbsReg Joined) { return Joined; });
   return Out;
 }
 
@@ -89,8 +96,22 @@ bool AbstractState::isSubsetOf(const AbstractState &Q) const {
   for (unsigned I = 0; I != NumRegs; ++I)
     if (!Regs[I].isSubsetOf(Q.Regs[I]))
       return false;
-  for (unsigned I = 0; I != NumStackSlots; ++I)
-    if (!Slots[I].isSubsetOf(Q.Slots[I]))
+  for (unsigned I = 0, E = std::max(stackDepth(), Q.stackDepth()); I != E; ++I)
+    if (!slot(I).isSubsetOf(Q.slot(I)))
+      return false;
+  return true;
+}
+
+bool tnums::bpf::operator==(const AbstractState &A, const AbstractState &B) {
+  if (A.Reachable != B.Reachable)
+    return false;
+  if (!A.Reachable)
+    return true;
+  if (A.Regs != B.Regs)
+    return false;
+  for (unsigned I = 0, E = std::max(A.stackDepth(), B.stackDepth()); I != E;
+       ++I)
+    if (A.slot(I) != B.slot(I))
       return false;
   return true;
 }
@@ -105,11 +126,11 @@ std::string AbstractState::toString() const {
     Text += formatString("%sr%u=%s", Text.empty() ? "" : " ", I,
                          Regs[I].toString().c_str());
   }
-  for (unsigned I = 0; I != NumStackSlots; ++I) {
-    if (Slots[I].kind() == RegKind::Uninit)
+  for (unsigned I = 0; I != stackDepth(); ++I) {
+    if (Stack[I].kind() == RegKind::Uninit)
       continue;
     Text += formatString("%sfp-%u=%s", Text.empty() ? "" : " ", 8 * (I + 1),
-                         Slots[I].toString().c_str());
+                         Stack[I].toString().c_str());
   }
   return Text.empty() ? "<no live regs>" : Text;
 }

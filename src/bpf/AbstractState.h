@@ -23,6 +23,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 namespace tnums {
 namespace bpf {
@@ -108,10 +109,15 @@ private:
 /// AbsReg: Uninit = never written, Invalid = corrupted spill, Scalar and
 /// PtrTo* = precisely tracked 8-byte spills or "misc" byte data
 /// (Scalar top).
+///
+/// Like the kernel's bpf_func_state (allocated_stack), the stack is stored
+/// only down to the deepest slot written so far; every slot past that
+/// depth reads Uninit. The depth is representation, not meaning: states
+/// that differ only in trailing Uninit slots compare equal. Copies, joins,
+/// order tests and equality touch the registers and the stored slots only.
 struct AbstractState {
   bool Reachable = false;
   std::array<AbsReg, NumRegs> Regs;
-  std::array<AbsReg, NumStackSlots> Slots;
 
   /// The slot index covering frame offset \p Offset (which must be in
   /// [-StackSize, -1]).
@@ -128,25 +134,74 @@ struct AbstractState {
 
   static AbstractState makeUnreachable() { return AbstractState(); }
 
+  /// Stack slot \p Index (< NumStackSlots); Uninit past the stored depth.
+  const AbsReg &slot(unsigned Index) const {
+    assert(Index < NumStackSlots && "slot outside the frame");
+    return Index < Stack.size() ? Stack[Index] : uninitSlot();
+  }
+
+  /// Writes stack slot \p Index, growing the stored stack to cover it.
+  void setSlot(unsigned Index, AbsReg Value) {
+    assert(Index < NumStackSlots && "slot outside the frame");
+    if (Index >= Stack.size())
+      Stack.resize(Index + 1);
+    Stack[Index] = std::move(Value);
+  }
+
+  /// Number of stored stack slots (deepest written slot + 1).
+  unsigned stackDepth() const { return static_cast<unsigned>(Stack.size()); }
+
   /// Pointwise join; unreachable is the identity.
   AbstractState joinWith(const AbstractState &Q) const;
+
+  /// Joins reachable \p Q into this reachable state in place and returns
+  /// whether anything changed. An entry of Q already below this state's
+  /// is skipped, since joining it would return the entry unchanged. Every
+  /// other entry becomes Grow(Old ∨ New), where \p Grow is the caller's
+  /// widening hook (the identity in joinWith).
+  template <typename GrowFn>
+  bool joinInPlace(const AbstractState &Q, GrowFn Grow);
 
   /// Pointwise order; unreachable below everything.
   bool isSubsetOf(const AbstractState &Q) const;
 
   std::string toString() const;
 
-  friend bool operator==(const AbstractState &A, const AbstractState &B) {
-    if (A.Reachable != B.Reachable)
-      return false;
-    if (!A.Reachable)
-      return true;
-    return A.Regs == B.Regs && A.Slots == B.Slots;
-  }
+  friend bool operator==(const AbstractState &A, const AbstractState &B);
   friend bool operator!=(const AbstractState &A, const AbstractState &B) {
     return !(A == B);
   }
+
+private:
+  static const AbsReg &uninitSlot();
+
+  /// Slots 0 .. stackDepth()-1; deeper slots are Uninit.
+  std::vector<AbsReg> Stack;
 };
+
+bool operator==(const AbstractState &A, const AbstractState &B);
+
+template <typename GrowFn>
+bool AbstractState::joinInPlace(const AbstractState &Q, GrowFn Grow) {
+  assert(Reachable && Q.Reachable && "in-place join of unreachable states");
+  bool Changed = false;
+  auto JoinEntry = [&](AbsReg &Old, const AbsReg &New) {
+    if (New.isSubsetOf(Old))
+      return;
+    AbsReg Grown = Grow(Old.joinWith(New));
+    if (Grown == Old)
+      return;
+    Old = std::move(Grown);
+    Changed = true;
+  };
+  for (unsigned I = 0; I != NumRegs; ++I)
+    JoinEntry(Regs[I], Q.Regs[I]);
+  if (Stack.size() < Q.Stack.size())
+    Stack.resize(Q.Stack.size());
+  for (unsigned I = 0; I != Stack.size(); ++I)
+    JoinEntry(Stack[I], Q.slot(I));
+  return Changed;
+}
 
 } // namespace bpf
 } // namespace tnums

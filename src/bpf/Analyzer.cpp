@@ -141,7 +141,7 @@ AbsReg Analyzer::loadFromStack(size_t Pc, const AbstractState &In,
 
   // Precise fill: an 8-byte aligned 8-byte load of a tracked slot.
   if (ConstantOffset && I.Size == 8 && (Lo % 8) == 0) {
-    const AbsReg &Slot = In.Slots[AbstractState::slotIndex(Lo)];
+    const AbsReg &Slot = In.slot(AbstractState::slotIndex(Lo));
     if (Slot.isUsable())
       return Slot;
     report(Result, Pc,
@@ -152,7 +152,7 @@ AbsReg Analyzer::loadFromStack(size_t Pc, const AbstractState &In,
 
   // Imprecise read: every touched slot must hold initialized scalar data.
   for (int64_t SlotLo = Lo & ~int64_t(7); SlotLo <= Hi; SlotLo += 8) {
-    const AbsReg &Slot = In.Slots[AbstractState::slotIndex(SlotLo)];
+    const AbsReg &Slot = In.slot(AbstractState::slotIndex(SlotLo));
     if (Slot.isPointer()) {
       report(Result, Pc,
              formatString("partial read of spilled pointer at fp%+lld",
@@ -186,7 +186,7 @@ void Analyzer::storeToStack(size_t Pc, AbstractState &Out, const AbsReg &Base,
   // Precise spill: 8-byte aligned full-slot store tracks the value
   // (including pointers -- the kernel's spill/fill support).
   if (ConstantOffset && I.Size == 8 && (Lo % 8) == 0) {
-    Out.Slots[AbstractState::slotIndex(Lo)] = Stored;
+    Out.setSlot(AbstractState::slotIndex(Lo), Stored);
     return;
   }
 
@@ -197,22 +197,22 @@ void Analyzer::storeToStack(size_t Pc, AbstractState &Out, const AbsReg &Base,
     return;
   }
   for (int64_t SlotLo = Lo & ~int64_t(7); SlotLo <= Hi; SlotLo += 8) {
-    AbsReg &Slot = Out.Slots[AbstractState::slotIndex(SlotLo)];
-    if (Slot.isPointer()) {
+    unsigned Index = AbstractState::slotIndex(SlotLo);
+    if (Out.slot(Index).isPointer()) {
       report(Result, Pc,
              formatString("partial overwrite of spilled pointer at fp%+lld",
                           static_cast<long long>(SlotLo)));
-      Slot = AbsReg::makeInvalid();
+      Out.setSlot(Index, AbsReg::makeInvalid());
       continue;
     }
-    Slot = AbsReg::makeScalar(RegValue::makeTop());
+    Out.setSlot(Index, AbsReg::makeScalar(RegValue::makeTop()));
   }
 }
 
-AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
-                                 AnalysisResult &Result) {
+void Analyzer::transfer(size_t Pc, const AbstractState &In,
+                        AbstractState &Out, AnalysisResult &Result) {
   const Insn &I = Prog->insn(Pc);
-  AbstractState Out = In;
+  Out = In;
 
   if (metricsEnabled()) {
     AnalyzerMetrics &M = analyzerMetrics();
@@ -399,7 +399,6 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
     assert(false && "control flow handled by the driver loop");
     break;
   }
-  return Out;
 }
 
 AnalysisResult Analyzer::run() {
@@ -426,12 +425,10 @@ AnalysisResult Analyzer::run() {
   for (size_t I = 0; I != NumRpo; ++I)
     RpoPosition[Rpo[I]] = I;
   Pending.assign(NumRpo, false);
-  // Metrics-only scratch: which RPO positions have been popped at least
-  // once, so pops beyond the first count as worklist revisits. Kept empty
-  // (never consulted) while the recorder is off.
-  std::vector<uint8_t> Popped;
   if (metricsEnabled())
     Popped.assign(NumRpo, 0);
+  else
+    Popped.clear();
   assert(NumRpo != 0 && RpoPosition[0] == 0 && "entry leads the RPO");
   Pending[0] = true;
   size_t NumPending = 1;
@@ -449,12 +446,9 @@ AnalysisResult Analyzer::run() {
     }
   };
 
-  /// Widening: any register still growing after the threshold jumps to the
-  /// top of its kind so chains stay finite.
-  auto WidenReg = [](const AbsReg &Old, const AbsReg &New) {
-    if (New.isSubsetOf(Old))
-      return Old;
-    AbsReg Joined = Old.joinWith(New);
+  /// Widening: any entry still growing after the threshold jumps to the
+  /// top of its kind so chains stay finite. \p Joined is the grown join.
+  auto Widen = [](AbsReg Joined) {
     if (!Joined.isUsable())
       return Joined;
     if (Joined.isScalar())
@@ -462,31 +456,34 @@ AnalysisResult Analyzer::run() {
     return AbsReg::makePointer(Joined.kind(), RegValue::makeTop());
   };
 
+  // Joins State into Target's in-state in place. A propagation counts as a
+  // join at Target once some entry grows; past the threshold, the growing
+  // entries widen.
   auto Propagate = [&](size_t Target, const AbstractState &State) {
     if (!State.Reachable)
       return;
-    AbstractState &Slot = Result.InStates[Target];
-    if (State.isSubsetOf(Slot)) {
-      Metrics.JoinsSubsumed.add();
-      return;
+    AbstractState &Into = Result.InStates[Target];
+    bool Changed = true;
+    if (!Into.Reachable) {
+      ++JoinCounts[Target];
+      Into = State;
+    } else {
+      bool Counted = false, Widening = false;
+      Changed = Into.joinInPlace(State, [&](AbsReg Joined) {
+        if (!Counted) {
+          Counted = true;
+          Widening = ++JoinCounts[Target] > Opts.WideningThreshold;
+          if (Widening)
+            Metrics.Widenings.add();
+        }
+        return Widening ? Widen(std::move(Joined)) : Joined;
+      });
     }
-    AbstractState Joined = Slot.joinWith(State);
-    if (++JoinCounts[Target] > Opts.WideningThreshold && Slot.Reachable) {
-      Metrics.Widenings.add();
-      AbstractState Widened = Joined;
-      for (unsigned R = 0; R != NumRegs; ++R)
-        Widened.Regs[R] = WidenReg(Slot.Regs[R], Joined.Regs[R]);
-      for (unsigned SlotIdx = 0; SlotIdx != NumStackSlots; ++SlotIdx)
-        Widened.Slots[SlotIdx] =
-            WidenReg(Slot.Slots[SlotIdx], Joined.Slots[SlotIdx]);
-      Joined = Widened;
-    }
-    if (Joined == Slot) {
+    if (!Changed) {
       Metrics.JoinsSubsumed.add();
       return;
     }
     Metrics.JoinsChanged.add();
-    Slot = Joined;
     Push(Target);
   };
 
@@ -554,16 +551,17 @@ AnalysisResult Analyzer::run() {
           refineByComparison(I.Cmp, Taken, LV, RV);
         if (LV.isBottom() || RV.isBottom())
           continue; // This branch direction is infeasible.
-        AbstractState Refined = In;
-        Refined.Regs[I.Dst] = AbsReg::makeScalar(LV);
+        Scratch = In;
+        Scratch.Regs[I.Dst] = AbsReg::makeScalar(LV);
         if (!I.UsesImm)
-          Refined.Regs[I.Src] = AbsReg::makeScalar(RV);
-        Propagate(Target, Refined);
+          Scratch.Regs[I.Src] = AbsReg::makeScalar(RV);
+        Propagate(Target, Scratch);
       }
       break;
     }
     default:
-      Propagate(Pc + 1, transfer(Pc, In, Result));
+      transfer(Pc, In, Scratch, Result);
+      Propagate(Pc + 1, Scratch);
       break;
     }
   }

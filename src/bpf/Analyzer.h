@@ -90,10 +90,10 @@ public:
   AnalysisResult analyze(const Program &Prog, const Options &Opts);
 
 private:
-  /// Applies the straight-line transfer of instruction \p Pc, recording
-  /// violations into \p Result.
-  AbstractState transfer(size_t Pc, const AbstractState &In,
-                         AnalysisResult &Result);
+  /// Applies the straight-line transfer of instruction \p Pc to \p In,
+  /// writing the out-state to \p Out and violations into \p Result.
+  void transfer(size_t Pc, const AbstractState &In, AbstractState &Out,
+                AnalysisResult &Result);
 
   /// Records one deduplicated violation.
   void report(AnalysisResult &Result, size_t Pc, std::string Message);
@@ -130,6 +130,13 @@ private:
   /// Worklist membership, indexed by RPO position (the worklist pops the
   /// lowest pending position -- see run()).
   std::vector<bool> Pending;
+  /// Metrics only: which RPO positions have been popped at least once, so
+  /// later pops count as worklist revisits. Empty while the recorder is
+  /// off.
+  std::vector<uint8_t> Popped;
+  /// The out-state of the instruction being visited; reusing it keeps the
+  /// stack's storage across visits.
+  AbstractState Scratch;
   /// @}
 };
 

@@ -29,26 +29,29 @@ RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV)
   sync();
 }
 
+// The canonical constants skip sync(): top's three components all describe
+// the full width, and a constant's all describe the same single value, so a
+// reduction round changes nothing (tests/DomainTest.cpp checks both against
+// constructors that do reduce).
 RegValue RegValue::makeTop(unsigned Width) {
+  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
   return RegValue(Tnum::makeUnknown(Width), Interval::makeTop(Width),
-                  SignedRange::makeTop(Width), Width);
+                  SignedRange::makeTop(Width), Width, /*BottomV=*/false);
 }
 
 RegValue RegValue::makeBottom(unsigned Width) {
-  RegValue V = makeTop(Width);
-  V.TnumPart = Tnum::makeBottom();
-  V.UnsignedPart = Interval::makeBottom();
-  V.SignedPart = SignedRange::makeBottom();
-  V.Bottom = true;
-  return V;
+  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+  return RegValue(Tnum::makeBottom(), Interval::makeBottom(),
+                  SignedRange::makeBottom(), Width, /*BottomV=*/true);
 }
 
 RegValue RegValue::makeConstant(uint64_t C, unsigned Width) {
+  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
   uint64_t Truncated = truncateToWidth(C, Width);
   return RegValue(Tnum::makeConstant(Truncated),
                   Interval::makeConstant(Truncated),
                   SignedRange::makeConstant(signExtend(Truncated, Width)),
-                  Width);
+                  Width, /*BottomV=*/false);
 }
 
 RegValue RegValue::fromTnum(Tnum T, unsigned Width) {

@@ -41,7 +41,9 @@ bool operator==(const RegValue &A, const RegValue &B);
 /// (sync()) and collapse to a canonical bottom when any component empties.
 class RegValue {
 public:
-  /// Top at \p Width (everything unknown).
+  /// Top at \p Width (everything unknown). Like makeBottom and
+  /// makeConstant, this builds the reduced value directly: its components
+  /// are already a fixpoint of the reduction, so no sync() runs.
   static RegValue makeTop(unsigned Width = MaxBitWidth);
 
   /// Bottom (unreachable) at \p Width.
@@ -92,7 +94,14 @@ public:
                                      const RegValue &R);
 
 private:
+  /// Builds the product of \p T, \p U and \p S and reduces it (sync()).
   RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV);
+
+  /// Assembles components that already form a reduced value, skipping
+  /// sync(); only for the canonical constants above.
+  RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV, bool BottomV)
+      : TnumPart(T), UnsignedPart(U), SignedPart(S), Width(WidthV),
+        Bottom(BottomV) {}
 
   /// Propagates information between the three components to a local
   /// fixpoint (the kernel's reg_bounds_sync), collapsing to bottom on

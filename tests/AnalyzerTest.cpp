@@ -433,11 +433,9 @@ uint64_t fixpointDigest(GenProfile Profile) {
 }
 
 TEST(Analyzer, FixpointStatesMatchRecordedDigests) {
-  // Recorded before the state layer learned to skip equal entries and grow
-  // its stack lazily. Verdict fingerprints cannot see a join that loses
-  // precision without flipping a verdict; these digests can. A change
-  // here is a change to the analysis and needs an analyzerVersionTag()
-  // bump.
+  // Verdict fingerprints cannot see a join that loses precision without
+  // flipping a verdict; these digests can. A change here is a change to
+  // the analysis and needs an analyzerVersionTag() bump.
   struct Expected {
     GenProfile Profile;
     uint64_t Digest;

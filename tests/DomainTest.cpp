@@ -139,6 +139,36 @@ TEST(RegValue, ConstantIsFullyKnownEverywhere) {
   EXPECT_FALSE(V.contains(43));
 }
 
+TEST(RegValue, CanonicalConstantsAreReducedAtEveryWidth) {
+  // makeTop/makeBottom/makeConstant skip sync(); fromTnum and
+  // fromUnsignedRange still reduce. A constant built without reaching the
+  // reduction's fixpoint therefore compares unequal here.
+  Xoshiro256 Rng(0xCA70);
+  for (unsigned W = 1; W <= MaxBitWidth; ++W) {
+    EXPECT_EQ(RegValue::makeTop(W),
+              RegValue::fromTnum(Tnum::makeUnknown(W), W))
+        << "width " << W;
+
+    RegValue Bottom = RegValue::makeBottom(W);
+    EXPECT_TRUE(Bottom.isBottom()) << "width " << W;
+    EXPECT_EQ(Bottom.width(), W);
+    EXPECT_TRUE(Bottom.tnum().isBottom());
+    EXPECT_TRUE(Bottom.unsignedBounds().isBottom());
+    EXPECT_TRUE(Bottom.signedBounds().isBottom());
+
+    uint64_t SignBit = uint64_t(1) << (W - 1);
+    std::vector<uint64_t> Samples{0, 1, lowBitsMask(W), SignBit,
+                                  SignBit - 1};
+    for (int I = 0; I != 32; ++I)
+      Samples.push_back(truncateToWidth(Rng.next(), W));
+    for (uint64_t C : Samples) {
+      EXPECT_EQ(RegValue::makeConstant(C, W),
+                RegValue::fromUnsignedRange(C, C, W))
+          << "width " << W << ", constant " << C;
+    }
+  }
+}
+
 TEST(RegValue, PaperIntroReduction) {
   // x abstracted to tnum 01µ0 must yield umax <= 6 < 8: the fact the
   // analyzer uses to prove the access safe.

@@ -175,7 +175,7 @@ TEST(LatticeLaws, AbstractStateJoinIsUpperBound) {
   AbstractState Unreachable = AbstractState::makeUnreachable();
   AbstractState Modified = Entry;
   Modified.Regs[R3] = AbsReg::makeScalar(RegValue::makeConstant(5));
-  Modified.Slots[0] = AbsReg::makeScalar(RegValue::makeConstant(9));
+  Modified.setSlot(0, AbsReg::makeScalar(RegValue::makeConstant(9)));
 
   EXPECT_EQ(Entry.joinWith(Unreachable), Entry);
   EXPECT_EQ(Unreachable.joinWith(Entry), Entry);
@@ -185,9 +185,77 @@ TEST(LatticeLaws, AbstractStateJoinIsUpperBound) {
   AbstractState J = Entry.joinWith(Modified);
   EXPECT_TRUE(Entry.isSubsetOf(J));
   EXPECT_TRUE(Modified.isSubsetOf(J));
+  EXPECT_EQ(J, Modified.joinWith(Entry));
   // R3 was Uninit on one side: join is unusable.
   EXPECT_FALSE(J.Regs[R3].isUsable());
-  EXPECT_FALSE(J.Slots[0].isUsable());
+  EXPECT_FALSE(J.slot(0).isUsable());
+}
+
+TEST(LatticeLaws, AbstractStateStackDepthIsNotMeaning) {
+  AbstractState Shallow = AbstractState::makeEntry(16);
+  Shallow.setSlot(1, AbsReg::makeScalar(RegValue::makeConstant(7)));
+  // Same contents, but a deeper stored stack: slots 2..5 hold Uninit.
+  AbstractState Deep = Shallow;
+  Deep.setSlot(5, AbsReg::makeUninit());
+  ASSERT_EQ(Shallow.stackDepth(), 2u);
+  ASSERT_EQ(Deep.stackDepth(), 6u);
+
+  EXPECT_EQ(Shallow, Deep);
+  EXPECT_EQ(Deep, Shallow);
+  EXPECT_TRUE(Shallow.isSubsetOf(Deep));
+  EXPECT_TRUE(Deep.isSubsetOf(Shallow));
+  EXPECT_EQ(Shallow.joinWith(Deep), Shallow);
+  EXPECT_EQ(Deep.joinWith(Shallow), Deep);
+  EXPECT_EQ(Shallow.toString(), Deep.toString());
+
+  // Past the stored depth every slot reads Uninit.
+  EXPECT_EQ(Shallow.slot(0).kind(), RegKind::Uninit);
+  for (unsigned I = Shallow.stackDepth(); I != NumStackSlots; ++I)
+    EXPECT_EQ(Shallow.slot(I).kind(), RegKind::Uninit) << "slot " << I;
+
+  // A slot written on one side only joins to Invalid, as in a full frame.
+  AbstractState Spilled = Shallow;
+  Spilled.setSlot(40, AbsReg::makeScalar(RegValue::makeConstant(1)));
+  EXPECT_NE(Spilled, Shallow);
+  // Uninit and a scalar are incomparable kinds.
+  EXPECT_FALSE(Spilled.isSubsetOf(Shallow));
+  EXPECT_FALSE(Shallow.isSubsetOf(Spilled));
+  AbstractState J = Shallow.joinWith(Spilled);
+  EXPECT_EQ(J.slot(40).kind(), RegKind::Invalid);
+  EXPECT_EQ(J.slot(1), Shallow.slot(1));
+  EXPECT_TRUE(Shallow.isSubsetOf(J));
+  EXPECT_TRUE(Spilled.isSubsetOf(J));
+}
+
+TEST(LatticeLaws, AbstractStateJoinInPlaceSkipsCoveredEntries) {
+  AbstractState Base = AbstractState::makeEntry(16);
+  Base.Regs[R3] = AbsReg::makeScalar(RegValue::fromUnsignedRange(0, 9));
+  AbstractState Below = Base;
+  Below.Regs[R3] = AbsReg::makeScalar(RegValue::makeConstant(4));
+
+  // Nothing grows: no entry reaches the widening hook.
+  AbstractState Into = Base;
+  unsigned Calls = 0;
+  auto Count = [&](AbsReg Joined) {
+    ++Calls;
+    return Joined;
+  };
+  EXPECT_FALSE(Into.joinInPlace(Below, Count));
+  EXPECT_FALSE(Into.joinInPlace(Base, Count));
+  EXPECT_EQ(Calls, 0u);
+  EXPECT_EQ(Into, Base);
+
+  // One entry grows: the hook sees exactly that entry, and its result is
+  // what lands in the state.
+  AbstractState Above = Base;
+  Above.Regs[R3] = AbsReg::makeScalar(RegValue::makeConstant(20));
+  EXPECT_TRUE(Into.joinInPlace(Above, [&](AbsReg Joined) {
+    ++Calls;
+    EXPECT_EQ(Joined, Base.Regs[R3].joinWith(Above.Regs[R3]));
+    return AbsReg::makeScalar(RegValue::makeTop());
+  }));
+  EXPECT_EQ(Calls, 1u);
+  EXPECT_EQ(Into.Regs[R3], AbsReg::makeScalar(RegValue::makeTop()));
 }
 
 } // namespace
