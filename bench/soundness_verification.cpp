@@ -62,10 +62,9 @@
 /// the multiplication campaign.
 /// --optimality={first,full} picks first-witness-only (default; the
 /// ROADMAP's deterministic early-exit mode) or exact-total optimality
-/// scans, and --compare-optimality re-times the optimality cells twice:
-/// with the memoized-concretization path disabled, and with the fused
-/// evaluate-and-reduce alpha loops disabled (SweepConfig::FuseOptimality)
-/// -- both A/Bs must report identically to the main run.
+/// scans, and --compare-optimality re-times the optimality cells on the
+/// scalar per-pair path (--simd=off, the row scan's off switch), which
+/// must report identically to the main run.
 /// --json FILE dumps the campaign figures of merit as BENCH_sweep.json
 /// for the CI perf gate (ci/compare_bench.py gate_sweep).
 /// --precision (opt-in) appends precision cells to the campaign -- the
@@ -452,88 +451,55 @@ int main(int Argc, char **Argv) {
               "conservatively imprecise.\n\n");
 
   if (CompareOptimality) {
-    // A/B the memoized-concretization restructuring: rerun only the
-    // optimality cells with the per-pair gamma(P) re-enumeration the
-    // refactor replaced, and diff the reports (they must be identical).
+    // A/B the row scan against its off switch: rerun only the optimality
+    // cells on the scalar per-pair path (SimdMode::Off) and diff the
+    // reports, witness included (they must be identical).
     CampaignSpec OptSpec;
     OptSpec.OptimalityEarlyExit = OptimalityEarlyExit;
-    std::vector<size_t> Twins; ///< Memoized twin cells in the main run.
+    std::vector<size_t> Twins; ///< The same cells in the main run.
     for (const OpCells &Row : Sec1)
       if (!Row.Skipped) {
         OptSpec.Cells.push_back(Spec.Cells[Row.Optimality]);
         Twins.push_back(Row.Optimality);
       }
-    SweepConfig Legacy = Sweep;
-    Legacy.MemoizeOptimality = false;
-    CampaignResult LegacyRun = runCampaign(OptSpec, CampaignIO(), Legacy);
-    if (!LegacyRun.ok()) {
-      std::fprintf(stderr, "error: %s\n", LegacyRun.Error.c_str());
+    SweepConfig Scalar = Sweep;
+    Scalar.Simd = SimdMode::Off;
+    CampaignResult ScalarRun = runCampaign(OptSpec, CampaignIO(), Scalar);
+    if (!ScalarRun.ok()) {
+      std::fprintf(stderr, "error: %s\n", ScalarRun.Error.c_str());
       return 1;
     }
-    TextTable CmpTable({"op", "memoized s", "legacy s", "speedup",
+    TextTable CmpTable({"op", "row scan s", "scalar s", "speedup",
                         "reports"});
     bool Identical = true;
     for (size_t I = 0; I != OptSpec.Cells.size(); ++I) {
       size_t Twin = Twins[I];
       const OptimalityReport &A = Campaign.Cells[Twin].Optimality;
-      const OptimalityReport &B = LegacyRun.Cells[I].Optimality;
+      const OptimalityReport &B = ScalarRun.Cells[I].Optimality;
       bool Same = A.PairsChecked == B.PairsChecked &&
                   A.OptimalPairs == B.OptimalPairs &&
-                  A.isOptimalEverywhere() == B.isOptimalEverywhere();
+                  A.Failure.has_value() == B.Failure.has_value() &&
+                  (!A.Failure || (A.Failure->P == B.Failure->P &&
+                                  A.Failure->Q == B.Failure->Q &&
+                                  A.Failure->Actual == B.Failure->Actual &&
+                                  A.Failure->Optimal == B.Failure->Optimal));
       Identical &= Same;
-      double MemoSeconds = Campaign.Cells[Twin].Seconds;
-      double LegacySeconds = LegacyRun.Cells[I].Seconds;
+      double RowSeconds = Campaign.Cells[Twin].Seconds;
+      double ScalarSeconds = ScalarRun.Cells[I].Seconds;
       CmpTable.addRowOf(binaryOpName(OptSpec.Cells[I].Op),
-                        formatString("%.3f", MemoSeconds),
-                        formatString("%.3f", LegacySeconds),
-                        formatString("%.2fx", MemoSeconds > 0
-                                                  ? LegacySeconds / MemoSeconds
+                        formatString("%.3f", RowSeconds),
+                        formatString("%.3f", ScalarSeconds),
+                        formatString("%.2fx", RowSeconds > 0
+                                                  ? ScalarSeconds / RowSeconds
                                                   : 0.0),
                         Same ? "identical" : "DIVERGED");
     }
-    std::printf("memoized vs legacy optimality scan (gamma(P) hoisted "
-                "across the Q axis vs re-enumerated per pair):\n");
+    std::printf("optimality row scan (%s) vs the scalar per-pair path "
+                "(--simd=off):\n",
+                simdPathDescription(Sweep.Simd).c_str());
     CmpTable.printAligned(stdout);
     std::printf("\n");
     AllHold &= Identical;
-
-    // A/B the fused evaluate-and-reduce alpha loops: rerun the optimality
-    // cells with SweepConfig::FuseOptimality off (two-pass batch +
-    // ReduceAndOr, everything else identical) and diff the reports.
-    SweepConfig Unfused = Sweep;
-    Unfused.FuseOptimality = false;
-    CampaignResult UnfusedRun = runCampaign(OptSpec, CampaignIO(), Unfused);
-    if (!UnfusedRun.ok()) {
-      std::fprintf(stderr, "error: %s\n", UnfusedRun.Error.c_str());
-      return 1;
-    }
-    TextTable FuseTable({"op", "fused s", "unfused s", "speedup", "reports"});
-    bool FusedIdentical = true;
-    for (size_t I = 0; I != OptSpec.Cells.size(); ++I) {
-      size_t Twin = Twins[I];
-      const OptimalityReport &A = Campaign.Cells[Twin].Optimality;
-      const OptimalityReport &B = UnfusedRun.Cells[I].Optimality;
-      bool Same = A.PairsChecked == B.PairsChecked &&
-                  A.OptimalPairs == B.OptimalPairs &&
-                  A.isOptimalEverywhere() == B.isOptimalEverywhere();
-      FusedIdentical &= Same;
-      double FusedSeconds = Campaign.Cells[Twin].Seconds;
-      double UnfusedSeconds = UnfusedRun.Cells[I].Seconds;
-      FuseTable.addRowOf(binaryOpName(OptSpec.Cells[I].Op),
-                         formatString("%.3f", FusedSeconds),
-                         formatString("%.3f", UnfusedSeconds),
-                         formatString("%.2fx", FusedSeconds > 0
-                                                   ? UnfusedSeconds /
-                                                         FusedSeconds
-                                                   : 0.0),
-                         Same ? "identical" : "DIVERGED");
-    }
-    std::printf("fused vs unfused optimality alpha-reduce (evaluation and "
-                "AND/OR accumulation in one register loop vs the two-pass "
-                "batch; only add/sub/mul/and/or/xor have fused loops):\n");
-    FuseTable.printAligned(stdout);
-    std::printf("\n");
-    AllHold &= FusedIdentical;
   }
 
   //===--------------------------------------------------------------------===//

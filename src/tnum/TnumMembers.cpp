@@ -17,35 +17,29 @@ MemberTable::MemberTable(const std::vector<Tnum> &Universe) {
   Offsets.reserve(Universe.size() + 1);
   Offsets.push_back(0);
   for (const Tnum &T : Universe) {
-    if (!T.isBottom()) {
-      // The subset odometer, inlined: identical order to
-      // materializeMembers / forEachMember.
-      uint64_t Value = T.value();
-      uint64_t Mask = T.mask();
-      uint64_t Subset = 0;
-      for (;;) {
-        Flat.push_back(Value | Subset);
-        if (Subset == Mask)
-          break;
-        Subset = (Subset - Mask) & Mask;
-      }
-    }
+    appendMembers(T, Flat);
     Offsets.push_back(Flat.size());
   }
 }
 
 uint64_t tnums::memberTableBytes(unsigned Width) {
-  // Sigma_{k} C(Width, k) 2^(Width-k) 2^k = 4^Width members; the offset
-  // index adds 3^Width + 1 words on top, which the shift below dominates.
-  return (uint64_t(1) << (2 * Width)) * sizeof(uint64_t);
+  // Sigma_{k} C(Width, k) 2^(Width-k) 2^k = 4^Width members of 2^3 bytes;
+  // the offset index adds 3^Width + 1 words on top, which the shift below
+  // dominates. 2^(2 Width + 3) needs a 65th bit from Width 31 on.
+  if (2 * uint64_t(Width) + 3 >= 64)
+    return UINT64_MAX;
+  return uint64_t(1) << (2 * Width + 3);
 }
 
 void tnums::materializeMembers(const Tnum &P, std::vector<uint64_t> &Out) {
   Out.clear();
+  appendMembers(P, Out);
+}
+
+void tnums::appendMembers(const Tnum &P, std::vector<uint64_t> &Out) {
   if (P.isBottom())
     return;
   assert(P.numUnknownBits() <= 30 && "member materialization infeasible");
-  Out.reserve(uint64_t(1) << P.numUnknownBits());
   uint64_t Value = P.value();
   uint64_t Mask = P.mask();
   uint64_t Subset = 0;

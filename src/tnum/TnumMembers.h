@@ -23,6 +23,7 @@
 #include "support/SimdBatch.h"
 #include "tnum/Tnum.h"
 
+#include <span>
 #include <vector>
 
 namespace tnums {
@@ -78,20 +79,25 @@ private:
 };
 
 /// Materializes gamma(\p P) into \p Out (cleared and refilled; capacity is
-/// retained across calls) in subset-odometer order. The sweeps call this
-/// once per (P, Q) pair with a reused buffer, so the fill cost is
-/// |gamma(Q)| against |gamma(P)| * |gamma(Q)| of batched work. Requires
-/// |gamma(P)| to be vector-materializable (<= 2^30 members).
+/// retained across calls) in subset-odometer order. Requires |gamma(P)| to
+/// be vector-materializable (<= 2^30 members).
 void materializeMembers(const Tnum &P, std::vector<uint64_t> &Out);
+
+/// Appends gamma(\p P) to \p Out in subset-odometer order (nothing for
+/// bottom). The row scans append one row segment's concretizations back
+/// to back when no member table is built.
+void appendMembers(const Tnum &P, std::vector<uint64_t> &Out);
 
 /// A per-universe member table: gamma(U[i]) for every tnum of a universe,
 /// materialized once (in subset-odometer order, like materializeMembers)
-/// into one flat buffer. The exhaustive sweeps walk the full (P, Q) grid,
-/// so each Q's concretization is re-materialized |U| times when done per
-/// pair; memoizing it here trades Sigma |gamma| = 4^n words of memory
-/// (8 MiB at width 10, 128 MiB at width 12) for dropping that refill from
-/// the cell scan entirely. Batched-path outputs are bit-identical either
-/// way -- the table stores exactly what materializeMembers produces.
+/// into one flat buffer, in universe order. The exhaustive sweeps walk the
+/// full (P, Q) grid, so each Q's concretization is needed |U| times;
+/// memoizing it here trades Sigma |gamma| = 4^n words of memory (8 MiB at
+/// width 10, 128 MiB at width 12) for dropping that refill from the cell
+/// scan entirely. Because the concretizations lie back to back, the lanes
+/// of a row segment -- gamma(U[b]) ++ ... ++ gamma(U[e-1]) -- are one
+/// contiguous span. Batched-path outputs are bit-identical either way --
+/// the table stores exactly what materializeMembers produces.
 class MemberTable {
 public:
   MemberTable() = default;
@@ -104,6 +110,17 @@ public:
   const uint64_t *members(size_t I) const { return Flat.data() + Offsets[I]; }
   uint64_t numMembers(size_t I) const { return Offsets[I + 1] - Offsets[I]; }
 
+  /// gamma(U[Begin]) ++ ... ++ gamma(U[End - 1]) as one flat span.
+  std::span<const uint64_t> span(size_t Begin, size_t End) const {
+    return {Flat.data() + Offsets[Begin], Offsets[End] - Offsets[Begin]};
+  }
+
+  /// Where each of U[Begin] .. U[End - 1] starts in the flat buffer, plus
+  /// where the last one ends (End - Begin + 1 entries).
+  std::span<const uint64_t> offsets(size_t Begin, size_t End) const {
+    return {Offsets.data() + Begin, End - Begin + 1};
+  }
+
   bool empty() const { return Offsets.empty(); }
 
 private:
@@ -113,7 +130,8 @@ private:
 
 /// Bytes a MemberTable over the full width-\p Width universe occupies:
 /// Sigma over well-formed tnums of |gamma| = 4^Width entries of 8 bytes
-/// (plus the offset index, one word per tnum).
+/// (plus the offset index, one word per tnum). Saturates at UINT64_MAX
+/// from Width 31 on, where 2^(2 Width + 3) no longer fits 64 bits.
 uint64_t memberTableBytes(unsigned Width);
 
 } // namespace tnums

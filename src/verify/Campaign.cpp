@@ -844,26 +844,6 @@ bool mergePropertyShard(CampaignCellResult &Cell, size_t CellIndex,
 // campaign report equal the *serial* checker's report bit for bit.
 //===----------------------------------------------------------------------===//
 
-/// Concrete evaluations a serial scan of the witness pair performs: every
-/// member pair up to and including the first violating one.
-uint64_t evalsUpToViolation(BinaryOp Concrete, unsigned Width, const Tnum &P,
-                            const Tnum &Q, const Tnum &R) {
-  uint64_t Count = 0;
-  bool Done = false;
-  forEachMember(P, [&](uint64_t X) {
-    if (Done)
-      return;
-    forEachMember(Q, [&](uint64_t Y) {
-      if (Done)
-        return;
-      ++Count;
-      if (!R.contains(applyConcreteBinary(Concrete, X, Y, Width)))
-        Done = true;
-    });
-  });
-  return Count;
-}
-
 /// Quadruples a serial scan of the witness pair performs, analogously.
 uint64_t quadsUpToViolation(BinaryOp Op, MulAlgorithm Mul, unsigned Width,
                             const Tnum &P2, const Tnum &Q2) {
@@ -904,8 +884,10 @@ void normalizeSoundnessFailure(BinaryOp Concrete, const SweepGrid &Grid,
     Concrete2 += uint64_t(1) << (std::popcount(P.mask()) +
                                  std::popcount(Q.mask()));
   }
+  // The witness pair costs what its serial scan evaluates: every member
+  // pair up to and including the first violating one.
   const SoundnessCounterexample &W = *Report.Failure;
-  Concrete2 += evalsUpToViolation(Concrete, Grid.Width, W.P, W.Q, W.R);
+  scanPairMembers(Concrete, Grid.Width, W.P, W.Q, W.R, Concrete2);
   Report.ConcreteChecked = Concrete2;
 }
 
@@ -928,10 +910,10 @@ void normalizeMonotonicityFailure(BinaryOp Op, MulAlgorithm Mul,
   Report.QuadruplesChecked = Quads;
 }
 
-/// Early-exit optimality: rescan [Begin, FailIndex) serially to recover
-/// the exact prefix OptimalPairs count. The witness is almost always in
-/// the first shard of a non-optimal cell, so the rescan is short in
-/// practice.
+/// Early-exit optimality: one full-scan optimality pass over
+/// [Begin, FailIndex) recovers the exact prefix OptimalPairs count. The
+/// witness is almost always in the first shard of a non-optimal cell, so
+/// the rescan is short in practice.
 void normalizeOptimalityFailure(BinaryOp Op, MulAlgorithm Mul,
                                 const SweepGrid &Grid,
                                 const SweepConfig &Config, uint64_t Begin,
@@ -939,51 +921,10 @@ void normalizeOptimalityFailure(BinaryOp Op, MulAlgorithm Mul,
                                 OptimalityReport &Report) {
   assert(Report.Failure && "nothing to normalize");
   Report.PairsChecked = FailIndex - Begin + 1;
-  const bool Batched = simdModeBatches(Config.Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
-  std::vector<uint64_t> Xs;
-  std::vector<uint64_t> Ys;
-  uint64_t XsIndex = UINT64_MAX;
-  uint64_t Optimal = 0;
-  for (uint64_t Index = Begin; Index != FailIndex; ++Index) {
-    const Tnum &P = Grid.Universe[Index / Grid.NumTnums];
-    const Tnum &Q = Grid.Universe[Index % Grid.NumTnums];
-    Tnum Actual = applyAbstractBinary(Op, P, Q, Grid.Width, Mul);
-    Tnum Best;
-    if (Batched) {
-      const uint64_t *XsPtr;
-      uint64_t NumXs;
-      uint64_t PIndex = Index / Grid.NumTnums;
-      if (Grid.Members) {
-        XsPtr = Grid.Members->members(PIndex);
-        NumXs = Grid.Members->numMembers(PIndex);
-      } else {
-        if (XsIndex != PIndex) {
-          materializeMembers(P, Xs);
-          XsIndex = PIndex;
-        }
-        XsPtr = Xs.data();
-        NumXs = Xs.size();
-      }
-      const uint64_t *YsPtr;
-      uint64_t NumYs;
-      if (Grid.Members) {
-        YsPtr = Grid.Members->members(Index % Grid.NumTnums);
-        NumYs = Grid.Members->numMembers(Index % Grid.NumTnums);
-      } else {
-        materializeMembers(Q, Ys);
-        YsPtr = Ys.data();
-        NumYs = Ys.size();
-      }
-      Best = optimalAbstractBinaryMembers(Op, Grid.Width, XsPtr, NumXs,
-                                          YsPtr, NumYs, Kernels);
-    } else {
-      Best = optimalAbstractBinary(Op, P, Q, Grid.Width);
-    }
-    if (Actual == Best)
-      ++Optimal;
-  }
-  Report.OptimalPairs = Optimal;
+  Report.OptimalPairs =
+      checkOptimalityRangeParallel(Op, Mul, Grid, Begin, FailIndex, Config,
+                                   /*StopAtFirst=*/false)
+          .OptimalPairs;
 }
 
 /// The per-cell pair totals of \p Spec (one grid dimension per width).

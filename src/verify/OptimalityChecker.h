@@ -21,6 +21,7 @@
 #include "support/SimdBatch.h"
 #include "verify/Oracle.h"
 
+#include <bit>
 #include <optional>
 #include <string>
 
@@ -31,40 +32,6 @@ namespace tnums {
 /// the yardstick every operator is measured against; cost is
 /// |gamma(P)| * |gamma(Q)| concrete evaluations.
 Tnum optimalAbstractBinary(BinaryOp Op, Tnum P, Tnum Q, unsigned Width);
-
-/// Batched form of optimalAbstractBinary, shared by the serial and
-/// parallel optimality sweeps. \p Ys must be gamma(Q) materialized in
-/// subset-odometer order (tnum/TnumMembers.h) with NumYs >= 1, and
-/// \p Kernels a backend from support/SimdBatch.h. Instead of folding each
-/// concrete output through abstractInsert, the two reductions of alpha
-/// (Eqn. 5) -- AND of all outputs and OR of all outputs -- run over whole
-/// batches; alpha(C) = (AND, AND xor OR) falls out at the end. When
-/// \p AllowFused and (Op, Width) has fused kernels
-/// (hasFusedSimdKernel), the concrete evaluation and the AND/OR
-/// accumulation run in one register loop with no intermediate result
-/// buffer -- the fused optimality alpha-reduce. Both reductions are exact
-/// order-independent bitwise folds, so every path (scalar fold, two-pass
-/// batch, fused, any kernel tier) is bit-identical for every input.
-Tnum optimalAbstractBinaryBatched(BinaryOp Op, unsigned Width, const Tnum &P,
-                                  const uint64_t *Ys, uint64_t NumYs,
-                                  const SimdKernels &Kernels,
-                                  bool AllowFused = true);
-
-/// Fully-memoized form: BOTH concretizations arrive as flat member lists
-/// in subset-odometer order (gamma(P) in \p Xs, gamma(Q) in \p Ys), so
-/// nothing is re-enumerated per (P, Q) pair. This is what lets the
-/// optimality sweeps hoist a per-P member list across the whole Q axis --
-/// from the per-universe MemberTable when it fits the byte cap, or staged
-/// once per P row otherwise -- instead of walking the subset odometer of
-/// gamma(P) again for every pair. \p AllowFused as in
-/// optimalAbstractBinaryBatched (the fused loops batch over whichever
-/// axis is longer, like the two-pass path). Bit-identical to the scalar
-/// fold and to optimalAbstractBinaryBatched for every input.
-Tnum optimalAbstractBinaryMembers(BinaryOp Op, unsigned Width,
-                                  const uint64_t *Xs, uint64_t NumXs,
-                                  const uint64_t *Ys, uint64_t NumYs,
-                                  const SimdKernels &Kernels,
-                                  bool AllowFused = true);
 
 /// Witness that an operator is not optimal on some input pair: the
 /// operator's result R strictly over-approximates the optimal result.
@@ -91,9 +58,10 @@ struct OptimalityReport {
 /// Exhaustively compares \p Op against the optimal abstraction at \p Width.
 /// Stops at the first non-optimal pair if \p StopAtFirst, else keeps
 /// counting OptimalPairs (and retains the first counterexample). \p Simd
-/// selects the member-scan path; every mode produces a bit-identical
-/// report (SimdMode::Off is the scalar reference the differential tests
-/// pin the batched kernels against).
+/// selects the path: SimdMode::Off is the scalar per-pair fold, the
+/// reference the differential tests pin the row scan (verify/RowScan.h)
+/// against; every other mode runs the row scan on one thread. Every mode
+/// produces a bit-identical report.
 OptimalityReport
 checkOptimalityExhaustive(BinaryOp Op, unsigned Width,
                           MulAlgorithm Mul = MulAlgorithm::Our,
@@ -144,6 +112,12 @@ struct PrecisionReport {
     return PairsChecked ? double(SumGap) / double(PairsChecked) : 0.0;
   }
 };
+
+/// The precision gap of one pair as PrecisionReport defines it.
+inline unsigned precisionGap(const Tnum &Actual, const Tnum &Optimal) {
+  int Gap = std::popcount(Actual.mask()) - std::popcount(Optimal.mask());
+  return Gap > 0 ? static_cast<unsigned>(Gap) : 0;
+}
 
 /// Exhaustively measures \p Op's precision gap against the optimal
 /// abstraction at \p Width -- the serial reference the parallel sweep

@@ -45,24 +45,6 @@ bool tnums::isShiftOp(BinaryOp Op) {
   return Op == BinaryOp::Lsh || Op == BinaryOp::Rsh || Op == BinaryOp::Arsh;
 }
 
-bool tnums::hasFusedSimdKernel(BinaryOp Op, unsigned Width) {
-  switch (Op) {
-  case BinaryOp::Add:
-  case BinaryOp::Sub:
-  case BinaryOp::And:
-  case BinaryOp::Or:
-  case BinaryOp::Xor:
-    return true;
-  case BinaryOp::Mul:
-    // The fused mul lanes use a 32x32 low multiply, exact only while both
-    // operands and the product stay under 2^32 -- i.e. Width <= 16, which
-    // covers every enumerable sweep width.
-    return Width <= 16;
-  default:
-    return false;
-  }
-}
-
 uint64_t tnums::applyConcreteBinary(BinaryOp Op, uint64_t X, uint64_t Y,
                                     unsigned Width) {
   X = truncateToWidth(X, Width);
@@ -97,127 +79,6 @@ uint64_t tnums::applyConcreteBinary(BinaryOp Op, uint64_t X, uint64_t Y,
   }
   assert(false && "unknown binary op");
   return 0;
-}
-
-void tnums::applyConcreteBinaryBatch(BinaryOp Op, uint64_t X,
-                                     const uint64_t *Ys, uint64_t *Zs,
-                                     unsigned N, unsigned Width) {
-  const uint64_t WMask = lowBitsMask(Width);
-  X &= WMask;
-  switch (Op) {
-  case BinaryOp::Add:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (X + (Ys[I] & WMask)) & WMask;
-    return;
-  case BinaryOp::Sub:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (X - (Ys[I] & WMask)) & WMask;
-    return;
-  case BinaryOp::Mul:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (X * (Ys[I] & WMask)) & WMask;
-    return;
-  case BinaryOp::Div:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Y = Ys[I] & WMask;
-      Zs[I] = Y == 0 ? 0 : X / Y;
-    }
-    return;
-  case BinaryOp::Mod:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Y = Ys[I] & WMask;
-      Zs[I] = Y == 0 ? X : X % Y;
-    }
-    return;
-  case BinaryOp::And:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = X & Ys[I] & WMask;
-    return;
-  case BinaryOp::Or:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = X | (Ys[I] & WMask);
-    return;
-  case BinaryOp::Xor:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = X ^ (Ys[I] & WMask);
-    return;
-  case BinaryOp::Lsh:
-    assert((Width & (Width - 1)) == 0 && "shift semantics need 2^k width");
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (X << (Ys[I] & WMask & (Width - 1))) & WMask;
-    return;
-  case BinaryOp::Rsh:
-    assert((Width & (Width - 1)) == 0 && "shift semantics need 2^k width");
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = X >> (Ys[I] & WMask & (Width - 1));
-    return;
-  case BinaryOp::Arsh:
-    assert((Width & (Width - 1)) == 0 && "shift semantics need 2^k width");
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = arithmeticShiftRight(
-          X, static_cast<unsigned>(Ys[I] & WMask & (Width - 1)), Width);
-    return;
-  }
-  assert(false && "unknown binary op");
-}
-
-void tnums::applyConcreteBinaryBatchLhs(BinaryOp Op, const uint64_t *Xs,
-                                        uint64_t Y, uint64_t *Zs, unsigned N,
-                                        unsigned Width) {
-  const uint64_t WMask = lowBitsMask(Width);
-  Y &= WMask;
-  switch (Op) {
-  case BinaryOp::Add:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = ((Xs[I] & WMask) + Y) & WMask;
-    return;
-  case BinaryOp::Sub:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = ((Xs[I] & WMask) - Y) & WMask;
-    return;
-  case BinaryOp::Mul:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = ((Xs[I] & WMask) * Y) & WMask;
-    return;
-  case BinaryOp::Div:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = Y == 0 ? 0 : (Xs[I] & WMask) / Y;
-    return;
-  case BinaryOp::Mod:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = Y == 0 ? (Xs[I] & WMask) : (Xs[I] & WMask) % Y;
-    return;
-  case BinaryOp::And:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = Xs[I] & Y & WMask;
-    return;
-  case BinaryOp::Or:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (Xs[I] & WMask) | Y;
-    return;
-  case BinaryOp::Xor:
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (Xs[I] & WMask) ^ Y;
-    return;
-  case BinaryOp::Lsh:
-    assert((Width & (Width - 1)) == 0 && "shift semantics need 2^k width");
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = ((Xs[I] & WMask) << (Y & (Width - 1))) & WMask;
-    return;
-  case BinaryOp::Rsh:
-    assert((Width & (Width - 1)) == 0 && "shift semantics need 2^k width");
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = (Xs[I] & WMask) >> (Y & (Width - 1));
-    return;
-  case BinaryOp::Arsh:
-    assert((Width & (Width - 1)) == 0 && "shift semantics need 2^k width");
-    for (unsigned I = 0; I != N; ++I)
-      Zs[I] = arithmeticShiftRight(Xs[I] & WMask,
-                                   static_cast<unsigned>(Y & (Width - 1)),
-                                   Width);
-    return;
-  }
-  assert(false && "unknown binary op");
 }
 
 uint64_t tnums::opFingerprint(BinaryOp Op, MulAlgorithm Mul) {

@@ -56,35 +56,10 @@ const char *binaryOpName(BinaryOp Op);
 /// (shift amounts are masked to Width - 1).
 bool isShiftOp(BinaryOp Op);
 
-/// True when (\p Op, \p Width) has fused evaluate-and-test /
-/// evaluate-and-reduce SIMD loops in verify/ (the soundness scan and the
-/// optimality alpha-reduce): the wrap-around and bitwise operators always,
-/// Mul only while the vector lanes' 32x32 low multiply is exact
-/// (Width <= 16). Everything else takes the two-pass batch path through
-/// applyConcreteBinaryBatch* + the SimdBatch kernels.
-bool hasFusedSimdKernel(BinaryOp Op, unsigned Width);
-
 /// The width-\p Width concrete semantics of \p Op applied to the low
 /// \p Width bits of \p X and \p Y. Result fits the width.
 uint64_t applyConcreteBinary(BinaryOp Op, uint64_t X, uint64_t Y,
                              unsigned Width);
-
-/// Batch form of applyConcreteBinary for the SIMD membership sweeps:
-/// Zs[j] = opC(X, Ys[j]) at \p Width for j in [0, N). Semantically
-/// identical to N scalar calls, but the operator dispatch is hoisted out
-/// of the loop and each per-op loop body is simple enough for the
-/// compiler to pipeline or vectorize. \p Zs must not alias \p Ys.
-void applyConcreteBinaryBatch(BinaryOp Op, uint64_t X, const uint64_t *Ys,
-                              uint64_t *Zs, unsigned N, unsigned Width);
-
-/// Mirror of applyConcreteBinaryBatch with the batch on the LEFT operand:
-/// Zs[j] = opC(Xs[j], Y) at \p Width for j in [0, N). The optimality
-/// reduction is an order-independent AND/OR fold over all (x, y) pairs,
-/// so it may batch over whichever concretization is longer; the
-/// non-commutative operators (sub, div, mod, shifts) need this spelled
-/// out rather than a swapped call. \p Zs must not alias \p Xs.
-void applyConcreteBinaryBatchLhs(BinaryOp Op, const uint64_t *Xs, uint64_t Y,
-                                 uint64_t *Zs, unsigned N, unsigned Width);
 
 /// The abstract transfer function for \p Op, truncated to \p Width.
 /// Multiplication is computed with \p Mul so that every algorithm variant

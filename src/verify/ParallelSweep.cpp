@@ -12,6 +12,7 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 #include "tnum/TnumEnum.h"
+#include "verify/RowScan.h"
 
 #include <algorithm>
 #include <atomic>
@@ -41,16 +42,19 @@ template <typename CounterexampleT> struct IndexedFailure {
   CounterexampleT Witness;
 };
 
-/// The chunk / first-fail-chunk cancellation protocol, shared by the three
-/// sweeps (soundness, optimality, monotonicity) that used to each carry a
-/// near-verbatim copy, applied to the pair-index range [Begin, End) of
-/// \p Grid. Templated on the counterexample type, a chunk-local counter
-/// block (which doubles as per-chunk scratch -- e.g. the gamma(Q) staging
-/// buffer -- since one instance lives per chunk, never shared across
-/// threads), and the per-pair body.
+/// The chunk / first-fail-chunk cancellation protocol, shared by the four
+/// range scans (soundness, optimality, monotonicity, precision), applied
+/// to the pair-index range [Begin, End) of \p Grid. Each chunk is split
+/// into row segments -- the pairs of one P, [QBegin, QEnd) -- and the body
+/// scans one segment at a time. Templated on the counterexample type, a
+/// chunk-local counter block (which doubles as per-chunk scratch, e.g. the
+/// row scan's lane buffers, since one instance lives per chunk, never
+/// shared across threads), and the segment body.
 ///
-///   Body(Index, P, Q, Local) -> std::optional<CounterexampleT>
-///   Merge(Local)             -- fold the chunk's counters into the totals
+///   Segment(PIndex, QBegin, QEnd, Local)
+///       -> std::optional<IndexedFailure<CounterexampleT>>
+///          (the segment's serial-order first failure, by grid index)
+///   Merge(Local)  -- fold the chunk's counters into the totals
 ///
 /// With \p CancelOnFailure (the soundness protocol) a failing chunk stops
 /// at its own first violation, chunks strictly above the lowest failing
@@ -59,12 +63,12 @@ template <typename CounterexampleT> struct IndexedFailure {
 /// range. Without it (optimality's exact-count mode) every chunk
 /// full-scans and only the lowest chunk's first witness is kept; the
 /// result is the serial-order first counterexample either way.
-template <typename CounterexampleT, typename LocalT, typename BodyT,
+template <typename CounterexampleT, typename LocalT, typename SegmentT,
           typename MergeT>
 std::optional<IndexedFailure<CounterexampleT>>
 sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
               const SweepConfig &Config, bool CancelOnFailure,
-              const BodyT &Body, const MergeT &Merge) {
+              const SegmentT &Segment, const MergeT &Merge) {
   assert(Begin <= End && End <= Grid.TotalPairs && "range out of grid");
   const uint64_t ChunkPairs = std::max<uint64_t>(1, Config.ChunkPairs);
   const uint64_t NumChunks = (End - Begin + ChunkPairs - 1) / ChunkPairs;
@@ -83,20 +87,21 @@ sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
     uint64_t ChunkEnd = std::min(End, ChunkBegin + ChunkPairs);
     LocalT Local{};
     bool ChunkHasFailure = false;
-    for (uint64_t Index = ChunkBegin; Index != ChunkEnd; ++Index) {
+    for (uint64_t Index = ChunkBegin; Index != ChunkEnd;) {
       if (CancelOnFailure &&
           Chunk > FirstFailChunk.load(std::memory_order_relaxed))
         break;
-      const Tnum &P = Grid.Universe[Index / Grid.NumTnums];
-      const Tnum &Q = Grid.Universe[Index % Grid.NumTnums];
-      std::optional<CounterexampleT> Failure = Body(Index, P, Q, Local);
+      uint64_t PIndex = Index / Grid.NumTnums;
+      uint64_t RowBegin = PIndex * Grid.NumTnums;
+      uint64_t SegmentEnd = std::min(ChunkEnd, RowBegin + Grid.NumTnums);
+      std::optional<IndexedFailure<CounterexampleT>> Failure = Segment(
+          PIndex, Index - RowBegin, SegmentEnd - RowBegin, Local);
+      Index = SegmentEnd;
       if (Failure && !ChunkHasFailure) {
         ChunkHasFailure = true;
         {
           std::lock_guard<std::mutex> Lock(FailuresMutex);
-          FailureByChunk.emplace(
-              Chunk,
-              IndexedFailure<CounterexampleT>{Index, std::move(*Failure)});
+          FailureByChunk.emplace(Chunk, std::move(*Failure));
         }
         atomicMinU64(FirstFailChunk, Chunk);
       }
@@ -112,16 +117,57 @@ sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
   return std::move(FailureByChunk.begin()->second); // Lowest chunk index.
 }
 
-/// Resolves gamma(Q) for one pair: from the memoized table when present,
-/// else materialized into the chunk-local staging buffer \p Ys.
-std::pair<const uint64_t *, uint64_t>
-resolveMembers(const std::optional<MemberTable> &Members, uint64_t QIndex,
-               const Tnum &Q, std::vector<uint64_t> &Ys) {
-  if (Members)
-    return {Members->members(QIndex), Members->numMembers(QIndex)};
-  materializeMembers(Q, Ys);
-  return {Ys.data(), Ys.size()};
-}
+/// What every row segment of one range scan shares: the grid, the
+/// operator, and the lane-loop tier. Batched is false under SimdMode::Off,
+/// where every segment takes the scalar per-pair path instead.
+struct RowScanner {
+  const SweepGrid &Grid;
+  BinaryOp Op;
+  bool Batched;
+  SimdTier Tier;
+
+  RowScanner(const SweepGrid &Grid, BinaryOp Op, const SweepConfig &Config)
+      : Grid(Grid), Op(Op), Batched(simdModeBatches(Config.Simd)),
+        Tier(selectSimdKernels(Config.Simd).Tier) {}
+
+  std::span<const Tnum> qs(uint64_t QBegin, uint64_t QEnd) const {
+    return {Grid.Universe.data() + QBegin, QEnd - QBegin};
+  }
+
+  /// The lanes of a segment: spans of the member table when it is built,
+  /// else materialized into the chunk-local \p Scratch.
+  RowSegment segment(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
+                     RowScratch &Scratch) const {
+    const Tnum &P = Grid.Universe[PIndex];
+    if (!Grid.Members)
+      return materializeRow(Op, Grid.Width, Tier, P, qs(QBegin, QEnd),
+                            Scratch);
+    return RowSegment{Op,
+                      Grid.Width,
+                      Tier,
+                      P,
+                      qs(QBegin, QEnd),
+                      Grid.Members->span(PIndex, PIndex + 1),
+                      Grid.Members->span(QBegin, QEnd),
+                      Grid.Members->offsets(QBegin, QEnd)};
+  }
+
+  /// alpha(opC(gamma(P), gamma(Q))) for every Q of a segment into
+  /// \p Optimal: the row scan, or the scalar fold pair by pair.
+  void optimal(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
+               RowScratch &Scratch, std::vector<Tnum> &Optimal) const {
+    Optimal.resize(QEnd - QBegin);
+    if (Batched) {
+      optimalAbstractRow(segment(PIndex, QBegin, QEnd, Scratch), Scratch,
+                         Optimal);
+      return;
+    }
+    const Tnum &P = Grid.Universe[PIndex];
+    for (uint64_t Q = QBegin; Q != QEnd; ++Q)
+      Optimal[Q - QBegin] =
+          optimalAbstractBinary(Op, P, Grid.Universe[Q], Grid.Width);
+  }
+};
 
 void publishFailureIndex(std::optional<uint64_t> *Out,
                          std::optional<uint64_t> Index) {
@@ -151,47 +197,38 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
          "shift verification requires a power-of-two width");
   std::atomic<uint64_t> PairsChecked{0};
   std::atomic<uint64_t> ConcreteChecked{0};
-
-  const bool Batched = simdModeBatches(Config.Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
-  const unsigned Width = Grid.Width;
+  const RowScanner Rows(Grid, Concrete, Config);
 
   struct Local {
     uint64_t Pairs = 0;
     uint64_t Concrete = 0;
-    // Chunk-local gamma(Q) staging buffer for the non-memoized batched
-    // path; refilled per pair, capacity retained across the chunk.
-    std::vector<uint64_t> Ys;
+    std::vector<Tnum> Rs; ///< opT(P, Q) for each Q of the segment.
+    RowScratch Scratch;
   };
 
   std::optional<IndexedFailure<SoundnessCounterexample>> Failure =
       sweepPairGrid<SoundnessCounterexample, Local>(
           Grid, Begin, End, Config, /*CancelOnFailure=*/true,
-          [&](uint64_t Index, const Tnum &P, const Tnum &Q,
-              Local &L) -> std::optional<SoundnessCounterexample> {
-            ++L.Pairs;
-            Tnum R = Abstract(P, Q);
-            if (Batched) {
-              auto [Ys, NumYs] =
-                  resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
-                                 L.Ys);
-              return scanPairMembersBatched(Concrete, Width, P, Q, R, Ys,
-                                            NumYs, Kernels, L.Concrete);
-            }
-            std::optional<SoundnessCounterexample> Violation;
-            forEachMember(P, [&](uint64_t X) {
-              if (Violation)
-                return;
-              forEachMember(Q, [&](uint64_t Y) {
-                if (Violation)
-                  return;
-                ++L.Concrete;
-                uint64_t Z = applyConcreteBinary(Concrete, X, Y, Width);
-                if (!R.contains(Z))
-                  Violation = SoundnessCounterexample{P, Q, X, Y, Z, R};
-              });
-            });
-            return Violation;
+          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+              -> std::optional<IndexedFailure<SoundnessCounterexample>> {
+            const Tnum &P = Grid.Universe[PIndex];
+            std::span<const Tnum> Qs = Rows.qs(QBegin, QEnd);
+            L.Rs.clear();
+            for (const Tnum &Q : Qs)
+              L.Rs.push_back(Abstract(P, Q));
+            std::optional<RowSoundnessFailure> F =
+                Rows.Batched
+                    ? scanSoundnessRow(Rows.segment(PIndex, QBegin, QEnd,
+                                                    L.Scratch),
+                                       L.Rs, L.Scratch, L.Concrete)
+                    : scanSoundnessPairs(Concrete, Grid.Width, P, Qs, L.Rs,
+                                         L.Concrete);
+            L.Pairs += F ? F->Position + 1 : Qs.size();
+            if (!F)
+              return std::nullopt;
+            return IndexedFailure<SoundnessCounterexample>{
+                PIndex * Grid.NumTnums + QBegin + F->Position,
+                std::move(F->Witness)};
           },
           [&](const Local &L) {
             PairsChecked.fetch_add(L.Pairs, std::memory_order_relaxed);
@@ -214,75 +251,61 @@ OptimalityReport tnums::checkOptimalityRangeParallel(
     BinaryOp Op, MulAlgorithm Mul, const SweepGrid &Grid, uint64_t Begin,
     uint64_t End, const SweepConfig &Config, bool StopAtFirst,
     std::optional<uint64_t> *FailurePairIndex) {
+  unsigned Width = Grid.Width;
+  return checkOptimalityRangeParallel(
+      Op,
+      [Op, Width, Mul](const Tnum &P, const Tnum &Q) {
+        return applyAbstractBinary(Op, P, Q, Width, Mul);
+      },
+      Grid, Begin, End, Config, StopAtFirst, FailurePairIndex);
+}
+
+OptimalityReport tnums::checkOptimalityRangeParallel(
+    BinaryOp Op, const AbstractBinaryFn &Abstract, const SweepGrid &Grid,
+    uint64_t Begin, uint64_t End, const SweepConfig &Config,
+    bool StopAtFirst, std::optional<uint64_t> *FailurePairIndex) {
   assert((!isShiftOp(Op) || (Grid.Width & (Grid.Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
   std::atomic<uint64_t> PairsChecked{0};
   std::atomic<uint64_t> OptimalPairs{0};
-
-  const bool Batched = simdModeBatches(Config.Simd);
-  const bool Memoize = Batched && Config.MemoizeOptimality;
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
-  const unsigned Width = Grid.Width;
+  const RowScanner Rows(Grid, Op, Config);
 
   struct Local {
     uint64_t Pairs = 0;
     uint64_t Optimal = 0;
-    std::vector<uint64_t> Ys;
-    // Per-P member list staged once per row when the member table is not
-    // engaged: chunks walk consecutive indices, so P changes at most
-    // every NumTnums pairs and the refill amortizes across the Q axis.
-    std::vector<uint64_t> Xs;
-    uint64_t XsIndex = UINT64_MAX;
+    std::vector<Tnum> Alphas; ///< The optimal result for each Q.
+    RowScratch Scratch;
   };
 
   // StopAtFirst selects the soundness cancellation protocol (early exit,
-  // scheduling-dependent counts on failure); the default full-scan keeps
-  // OptimalPairs / PairsChecked exact grid totals. Either way the witness
-  // is the serial-order first non-optimal pair.
+  // scheduling-dependent counts on failure) and stops a segment at its
+  // first non-optimal Q; the default full-scan keeps OptimalPairs /
+  // PairsChecked exact grid totals. Either way the witness is the
+  // serial-order first non-optimal pair.
   std::optional<IndexedFailure<OptimalityCounterexample>> Failure =
       sweepPairGrid<OptimalityCounterexample, Local>(
           Grid, Begin, End, Config, /*CancelOnFailure=*/StopAtFirst,
-          [&](uint64_t Index, const Tnum &P, const Tnum &Q,
-              Local &L) -> std::optional<OptimalityCounterexample> {
-            ++L.Pairs;
-            Tnum Actual = applyAbstractBinary(Op, P, Q, Width, Mul);
-            Tnum Optimal;
-            if (Memoize) {
-              auto [Ys, NumYs] =
-                  resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
-                                 L.Ys);
-              const uint64_t *Xs;
-              uint64_t NumXs;
-              uint64_t PIndex = Index / Grid.NumTnums;
-              if (Grid.Members) {
-                Xs = Grid.Members->members(PIndex);
-                NumXs = Grid.Members->numMembers(PIndex);
-              } else {
-                if (L.XsIndex != PIndex) {
-                  materializeMembers(P, L.Xs);
-                  L.XsIndex = PIndex;
-                }
-                Xs = L.Xs.data();
-                NumXs = L.Xs.size();
+          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+              -> std::optional<IndexedFailure<OptimalityCounterexample>> {
+            const Tnum &P = Grid.Universe[PIndex];
+            Rows.optimal(PIndex, QBegin, QEnd, L.Scratch, L.Alphas);
+            std::optional<IndexedFailure<OptimalityCounterexample>> First;
+            for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+              ++L.Pairs;
+              const Tnum &Optimal = L.Alphas[Q - QBegin];
+              Tnum Actual = Abstract(P, Grid.Universe[Q]);
+              if (Actual == Optimal) {
+                ++L.Optimal;
+                continue;
               }
-              Optimal = optimalAbstractBinaryMembers(Op, Width, Xs, NumXs,
-                                                     Ys, NumYs, Kernels,
-                                                     Config.FuseOptimality);
-            } else if (Batched) {
-              auto [Ys, NumYs] =
-                  resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
-                                 L.Ys);
-              Optimal = optimalAbstractBinaryBatched(Op, Width, P, Ys, NumYs,
-                                                     Kernels,
-                                                     Config.FuseOptimality);
-            } else {
-              Optimal = optimalAbstractBinary(Op, P, Q, Width);
+              if (!First)
+                First = IndexedFailure<OptimalityCounterexample>{
+                    PIndex * Grid.NumTnums + Q,
+                    {P, Grid.Universe[Q], Actual, Optimal}};
+              if (StopAtFirst)
+                break;
             }
-            if (Actual == Optimal) {
-              ++L.Optimal;
-              return std::nullopt;
-            }
-            return OptimalityCounterexample{P, Q, Actual, Optimal};
+            return First;
           },
           [&](const Local &L) {
             PairsChecked.fetch_add(L.Pairs, std::memory_order_relaxed);
@@ -317,24 +340,31 @@ MonotonicityReport tnums::checkMonotonicityRangeParallel(
   std::optional<IndexedFailure<MonotonicityCounterexample>> Failure =
       sweepPairGrid<MonotonicityCounterexample, Local>(
           Grid, Begin, End, Config, /*CancelOnFailure=*/true,
-          [&](uint64_t, const Tnum &P2, const Tnum &Q2,
-              Local &L) -> std::optional<MonotonicityCounterexample> {
-            Tnum R2 = applyAbstractBinary(Op, P2, Q2, Width, Mul);
-            std::optional<MonotonicityCounterexample> Violation;
-            forEachSubTnum(P2, [&](Tnum P1) {
-              if (Violation)
-                return;
-              forEachSubTnum(Q2, [&](Tnum Q1) {
+          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+              -> std::optional<IndexedFailure<MonotonicityCounterexample>> {
+            const Tnum &P2 = Grid.Universe[PIndex];
+            for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+              const Tnum &Q2 = Grid.Universe[Q];
+              Tnum R2 = applyAbstractBinary(Op, P2, Q2, Width, Mul);
+              std::optional<MonotonicityCounterexample> Violation;
+              forEachSubTnum(P2, [&](Tnum P1) {
                 if (Violation)
                   return;
-                ++L.Quadruples;
-                Tnum R1 = applyAbstractBinary(Op, P1, Q1, Width, Mul);
-                if (!R1.isSubsetOf(R2))
-                  Violation =
-                      MonotonicityCounterexample{P1, Q1, P2, Q2, R1, R2};
+                forEachSubTnum(Q2, [&](Tnum Q1) {
+                  if (Violation)
+                    return;
+                  ++L.Quadruples;
+                  Tnum R1 = applyAbstractBinary(Op, P1, Q1, Width, Mul);
+                  if (!R1.isSubsetOf(R2))
+                    Violation =
+                        MonotonicityCounterexample{P1, Q1, P2, Q2, R1, R2};
+                });
               });
-            });
-            return Violation;
+              if (Violation)
+                return IndexedFailure<MonotonicityCounterexample>{
+                    PIndex * Grid.NumTnums + Q, std::move(*Violation)};
+            }
+            return std::nullopt;
           },
           [&](const Local &L) {
             QuadruplesChecked.fetch_add(L.Quadruples,
@@ -357,7 +387,6 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
     uint64_t Begin, uint64_t End, const SweepConfig &Config) {
   assert((!isShiftOp(Op) || (Grid.Width & (Grid.Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
-  assert(Begin <= End && End <= Grid.TotalPairs && "range out of grid");
 
   // Precision-scan observability (docs/OBSERVABILITY.md): counters and
   // per-scan latency, recorded only while the process recorder is enabled
@@ -368,11 +397,7 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
   };
   static ScanMetrics Metrics;
   const uint64_t ScanStartNs = metricsEnabled() ? traceNowNs() : 0;
-
-  const bool Batched = simdModeBatches(Config.Simd);
-  const bool Memoize = Batched && Config.MemoizeOptimality;
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
-  const unsigned Width = Grid.Width;
+  const RowScanner Rows(Grid, Op, Config);
 
   // Chunk-local accumulators: buckets and sums add order-independently,
   // and each chunk's worst witness carries its pair index so the global
@@ -385,75 +410,52 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
     uint64_t Buckets[PrecisionGapBuckets] = {};
     uint64_t WorstIndex = UINT64_MAX;
     std::optional<PrecisionWitness> Worst;
-    std::vector<uint64_t> Ys;
-    std::vector<uint64_t> Xs;
-    uint64_t XsIndex = UINT64_MAX;
+    std::vector<Tnum> Alphas;
+    RowScratch Scratch;
   };
 
   std::mutex Mutex;
   PrecisionReport Report;
   uint64_t WorstIndex = UINT64_MAX;
 
-  forEachIndexRangeParallel(Begin, End, Config, [&](uint64_t ChunkBegin,
-                                                    uint64_t ChunkEnd) {
-    Local L;
-    for (uint64_t Index = ChunkBegin; Index != ChunkEnd; ++Index) {
-      const Tnum &P = Grid.Universe[Index / Grid.NumTnums];
-      const Tnum &Q = Grid.Universe[Index % Grid.NumTnums];
-      ++L.Pairs;
-      Tnum Actual = Abstract(P, Q);
-      Tnum Optimal;
-      if (Memoize) {
-        auto [Ys, NumYs] =
-            resolveMembers(Grid.Members, Index % Grid.NumTnums, Q, L.Ys);
-        const uint64_t *Xs;
-        uint64_t NumXs;
-        uint64_t PIndex = Index / Grid.NumTnums;
-        if (Grid.Members) {
-          Xs = Grid.Members->members(PIndex);
-          NumXs = Grid.Members->numMembers(PIndex);
-        } else {
-          if (L.XsIndex != PIndex) {
-            materializeMembers(P, L.Xs);
-            L.XsIndex = PIndex;
+  // A measurement has no failures: every segment returns none and every
+  // chunk full-scans.
+  sweepPairGrid<PrecisionWitness, Local>(
+      Grid, Begin, End, Config, /*CancelOnFailure=*/false,
+      [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+          -> std::optional<IndexedFailure<PrecisionWitness>> {
+        const Tnum &P = Grid.Universe[PIndex];
+        Rows.optimal(PIndex, QBegin, QEnd, L.Scratch, L.Alphas);
+        for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+          ++L.Pairs;
+          const Tnum &Optimal = L.Alphas[Q - QBegin];
+          Tnum Actual = Abstract(P, Grid.Universe[Q]);
+          unsigned G = precisionGap(Actual, Optimal);
+          L.SumGap += G;
+          ++L.Buckets[G];
+          if (G > L.MaxGap) {
+            L.MaxGap = G;
+            L.WorstIndex = PIndex * Grid.NumTnums + Q;
+            L.Worst = PrecisionWitness{P, Grid.Universe[Q], Actual, Optimal,
+                                       G};
           }
-          Xs = L.Xs.data();
-          NumXs = L.Xs.size();
         }
-        Optimal = optimalAbstractBinaryMembers(Op, Width, Xs, NumXs, Ys,
-                                               NumYs, Kernels,
-                                               Config.FuseOptimality);
-      } else if (Batched) {
-        auto [Ys, NumYs] =
-            resolveMembers(Grid.Members, Index % Grid.NumTnums, Q, L.Ys);
-        Optimal = optimalAbstractBinaryBatched(Op, Width, P, Ys, NumYs,
-                                               Kernels,
-                                               Config.FuseOptimality);
-      } else {
-        Optimal = optimalAbstractBinary(Op, P, Q, Width);
-      }
-      int Gap = std::popcount(Actual.mask()) - std::popcount(Optimal.mask());
-      unsigned G = Gap > 0 ? static_cast<unsigned>(Gap) : 0;
-      L.SumGap += G;
-      ++L.Buckets[G];
-      if (G > L.MaxGap) {
-        L.MaxGap = G;
-        L.WorstIndex = Index;
-        L.Worst = PrecisionWitness{P, Q, Actual, Optimal, G};
-      }
-    }
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Report.PairsChecked += L.Pairs;
-    Report.SumGap += L.SumGap;
-    for (unsigned I = 0; I != PrecisionGapBuckets; ++I)
-      Report.Buckets[I] += L.Buckets[I];
-    if (L.Worst && (L.MaxGap > Report.MaxGap ||
-                    (L.MaxGap == Report.MaxGap && L.WorstIndex < WorstIndex))) {
-      Report.MaxGap = L.MaxGap;
-      WorstIndex = L.WorstIndex;
-      Report.Worst = L.Worst;
-    }
-  });
+        return std::nullopt;
+      },
+      [&](const Local &L) {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        Report.PairsChecked += L.Pairs;
+        Report.SumGap += L.SumGap;
+        for (unsigned I = 0; I != PrecisionGapBuckets; ++I)
+          Report.Buckets[I] += L.Buckets[I];
+        if (L.Worst &&
+            (L.MaxGap > Report.MaxGap ||
+             (L.MaxGap == Report.MaxGap && L.WorstIndex < WorstIndex))) {
+          Report.MaxGap = L.MaxGap;
+          WorstIndex = L.WorstIndex;
+          Report.Worst = L.Worst;
+        }
+      });
 
   Metrics.Pairs.add(Report.PairsChecked);
   if (metricsEnabled())

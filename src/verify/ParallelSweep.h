@@ -72,34 +72,19 @@ struct SweepConfig {
   /// |gamma(P)| * |gamma(Q)| chunk costs.
   uint64_t ChunkPairs = 4096;
 
-  /// Member-scan path (support/SimdBatch.h): batched 64-lane kernels by
-  /// default, SimdMode::Off for the scalar reference. Orthogonal to the
-  /// determinism contract -- every mode produces bit-identical reports.
+  /// Member-scan path (support/SimdBatch.h): the row scan
+  /// (verify/RowScan.h) with the host's best tier by default, SimdMode::Off
+  /// for the scalar per-pair reference. Orthogonal to the determinism
+  /// contract -- every mode produces bit-identical reports.
   SimdMode Simd = SimdMode::Auto;
 
   /// Budget for memoizing the per-universe member table
   /// (tnum/TnumMembers.h): when gamma of the whole universe fits
-  /// (4^width * 8 bytes <= cap), the batched sweeps build it once and stop
-  /// re-materializing gamma(Q) per (P, Q) pair. The default covers widths
-  /// <= 12 (128 MiB); wider sweeps fall back to per-pair materialization.
-  /// Zero disables memoization. Bit-identical reports either way.
+  /// (4^width * 8 bytes <= cap), the row scans read each segment's lanes
+  /// straight from it instead of materializing them per segment. The
+  /// default covers widths <= 12 (128 MiB). Zero disables memoization.
+  /// Bit-identical reports either way.
   uint64_t MemberTableBytesCap = uint64_t(1) << 28;
-
-  /// Optimality scans only: feed the memoized gamma(P) member list
-  /// (from the member table, or staged once per P row) to the batched
-  /// alpha reduction instead of re-enumerating gamma(P) per (P, Q) pair.
-  /// Off selects the legacy per-pair enumeration -- the A/B reference for
-  /// bench/soundness_verification's --compare-optimality. Bit-identical
-  /// reports either way.
-  bool MemoizeOptimality = true;
-
-  /// Optimality scans only: run the fused evaluate-and-reduce alpha loops
-  /// (concrete evaluation and AND/OR accumulation in one register pass,
-  /// no intermediate result buffer) for the operators that have them
-  /// (hasFusedSimdKernel). Off selects the two-pass batch + ReduceAndOr
-  /// path -- the A/B reference for bench/soundness_verification's
-  /// --compare-optimality. Bit-identical reports either way.
-  bool FuseOptimality = true;
 };
 
 /// An abstract binary transfer function as the sweep sees it: inputs are
@@ -145,6 +130,14 @@ OptimalityReport checkOptimalityRangeParallel(
     uint64_t End, const SweepConfig &Config, bool StopAtFirst,
     std::optional<uint64_t> *FailurePairIndex = nullptr);
 
+/// Same, with an injected abstract operator compared against the optimal
+/// abstraction of \p Concrete's semantics.
+OptimalityReport checkOptimalityRangeParallel(
+    BinaryOp Concrete, const AbstractBinaryFn &Abstract,
+    const SweepGrid &Grid, uint64_t Begin, uint64_t End,
+    const SweepConfig &Config, bool StopAtFirst,
+    std::optional<uint64_t> *FailurePairIndex = nullptr);
+
 MonotonicityReport checkMonotonicityRangeParallel(
     BinaryOp Op, MulAlgorithm Mul, const SweepGrid &Grid, uint64_t Begin,
     uint64_t End, const SweepConfig &Config,
@@ -159,9 +152,8 @@ MonotonicityReport checkMonotonicityRangeParallel(
 /// -- buckets and sums add, and the retained Worst witness is the one with
 /// the greatest gap, ties broken by lowest pair index -- so the report is
 /// bit-identical to the serial reference for every thread count, chunk
-/// size, and SIMD tier. Reuses the memoized concretizations and fused
-/// alpha-reduce paths of the optimality sweep (SweepConfig::
-/// MemoizeOptimality / FuseOptimality apply unchanged).
+/// size, and SIMD tier. Computes the optimal results with the optimality
+/// sweep's row scan.
 PrecisionReport checkPrecisionRangeParallel(BinaryOp Op,
                                             const AbstractBinaryFn &Abstract,
                                             const SweepGrid &Grid,

@@ -63,26 +63,21 @@ struct SoundnessReport {
 /// well-formed tnum pair and every concrete member pair. Cost is 16^Width
 /// concrete evaluations; keep Width <= 6 (Width <= 8 only if you can wait).
 /// Shift operators additionally require a power-of-two width. \p Simd
-/// selects the member-scan path (support/SimdBatch.h); every mode produces
-/// a bit-identical report -- SimdMode::Off is the scalar reference the
-/// differential tests pin the batched kernels against.
+/// selects the path: SimdMode::Off is the scalar per-pair scan below, the
+/// independent reference the differential tests pin the row scan
+/// (verify/RowScan.h) against; every other mode runs the row scan on one
+/// thread. Every mode produces a bit-identical report.
 SoundnessReport checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
                                          MulAlgorithm Mul = MulAlgorithm::Our,
                                          SimdMode Simd = SimdMode::Auto);
 
-/// The batched member scan of one (P, Q) cell, shared by the serial and
-/// parallel soundness sweeps. \p Ys must be gamma(\p Q) materialized in
-/// subset-odometer order (tnum/TnumMembers.h) and \p Kernels a backend
-/// from support/SimdBatch.h. Walks X over gamma(P) (outer) against the Y
-/// batches (inner) -- the scalar scan's exact order -- growing
-/// \p ConcreteChecked by exactly what the scalar scan counts (every
-/// evaluation up to and including a violation) and returning the
-/// serial-order-first counterexample, if any.
+/// The scalar scan of one (P, Q) pair against \p R: x over gamma(P)
+/// (outer) and y over gamma(Q) (inner), both in subset-odometer order.
+/// Grows \p ConcreteChecked by one per evaluation up to and including the
+/// first violation and returns that violation, if any.
 std::optional<SoundnessCounterexample>
-scanPairMembersBatched(BinaryOp Op, unsigned Width, const Tnum &P,
-                       const Tnum &Q, const Tnum &R, const uint64_t *Ys,
-                       uint64_t NumYs, const SimdKernels &Kernels,
-                       uint64_t &ConcreteChecked);
+scanPairMembers(BinaryOp Op, unsigned Width, const Tnum &P, const Tnum &Q,
+                const Tnum &R, uint64_t &ConcreteChecked);
 
 /// Randomized refutation campaign at any width (typically 64): draws
 /// \p NumPairs random well-formed tnum pairs and, for each, checks

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace tnums;
@@ -199,6 +200,236 @@ TEST(ParallelSweep, OptimalityStopAtFirstKeepsSerialWitness) {
     EXPECT_GE(Parallel.PairsChecked, Serial.PairsChecked);
     uint64_t NumTnums = numWellFormedTnums(4);
     EXPECT_LE(Parallel.PairsChecked, NumTnums * NumTnums);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Row-scan differential: every range scan on the row scan (every tier the
+// host runs) against the same scan with SimdMode::Off, the scalar per-pair
+// path, over ranges that start and end mid-row, with chunks smaller than a
+// pair, smaller than a row, just past a row, and much larger than a row.
+//===----------------------------------------------------------------------===//
+
+/// The forced modes of every row-scan tier this host executes.
+std::vector<SimdMode> hostRowScanModes() {
+  std::vector<SimdMode> Modes{SimdMode::Portable};
+  for (SimdMode Mode : {SimdMode::Avx2, SimdMode::Avx512, SimdMode::Neon})
+    if (simdModeSupported(Mode))
+      Modes.push_back(Mode);
+  return Modes;
+}
+
+std::vector<SweepConfig> rowScanSchedulers(uint64_t NumTnums) {
+  std::vector<SweepConfig> Configs;
+  for (unsigned Threads : {1u, 3u})
+    for (uint64_t Chunk : {uint64_t(1), uint64_t(7), NumTnums - 1,
+                           NumTnums + 5, uint64_t(4096)})
+      Configs.push_back(SweepConfig{Threads, std::max<uint64_t>(Chunk, 1)});
+  return Configs;
+}
+
+/// Pair ranges that start and end mid-row: nearly the whole grid while it
+/// is small, else about three rows around the middle of the universe.
+std::pair<uint64_t, uint64_t> midRowRange(const SweepGrid &Grid) {
+  uint64_t N = Grid.NumTnums;
+  if (Grid.TotalPairs <= 81 * 81)
+    return {N / 2, Grid.TotalPairs - N / 3};
+  uint64_t Begin = (N / 2) * N + N / 2;
+  return {Begin, Begin + 2 * N + N / 3};
+}
+
+void expectSameSoundness(const SoundnessReport &Expected,
+                         const SoundnessReport &Got, bool ExactCounts) {
+  ASSERT_EQ(Expected.holds(), Got.holds());
+  if (ExactCounts) {
+    EXPECT_EQ(Expected.PairsChecked, Got.PairsChecked);
+    EXPECT_EQ(Expected.ConcreteChecked, Got.ConcreteChecked);
+  }
+  if (Expected.Failure) {
+    EXPECT_EQ(Expected.Failure->P, Got.Failure->P);
+    EXPECT_EQ(Expected.Failure->Q, Got.Failure->Q);
+    EXPECT_EQ(Expected.Failure->X, Got.Failure->X);
+    EXPECT_EQ(Expected.Failure->Y, Got.Failure->Y);
+    EXPECT_EQ(Expected.Failure->Z, Got.Failure->Z);
+    EXPECT_EQ(Expected.Failure->R, Got.Failure->R);
+  }
+}
+
+void expectSameOptimality(const OptimalityReport &Expected,
+                          const OptimalityReport &Got, bool ExactCounts) {
+  ASSERT_EQ(Expected.Failure.has_value(), Got.Failure.has_value());
+  if (ExactCounts) {
+    EXPECT_EQ(Expected.PairsChecked, Got.PairsChecked);
+    EXPECT_EQ(Expected.OptimalPairs, Got.OptimalPairs);
+  }
+  if (Expected.Failure) {
+    EXPECT_EQ(Expected.Failure->P, Got.Failure->P);
+    EXPECT_EQ(Expected.Failure->Q, Got.Failure->Q);
+    EXPECT_EQ(Expected.Failure->Actual, Got.Failure->Actual);
+    EXPECT_EQ(Expected.Failure->Optimal, Got.Failure->Optimal);
+  }
+}
+
+void expectSamePrecision(const PrecisionReport &Expected,
+                         const PrecisionReport &Got) {
+  EXPECT_EQ(Expected.PairsChecked, Got.PairsChecked);
+  EXPECT_EQ(Expected.SumGap, Got.SumGap);
+  EXPECT_EQ(Expected.MaxGap, Got.MaxGap);
+  for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
+    EXPECT_EQ(Expected.Buckets[G], Got.Buckets[G]) << "gap " << G;
+  ASSERT_EQ(Expected.Worst.has_value(), Got.Worst.has_value());
+  if (Expected.Worst) {
+    EXPECT_EQ(Expected.Worst->P, Got.Worst->P);
+    EXPECT_EQ(Expected.Worst->Q, Got.Worst->Q);
+    EXPECT_EQ(Expected.Worst->Actual, Got.Worst->Actual);
+    EXPECT_EQ(Expected.Worst->Optimal, Got.Worst->Optimal);
+  }
+}
+
+/// One operator (and transfer function) through the three range scans:
+/// the row scan on every host tier, scheduler, and with and without the
+/// member table, against SimdMode::Off. The failure pair index must match
+/// too; work counters must match wherever they are exact (every holding
+/// scan, and one-thread scans of failing ones).
+void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
+                                   unsigned Width) {
+  SweepConfig Off;
+  Off.Simd = SimdMode::Off;
+  Off.NumThreads = 1;
+  SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
+  SweepConfig NoTable;
+  NoTable.MemberTableBytesCap = 0;
+  SweepGrid Materialized = makeSweepGrid(Width, NoTable);
+  ASSERT_TRUE(Grid.Members.has_value());
+  ASSERT_FALSE(Materialized.Members.has_value());
+  auto [Begin, End] = midRowRange(Grid);
+
+  std::optional<uint64_t> SoundIndex, OptIndex;
+  SoundnessReport Sound = checkSoundnessRangeParallel(Op, Fn, Grid, Begin,
+                                                      End, Off, &SoundIndex);
+  OptimalityReport Optimal = checkOptimalityRangeParallel(
+      Op, Fn, Grid, Begin, End, Off, /*StopAtFirst=*/false);
+  OptimalityReport First = checkOptimalityRangeParallel(
+      Op, Fn, Grid, Begin, End, Off, /*StopAtFirst=*/true, &OptIndex);
+  PrecisionReport Precision =
+      checkPrecisionRangeParallel(Op, Fn, Grid, Begin, End, Off);
+
+  for (SimdMode Mode : hostRowScanModes()) {
+    for (SweepConfig Config : rowScanSchedulers(Grid.NumTnums)) {
+      Config.Simd = Mode;
+      for (const SweepGrid *G : {&Grid, &Materialized}) {
+        // The materialized path once per tier is enough.
+        if (G == &Materialized && Config.ChunkPairs != 7)
+          continue;
+        SCOPED_TRACE(::testing::Message()
+                     << simdModeName(Mode) << " threads " << Config.NumThreads
+                     << " chunk " << Config.ChunkPairs
+                     << (G->Members ? " table" : " materialized"));
+        bool Exact = Config.NumThreads == 1;
+        std::optional<uint64_t> Index;
+        expectSameSoundness(Sound,
+                            checkSoundnessRangeParallel(Op, Fn, *G, Begin, End,
+                                                        Config, &Index),
+                            Exact || Sound.holds());
+        EXPECT_EQ(SoundIndex, Index);
+        expectSameOptimality(Optimal,
+                             checkOptimalityRangeParallel(
+                                 Op, Fn, *G, Begin, End, Config,
+                                 /*StopAtFirst=*/false),
+                             /*ExactCounts=*/true);
+        expectSameOptimality(First,
+                             checkOptimalityRangeParallel(
+                                 Op, Fn, *G, Begin, End, Config,
+                                 /*StopAtFirst=*/true, &Index),
+                             Exact || !First.Failure);
+        EXPECT_EQ(OptIndex, Index);
+        expectSamePrecision(Precision, checkPrecisionRangeParallel(
+                                           Op, Fn, *G, Begin, End, Config));
+      }
+    }
+  }
+}
+
+AbstractBinaryFn transferFunction(BinaryOp Op, MulAlgorithm Mul,
+                                  unsigned Width) {
+  return [Op, Mul, Width](const Tnum &P, const Tnum &Q) {
+    return applyAbstractBinary(Op, P, Q, Width, Mul);
+  };
+}
+
+void expectRowScanAgreesOnEveryOperator(unsigned Width) {
+  SCOPED_TRACE(::testing::Message() << "width " << Width);
+  bool PowerOfTwo = (Width & (Width - 1)) == 0;
+  for (BinaryOp Op : AllBinaryOps) {
+    if (isShiftOp(Op) && !PowerOfTwo)
+      continue;
+    SCOPED_TRACE(binaryOpName(Op));
+    expectRowScanAgreesWithScalar(
+        Op, transferFunction(Op, MulAlgorithm::Our, Width), Width);
+  }
+  for (MulAlgorithm Mul : AllMulAlgorithms) {
+    if (Mul == MulAlgorithm::Our)
+      continue; // Covered above.
+    SCOPED_TRACE(mulAlgorithmName(Mul));
+    expectRowScanAgreesWithScalar(
+        BinaryOp::Mul, transferFunction(BinaryOp::Mul, Mul, Width), Width);
+  }
+}
+
+TEST(RowScan, AgreesWithScalarOnEveryOperatorAtWidths1To3) {
+  for (unsigned Width = 1; Width <= 3; ++Width)
+    expectRowScanAgreesOnEveryOperator(Width);
+}
+
+TEST(RowScan, AgreesWithScalarOnEveryOperatorAtWidth4) {
+  expectRowScanAgreesOnEveryOperator(4);
+}
+
+TEST(RowScan, AgreesWithScalarOnEveryOperatorAtWidth5) {
+  expectRowScanAgreesOnEveryOperator(5);
+}
+
+TEST(RowScan, AgreesWithScalarOnEveryOperatorAtWidth6) {
+  expectRowScanAgreesOnEveryOperator(6);
+}
+
+/// our_mul with its lowest unknown trit laundered into a known bit.
+Tnum brokenMul(const Tnum &P, const Tnum &Q, unsigned Width) {
+  Tnum R = tnumMul(P, Q, MulAlgorithm::Our, Width);
+  uint64_t M = R.mask();
+  if (M == 0)
+    return R;
+  return Tnum(R.value(), M & (M - 1));
+}
+
+TEST(RowScan, BrokenOperatorsKeepSerialFirstWitnessAndPrefixCounts) {
+  // Unsound (and so also non-optimal) transfer functions: the failing
+  // segment's scalar rescan must reproduce the serial-first witness and
+  // the exact prefix counts, in soundness, in StopAtFirst optimality and
+  // in the precision worst-witness.
+  for (unsigned Width : {3u, 4u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << "width " << Width);
+    AbstractBinaryFn Add = [Width](const Tnum &P, const Tnum &Q) {
+      return brokenAdd(P, Q, Width);
+    };
+    AbstractBinaryFn Mul = [Width](const Tnum &P, const Tnum &Q) {
+      return brokenMul(P, Q, Width);
+    };
+    for (auto [Op, Fn] : {std::pair{BinaryOp::Add, Add},
+                          std::pair{BinaryOp::Mul, Mul}}) {
+      SCOPED_TRACE(binaryOpName(Op));
+      SweepConfig Off;
+      Off.NumThreads = 1;
+      Off.Simd = SimdMode::Off;
+      SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
+      auto [Begin, End] = midRowRange(Grid);
+      ASSERT_FALSE(
+          checkSoundnessRangeParallel(Op, Fn, Grid, Begin, End, Off).holds());
+      ASSERT_FALSE(checkOptimalityRangeParallel(Op, Fn, Grid, Begin, End, Off,
+                                                /*StopAtFirst=*/true)
+                       .isOptimalEverywhere());
+      expectRowScanAgreesWithScalar(Op, Fn, Width);
+    }
   }
 }
 

@@ -7,9 +7,8 @@
 ///
 /// \file
 /// Differential harness pinning the batched SIMD membership path
-/// (support/SimdBatch.h, tnum/TnumMembers.h, the fused scan loops in
-/// verify/SoundnessChecker.cpp) bit-for-bit to the scalar reference
-/// checkers. A hand-vectorized hot path silently diverging from the
+/// (support/SimdBatch.h, tnum/TnumMembers.h, the row scans of
+/// verify/RowScan.h) bit-for-bit to the scalar reference checkers. A hand-vectorized hot path silently diverging from the
 /// reference is the failure mode this file exists to catch, so every
 /// assertion compares full reports -- witnesses AND exact work counters --
 /// not just verdicts.
@@ -25,10 +24,12 @@
 #include "tnum/TnumMembers.h"
 #include "tnum/TnumOps.h"
 #include "verify/ParallelSweep.h"
+#include "verify/RowScan.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 using namespace tnums;
@@ -95,6 +96,37 @@ TEST(TnumMembers, BottomAndConstantEdgeCases) {
   EXPECT_EQ(Buf[0], 7u);
   EXPECT_TRUE(Stream.exhausted());
   EXPECT_EQ(Stream.nextBatch(Buf), 0u);
+}
+
+TEST(TnumMembers, MemberTableSpansAreConsecutiveConcretizations) {
+  std::vector<Tnum> Universe = allWellFormedTnums(4);
+  MemberTable Table(Universe);
+  std::vector<uint64_t> Expected;
+  for (size_t Begin : {size_t(0), size_t(5), size_t(40)}) {
+    size_t End = Universe.size() - Begin / 2;
+    Expected.clear();
+    for (size_t I = Begin; I != End; ++I)
+      appendMembers(Universe[I], Expected);
+    std::span<const uint64_t> Span = Table.span(Begin, End);
+    EXPECT_EQ(std::vector<uint64_t>(Span.begin(), Span.end()), Expected);
+    std::span<const uint64_t> Offsets = Table.offsets(Begin, End);
+    ASSERT_EQ(Offsets.size(), End - Begin + 1);
+    for (size_t I = Begin; I != End; ++I)
+      EXPECT_EQ(Offsets[I - Begin + 1] - Offsets[I - Begin],
+                Table.numMembers(I));
+  }
+}
+
+TEST(TnumMembers, MemberTableBytesSaturatesInsteadOfWrapping) {
+  // 4^W members of 8 bytes: 2^(2W + 3), which needs a 65th bit from
+  // W = 31 on. Wrapping to 0 there would pass every byte cap.
+  EXPECT_EQ(memberTableBytes(12), uint64_t(1) << 27);
+  EXPECT_EQ(memberTableBytes(30), uint64_t(1) << 63);
+  for (unsigned Width : {31u, 32u, 64u})
+    EXPECT_EQ(memberTableBytes(Width), UINT64_MAX) << "width " << Width;
+  SweepConfig Config;
+  EXPECT_LE(memberTableBytes(12), Config.MemberTableBytesCap);
+  EXPECT_GT(memberTableBytes(31), Config.MemberTableBytesCap);
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,10 +254,26 @@ TEST(SimdKernels, ModeResolutionIsTotal) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pair-scan differential: the batched scan of one (P, Q) cell -- the fused
-// AVX2 loops included -- must reproduce the scalar scan's counterexample
-// and exact evaluation count on membership-violating R as well as sound R.
+// Pair-scan differential: the row scan of one (P, Q) cell must reproduce
+// the scalar scan's counterexample and exact evaluation count on
+// membership-violating R as well as sound R, on every tier.
 //===----------------------------------------------------------------------===//
+
+/// Every SimdMode spelling; the ones the host lacks resolve to the
+/// portable tier, which must agree just the same.
+constexpr SimdMode AllModes[] = {SimdMode::Off,      SimdMode::On,
+                                 SimdMode::Portable, SimdMode::Avx2,
+                                 SimdMode::Avx512,   SimdMode::Neon};
+
+/// The lane-loop tiers this host executes.
+std::vector<SimdTier> hostTiers() {
+  std::vector<SimdTier> Tiers{SimdTier::Portable};
+  for (const SimdKernels *K :
+       {avx2SimdKernels(), avx512SimdKernels(), neonSimdKernels()})
+    if (K)
+      Tiers.push_back(K->Tier);
+  return Tiers;
+}
 
 struct ScalarScanResult {
   std::optional<SoundnessCounterexample> Failure;
@@ -257,10 +305,8 @@ ScalarScanResult scanPairScalar(BinaryOp Op, unsigned Width, const Tnum &P,
 
 TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
   Xoshiro256 Rng(99);
-  std::vector<uint64_t> Ys;
-  const SimdKernels &Kernels = selectSimdKernels(SimdMode::Auto);
-  // Ops with fused AVX2 loops and ops without (div goes through the
-  // generic batch + membership kernel path).
+  RowScratch Scratch;
+  // Ops whose lane loops vectorize and one that does not (div).
   const BinaryOp Ops[] = {BinaryOp::Add, BinaryOp::Mul, BinaryOp::Xor,
                           BinaryOp::Div};
   for (unsigned Width = 4; Width <= 8; ++Width) {
@@ -273,18 +319,20 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
         R = Tnum::makeBottom();
       for (BinaryOp Op : Ops) {
         ScalarScanResult Reference = scanPairScalar(Op, Width, P, Q, R);
-        materializeMembers(Q, Ys);
-        uint64_t Checked = 0;
-        std::optional<SoundnessCounterexample> Failure =
-            scanPairMembersBatched(Op, Width, P, Q, R, Ys.data(), Ys.size(),
-                                   Kernels, Checked);
-        ASSERT_EQ(Reference.Failure.has_value(), Failure.has_value())
-            << binaryOpName(Op) << " width " << Width;
-        EXPECT_EQ(Reference.ConcreteChecked, Checked);
-        if (Reference.Failure) {
-          EXPECT_EQ(Reference.Failure->X, Failure->X);
-          EXPECT_EQ(Reference.Failure->Y, Failure->Y);
-          EXPECT_EQ(Reference.Failure->Z, Failure->Z);
+        for (SimdTier Tier : hostTiers()) {
+          uint64_t Checked = 0;
+          std::optional<RowSoundnessFailure> Failure = scanSoundnessRow(
+              materializeRow(Op, Width, Tier, P, {&Q, 1}, Scratch), {&R, 1},
+              Scratch, Checked);
+          ASSERT_EQ(Reference.Failure.has_value(), Failure.has_value())
+              << binaryOpName(Op) << " width " << Width;
+          EXPECT_EQ(Reference.ConcreteChecked, Checked);
+          if (Reference.Failure) {
+            EXPECT_EQ(Failure->Position, 0u);
+            EXPECT_EQ(Reference.Failure->X, Failure->Witness.X);
+            EXPECT_EQ(Reference.Failure->Y, Failure->Witness.Y);
+            EXPECT_EQ(Reference.Failure->Z, Failure->Witness.Z);
+          }
         }
       }
     }
@@ -337,28 +385,23 @@ TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
 
 TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
   Xoshiro256 Rng(5);
-  std::vector<uint64_t> Ys;
+  RowScratch Scratch;
   for (unsigned Width = 4; Width <= 8; ++Width) {
     for (int Trial = 0; Trial != 200; ++Trial) {
       Tnum P = randomWellFormedTnum(Rng, Width);
       Tnum Q = randomWellFormedTnum(Rng, Width);
-      materializeMembers(Q, Ys);
-      // Sub exercises the operand-order flip in the fused BatchLhs loops;
-      // Div has no fused kernel and pins the two-pass path.
+      // Sub is the non-commutative lane loop; Div never vectorizes.
       for (BinaryOp Op :
            {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
         Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        for (SimdMode Mode : {SimdMode::Off, SimdMode::On, SimdMode::Portable,
-                              SimdMode::Avx2, SimdMode::Avx512,
-                              SimdMode::Neon}) {
-          for (bool AllowFused : {true, false}) {
-            Tnum Batched = optimalAbstractBinaryBatched(
-                Op, Width, P, Ys.data(), Ys.size(), selectSimdKernels(Mode),
-                AllowFused);
-            EXPECT_EQ(Scalar, Batched)
-                << binaryOpName(Op) << " width " << Width << " mode "
-                << simdModeName(Mode) << (AllowFused ? " fused" : " unfused");
-          }
+        for (SimdMode Mode : AllModes) {
+          Tnum Row;
+          optimalAbstractRow(materializeRow(Op, Width,
+                                            selectSimdKernels(Mode).Tier, P,
+                                            {&Q, 1}, Scratch),
+                             Scratch, {&Row, 1});
+          EXPECT_EQ(Scalar, Row) << binaryOpName(Op) << " width " << Width
+                                 << " mode " << simdModeName(Mode);
         }
       }
     }
@@ -366,31 +409,32 @@ TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
 }
 
 TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
-  // optimalAbstractBinaryMembers batches over whichever axis is longer;
-  // with |gamma(P)| > |gamma(Q)| the FIXED operand is the rhs, which is
-  // the BatchLhs=true fused loops (the operand-order flip matters only
-  // for Sub, but every fused op goes through the flipped loop shape).
+  // The row scan always lays the lanes over gamma(Q) and walks gamma(P):
+  // scan each pair both ways round, so each concretization serves once as
+  // the lanes and once as the x axis, long against short and short
+  // against long.
   Xoshiro256 Rng(11);
-  std::vector<uint64_t> Xs, Ys;
+  RowScratch Scratch;
   for (unsigned Width = 4; Width <= 8; ++Width) {
     for (int Trial = 0; Trial != 120; ++Trial) {
       Tnum P = randomWellFormedTnum(Rng, Width);
       Tnum Q = randomWellFormedTnum(Rng, Width);
-      materializeMembers(P, Xs);
-      materializeMembers(Q, Ys);
       for (BinaryOp Op :
            {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
-        Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        for (SimdMode Mode :
-             {SimdMode::Off, SimdMode::On, SimdMode::Portable}) {
-          for (bool AllowFused : {true, false}) {
-            Tnum Memoized = optimalAbstractBinaryMembers(
-                Op, Width, Xs.data(), Xs.size(), Ys.data(), Ys.size(),
-                selectSimdKernels(Mode), AllowFused);
-            EXPECT_EQ(Scalar, Memoized)
+        for (auto [Lhs, Rhs] : {std::pair{P, Q}, std::pair{Q, P}}) {
+          Tnum Scalar = optimalAbstractBinary(Op, Lhs, Rhs, Width);
+          for (SimdMode Mode :
+               {SimdMode::Off, SimdMode::On, SimdMode::Portable}) {
+            Tnum Row;
+            optimalAbstractRow(materializeRow(Op, Width,
+                                              selectSimdKernels(Mode).Tier,
+                                              Lhs, {&Rhs, 1}, Scratch),
+                               Scratch, {&Row, 1});
+            EXPECT_EQ(Scalar, Row)
                 << binaryOpName(Op) << " width " << Width << " mode "
-                << simdModeName(Mode) << (AllowFused ? " fused" : " unfused")
-                << " |gamma(P)|=" << Xs.size() << " |gamma(Q)|=" << Ys.size();
+                << simdModeName(Mode) << " |gamma(lhs)|="
+                << (uint64_t(1) << Lhs.numUnknownBits())
+                << " |gamma(rhs)|=" << (uint64_t(1) << Rhs.numUnknownBits());
           }
         }
       }
@@ -399,10 +443,10 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
 }
 
 TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
-  // The fused evaluate-and-reduce alpha loops must never change a report:
-  // cross FuseOptimality x simd mode x three scheduler shapes against the
-  // serial scalar reference. Sub exercises the non-commutative fused
-  // path; Mul the width-gated one; Div has no fused kernels at all.
+  // The row scan must never change a report: cross simd mode x three
+  // scheduler shapes against the serial scalar reference. Sub exercises
+  // the non-commutative lane loop; Mul the narrow multiply; Div the
+  // branch-free zero-divisor select.
   constexpr unsigned Width = 4;
   const SweepConfig Schedulers[] = {
       {/*NumThreads=*/1, /*ChunkPairs=*/1},
@@ -415,23 +459,19 @@ TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
     OptimalityReport Reference = checkOptimalityExhaustive(
         Op, Width, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::Off);
     for (SimdMode Mode : {SimdMode::Off, SimdMode::Portable, SimdMode::Auto}) {
-      for (bool Fuse : {true, false}) {
-        for (SweepConfig Config : Schedulers) {
-          Config.Simd = Mode;
-          Config.FuseOptimality = Fuse;
-          OptimalityReport Report = checkOptimalityExhaustiveParallel(
-              Op, Width, MulAlgorithm::Our, Config);
-          SCOPED_TRACE(std::string(simdModeName(Mode)) +
-                       (Fuse ? " fused" : " unfused"));
-          EXPECT_EQ(Reference.PairsChecked, Report.PairsChecked);
-          EXPECT_EQ(Reference.OptimalPairs, Report.OptimalPairs);
-          ASSERT_EQ(Reference.Failure.has_value(), Report.Failure.has_value());
-          if (Reference.Failure) {
-            EXPECT_EQ(Reference.Failure->P, Report.Failure->P);
-            EXPECT_EQ(Reference.Failure->Q, Report.Failure->Q);
-            EXPECT_EQ(Reference.Failure->Actual, Report.Failure->Actual);
-            EXPECT_EQ(Reference.Failure->Optimal, Report.Failure->Optimal);
-          }
+      for (SweepConfig Config : Schedulers) {
+        Config.Simd = Mode;
+        OptimalityReport Report = checkOptimalityExhaustiveParallel(
+            Op, Width, MulAlgorithm::Our, Config);
+        SCOPED_TRACE(simdModeName(Mode));
+        EXPECT_EQ(Reference.PairsChecked, Report.PairsChecked);
+        EXPECT_EQ(Reference.OptimalPairs, Report.OptimalPairs);
+        ASSERT_EQ(Reference.Failure.has_value(), Report.Failure.has_value());
+        if (Reference.Failure) {
+          EXPECT_EQ(Reference.Failure->P, Report.Failure->P);
+          EXPECT_EQ(Reference.Failure->Q, Report.Failure->Q);
+          EXPECT_EQ(Reference.Failure->Actual, Report.Failure->Actual);
+          EXPECT_EQ(Reference.Failure->Optimal, Report.Failure->Optimal);
         }
       }
     }
