@@ -252,7 +252,7 @@ bool tnums::cpuHasAvx2() {
 
 bool tnums::cpuHasAvx512() {
   // F for the qword compare/logic mask forms, BW for the byte mask-register
-  // moves (vpmovb2m family) the fused kernels lean on.
+  // moves (vpmovb2m family) the kernels lean on.
   static const bool Has =
       __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
   return Has;

@@ -35,9 +35,9 @@
 ///
 /// Layering: this file knows nothing about tnums; it operates on raw
 /// (value, ~mask) words. The tnum-aware batch enumerator lives in
-/// tnum/TnumMembers.h and the checkers that consume both live in verify/
-/// (including the fused evaluate-and-test / evaluate-and-reduce loops,
-/// which need the concrete operator semantics this layer does not know).
+/// tnum/TnumMembers.h, and the sweeps' row scans (verify/RowScan.h), which
+/// need the concrete operator semantics this layer does not know, live in
+/// verify/ and reuse only the tier selection below.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +52,7 @@
 /// True when this build target can contain AVX2/AVX-512 code paths behind
 /// per-function target attributes (the functions are only *called* after
 /// cpuHasAvx2() / cpuHasAvx512() says the host executes them). Shared by
-/// SimdBatch.cpp and the fused per-op scan loops in verify/.
+/// SimdBatch.cpp and the row scans' per-tier instantiations in verify/.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TNUMS_SIMD_HAVE_X86_KERNELS 1
 #else
@@ -178,8 +178,8 @@ struct SimdKernels {
   /// baselines and scripts keep matching.)
   const char *Name;
 
-  /// Which instruction-set tier this kernel set executes. The fused
-  /// evaluate-and-test loops in verify/ dispatch on this tag.
+  /// Which instruction-set tier this kernel set executes. The row scans
+  /// in verify/ pick their instantiation by this tag.
   SimdTier Tier;
 };
 

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batch-oriented enumeration of gamma(P) for the SIMD membership kernels
-/// (support/SimdBatch.h). forEachMember (TnumEnum.h) hands members to a
-/// callback one at a time; the batched sweeps instead want whole chunks of
-/// the concretization materialized into aligned buffers they can run the
-/// 64-lane kernels over. Both interfaces visit members in the SAME order
+/// Batch-oriented enumeration of gamma(P) for the batched sweeps
+/// (verify/RowScan.h) and the SIMD membership kernels (support/SimdBatch.h).
+/// forEachMember (TnumEnum.h) hands members to a callback one at a time;
+/// the batched sweeps instead want whole concretizations materialized into
+/// flat buffers they can run one long loop over. Both interfaces visit
+/// members in the SAME order
 /// -- the subset odometer over the mask, increasing -- which is what lets
 /// the batched checkers reproduce the scalar checkers' serial-order-first
 /// counterexamples and exact work counters bit for bit.

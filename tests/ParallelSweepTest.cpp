@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 
 using namespace tnums;
@@ -206,8 +205,8 @@ TEST(ParallelSweep, OptimalityStopAtFirstKeepsSerialWitness) {
 //===----------------------------------------------------------------------===//
 // Row-scan differential: every range scan on the row scan (every tier the
 // host runs) against the same scan with SimdMode::Off, the scalar per-pair
-// path, over ranges that start and end mid-row, with chunks smaller than a
-// pair, smaller than a row, just past a row, and much larger than a row.
+// path, over ranges that start and end mid-row, with chunks of one pair,
+// of a few pairs, just short of a row, just past a row, and of many rows.
 //===----------------------------------------------------------------------===//
 
 /// The forced modes of every row-scan tier this host executes.
@@ -224,12 +223,12 @@ std::vector<SweepConfig> rowScanSchedulers(uint64_t NumTnums) {
   for (unsigned Threads : {1u, 3u})
     for (uint64_t Chunk : {uint64_t(1), uint64_t(7), NumTnums - 1,
                            NumTnums + 5, uint64_t(4096)})
-      Configs.push_back(SweepConfig{Threads, std::max<uint64_t>(Chunk, 1)});
+      Configs.push_back(SweepConfig{Threads, Chunk});
   return Configs;
 }
 
-/// Pair ranges that start and end mid-row: nearly the whole grid while it
-/// is small, else about three rows around the middle of the universe.
+/// A pair range that starts and ends mid-row: nearly the whole grid while
+/// it is small, else two and a third rows from the middle of the universe.
 std::pair<uint64_t, uint64_t> midRowRange(const SweepGrid &Grid) {
   uint64_t N = Grid.NumTnums;
   if (Grid.TotalPairs <= 81 * 81)
