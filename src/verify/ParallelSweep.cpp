@@ -25,16 +25,6 @@ using namespace tnums;
 
 namespace {
 
-/// Runs \p Fn(ChunkIndex) over [0, NumChunks) on the shared
-/// chunk-scheduling loop (support/ChunkSchedule.h); the sweeps carry no
-/// per-worker state, so the worker slot is a placeholder.
-void runOnPool(const SweepConfig &Config, uint64_t NumChunks,
-               const std::function<void(uint64_t)> &Fn) {
-  forEachChunkOnPool(
-      Config.NumThreads, NumChunks, [] { return 0; },
-      [&Fn](uint64_t Chunk, int &) { Fn(Chunk); });
-}
-
 /// A failing pair: its grid index (for the Campaign layer's serial-prefix
 /// re-normalization) plus the property-specific witness.
 template <typename CounterexampleT> struct IndexedFailure {
@@ -47,11 +37,11 @@ template <typename CounterexampleT> struct IndexedFailure {
 /// to the pair-index range [Begin, End) of \p Grid. Each chunk is split
 /// into row segments -- the pairs of one P, [QBegin, QEnd) -- and the body
 /// scans one segment at a time. Templated on the counterexample type, a
-/// chunk-local counter block (which doubles as per-chunk scratch, e.g. the
-/// row scan's lane buffers, since one instance lives per chunk, never
-/// shared across threads), and the segment body.
+/// chunk-local counter block, and the segment body, which also gets the
+/// row scan's buffers: one RowScratch per worker thread, so its capacity
+/// (up to a row's lanes per array) is allocated once, not per chunk.
 ///
-///   Segment(PIndex, QBegin, QEnd, Local)
+///   Segment(PIndex, QBegin, QEnd, Local, Scratch)
 ///       -> std::optional<IndexedFailure<CounterexampleT>>
 ///          (the segment's serial-order first failure, by grid index)
 ///   Merge(Local)  -- fold the chunk's counters into the totals
@@ -79,37 +69,42 @@ sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
   std::mutex FailuresMutex;
   std::map<uint64_t, IndexedFailure<CounterexampleT>> FailureByChunk;
 
-  runOnPool(Config, NumChunks, [&](uint64_t Chunk) {
-    if (CancelOnFailure &&
-        Chunk > FirstFailChunk.load(std::memory_order_acquire))
-      return;
-    uint64_t ChunkBegin = Begin + Chunk * ChunkPairs;
-    uint64_t ChunkEnd = std::min(End, ChunkBegin + ChunkPairs);
-    LocalT Local{};
-    bool ChunkHasFailure = false;
-    for (uint64_t Index = ChunkBegin; Index != ChunkEnd;) {
-      if (CancelOnFailure &&
-          Chunk > FirstFailChunk.load(std::memory_order_relaxed))
-        break;
-      uint64_t PIndex = Index / Grid.NumTnums;
-      uint64_t RowBegin = PIndex * Grid.NumTnums;
-      uint64_t SegmentEnd = std::min(ChunkEnd, RowBegin + Grid.NumTnums);
-      std::optional<IndexedFailure<CounterexampleT>> Failure = Segment(
-          PIndex, Index - RowBegin, SegmentEnd - RowBegin, Local);
-      Index = SegmentEnd;
-      if (Failure && !ChunkHasFailure) {
-        ChunkHasFailure = true;
-        {
-          std::lock_guard<std::mutex> Lock(FailuresMutex);
-          FailureByChunk.emplace(Chunk, std::move(*Failure));
+  forEachChunkOnPool(
+      Config.NumThreads, NumChunks, [] { return RowScratch(); },
+      [&](uint64_t Chunk, RowScratch &Scratch) {
+        if (CancelOnFailure &&
+            Chunk > FirstFailChunk.load(std::memory_order_acquire))
+          return;
+        uint64_t ChunkBegin = Begin + Chunk * ChunkPairs;
+        uint64_t ChunkEnd = std::min(End, ChunkBegin + ChunkPairs);
+        LocalT Local{};
+        bool ChunkHasFailure = false;
+        for (uint64_t Index = ChunkBegin; Index != ChunkEnd;) {
+          if (CancelOnFailure &&
+              Chunk > FirstFailChunk.load(std::memory_order_relaxed))
+            break;
+          uint64_t PIndex = Index / Grid.NumTnums;
+          uint64_t RowBegin = PIndex * Grid.NumTnums;
+          uint64_t SegmentEnd =
+              std::min(ChunkEnd, RowBegin + Grid.NumTnums);
+          std::optional<IndexedFailure<CounterexampleT>> Failure =
+              Segment(PIndex, Index - RowBegin, SegmentEnd - RowBegin, Local,
+                      Scratch);
+          Index = SegmentEnd;
+          if (Failure && !ChunkHasFailure) {
+            ChunkHasFailure = true;
+            {
+              std::lock_guard<std::mutex> Lock(FailuresMutex);
+              FailureByChunk.emplace(Chunk, std::move(*Failure));
+            }
+            atomicMinU64(FirstFailChunk, Chunk);
+          }
+          // This chunk's first (= serial-order) violation is recorded.
+          if (ChunkHasFailure && CancelOnFailure)
+            break;
         }
-        atomicMinU64(FirstFailChunk, Chunk);
-      }
-      if (ChunkHasFailure && CancelOnFailure)
-        break; // This chunk's first (= serial-order) violation is recorded.
-    }
-    Merge(Local);
-  });
+        Merge(Local);
+      });
 
   std::lock_guard<std::mutex> Lock(FailuresMutex);
   if (FailureByChunk.empty())
@@ -153,9 +148,10 @@ struct RowScanner {
   }
 
   /// alpha(opC(gamma(P), gamma(Q))) for every Q of a segment into
-  /// \p Optimal: the row scan, or the scalar fold pair by pair.
+  /// Scratch.Results: the row scan, or the scalar fold pair by pair.
   void optimal(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
-               RowScratch &Scratch, std::vector<Tnum> &Optimal) const {
+               RowScratch &Scratch) const {
+    std::vector<Tnum> &Optimal = Scratch.Results;
     Optimal.resize(QEnd - QBegin);
     if (Batched) {
       optimalAbstractRow(segment(PIndex, QBegin, QEnd, Scratch), Scratch,
@@ -202,26 +198,26 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
   struct Local {
     uint64_t Pairs = 0;
     uint64_t Concrete = 0;
-    std::vector<Tnum> Rs; ///< opT(P, Q) for each Q of the segment.
-    RowScratch Scratch;
   };
 
   std::optional<IndexedFailure<SoundnessCounterexample>> Failure =
       sweepPairGrid<SoundnessCounterexample, Local>(
           Grid, Begin, End, Config, /*CancelOnFailure=*/true,
-          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
+              RowScratch &Scratch)
               -> std::optional<IndexedFailure<SoundnessCounterexample>> {
             const Tnum &P = Grid.Universe[PIndex];
             std::span<const Tnum> Qs = Rows.qs(QBegin, QEnd);
-            L.Rs.clear();
+            std::vector<Tnum> &Rs = Scratch.Results;
+            Rs.clear();
             for (const Tnum &Q : Qs)
-              L.Rs.push_back(Abstract(P, Q));
+              Rs.push_back(Abstract(P, Q));
             std::optional<RowSoundnessFailure> F =
                 Rows.Batched
-                    ? scanSoundnessRow(Rows.segment(PIndex, QBegin, QEnd,
-                                                    L.Scratch),
-                                       L.Rs, L.Scratch, L.Concrete)
-                    : scanSoundnessPairs(Concrete, Grid.Width, P, Qs, L.Rs,
+                    ? scanSoundnessRow(
+                          Rows.segment(PIndex, QBegin, QEnd, Scratch), Rs,
+                          Scratch, L.Concrete)
+                    : scanSoundnessPairs(Concrete, Grid.Width, P, Qs, Rs,
                                          L.Concrete);
             L.Pairs += F ? F->Position + 1 : Qs.size();
             if (!F)
@@ -273,8 +269,6 @@ OptimalityReport tnums::checkOptimalityRangeParallel(
   struct Local {
     uint64_t Pairs = 0;
     uint64_t Optimal = 0;
-    std::vector<Tnum> Alphas; ///< The optimal result for each Q.
-    RowScratch Scratch;
   };
 
   // StopAtFirst selects the soundness cancellation protocol (early exit,
@@ -285,14 +279,15 @@ OptimalityReport tnums::checkOptimalityRangeParallel(
   std::optional<IndexedFailure<OptimalityCounterexample>> Failure =
       sweepPairGrid<OptimalityCounterexample, Local>(
           Grid, Begin, End, Config, /*CancelOnFailure=*/StopAtFirst,
-          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
+              RowScratch &Scratch)
               -> std::optional<IndexedFailure<OptimalityCounterexample>> {
             const Tnum &P = Grid.Universe[PIndex];
-            Rows.optimal(PIndex, QBegin, QEnd, L.Scratch, L.Alphas);
+            Rows.optimal(PIndex, QBegin, QEnd, Scratch);
             std::optional<IndexedFailure<OptimalityCounterexample>> First;
             for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
               ++L.Pairs;
-              const Tnum &Optimal = L.Alphas[Q - QBegin];
+              const Tnum &Optimal = Scratch.Results[Q - QBegin];
               Tnum Actual = Abstract(P, Grid.Universe[Q]);
               if (Actual == Optimal) {
                 ++L.Optimal;
@@ -340,7 +335,8 @@ MonotonicityReport tnums::checkMonotonicityRangeParallel(
   std::optional<IndexedFailure<MonotonicityCounterexample>> Failure =
       sweepPairGrid<MonotonicityCounterexample, Local>(
           Grid, Begin, End, Config, /*CancelOnFailure=*/true,
-          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
+              RowScratch &)
               -> std::optional<IndexedFailure<MonotonicityCounterexample>> {
             const Tnum &P2 = Grid.Universe[PIndex];
             for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
@@ -410,8 +406,6 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
     uint64_t Buckets[PrecisionGapBuckets] = {};
     uint64_t WorstIndex = UINT64_MAX;
     std::optional<PrecisionWitness> Worst;
-    std::vector<Tnum> Alphas;
-    RowScratch Scratch;
   };
 
   std::mutex Mutex;
@@ -422,13 +416,14 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
   // chunk full-scans.
   sweepPairGrid<PrecisionWitness, Local>(
       Grid, Begin, End, Config, /*CancelOnFailure=*/false,
-      [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L)
+      [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
+          RowScratch &Scratch)
           -> std::optional<IndexedFailure<PrecisionWitness>> {
         const Tnum &P = Grid.Universe[PIndex];
-        Rows.optimal(PIndex, QBegin, QEnd, L.Scratch, L.Alphas);
+        Rows.optimal(PIndex, QBegin, QEnd, Scratch);
         for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
           ++L.Pairs;
-          const Tnum &Optimal = L.Alphas[Q - QBegin];
+          const Tnum &Optimal = Scratch.Results[Q - QBegin];
           Tnum Actual = Abstract(P, Grid.Universe[Q]);
           unsigned G = precisionGap(Actual, Optimal);
           L.SumGap += G;
@@ -508,10 +503,12 @@ void tnums::forEachIndexRangeParallel(
   assert(Begin <= End && "bad index range");
   uint64_t ChunkSize = std::max<uint64_t>(1, Config.ChunkPairs);
   uint64_t NumChunks = (End - Begin + ChunkSize - 1) / ChunkSize;
-  runOnPool(Config, NumChunks, [&](uint64_t Chunk) {
-    uint64_t ChunkBegin = Begin + Chunk * ChunkSize;
-    Fn(ChunkBegin, std::min(End, ChunkBegin + ChunkSize));
-  });
+  forEachChunkOnPool(
+      Config.NumThreads, NumChunks, [] { return 0; },
+      [&](uint64_t Chunk, int &) {
+        uint64_t ChunkBegin = Begin + Chunk * ChunkSize;
+        Fn(ChunkBegin, std::min(End, ChunkBegin + ChunkSize));
+      });
 }
 
 void tnums::forEachIndexRangeParallel(

@@ -86,32 +86,40 @@ template <BinaryOp Op, bool Narrow>
   }
 }
 
-/// The row scan proper. Sound: returns false as soon as one x leaves some
-/// lane outside its R. Otherwise: folds every x into the per-lane AND/OR
-/// accumulators and returns true.
+/// Lanes per block of the x loop: three 8-byte arrays of this many lanes
+/// (24 KiB) stay in a 32 KiB L1 across the passes over gamma(P). A full
+/// width-5 row is one block; wider rows would otherwise stream every array
+/// from L2 once per x.
+constexpr uint64_t LaneBlock = 1024;
+
+/// The row scan proper, one block of lanes at a time. Sound: returns false
+/// as soon as one x leaves some lane outside its R. Otherwise: folds every
+/// x into the per-lane AND/OR accumulators and returns true.
 template <bool Sound, BinaryOp Op, bool Narrow>
 [[gnu::always_inline]] inline bool laneLoop(const LaneArgs &A) {
-  const uint64_t *__restrict Ys = A.Ys;
-  const uint64_t N = A.NumLanes;
-  for (uint64_t I = 0; I != A.NumXs; ++I) {
-    uint64_t X = A.Xs[I];
-    if constexpr (Op == BinaryOp::Arsh)
-      X = static_cast<uint64_t>(signExtend(X, A.Width));
-    if constexpr (Sound) {
-      const uint64_t *__restrict Vs = A.Vs;
-      const uint64_t *__restrict NotMs = A.NotMs;
-      uint64_t Bad = 0;
-      for (uint64_t J = 0; J != N; ++J)
-        Bad |= (evalLane<Op, Narrow>(X, Ys[J], A) & NotMs[J]) ^ Vs[J];
-      if (Bad)
-        return false;
-    } else {
-      uint64_t *__restrict Ands = A.Ands;
-      uint64_t *__restrict Ors = A.Ors;
-      for (uint64_t J = 0; J != N; ++J) {
-        uint64_t Z = evalLane<Op, Narrow>(X, Ys[J], A);
-        Ands[J] &= Z;
-        Ors[J] |= Z;
+  for (uint64_t B = 0; B < A.NumLanes; B += LaneBlock) {
+    const uint64_t N = std::min(LaneBlock, A.NumLanes - B);
+    const uint64_t *__restrict Ys = A.Ys + B;
+    for (uint64_t I = 0; I != A.NumXs; ++I) {
+      uint64_t X = A.Xs[I];
+      if constexpr (Op == BinaryOp::Arsh)
+        X = static_cast<uint64_t>(signExtend(X, A.Width));
+      if constexpr (Sound) {
+        const uint64_t *__restrict Vs = A.Vs + B;
+        const uint64_t *__restrict NotMs = A.NotMs + B;
+        uint64_t Bad = 0;
+        for (uint64_t J = 0; J != N; ++J)
+          Bad |= (evalLane<Op, Narrow>(X, Ys[J], A) & NotMs[J]) ^ Vs[J];
+        if (Bad)
+          return false;
+      } else {
+        uint64_t *__restrict Ands = A.Ands + B;
+        uint64_t *__restrict Ors = A.Ors + B;
+        for (uint64_t J = 0; J != N; ++J) {
+          uint64_t Z = evalLane<Op, Narrow>(X, Ys[J], A);
+          Ands[J] &= Z;
+          Ors[J] |= Z;
+        }
       }
     }
   }

@@ -62,13 +62,15 @@ struct RowSegment {
   std::span<const uint64_t> Offsets;
 };
 
-/// Buffers the row scans reuse across the segments of one sweep chunk.
+/// Buffers the row scans reuse across segments (the sweeps keep one per
+/// worker thread).
 struct RowScratch {
   std::vector<uint64_t> Xs;        ///< gamma(P) without a member table.
   std::vector<uint64_t> Lanes;     ///< A segment's lanes, likewise,
   std::vector<uint64_t> Offsets;   ///< and where each Q's lanes start.
   std::vector<uint64_t> Vs, NotMs; ///< Soundness: each lane's (R.v, ~R.m).
   std::vector<uint64_t> Ands, Ors; ///< Optimality: per-lane accumulators.
+  std::vector<Tnum> Results;       ///< The caller's per-Q results.
 };
 
 /// The segment of P against \p Qs with both concretizations materialized

@@ -8,8 +8,9 @@
 /// \file
 /// Differential harness pinning the batched SIMD membership path
 /// (support/SimdBatch.h, tnum/TnumMembers.h, the row scans of
-/// verify/RowScan.h) bit-for-bit to the scalar reference checkers. A hand-vectorized hot path silently diverging from the
-/// reference is the failure mode this file exists to catch, so every
+/// verify/RowScan.h) bit-for-bit to the scalar reference checkers. A
+/// vectorized hot path silently diverging from the reference is the
+/// failure mode this file exists to catch, so every
 /// assertion compares full reports -- witnesses AND exact work counters --
 /// not just verdicts.
 ///
