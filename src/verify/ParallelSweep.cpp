@@ -130,7 +130,7 @@ struct RowScanner {
   }
 
   /// The lanes of a segment: spans of the member table when it is built,
-  /// else materialized into the chunk-local \p Scratch.
+  /// else materialized into the worker's \p Scratch.
   RowSegment segment(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
                      RowScratch &Scratch) const {
     const Tnum &P = Grid.Universe[PIndex];
