@@ -54,12 +54,11 @@
 ///                        CI incremental smoke leg drives this
 ///
 /// --simd={auto,off,portable,avx2,avx512,neon} selects the member-scan
-/// path and kernel tier (support/SimdBatch.h; "on" stays accepted as a
-/// legacy alias of auto). Reports are bit-identical across modes, so
-/// --simd=auto vs --simd=off is the A/B measurement of the batched
-/// kernels; forcing an unsupported tier is a hard error naming what this
-/// host supports. --compare-serial times the scalar serial checkers on
-/// the multiplication campaign.
+/// path and kernel tier (support/SimdBatch.h). Reports are bit-identical
+/// across modes, so --simd=auto vs --simd=off is the A/B measurement of
+/// the batched kernels; forcing an unsupported tier is a hard error naming
+/// what this host supports. --compare-serial times the scalar serial
+/// checkers on the multiplication campaign.
 /// --optimality={first,full} picks first-witness-only (default; the
 /// ROADMAP's deterministic early-exit mode) or exact-total optimality
 /// scans, and --compare-optimality re-times the optimality cells on the
@@ -474,15 +473,8 @@ int main(int Argc, char **Argv) {
     bool Identical = true;
     for (size_t I = 0; I != OptSpec.Cells.size(); ++I) {
       size_t Twin = Twins[I];
-      const OptimalityReport &A = Campaign.Cells[Twin].Optimality;
-      const OptimalityReport &B = ScalarRun.Cells[I].Optimality;
-      bool Same = A.PairsChecked == B.PairsChecked &&
-                  A.OptimalPairs == B.OptimalPairs &&
-                  A.Failure.has_value() == B.Failure.has_value() &&
-                  (!A.Failure || (A.Failure->P == B.Failure->P &&
-                                  A.Failure->Q == B.Failure->Q &&
-                                  A.Failure->Actual == B.Failure->Actual &&
-                                  A.Failure->Optimal == B.Failure->Optimal));
+      bool Same =
+          Campaign.Cells[Twin].Optimality == ScalarRun.Cells[I].Optimality;
       Identical &= Same;
       double RowSeconds = Campaign.Cells[Twin].Seconds;
       double ScalarSeconds = ScalarRun.Cells[I].Seconds;
@@ -531,7 +523,8 @@ int main(int Argc, char **Argv) {
   }
   MulTable.printAligned(stdout);
   // ConcreteChecked/sec over the whole campaign: the A/B figure of merit
-  // for --simd on/off (identical eval counts, different wall-clock).
+  // for --simd=auto vs --simd=off (identical eval counts, different
+  // wall-clock).
   if (!NoTiming)
     std::printf("campaign throughput: %.1f Mevals/s "
                 "(%llu concrete evals in %.3f s; --simd=%s, %u jobs)\n",
@@ -540,14 +533,13 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(CampaignEvals),
                 ParallelSeconds, simdModeName(Simd), Sweep.NumThreads);
   if (CompareSerial) {
-    // The reference is the scalar serial checker (SimdMode::Off) whatever
-    // --simd selected, so the speedup always reads "fast path vs the
-    // pre-batching baseline".
+    // The reference is the scalar serial checker whatever --simd selected,
+    // so the speedup always reads "fast path vs the pre-batching
+    // baseline".
     double SerialSeconds = timeSeconds([&] {
       for (size_t Cell : Sec2)
         AllHold &= checkSoundnessExhaustive(BinaryOp::Mul, MulWidth,
-                                            Campaign.Cells[Cell].Cell.Mul,
-                                            SimdMode::Off)
+                                            Campaign.Cells[Cell].Cell.Mul)
                        .holds();
     });
     std::printf("scalar serial %.3f s vs parallel %.3f s with %u jobs "

@@ -15,8 +15,9 @@
 /// Prints, per operator: the soundness verdict, pair/concrete-evaluation
 /// counts, and (when it fits) the optimality verdict with a witness.
 ///
-/// Sweeps run on the parallel engine (verify/ParallelSweep.h) over the
-/// batched SIMD membership kernels -- the same fast path as the campaign
+/// The checks compile into one in-memory campaign (verify/Campaign.h): a
+/// soundness cell and an early-exit optimality cell per operator, run on
+/// the parallel row scans -- the same fast path as the campaign
 /// benchmarks -- so width 7-8 stay interactive on a multicore host. The
 /// reports are bit-identical to the serial scalar checkers (the engine's
 /// determinism contract).
@@ -24,11 +25,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Table.h"
-#include "verify/ParallelSweep.h"
+#include "verify/Campaign.h"
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <optional>
+#include <vector>
 
 using namespace tnums;
 
@@ -49,25 +52,15 @@ static std::optional<MulAlgorithm> parseMulAlgorithm(const char *Name) {
   return std::nullopt;
 }
 
-static void verifyOne(BinaryOp Op, unsigned Width, MulAlgorithm Mul,
-                      TextTable &Table) {
-  if (isShiftOp(Op) && (Width & (Width - 1)) != 0) {
-    Table.addRowOf(binaryOpName(Op), Width, "skipped (width not 2^k)", "-",
-                   "-");
-    return;
-  }
-  SweepConfig Config; // Hardware concurrency, batched kernels.
-  SoundnessReport Sound =
-      checkSoundnessExhaustiveParallel(Op, Width, Mul, Config);
-  OptimalityReport Precise = checkOptimalityExhaustiveParallel(
-      Op, Width, Mul, Config, /*StopAtFirst=*/true);
-  Table.addRowOf(
-      binaryOpName(Op), Width,
-      Sound.holds() ? "sound" : Sound.Failure->toString(Width).c_str(),
-      Precise.isOptimalEverywhere()
-          ? std::string("optimal")
-          : "not optimal: " + Precise.Failure->toString(Width),
-      Sound.ConcreteChecked);
+/// Appends \p Op's soundness and optimality cells to \p Spec, or returns
+/// false when the width rules the operator out.
+static bool addCells(BinaryOp Op, unsigned Width, MulAlgorithm Mul,
+                     CampaignSpec &Spec) {
+  if (isShiftOp(Op) && (Width & (Width - 1)) != 0)
+    return false;
+  Spec.addGrid(Op, Op == BinaryOp::Mul ? Mul : MulAlgorithm::Our, {Width},
+               {CampaignProperty::Soundness, CampaignProperty::Optimality});
+  return true;
 }
 
 int main(int Argc, char **Argv) {
@@ -99,14 +92,42 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  std::vector<BinaryOp> Ops;
+  if (Only)
+    Ops.push_back(*Only);
+  else
+    Ops.assign(std::begin(AllBinaryOps), std::end(AllBinaryOps));
+  CampaignSpec Spec;
+  Spec.OptimalityEarlyExit = true; // The first witness is enough here.
+  std::vector<bool> Checked;
+  for (BinaryOp Op : Ops)
+    Checked.push_back(addCells(Op, Width, Mul, Spec));
+  // Hardware concurrency, the host's best row-scan tier, in memory.
+  CampaignResult Campaign = runCampaign(Spec, CampaignIO(), SweepConfig());
+  if (!Campaign.ok()) {
+    std::fprintf(stderr, "error: %s\n", Campaign.Error.c_str());
+    return 1;
+  }
+
   std::printf("bounded verification at width %u (mul = %s)\n\n", Width,
               mulAlgorithmName(Mul));
   TextTable Table({"op", "width", "soundness", "optimality", "evals"});
-  if (Only) {
-    verifyOne(*Only, Width, Mul, Table);
-  } else {
-    for (BinaryOp Op : AllBinaryOps)
-      verifyOne(Op, Width, Mul, Table);
+  size_t Cell = 0;
+  for (size_t I = 0; I != Ops.size(); ++I) {
+    if (!Checked[I]) {
+      Table.addRowOf(binaryOpName(Ops[I]), Width, "skipped (width not 2^k)",
+                     "-", "-");
+      continue;
+    }
+    const SoundnessReport &Sound = Campaign.Cells[Cell++].Soundness;
+    const OptimalityReport &Precise = Campaign.Cells[Cell++].Optimality;
+    Table.addRowOf(
+        binaryOpName(Ops[I]), Width,
+        Sound.holds() ? "sound" : Sound.Failure->toString(Width).c_str(),
+        Precise.isOptimalEverywhere()
+            ? std::string("optimal")
+            : "not optimal: " + Precise.Failure->toString(Width),
+        Sound.ConcreteChecked);
   }
   Table.printAligned(stdout);
   return 0;

@@ -6,38 +6,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Data-parallel kernels for the exhaustive verification sweeps. The hot
-/// loop of every sweep is the membership predicate c in gamma(R), i.e.
-/// (c & ~R.m) == R.v (Eqn. 9), evaluated billions of times per campaign.
-/// This layer batches that predicate over 64-lane chunks of concrete
-/// values behind *runtime* dispatch across three instruction-set tiers:
+/// Runtime dispatch across the instruction-set tiers the batched sweeps
+/// run on, plus two 64-lane batch kernels. The hot loop of every sweep is
+/// the membership predicate c in gamma(R), i.e. (c & ~R.m) == R.v
+/// (Eqn. 9), evaluated billions of times per campaign. The tiers:
 ///
-///   * portable -- a plain loop the compiler can auto-vectorize; always
-///     present, and the reference every other tier is pinned against;
-///   * avx2 -- 4 lanes per ymm compare, sign bits extracted with
-///     movemask;
-///   * avx512 -- 8 lanes per zmm compare writing an 8-bit mask REGISTER
-///     directly (vpcmpeqq %k), i.e. the 64->8 lane compression of the
-///     occupancy mask happens in hardware instead of via movemask
-///     shuffling;
-///   * neon -- 2 lanes per q-register compare on AArch64, so the whole
-///     differential battery runs natively on ARM hosts.
+///   * portable -- the plain build; always present, and the reference
+///     every other tier is pinned against;
+///   * avx2, avx512 -- the same source compiled behind per-function
+///     target attributes, called only after cpuHasAvx2() / cpuHasAvx512()
+///     says the host executes them;
+///   * neon -- the AArch64 tier. Advanced SIMD is baseline there, so the
+///     plain build is already the NEON build.
 ///
-/// One binary carries every tier its target can express and selects at
-/// runtime, so the same build runs correctly on any host and fast on
-/// CI-class hardware.
+/// Each kernel is written once, as a plain C++ loop, and instantiated per
+/// tier; the compiler's auto-vectorizer supplies each tier's instructions.
+/// The sweeps' row scans (verify/RowScan.h) follow the same scheme and use
+/// only the tier selection below. One binary carries every tier its target
+/// can express and selects at runtime.
 ///
 /// The kernels return a 64-bit occupancy mask -- bit j set iff lane j
-/// FAILED the membership test -- rather than a boolean, so callers recover
-/// the serial-order-first counterexample with a single countr_zero and the
-/// exact work counters the determinism contract requires (see
-/// verify/ParallelSweep.h).
+/// FAILED the membership test -- rather than a boolean, so a caller
+/// recovers the first failing lane with a single countr_zero.
 ///
 /// Layering: this file knows nothing about tnums; it operates on raw
-/// (value, ~mask) words. The tnum-aware batch enumerator lives in
-/// tnum/TnumMembers.h, and the sweeps' row scans (verify/RowScan.h), which
-/// need the concrete operator semantics this layer does not know, live in
-/// verify/ and reuse only the tier selection below.
+/// (value, ~mask) words.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,9 +52,9 @@
 #define TNUMS_SIMD_HAVE_X86_KERNELS 0
 #endif
 
-/// True when this build target contains the NEON kernels. Advanced SIMD is
+/// True when this build target is the NEON tier. Advanced SIMD is
 /// architecturally baseline on AArch64, so no runtime probe or target
-/// attribute is needed -- the tier is compiled in iff the target is
+/// attribute is needed -- the tier is the plain build iff the target is
 /// AArch64.
 #if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
 #define TNUMS_SIMD_HAVE_NEON_KERNELS 1
@@ -75,8 +68,8 @@ namespace tnums {
 /// one uint64_t occupancy mask.
 inline constexpr unsigned SimdBatchLanes = 64;
 
-/// Byte alignment for batch buffers (one AVX2 ymm register; the AVX-512
-/// kernels use unaligned loads, so 32 stays sufficient).
+/// Byte alignment for batch buffers (one AVX2 ymm register; the kernels
+/// do not require it).
 inline constexpr size_t SimdBatchAlign = 32;
 
 /// How a sweep selects its membership path.
@@ -88,11 +81,8 @@ inline constexpr size_t SimdBatchAlign = 32;
 ///                 the fast path against.
 ///   * Auto     -- the batched path with the best kernel tier the host
 ///                 supports (avx512 > avx2 > neon > portable).
-///   * On       -- legacy alias of Auto (the pre-tier "batched,
-///                 unconditionally" spelling); kept so existing scripts
-///                 and baselines keep parsing.
 ///   * Portable -- the batched path, portable kernels forced (no
-///                 hand-vectorized tier even when the host has one).
+///                 target-specific tier even when the host has one).
 ///   * Avx2 / Avx512 / Neon -- the batched path with exactly that kernel
 ///                 tier forced. Use simdModeSupported() to test whether
 ///                 the running host can honor the request; when it
@@ -102,7 +92,6 @@ inline constexpr size_t SimdBatchAlign = 32;
 ///                 error check simdModeSupported() first).
 enum class SimdMode {
   Auto,
-  On,
   Off,
   Portable,
   Avx2,
@@ -118,13 +107,13 @@ enum class SimdTier {
   Neon,
 };
 
-/// Parses "auto" / "on" / "off" / "portable" / "avx2" / "avx512" / "neon".
+/// Parses "auto" / "off" / "portable" / "avx2" / "avx512" / "neon".
 /// Returns std::nullopt on anything else. Parsing does NOT check host
 /// support -- use simdModeSupported() for that.
 std::optional<SimdMode> parseSimdMode(const char *Text);
 
-/// Stable lower-case name ("auto", "on", "off", "portable", "avx2",
-/// "avx512", "neon").
+/// Stable lower-case name ("auto", "off", "portable", "avx2", "avx512",
+/// "neon").
 const char *simdModeName(SimdMode Mode);
 
 /// The "--simd=..." value list for usage strings and error messages.
@@ -147,7 +136,7 @@ bool cpuHasAvx512();
 /// AArch64 builds, always false elsewhere).
 bool cpuHasNeon();
 
-/// True when this host can honor \p Mode exactly: Off/Auto/On/Portable
+/// True when this host can honor \p Mode exactly: Off/Auto/Portable
 /// always can; a forced tier requires the matching cpuHas*() probe.
 bool simdModeSupported(SimdMode Mode);
 
@@ -198,7 +187,7 @@ const SimdKernels *avx512SimdKernels();
 const SimdKernels *neonSimdKernels();
 
 /// The kernels \p Mode resolves to on this host. Off and Portable resolve
-/// to the portable kernels; Auto/On to the best tier the host supports; a
+/// to the portable kernels; Auto to the best tier the host supports; a
 /// forced tier to its kernels when supported, else the portable fallback
 /// (callers that want a hard error on unsupported tiers check
 /// simdModeSupported() first -- every tier computes bit-identical

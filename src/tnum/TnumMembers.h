@@ -6,78 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batch-oriented enumeration of gamma(P) for the batched sweeps
-/// (verify/RowScan.h) and the SIMD membership kernels (support/SimdBatch.h).
+/// Materialized concretizations for the batched sweeps (verify/RowScan.h).
 /// forEachMember (TnumEnum.h) hands members to a callback one at a time;
-/// the batched sweeps instead want whole concretizations materialized into
+/// the row scans instead want whole concretizations materialized into
 /// flat buffers they can run one long loop over. Both interfaces visit
-/// members in the SAME order
-/// -- the subset odometer over the mask, increasing -- which is what lets
-/// the batched checkers reproduce the scalar checkers' serial-order-first
-/// counterexamples and exact work counters bit for bit.
+/// members in the SAME order -- the subset odometer over the mask,
+/// increasing -- which is what lets the batched checkers reproduce the
+/// scalar checkers' serial-order-first counterexamples and exact work
+/// counters bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_TNUM_TNUMMEMBERS_H
 #define TNUMS_TNUM_TNUMMEMBERS_H
 
-#include "support/SimdBatch.h"
 #include "tnum/Tnum.h"
 
 #include <span>
 #include <vector>
 
 namespace tnums {
-
-/// Streams gamma(P) in subset-odometer order (forEachMember's order), one
-/// batch at a time. Typical use:
-///
-///   MemberStream Ys(Q);
-///   alignas(SimdBatchAlign) uint64_t Buf[SimdBatchLanes];
-///   while (unsigned N = Ys.nextBatch(Buf))
-///     ... run a 64-lane kernel over Buf[0..N) ...
-///
-/// Bottom streams nothing. The final batch may be short (|gamma(P)| is a
-/// power of two, so with 64-lane batches a short batch only occurs when
-/// |gamma(P)| < 64 -- the "empty tail" case the differential tests pin).
-class MemberStream {
-public:
-  explicit MemberStream(const Tnum &P)
-      : Value(P.value()), Mask(P.mask()), Subset(0),
-        Done(P.isBottom()) {}
-
-  /// Fills \p Out with up to SimdBatchLanes consecutive members; returns
-  /// how many were written (0 once the stream is exhausted).
-  unsigned nextBatch(uint64_t *Out) {
-    if (Done)
-      return 0;
-    unsigned N = 0;
-    while (N != SimdBatchLanes) {
-      Out[N++] = Value | Subset;
-      if (Subset == Mask) {
-        Done = true;
-        break;
-      }
-      Subset = (Subset - Mask) & Mask;
-    }
-    return N;
-  }
-
-  /// True once every member has been produced.
-  bool exhausted() const { return Done; }
-
-  /// Rewinds to the first member.
-  void reset() {
-    Subset = 0;
-    Done = (Value & Mask) != 0;
-  }
-
-private:
-  uint64_t Value;
-  uint64_t Mask;
-  uint64_t Subset;
-  bool Done;
-};
 
 /// Materializes gamma(\p P) into \p Out (cleared and refilled; capacity is
 /// retained across calls) in subset-odometer order. Requires |gamma(P)| to
@@ -101,14 +49,11 @@ void appendMembers(const Tnum &P, std::vector<uint64_t> &Out);
 /// the table stores exactly what materializeMembers produces.
 class MemberTable {
 public:
-  MemberTable() = default;
-
   /// Builds the table for \p Universe. Every member of every tnum is
   /// stored, so the caller gates construction on memberTableBytes().
   explicit MemberTable(const std::vector<Tnum> &Universe);
 
-  /// gamma(U[i]) as a flat span.
-  const uint64_t *members(size_t I) const { return Flat.data() + Offsets[I]; }
+  /// |gamma(U[i])|.
   uint64_t numMembers(size_t I) const { return Offsets[I + 1] - Offsets[I]; }
 
   /// gamma(U[Begin]) ++ ... ++ gamma(U[End - 1]) as one flat span.
@@ -121,8 +66,6 @@ public:
   std::span<const uint64_t> offsets(size_t Begin, size_t End) const {
     return {Offsets.data() + Begin, End - Begin + 1};
   }
-
-  bool empty() const { return Offsets.empty(); }
 
 private:
   std::vector<uint64_t> Flat;

@@ -207,7 +207,7 @@ uint64_t tnums::campaignCellFingerprint(const CampaignSpec &Spec,
 }
 
 //===----------------------------------------------------------------------===//
-// Generic sharded driver
+// The shard manifest
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -244,273 +244,6 @@ std::vector<ShardRef> buildManifest(const std::vector<uint64_t> &CellPairs,
 }
 
 } // namespace
-
-ShardDriveResult tnums::driveCampaignShards(
-    const std::vector<uint64_t> &CellTotalPairs,
-    const std::vector<uint64_t> &CellFingerprints, uint64_t Fingerprint,
-    const CampaignIO &IO, const RunShardFn &Run, const MergeShardFn &Merge,
-    std::vector<bool> *CellComplete,
-    std::vector<CellShardCounts> *CellCounts) {
-  ShardDriveResult Result;
-  assert(CellFingerprints.size() == CellTotalPairs.size() &&
-         "one content fingerprint per cell");
-  if (IO.Shards == 0 || IO.ShardIndex >= IO.Shards) {
-    Result.Error = formatString("bad shard split: index %u of %u",
-                                IO.ShardIndex, IO.Shards);
-    return Result;
-  }
-  if (IO.Shards > 1 && IO.CheckpointDir.empty()) {
-    Result.Error = "--shards > 1 requires a checkpoint directory "
-                   "(shard results meet on disk)";
-    return Result;
-  }
-  if (IO.ShardPairs == 0) {
-    Result.Error = "ShardPairs must be positive";
-    return Result;
-  }
-
-  const std::vector<ShardRef> Manifest =
-      buildManifest(CellTotalPairs, IO.ShardPairs);
-  Result.ShardsTotal = Manifest.size();
-  if (CellCounts)
-    CellCounts->assign(CellTotalPairs.size(), CellShardCounts{});
-
-  std::optional<CheckpointStore> Store;
-  if (!IO.CheckpointDir.empty()) {
-    std::string Error;
-    Store = CheckpointStore::open(IO.CheckpointDir, Fingerprint,
-                                  Manifest.size(), Error);
-    if (!Store) {
-      Result.Error = std::move(Error);
-      return Result;
-    }
-    if (!IO.Resume) {
-      for (uint64_t Id = 0; Id != Manifest.size(); ++Id)
-        if (Id % IO.Shards == IO.ShardIndex && Store->hasShard(Id)) {
-          Result.Error = formatString(
-              "checkpoint directory %s already holds shard %" PRIu64
-              " of this invocation's slice; pass --resume to reuse it or "
-              "point at a fresh directory",
-              IO.CheckpointDir.c_str(), Id);
-          return Result;
-        }
-    }
-  }
-
-  // Telemetry heartbeats: one JSONL row per shard executed by THIS
-  // invocation plus a final invocation summary, appended to
-  // telemetry.jsonl beside the shard store. The file accumulates across
-  // resumes and is invisible to every fingerprint and bit-identity claim
-  // (it is not a shard file and is never read back); an open failure
-  // leaves the log inert rather than failing the campaign.
-  EventLog Telemetry;
-  if (!IO.CheckpointDir.empty()) {
-    std::string TelemetryError;
-    Telemetry.open(IO.CheckpointDir + "/telemetry.jsonl", TelemetryError);
-  }
-  const uint64_t InvocationStartNs = Telemetry.active() ? traceNowNs() : 0;
-
-  // Results this invocation has in hand (computed or loaded), keyed by
-  // manifest index. The merge below prefers this cache and falls back to
-  // the store for shards other invocations completed after we passed
-  // them in the execution loop.
-  std::map<uint64_t, ShardRecord> Cache;
-  // Lowest terminal shard per cell seen so far; later shards of that
-  // cell are dead (early-exit) and are skipped, not run.
-  std::map<size_t, uint64_t> CellTerminalShard;
-
-  auto isDead = [&](const ShardRef &Ref, uint64_t Id) {
-    auto It = CellTerminalShard.find(Ref.Cell);
-    return It != CellTerminalShard.end() && Id > It->second;
-  };
-
-  /// Loads shard \p Id from the store and classifies it: a record whose
-  /// cell fingerprint still matches is CURRENT (cached, terminal
-  /// bookkeeping applied); a mismatch is STALE -- the operator
-  /// implementation changed since it was written, so its verdict must
-  /// not be merged; a file that disappeared between hasShard and
-  /// loadShard is MISSING (another invocation's owner GC'd a stale shard
-  /// under us -- the replacement, if any, lands later). A stored cell
-  /// index disagreeing with the manifest is corruption, reported as a
-  /// hard error.
-  enum class Stored { Current, Stale, Missing, Error };
-  auto classifyStored = [&](uint64_t Id, const ShardRef &Ref) -> Stored {
-    std::string Error;
-    std::optional<ShardRecord> Record = Store->loadShard(Id, Error);
-    if (!Record) {
-      if (Error.empty())
-        return Stored::Missing;
-      Result.Error = std::move(Error);
-      return Stored::Error;
-    }
-    if (Record->Cell != Ref.Cell) {
-      Result.Error = formatString(
-          "shard %" PRIu64 " in %s records cell %" PRIu64
-          " but the manifest places it in cell %zu; the store is corrupt",
-          Id, IO.CheckpointDir.c_str(), Record->Cell, Ref.Cell);
-      return Stored::Error;
-    }
-    if (Record->CellFingerprint != CellFingerprints[Ref.Cell])
-      return Stored::Stale;
-    if (Record->Terminal)
-      CellTerminalShard.emplace(Ref.Cell, Id);
-    Cache.emplace(Id, std::move(*Record));
-    return Stored::Current;
-  };
-
-  //===--------------------------------------------------------------------===//
-  // Execution: walk the manifest in order, running owned shards,
-  // absorbing checkpointed ones whose cell fingerprint still matches,
-  // and GC-ing + re-running owned shards invalidated by an operator
-  // change.
-  //===--------------------------------------------------------------------===//
-  for (uint64_t Id = 0; Id != Manifest.size(); ++Id) {
-    const ShardRef &Ref = Manifest[Id];
-    if (isDead(Ref, Id)) {
-      ++Result.ShardsSkipped;
-      if (CellCounts)
-        ++(*CellCounts)[Ref.Cell].Skipped;
-      continue;
-    }
-    const bool Owned = Id % IO.Shards == IO.ShardIndex;
-    if (Store && Store->hasShard(Id)) {
-      switch (classifyStored(Id, Ref)) {
-      case Stored::Error:
-        return Result;
-      case Stored::Missing:
-        break; // Vanished under us: fall through and run if owned.
-      case Stored::Current:
-        if (Owned) {
-          ++Result.ShardsResumed;
-          if (CellCounts)
-            ++(*CellCounts)[Ref.Cell].Resumed;
-        }
-        continue;
-      case Stored::Stale: {
-        // Only the OWNER may GC: a non-owner unlinking here could race
-        // the owner's re-run and delete the freshly renamed replacement.
-        // Non-owners simply treat the stale shard as absent.
-        if (!Owned)
-          break;
-        ++Result.ShardsInvalidated;
-        if (CellCounts)
-          ++(*CellCounts)[Ref.Cell].Invalidated;
-        std::string Error;
-        if (!Store->removeShard(Id, Error)) {
-          Result.Error = std::move(Error);
-          return Result;
-        }
-        break; // Fall through to re-run below.
-      }
-      }
-    }
-    if (!Owned)
-      continue;
-    if (IO.MaxShardsThisRun && Result.ShardsRun >= IO.MaxShardsThisRun)
-      continue; // Time-box hit: leave the rest for a resume.
-    const uint64_t ShardStartNs = Telemetry.active() ? traceNowNs() : 0;
-    ShardRecord Record;
-    Run(Ref.Cell, Ref.Begin, Ref.End, Record);
-    Record.Cell = Ref.Cell;
-    Record.CellFingerprint = CellFingerprints[Ref.Cell];
-    if (Store) {
-      std::string Error;
-      if (!Store->storeShard(Id, Record, Error)) {
-        Result.Error = std::move(Error);
-        return Result;
-      }
-    }
-    if (Telemetry.active()) {
-      const double WallS = double(traceNowNs() - ShardStartNs) / 1e9;
-      const uint64_t Pairs = Ref.End - Ref.Begin;
-      JsonLineBuilder Line;
-      Line.field("ts_ms", traceWallMs())
-          .field("event", "shard")
-          .field("shard", Id)
-          .field("cell", static_cast<uint64_t>(Ref.Cell))
-          .field("begin", Ref.Begin)
-          .field("end", Ref.End)
-          .field("wall_s", WallS)
-          .field("pairs_per_s", WallS > 0 ? double(Pairs) / WallS : 0.0)
-          .field("terminal", Record.Terminal);
-      Telemetry.write(Line.str());
-    }
-    if (Record.Terminal)
-      CellTerminalShard.emplace(Ref.Cell, Id);
-    Cache.emplace(Id, std::move(Record));
-    ++Result.ShardsRun;
-    if (CellCounts)
-      ++(*CellCounts)[Ref.Cell].Run;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Merge: manifest order, stopping each cell at its terminal shard (or
-  // its first missing/stale one). Because the order is fixed and every
-  // payload is deterministic, the merged result is bit-identical no
-  // matter which invocations produced which shards, in how many runs, or
-  // how many cells were served from the store vs recomputed.
-  //===--------------------------------------------------------------------===//
-  if (CellComplete)
-    CellComplete->assign(CellTotalPairs.size(), false);
-  bool AllComplete = true;
-  for (size_t Cell = 0; Cell != CellTotalPairs.size(); ++Cell) {
-    bool Complete = true;
-    for (uint64_t Id = 0; Id != Manifest.size(); ++Id) {
-      const ShardRef &Ref = Manifest[Id];
-      if (Ref.Cell != Cell)
-        continue;
-      const ShardRecord *Record = nullptr;
-      auto It = Cache.find(Id);
-      if (It != Cache.end()) {
-        Record = &It->second;
-      } else if (Store && Store->hasShard(Id)) {
-        switch (classifyStored(Id, Ref)) {
-        case Stored::Error:
-          return Result;
-        case Stored::Current:
-          Record = &Cache.find(Id)->second;
-          break;
-        case Stored::Stale:
-        case Stored::Missing:
-          Record = nullptr; // No current verdict: the cell stays partial.
-          break;
-        }
-      }
-      if (!Record) {
-        Complete = false;
-        break;
-      }
-      std::string Error;
-      if (!Merge(Cell, Ref.Begin, Ref.End, *Record, Error)) {
-        Result.Error = Error.empty() ? formatString("shard %" PRIu64
-                                                    " failed to merge",
-                                                    Id)
-                                     : std::move(Error);
-        return Result;
-      }
-      if (Record->Terminal)
-        break; // The cell ends here by construction.
-    }
-    if (CellComplete)
-      (*CellComplete)[Cell] = Complete;
-    AllComplete &= Complete;
-  }
-  Result.Complete = AllComplete;
-  if (Telemetry.active()) {
-    JsonLineBuilder Line;
-    Line.field("ts_ms", traceWallMs())
-        .field("event", "invocation")
-        .field("shards_total", Result.ShardsTotal)
-        .field("run", Result.ShardsRun)
-        .field("resumed", Result.ShardsResumed)
-        .field("skipped", Result.ShardsSkipped)
-        .field("invalidated", Result.ShardsInvalidated)
-        .field("complete", Result.Complete)
-        .field("wall_s", double(traceNowNs() - InvocationStartNs) / 1e9);
-    Telemetry.write(Line.str());
-  }
-  return Result;
-}
 
 //===----------------------------------------------------------------------===//
 // Property shard payloads
@@ -950,17 +683,33 @@ std::vector<uint64_t> specCellFingerprints(const CampaignSpec &Spec) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// runPropertyCampaign -- the driver-registry layer over
-// driveCampaignShards: derives stored fingerprints from (content,
-// property name, payload version), stamps the payload header on every
-// shard a driver produces, and verifies + strips it before any driver
-// merges bytes back.
+// runPropertyCampaign -- the one sharding layer: manifest, durable store,
+// execution of this invocation's slice through the cells' drivers, and
+// the manifest-order merge.
 //===----------------------------------------------------------------------===//
 
 ShardDriveResult tnums::runPropertyCampaign(
     const std::vector<PropertyCampaignCell> &Cells, uint64_t Fingerprint,
     const CampaignIO &IO, std::vector<bool> *CellComplete,
     std::vector<CellShardCounts> *CellCounts) {
+  ShardDriveResult Result;
+  if (IO.Shards == 0 || IO.ShardIndex >= IO.Shards) {
+    Result.Error = formatString("bad shard split: index %u of %u",
+                                IO.ShardIndex, IO.Shards);
+    return Result;
+  }
+  if (IO.Shards > 1 && IO.CheckpointDir.empty()) {
+    Result.Error = "--shards > 1 requires a checkpoint directory "
+                   "(shard results meet on disk)";
+    return Result;
+  }
+  if (IO.ShardPairs == 0) {
+    Result.Error = "ShardPairs must be positive";
+    return Result;
+  }
+
+  // A cell's stored fingerprint extends its content fingerprint by the
+  // driver's property name and payload version.
   std::vector<uint64_t> CellPairs;
   std::vector<uint64_t> CellFingerprints;
   CellPairs.reserve(Cells.size());
@@ -972,28 +721,256 @@ ShardDriveResult tnums::runPropertyCampaign(
         propertyCellFingerprint(Cell.ContentFingerprint, Cell.Driver->name(),
                                 Cell.Driver->payloadVersion()));
   }
-  RunShardFn Run = [&](size_t Cell, uint64_t Begin, uint64_t End,
-                       ShardRecord &Out) {
-    PropertyDriver &Driver = *Cells[Cell].Driver;
-    std::string Body;
-    bool Terminal = false;
-    Driver.runShard(Cell, Begin, End, Body, Terminal);
-    Out.Payload = payloadHeaderLine(Driver.name(), Driver.payloadVersion());
-    Out.Payload += Body;
-    Out.Terminal = Terminal;
+  const std::vector<ShardRef> Manifest =
+      buildManifest(CellPairs, IO.ShardPairs);
+  Result.ShardsTotal = Manifest.size();
+  if (CellCounts)
+    CellCounts->assign(Cells.size(), CellShardCounts{});
+
+  std::optional<CheckpointStore> Store;
+  if (!IO.CheckpointDir.empty()) {
+    std::string Error;
+    Store = CheckpointStore::open(IO.CheckpointDir, Fingerprint,
+                                  Manifest.size(), Error);
+    if (!Store) {
+      Result.Error = std::move(Error);
+      return Result;
+    }
+    if (!IO.Resume) {
+      for (uint64_t Id = 0; Id != Manifest.size(); ++Id)
+        if (Id % IO.Shards == IO.ShardIndex && Store->hasShard(Id)) {
+          Result.Error = formatString(
+              "checkpoint directory %s already holds shard %" PRIu64
+              " of this invocation's slice; pass --resume to reuse it or "
+              "point at a fresh directory",
+              IO.CheckpointDir.c_str(), Id);
+          return Result;
+        }
+    }
+  }
+
+  // Telemetry heartbeats: one JSONL row per shard executed by THIS
+  // invocation plus a final invocation summary, appended to
+  // telemetry.jsonl beside the shard store. The file accumulates across
+  // resumes and is invisible to every fingerprint and bit-identity claim
+  // (it is not a shard file and is never read back); an open failure
+  // leaves the log inert rather than failing the campaign.
+  EventLog Telemetry;
+  if (!IO.CheckpointDir.empty()) {
+    std::string TelemetryError;
+    Telemetry.open(IO.CheckpointDir + "/telemetry.jsonl", TelemetryError);
+  }
+  const uint64_t InvocationStartNs = Telemetry.active() ? traceNowNs() : 0;
+
+  // Results this invocation has in hand (computed or loaded), keyed by
+  // manifest index. The merge below prefers this cache and falls back to
+  // the store for shards other invocations completed after we passed
+  // them in the execution loop.
+  std::map<uint64_t, ShardRecord> Cache;
+  // Lowest terminal shard per cell seen so far; later shards of that
+  // cell are dead (early-exit) and are skipped, not run.
+  std::map<size_t, uint64_t> CellTerminalShard;
+
+  auto isDead = [&](const ShardRef &Ref, uint64_t Id) {
+    auto It = CellTerminalShard.find(Ref.Cell);
+    return It != CellTerminalShard.end() && Id > It->second;
   };
-  MergeShardFn Merge = [&](size_t Cell, uint64_t Begin, uint64_t End,
-                           const ShardRecord &Record,
-                           std::string &Error) -> bool {
-    PropertyDriver &Driver = *Cells[Cell].Driver;
-    std::string Body;
-    if (!stripPayloadHeader(Record.Payload, Driver.name(),
-                            Driver.payloadVersion(), Cell, Body, Error))
-      return false;
-    return Driver.mergeShard(Cell, Begin, End, Body, Error);
+
+  /// Loads shard \p Id from the store and classifies it: a record whose
+  /// cell fingerprint still matches is CURRENT (cached, terminal
+  /// bookkeeping applied); a mismatch is STALE -- the operator
+  /// implementation changed since it was written, so its verdict must
+  /// not be merged; a file that disappeared between hasShard and
+  /// loadShard is MISSING (another invocation's owner GC'd a stale shard
+  /// under us -- the replacement, if any, lands later). A stored cell
+  /// index disagreeing with the manifest is corruption, reported as a
+  /// hard error.
+  enum class Stored { Current, Stale, Missing, Error };
+  auto classifyStored = [&](uint64_t Id, const ShardRef &Ref) -> Stored {
+    std::string Error;
+    std::optional<ShardRecord> Record = Store->loadShard(Id, Error);
+    if (!Record) {
+      if (Error.empty())
+        return Stored::Missing;
+      Result.Error = std::move(Error);
+      return Stored::Error;
+    }
+    if (Record->Cell != Ref.Cell) {
+      Result.Error = formatString(
+          "shard %" PRIu64 " in %s records cell %" PRIu64
+          " but the manifest places it in cell %zu; the store is corrupt",
+          Id, IO.CheckpointDir.c_str(), Record->Cell, Ref.Cell);
+      return Stored::Error;
+    }
+    if (Record->CellFingerprint != CellFingerprints[Ref.Cell])
+      return Stored::Stale;
+    if (Record->Terminal)
+      CellTerminalShard.emplace(Ref.Cell, Id);
+    Cache.emplace(Id, std::move(*Record));
+    return Stored::Current;
   };
-  return driveCampaignShards(CellPairs, CellFingerprints, Fingerprint, IO,
-                             Run, Merge, CellComplete, CellCounts);
+
+  //===--------------------------------------------------------------------===//
+  // Execution: walk the manifest in order, running owned shards,
+  // absorbing checkpointed ones whose cell fingerprint still matches,
+  // and GC-ing + re-running owned shards invalidated by an operator
+  // change.
+  //===--------------------------------------------------------------------===//
+  for (uint64_t Id = 0; Id != Manifest.size(); ++Id) {
+    const ShardRef &Ref = Manifest[Id];
+    if (isDead(Ref, Id)) {
+      ++Result.ShardsSkipped;
+      if (CellCounts)
+        ++(*CellCounts)[Ref.Cell].Skipped;
+      continue;
+    }
+    const bool Owned = Id % IO.Shards == IO.ShardIndex;
+    if (Store && Store->hasShard(Id)) {
+      switch (classifyStored(Id, Ref)) {
+      case Stored::Error:
+        return Result;
+      case Stored::Missing:
+        break; // Vanished under us: fall through and run if owned.
+      case Stored::Current:
+        if (Owned) {
+          ++Result.ShardsResumed;
+          if (CellCounts)
+            ++(*CellCounts)[Ref.Cell].Resumed;
+        }
+        continue;
+      case Stored::Stale: {
+        // Only the OWNER may GC: a non-owner unlinking here could race
+        // the owner's re-run and delete the freshly renamed replacement.
+        // Non-owners simply treat the stale shard as absent.
+        if (!Owned)
+          break;
+        ++Result.ShardsInvalidated;
+        if (CellCounts)
+          ++(*CellCounts)[Ref.Cell].Invalidated;
+        std::string Error;
+        if (!Store->removeShard(Id, Error)) {
+          Result.Error = std::move(Error);
+          return Result;
+        }
+        break; // Fall through to re-run below.
+      }
+      }
+    }
+    if (!Owned)
+      continue;
+    if (IO.MaxShardsThisRun && Result.ShardsRun >= IO.MaxShardsThisRun)
+      continue; // Time-box hit: leave the rest for a resume.
+    const uint64_t ShardStartNs = Telemetry.active() ? traceNowNs() : 0;
+    // The driver computes the body; the engine stamps the payload header.
+    PropertyDriver &Driver = *Cells[Ref.Cell].Driver;
+    std::string Body;
+    ShardRecord Record;
+    Driver.runShard(Ref.Cell, Ref.Begin, Ref.End, Body, Record.Terminal);
+    Record.Payload =
+        payloadHeaderLine(Driver.name(), Driver.payloadVersion()) + Body;
+    Record.Cell = Ref.Cell;
+    Record.CellFingerprint = CellFingerprints[Ref.Cell];
+    if (Store) {
+      std::string Error;
+      if (!Store->storeShard(Id, Record, Error)) {
+        Result.Error = std::move(Error);
+        return Result;
+      }
+    }
+    if (Telemetry.active()) {
+      const double WallS = double(traceNowNs() - ShardStartNs) / 1e9;
+      const uint64_t Pairs = Ref.End - Ref.Begin;
+      JsonLineBuilder Line;
+      Line.field("ts_ms", traceWallMs())
+          .field("event", "shard")
+          .field("shard", Id)
+          .field("cell", static_cast<uint64_t>(Ref.Cell))
+          .field("begin", Ref.Begin)
+          .field("end", Ref.End)
+          .field("wall_s", WallS)
+          .field("pairs_per_s", WallS > 0 ? double(Pairs) / WallS : 0.0)
+          .field("terminal", Record.Terminal);
+      Telemetry.write(Line.str());
+    }
+    if (Record.Terminal)
+      CellTerminalShard.emplace(Ref.Cell, Id);
+    Cache.emplace(Id, std::move(Record));
+    ++Result.ShardsRun;
+    if (CellCounts)
+      ++(*CellCounts)[Ref.Cell].Run;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Merge: manifest order, stopping each cell at its terminal shard (or
+  // its first missing/stale one). Because the order is fixed and every
+  // payload is deterministic, the merged result is bit-identical no
+  // matter which invocations produced which shards, in how many runs, or
+  // how many cells were served from the store vs recomputed.
+  //===--------------------------------------------------------------------===//
+  if (CellComplete)
+    CellComplete->assign(Cells.size(), false);
+  bool AllComplete = true;
+  for (size_t Cell = 0; Cell != Cells.size(); ++Cell) {
+    bool Complete = true;
+    for (uint64_t Id = 0; Id != Manifest.size(); ++Id) {
+      const ShardRef &Ref = Manifest[Id];
+      if (Ref.Cell != Cell)
+        continue;
+      const ShardRecord *Record = nullptr;
+      auto It = Cache.find(Id);
+      if (It != Cache.end()) {
+        Record = &It->second;
+      } else if (Store && Store->hasShard(Id)) {
+        switch (classifyStored(Id, Ref)) {
+        case Stored::Error:
+          return Result;
+        case Stored::Current:
+          Record = &Cache.find(Id)->second;
+          break;
+        case Stored::Stale:
+        case Stored::Missing:
+          Record = nullptr; // No current verdict: the cell stays partial.
+          break;
+        }
+      }
+      if (!Record) {
+        Complete = false;
+        break;
+      }
+      // Verify and strip the header before the driver sees the body.
+      PropertyDriver &Driver = *Cells[Cell].Driver;
+      std::string Body, Error;
+      if (!stripPayloadHeader(Record->Payload, Driver.name(),
+                              Driver.payloadVersion(), Cell, Body, Error) ||
+          !Driver.mergeShard(Cell, Ref.Begin, Ref.End, Body, Error)) {
+        Result.Error = Error.empty() ? formatString("shard %" PRIu64
+                                                    " failed to merge",
+                                                    Id)
+                                     : std::move(Error);
+        return Result;
+      }
+      if (Record->Terminal)
+        break; // The cell ends here by construction.
+    }
+    if (CellComplete)
+      (*CellComplete)[Cell] = Complete;
+    AllComplete &= Complete;
+  }
+  Result.Complete = AllComplete;
+  if (Telemetry.active()) {
+    JsonLineBuilder Line;
+    Line.field("ts_ms", traceWallMs())
+        .field("event", "invocation")
+        .field("shards_total", Result.ShardsTotal)
+        .field("run", Result.ShardsRun)
+        .field("resumed", Result.ShardsResumed)
+        .field("skipped", Result.ShardsSkipped)
+        .field("invalidated", Result.ShardsInvalidated)
+        .field("complete", Result.Complete)
+        .field("wall_s", double(traceNowNs() - InvocationStartNs) / 1e9);
+    Telemetry.write(Line.str());
+  }
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1264,64 +1241,19 @@ CampaignResult tnums::runCampaign(const CampaignSpec &Spec,
 
 namespace {
 
-/// Field-wise equality of the property-relevant report of two merged
-/// cells (counters AND witness; the informational Seconds is ignored).
+/// Equality of the property-relevant report of two merged cells
+/// (counters AND witness; the informational Seconds is ignored).
 bool sameMergedReport(const CampaignCellResult &A,
                       const CampaignCellResult &B) {
   switch (A.Cell.Property) {
-  case CampaignProperty::Soundness: {
-    if (A.Soundness.PairsChecked != B.Soundness.PairsChecked ||
-        A.Soundness.ConcreteChecked != B.Soundness.ConcreteChecked ||
-        A.Soundness.Failure.has_value() != B.Soundness.Failure.has_value())
-      return false;
-    if (!A.Soundness.Failure)
-      return true;
-    const SoundnessCounterexample &X = *A.Soundness.Failure;
-    const SoundnessCounterexample &Y = *B.Soundness.Failure;
-    return X.P == Y.P && X.Q == Y.Q && X.X == Y.X && X.Y == Y.Y &&
-           X.Z == Y.Z && X.R == Y.R;
-  }
-  case CampaignProperty::Optimality: {
-    if (A.Optimality.PairsChecked != B.Optimality.PairsChecked ||
-        A.Optimality.OptimalPairs != B.Optimality.OptimalPairs ||
-        A.Optimality.Failure.has_value() != B.Optimality.Failure.has_value())
-      return false;
-    if (!A.Optimality.Failure)
-      return true;
-    const OptimalityCounterexample &X = *A.Optimality.Failure;
-    const OptimalityCounterexample &Y = *B.Optimality.Failure;
-    return X.P == Y.P && X.Q == Y.Q && X.Actual == Y.Actual &&
-           X.Optimal == Y.Optimal;
-  }
-  case CampaignProperty::Monotonicity: {
-    if (A.Monotonicity.QuadruplesChecked !=
-            B.Monotonicity.QuadruplesChecked ||
-        A.Monotonicity.Failure.has_value() !=
-            B.Monotonicity.Failure.has_value())
-      return false;
-    if (!A.Monotonicity.Failure)
-      return true;
-    const MonotonicityCounterexample &X = *A.Monotonicity.Failure;
-    const MonotonicityCounterexample &Y = *B.Monotonicity.Failure;
-    return X.P1 == Y.P1 && X.Q1 == Y.Q1 && X.P2 == Y.P2 && X.Q2 == Y.Q2 &&
-           X.R1 == Y.R1 && X.R2 == Y.R2;
-  }
-  case CampaignProperty::Precision: {
-    if (A.Precision.PairsChecked != B.Precision.PairsChecked ||
-        A.Precision.SumGap != B.Precision.SumGap ||
-        A.Precision.MaxGap != B.Precision.MaxGap ||
-        A.Precision.Worst.has_value() != B.Precision.Worst.has_value())
-      return false;
-    for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
-      if (A.Precision.Buckets[G] != B.Precision.Buckets[G])
-        return false;
-    if (!A.Precision.Worst)
-      return true;
-    const PrecisionWitness &X = *A.Precision.Worst;
-    const PrecisionWitness &Y = *B.Precision.Worst;
-    return X.P == Y.P && X.Q == Y.Q && X.Actual == Y.Actual &&
-           X.Optimal == Y.Optimal && X.Gap == Y.Gap;
-  }
+  case CampaignProperty::Soundness:
+    return A.Soundness == B.Soundness;
+  case CampaignProperty::Optimality:
+    return A.Optimality == B.Optimality;
+  case CampaignProperty::Monotonicity:
+    return A.Monotonicity == B.Monotonicity;
+  case CampaignProperty::Precision:
+    return A.Precision == B.Precision;
   }
   return false;
 }
@@ -1474,31 +1406,4 @@ uint64_t tnums::printPrecisionDeltas(const CampaignSpec &Spec,
   std::fprintf(Out, "%llu precision deltas vs baseline\n",
                static_cast<unsigned long long>(Deltas));
   return Deltas;
-}
-
-//===----------------------------------------------------------------------===//
-// sweepMulSoundness -- now a thin wrapper over the campaign engine
-//===----------------------------------------------------------------------===//
-
-std::vector<MulSweepResult>
-tnums::sweepMulSoundness(const std::vector<unsigned> &Widths,
-                         const SweepConfig &Config) {
-  CampaignSpec Spec;
-  for (unsigned Width : Widths)
-    for (MulAlgorithm Algorithm : AllMulAlgorithms)
-      Spec.Cells.push_back(CampaignCell{BinaryOp::Mul, Algorithm, Width,
-                                        CampaignProperty::Soundness});
-  // In-memory, single-invocation: one shard per cell keeps the scheduling
-  // identical to the pre-campaign full-grid sweep.
-  CampaignIO IO;
-  IO.ShardPairs = UINT64_MAX;
-  CampaignResult Campaign = runCampaign(Spec, IO, Config);
-  assert(Campaign.ok() && Campaign.Complete &&
-         "in-memory mul campaign cannot fail to run");
-  std::vector<MulSweepResult> Results;
-  Results.reserve(Campaign.Cells.size());
-  for (const CampaignCellResult &Cell : Campaign.Cells)
-    Results.push_back(MulSweepResult{Cell.Cell.Mul, Cell.Cell.Width,
-                                     Cell.Soundness, Cell.Seconds});
-  return Results;
 }

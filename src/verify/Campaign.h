@@ -53,14 +53,18 @@
 ///    StopAtFirst = true report. Soundness and monotonicity cells are
 ///    always terminal-on-witness, mirroring their serial checkers.
 ///
-/// Since the property-driver refactor every property IS a driver
-/// (PropertyDriver below): a named, payload-versioned scan/merge pair
-/// that runPropertyCampaign runs through the manifest / checkpoint /
-/// merge / reuse machinery. The four built-in properties are drivers
-/// inside runCampaign, and the Table I / Fig. 4 front ends plug their
-/// custom order-independent reductions in as drivers of their own, which
-/// is how every sweep front end shares one resume story AND one
-/// payload-versioning story.
+/// Every property IS a driver (PropertyDriver below): a named,
+/// payload-versioned scan/merge pair that runPropertyCampaign runs through
+/// the manifest / checkpoint / merge / reuse machinery. The four built-in
+/// properties are drivers inside runCampaign, and the Table I / Fig. 4
+/// front ends plug their custom order-independent reductions in as drivers
+/// of their own, which is how every sweep front end shares one resume
+/// story AND one payload-versioning story.
+///
+/// runCampaign is the one batched entry point over whole grids: a one-shot
+/// check is a spec of one or more cells run with a default (in-memory)
+/// CampaignIO. The serial checkers stay the independent scalar oracle the
+/// tests hold it to.
 /// diffCampaignBaseline compares a finished run against an earlier
 /// checkpoint directory -- the --diff-baseline report of which cells an
 /// incremental resume would reuse, which it would re-run, and whether any
@@ -272,11 +276,11 @@ inline constexpr const char *CampaignArgsUsage =
 /// The spec SHAPE fingerprint guarding checkpoint directories: a digest
 /// of the format version, every cell's coordinates, the early-exit mode,
 /// and ShardPairs. Deliberately excluded: scheduling knobs (threads,
-/// chunk size, SIMD mode, member table cap -- reports are bit-identical
-/// across them) AND the operator implementation versions / override tag
-/// -- those key individual CELLS (campaignCellFingerprint), not the
-/// directory, so that a transfer-function change invalidates cells
-/// instead of the whole store.
+/// chunk size, SIMD mode -- reports are bit-identical across them) AND
+/// the operator implementation versions / override tag -- those key
+/// individual CELLS (campaignCellFingerprint), not the directory, so that
+/// a transfer-function change invalidates cells instead of the whole
+/// store.
 uint64_t campaignFingerprint(const CampaignSpec &Spec, const CampaignIO &IO);
 
 /// The per-cell content fingerprint: cell coordinates plus the
@@ -288,7 +292,8 @@ uint64_t campaignCellFingerprint(const CampaignSpec &Spec,
                                  const CampaignCell &Cell);
 
 /// Runs (its slice of) the campaign, checkpointing each completed shard,
-/// then merges every available shard in manifest order.
+/// then merges every available shard in manifest order. With a default
+/// CampaignIO the whole campaign runs in memory in one invocation.
 CampaignResult runCampaign(const CampaignSpec &Spec, const CampaignIO &IO,
                            const SweepConfig &Config);
 
@@ -356,12 +361,15 @@ uint64_t printPrecisionDeltas(const CampaignSpec &Spec,
                               const CampaignResult &Current, std::FILE *Out);
 
 //===----------------------------------------------------------------------===//
-// Generic sharded reduction -- the raw driver under runPropertyCampaign.
-// Payloads are opaque deterministic strings; prefer the PropertyDriver
-// layer below, which adds payload-format versioning on top.
+// Property drivers -- the extensible registry under runCampaign. A
+// property is a driver: scan a shard range into payload bytes, merge
+// payloads order-independently, version the payload format. The four
+// built-in properties are expressed through it inside runCampaign, and
+// front ends whose per-pair work is not one of them (the Table I /
+// Fig. 4 walks) plug their own drivers into runPropertyCampaign.
 //===----------------------------------------------------------------------===//
 
-/// Aggregate outcome of driveCampaignShards.
+/// Aggregate outcome of runPropertyCampaign.
 struct ShardDriveResult {
   bool Complete = false;
   uint64_t ShardsTotal = 0;
@@ -374,27 +382,13 @@ struct ShardDriveResult {
   bool ok() const { return Error.empty(); }
 };
 
-/// Per-cell shard accounting driveCampaignShards can report back.
+/// Per-cell shard accounting runPropertyCampaign can report back.
 struct CellShardCounts {
   uint64_t Run = 0;
   uint64_t Resumed = 0;
   uint64_t Invalidated = 0;
   uint64_t Skipped = 0;
 };
-
-/// Computes one shard: fill \p Out with the serialized, deterministic
-/// result of pair range [\p Begin, \p End) of cell \p Cell. Set
-/// Out.Terminal to end the cell at this shard (early exit). The driver
-/// stamps Out.Cell / Out.CellFingerprint itself.
-using RunShardFn = std::function<void(size_t Cell, uint64_t Begin,
-                                      uint64_t End, ShardRecord &Out)>;
-
-/// Folds one shard into the caller's accumulators. Called in manifest
-/// order (cell-major, ranges ascending), never past a terminal shard.
-/// Return false (after setting \p Error) on a malformed payload.
-using MergeShardFn =
-    std::function<bool(size_t Cell, uint64_t Begin, uint64_t End,
-                       const ShardRecord &Record, std::string &Error)>;
 
 /// Prints the one-line shard-progress banner every campaign front end
 /// emits ("campaign: N shards total, ..."), so the wording cannot drift
@@ -405,31 +399,6 @@ void printCampaignStatus(uint64_t ShardsTotal, uint64_t ShardsRun,
                          uint64_t ShardsResumed, uint64_t ShardsSkipped,
                          uint64_t ShardsInvalidated,
                          const std::string &CheckpointDir);
-
-/// Shards each cell's [0, CellTotalPairs[c]) range per \p IO, executes
-/// this invocation's slice via \p Run (persisting to IO.CheckpointDir when
-/// set), then merges every available shard in manifest order via
-/// \p Merge. \p CellFingerprints (1:1 with CellTotalPairs) are the cells'
-/// content fingerprints: stored shards are served only while theirs still
-/// matches; stale owned shards are GC'd and re-executed. \p CellComplete
-/// (optional, resized to the cell count) reports which cells merged to
-/// completion; \p CellCounts (optional) the per-cell execution accounting.
-ShardDriveResult driveCampaignShards(
-    const std::vector<uint64_t> &CellTotalPairs,
-    const std::vector<uint64_t> &CellFingerprints, uint64_t Fingerprint,
-    const CampaignIO &IO, const RunShardFn &Run, const MergeShardFn &Merge,
-    std::vector<bool> *CellComplete = nullptr,
-    std::vector<CellShardCounts> *CellCounts = nullptr);
-
-//===----------------------------------------------------------------------===//
-// Property drivers -- the extensible registry under runCampaign. A
-// property is a driver: scan a shard range into payload bytes, merge
-// payloads order-independently, version the payload format. The four
-// built-in properties are expressed through it inside runCampaign, and
-// front ends whose per-pair work is not one of them (the Table I /
-// Fig. 4 walks) plug their own drivers into runPropertyCampaign instead
-// of hand-rolling serialization over driveCampaignShards.
-//===----------------------------------------------------------------------===//
 
 /// One campaign property as the engine sees it. A driver owns its
 /// payload format end to end: runShard serializes a deterministic BODY,
@@ -490,15 +459,19 @@ uint64_t propertyCellFingerprint(uint64_t ContentFingerprint,
                                  const char *PropertyName,
                                  unsigned PayloadVersion);
 
-/// Drives a property campaign: shards each cell per \p IO, executes this
-/// invocation's slice through the cells' drivers (stamping the payload
-/// header), and merges every available shard in manifest order through
-/// the drivers' mergeShard (verifying and stripping the header first).
-/// \p Fingerprint guards the store directory as in driveCampaignShards;
-/// \p CellComplete / \p CellCounts as there. This is the one entry point
-/// every payload-carrying front end shares -- runCampaign's four
-/// built-in properties and the Table I / Fig. 4 reductions run through
-/// the same code path.
+/// Drives a property campaign: shards each cell's [0, TotalPairs) range
+/// per \p IO, executes this invocation's slice through the cells' drivers
+/// (stamping the payload header, persisting to IO.CheckpointDir when set),
+/// then merges every available shard in manifest order through the
+/// drivers' mergeShard (verifying and stripping the header first).
+/// \p Fingerprint guards the store directory (campaignFingerprint for
+/// runCampaign's specs). Stored shards are served only while their cell
+/// fingerprint (propertyCellFingerprint) still matches; stale owned shards
+/// are GC'd and re-executed. \p CellComplete (optional, resized to the
+/// cell count) reports which cells merged to completion; \p CellCounts
+/// (optional) the per-cell execution accounting. This is the one sharding
+/// layer every front end shares -- runCampaign's four built-in properties
+/// and the Table I / Fig. 4 reductions run through the same code path.
 ShardDriveResult
 runPropertyCampaign(const std::vector<PropertyCampaignCell> &Cells,
                     uint64_t Fingerprint, const CampaignIO &IO,

@@ -40,6 +40,8 @@ struct MonotonicityCounterexample {
   Tnum R2; ///< op(P2, Q2)
 
   std::string toString(unsigned Width) const;
+
+  bool operator==(const MonotonicityCounterexample &) const = default;
 };
 
 /// Outcome of a monotonicity sweep.
@@ -48,6 +50,8 @@ struct MonotonicityReport {
   std::optional<MonotonicityCounterexample> Failure;
 
   bool holds() const { return !Failure.has_value(); }
+
+  bool operator==(const MonotonicityReport &) const = default;
 };
 
 /// Exhaustively checks monotonicity of \p Op at \p Width by enumerating

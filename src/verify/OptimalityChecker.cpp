@@ -9,7 +9,8 @@
 
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
-#include "verify/ParallelSweep.h"
+
+#include <cassert>
 
 using namespace tnums;
 
@@ -40,21 +41,9 @@ std::string PrecisionWitness::toString(unsigned Width) const {
 }
 
 PrecisionReport tnums::measurePrecisionGap(BinaryOp Op, unsigned Width,
-                                           MulAlgorithm Mul, SimdMode Simd) {
+                                           MulAlgorithm Mul) {
   assert((!isShiftOp(Op) || (Width & (Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
-  if (simdModeBatches(Simd)) {
-    SweepConfig Config;
-    Config.NumThreads = 1;
-    Config.Simd = Simd;
-    SweepGrid Grid = makeSweepGrid(Width, Config);
-    return checkPrecisionRangeParallel(
-        Op,
-        [Op, Width, Mul](const Tnum &P, const Tnum &Q) {
-          return applyAbstractBinary(Op, P, Q, Width, Mul);
-        },
-        Grid, 0, Grid.TotalPairs, Config);
-  }
   PrecisionReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   for (const Tnum &P : Universe) {
@@ -76,19 +65,9 @@ PrecisionReport tnums::measurePrecisionGap(BinaryOp Op, unsigned Width,
 
 OptimalityReport tnums::checkOptimalityExhaustive(BinaryOp Op, unsigned Width,
                                                   MulAlgorithm Mul,
-                                                  bool StopAtFirst,
-                                                  SimdMode Simd) {
+                                                  bool StopAtFirst) {
   assert((!isShiftOp(Op) || (Width & (Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
-  if (simdModeBatches(Simd)) {
-    // One thread: with StopAtFirst the counters are the exact serial
-    // prefix, as in checkSoundnessExhaustive.
-    SweepConfig Config;
-    Config.NumThreads = 1;
-    Config.Simd = Simd;
-    return checkOptimalityExhaustiveParallel(Op, Width, Mul, Config,
-                                             StopAtFirst);
-  }
   OptimalityReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   for (const Tnum &P : Universe) {

@@ -11,14 +11,15 @@
 /// paper proves tnum_add/tnum_sub optimal (Theorems 6/22) and notes every
 /// multiplication algorithm is non-optimal; these checkers confirm both
 /// facts exhaustively at bounded width and quantify *how far* from optimal
-/// an operator is (used by the precision experiments).
+/// an operator is (used by the precision experiments). Like the soundness
+/// checker, both exhaustive walks here are scalar oracles: one
+/// optimalAbstractBinary fold per pair, no batched engine underneath.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_VERIFY_OPTIMALITYCHECKER_H
 #define TNUMS_VERIFY_OPTIMALITYCHECKER_H
 
-#include "support/SimdBatch.h"
 #include "verify/Oracle.h"
 
 #include <bit>
@@ -42,6 +43,8 @@ struct OptimalityCounterexample {
   Tnum Optimal;
 
   std::string toString(unsigned Width) const;
+
+  bool operator==(const OptimalityCounterexample &) const = default;
 };
 
 /// Outcome of an exhaustive optimality check.
@@ -53,20 +56,17 @@ struct OptimalityReport {
   std::optional<OptimalityCounterexample> Failure;
 
   bool isOptimalEverywhere() const { return !Failure.has_value(); }
+
+  bool operator==(const OptimalityReport &) const = default;
 };
 
 /// Exhaustively compares \p Op against the optimal abstraction at \p Width.
 /// Stops at the first non-optimal pair if \p StopAtFirst, else keeps
-/// counting OptimalPairs (and retains the first counterexample). \p Simd
-/// selects the path: SimdMode::Off is the scalar per-pair fold, the
-/// reference the differential tests pin the row scan (verify/RowScan.h)
-/// against; every other mode runs the row scan on one thread. Every mode
-/// produces a bit-identical report.
+/// counting OptimalPairs (and retains the first counterexample).
 OptimalityReport
 checkOptimalityExhaustive(BinaryOp Op, unsigned Width,
                           MulAlgorithm Mul = MulAlgorithm::Our,
-                          bool StopAtFirst = true,
-                          SimdMode Simd = SimdMode::Auto);
+                          bool StopAtFirst = true);
 
 //===----------------------------------------------------------------------===//
 // Precision-gap measurement -- the optimality scan generalized from a
@@ -83,6 +83,8 @@ struct PrecisionWitness {
   unsigned Gap = 0;
 
   std::string toString(unsigned Width) const;
+
+  bool operator==(const PrecisionWitness &) const = default;
 };
 
 /// One bucket per possible gap value (a tnum can lose at most 64 bits).
@@ -111,6 +113,8 @@ struct PrecisionReport {
   double meanGap() const {
     return PairsChecked ? double(SumGap) / double(PairsChecked) : 0.0;
   }
+
+  bool operator==(const PrecisionReport &) const = default;
 };
 
 /// The precision gap of one pair as PrecisionReport defines it.
@@ -122,11 +126,9 @@ inline unsigned precisionGap(const Tnum &Actual, const Tnum &Optimal) {
 /// Exhaustively measures \p Op's precision gap against the optimal
 /// abstraction at \p Width -- the serial reference the parallel sweep
 /// (checkPrecisionRangeParallel) and the campaign merges are bit-identical
-/// to. Always a full scan (a measurement has no early exit). \p Simd as in
-/// checkOptimalityExhaustive; every mode reports identically.
+/// to. Always a full scan (a measurement has no early exit).
 PrecisionReport measurePrecisionGap(BinaryOp Op, unsigned Width,
-                                    MulAlgorithm Mul = MulAlgorithm::Our,
-                                    SimdMode Simd = SimdMode::Auto);
+                                    MulAlgorithm Mul = MulAlgorithm::Our);
 
 } // namespace tnums
 

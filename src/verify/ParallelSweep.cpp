@@ -179,8 +179,8 @@ SweepGrid tnums::makeSweepGrid(unsigned Width, const SweepConfig &Config) {
   Grid.Universe = allWellFormedTnums(Width);
   Grid.NumTnums = Grid.Universe.size();
   Grid.TotalPairs = Grid.NumTnums * Grid.NumTnums;
-  if (simdModeBatches(Config.Simd) && Config.MemberTableBytesCap &&
-      memberTableBytes(Width) <= Config.MemberTableBytesCap)
+  if (simdModeBatches(Config.Simd) &&
+      memberTableBytes(Width) <= MemberTableBytesCap)
     Grid.Members.emplace(Grid.Universe);
   return Grid;
 }
@@ -458,45 +458,6 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
   return Report;
 }
 
-SoundnessReport tnums::checkSoundnessExhaustiveParallel(
-    BinaryOp Concrete, const AbstractBinaryFn &Abstract, unsigned Width,
-    const SweepConfig &Config) {
-  SweepGrid Grid = makeSweepGrid(Width, Config);
-  return checkSoundnessRangeParallel(Concrete, Abstract, Grid, 0,
-                                     Grid.TotalPairs, Config);
-}
-
-SoundnessReport
-tnums::checkSoundnessExhaustiveParallel(BinaryOp Op, unsigned Width,
-                                        MulAlgorithm Mul,
-                                        const SweepConfig &Config) {
-  return checkSoundnessExhaustiveParallel(
-      Op,
-      [Op, Width, Mul](const Tnum &P, const Tnum &Q) {
-        return applyAbstractBinary(Op, P, Q, Width, Mul);
-      },
-      Width, Config);
-}
-
-OptimalityReport
-tnums::checkOptimalityExhaustiveParallel(BinaryOp Op, unsigned Width,
-                                         MulAlgorithm Mul,
-                                         const SweepConfig &Config,
-                                         bool StopAtFirst) {
-  SweepGrid Grid = makeSweepGrid(Width, Config);
-  return checkOptimalityRangeParallel(Op, Mul, Grid, 0, Grid.TotalPairs,
-                                      Config, StopAtFirst);
-}
-
-MonotonicityReport
-tnums::checkMonotonicityExhaustiveParallel(BinaryOp Op, unsigned Width,
-                                           MulAlgorithm Mul,
-                                           const SweepConfig &Config) {
-  SweepGrid Grid = makeSweepGrid(Width, Config);
-  return checkMonotonicityRangeParallel(Op, Mul, Grid, 0, Grid.TotalPairs,
-                                        Config);
-}
-
 void tnums::forEachIndexRangeParallel(
     uint64_t Begin, uint64_t End, const SweepConfig &Config,
     const std::function<void(uint64_t, uint64_t)> &Fn) {
@@ -509,10 +470,4 @@ void tnums::forEachIndexRangeParallel(
         uint64_t ChunkBegin = Begin + Chunk * ChunkSize;
         Fn(ChunkBegin, std::min(End, ChunkBegin + ChunkSize));
       });
-}
-
-void tnums::forEachIndexRangeParallel(
-    uint64_t Total, const SweepConfig &Config,
-    const std::function<void(uint64_t, uint64_t)> &Fn) {
-  forEachIndexRangeParallel(0, Total, Config, Fn);
 }

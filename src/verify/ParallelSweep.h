@@ -6,25 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Multithreaded form of the bounded verification engine. The serial
-/// checkers (SoundnessChecker.h, OptimalityChecker.h) walk the 9^n grid of
-/// well-formed tnum pairs in row-major order; at the widths the paper's
+/// The batched, multithreaded verification engine under the campaign layer.
+/// The serial checkers (SoundnessChecker.h, OptimalityChecker.h,
+/// MonotonicityChecker.h) walk the 9^n grid of well-formed tnum pairs in
+/// row-major order; they are the scalar oracles. At the widths the paper's
 /// campaign targets (kern_mul was SMT-verified only up to n = 8) that walk
 /// costs 16^n concrete evaluations and stops being interactive. This
 /// engine splits the same grid into fixed-size chunks of consecutive
-/// (P, Q) pair indices and runs them on a work-stealing thread pool
+/// (P, Q) pair indices, scans each chunk one row segment at a time
+/// (verify/RowScan.h), and runs the chunks on a work-stealing thread pool
 /// (support/ThreadPool.h), pushing exhaustive sweeps to width 10-12.
 ///
-/// Since the Campaign refactor the engine is *range-based*: a SweepGrid
-/// (the enumerated universe plus the optional memoized member table) is
-/// built once per width and any number of [Begin, End) pair-index ranges
-/// are swept against it. The classic full-grid entry points below are
-/// wrappers over the range [0, TotalPairs); verify/Campaign.h layers
-/// sharding, checkpointing, and order-independent merging on top of the
-/// range form.
+/// The engine is *range-based*: a SweepGrid (the enumerated universe plus
+/// the optional memoized member table) is built once per width and any
+/// number of [Begin, End) pair-index ranges are swept against it.
+/// verify/Campaign.h layers sharding, checkpointing, and order-independent
+/// merging on top, and runCampaign is how every front end runs a whole
+/// grid; the range scans below are its building blocks.
 ///
 /// Determinism contract: results are bit-identical for every thread count,
-/// including 1, and identical to the serial checkers.
+/// chunk size and SIMD mode, and equal the serial checkers' reports.
 ///
 ///  * When the property holds, every chunk is fully scanned, so the
 ///    PairsChecked / ConcreteChecked totals (and OptimalPairs) are exact
@@ -35,13 +36,12 @@
 ///    chunks below it always run to completion, so the minimum failing
 ///    chunk's witness is exactly the serial witness. The work counters
 ///    then reflect only the work actually performed (cancellation makes
-///    them scheduling-dependent), mirroring the serial early-exit counts
-///    only approximately; treat them as progress indicators on failure.
-///    (The Campaign layer re-normalizes failing shards to the exact
-///    serial-prefix counts, which is what makes its merged reports
-///    deterministic; see docs/CAMPAIGN.md.)
+///    them scheduling-dependent; one thread gives the exact serial
+///    prefix). The Campaign layer re-normalizes failing shards to the
+///    exact serial-prefix counts, which is what makes its merged reports
+///    deterministic; see docs/CAMPAIGN.md.
 ///
-/// The checkers accept an injectable abstract operator so the test suite
+/// The scans accept an injectable abstract operator so the test suite
 /// can feed deliberately broken transfer functions through the exact same
 /// machinery and observe the deterministic witness.
 ///
@@ -50,6 +50,7 @@
 #ifndef TNUMS_VERIFY_PARALLELSWEEP_H
 #define TNUMS_VERIFY_PARALLELSWEEP_H
 
+#include "support/SimdBatch.h"
 #include "tnum/TnumMembers.h"
 #include "verify/MonotonicityChecker.h"
 #include "verify/OptimalityChecker.h"
@@ -77,15 +78,14 @@ struct SweepConfig {
   /// for the scalar per-pair reference. Orthogonal to the determinism
   /// contract -- every mode produces bit-identical reports.
   SimdMode Simd = SimdMode::Auto;
-
-  /// Budget for memoizing the per-universe member table
-  /// (tnum/TnumMembers.h): when gamma of the whole universe fits
-  /// (4^width * 8 bytes <= cap), the row scans read each segment's lanes
-  /// straight from it instead of materializing them per segment. The
-  /// default covers widths <= 12 (128 MiB). Zero disables memoization.
-  /// Bit-identical reports either way.
-  uint64_t MemberTableBytesCap = uint64_t(1) << 28;
 };
+
+/// Budget for memoizing the per-universe member table
+/// (tnum/TnumMembers.h): when gamma of the whole universe fits
+/// (memberTableBytes(width) <= cap), the row scans read each segment's
+/// lanes straight from it instead of materializing them per segment. The
+/// cap covers widths <= 12 (128 MiB). Bit-identical reports either way.
+inline constexpr uint64_t MemberTableBytesCap = uint64_t(1) << 28;
 
 /// An abstract binary transfer function as the sweep sees it: inputs are
 /// well-formed width-n tnums, the result is already truncated to width.
@@ -105,7 +105,7 @@ struct SweepGrid {
   uint64_t NumTnums = 0;
   uint64_t TotalPairs = 0;
   /// Engaged when the batched path is on and gamma of the whole universe
-  /// fits SweepConfig::MemberTableBytesCap (see tnum/TnumMembers.h).
+  /// fits MemberTableBytesCap (see tnum/TnumMembers.h).
   std::optional<MemberTable> Members;
 };
 
@@ -160,81 +160,17 @@ PrecisionReport checkPrecisionRangeParallel(BinaryOp Op,
                                             uint64_t Begin, uint64_t End,
                                             const SweepConfig &Config);
 
-/// Parallel equivalent of checkSoundnessExhaustive: verifies Eqn. 11 for
-/// \p Op at \p Width over every well-formed tnum pair, multithreaded.
-SoundnessReport
-checkSoundnessExhaustiveParallel(BinaryOp Op, unsigned Width,
-                                 MulAlgorithm Mul = MulAlgorithm::Our,
-                                 const SweepConfig &Config = SweepConfig());
-
-/// Same, but with an injected abstract operator: \p Concrete supplies the
-/// concrete semantics (and the shift-width restriction), \p Abstract the
-/// transfer function under test.
-SoundnessReport
-checkSoundnessExhaustiveParallel(BinaryOp Concrete, const AbstractBinaryFn &Abstract,
-                                 unsigned Width,
-                                 const SweepConfig &Config = SweepConfig());
-
-/// Parallel equivalent of checkOptimalityExhaustive. By default scans the
-/// full grid, making OptimalPairs / PairsChecked exact totals. With
-/// \p StopAtFirst, chunks above the lowest non-optimal chunk are
-/// cancelled (the soundness checker's protocol), trading exact counts on
-/// failure for an early exit. Either way the reported counterexample is
-/// the serial-order first non-optimal pair.
-OptimalityReport
-checkOptimalityExhaustiveParallel(BinaryOp Op, unsigned Width,
-                                  MulAlgorithm Mul = MulAlgorithm::Our,
-                                  const SweepConfig &Config = SweepConfig(),
-                                  bool StopAtFirst = false);
-
-/// Parallel equivalent of checkMonotonicityExhaustive: chunks the same
-/// row-major (P2, Q2) grid across the pool; each pair's sub-tnum walk
-/// stays scalar (it visits abstract values, not members, so the SIMD
-/// kernels do not apply). Same determinism protocol as the soundness
-/// sweep: the reported counterexample is the serial-order first
-/// violation, QuadruplesChecked is the exact grid total when the property
-/// holds and a progress indicator on failure.
-MonotonicityReport
-checkMonotonicityExhaustiveParallel(BinaryOp Op, unsigned Width,
-                                    MulAlgorithm Mul = MulAlgorithm::Our,
-                                    const SweepConfig &Config = SweepConfig());
-
-/// Schedules \p Fn(Begin, End) over consecutive chunks of the row-major
-/// index space [0, Total) on the sweep pool -- the building block the
-/// Table I / Fig. 4 pair walks use to run order-independent reductions
-/// (counter sums, histograms) in parallel. Ranges are disjoint and cover
-/// [0, Total) exactly once; \p Fn runs concurrently and must synchronize
-/// any merging into shared state itself. With NumThreads == 1 the ranges
-/// run inline, in increasing order, on the calling thread.
-void forEachIndexRangeParallel(
-    uint64_t Total, const SweepConfig &Config,
-    const std::function<void(uint64_t, uint64_t)> &Fn);
-
-/// Subrange form: chunks [\p Begin, \p End) instead of [0, Total) -- what
-/// a checkpointed shard of a Table I / Fig. 4 walk runs.
+/// Schedules \p Fn(ChunkBegin, ChunkEnd) over consecutive chunks of the
+/// index range [\p Begin, \p End) on the sweep pool -- the building block
+/// the Table I / Fig. 4 pair walks use to run order-independent reductions
+/// (counter sums, histograms) over a checkpointed shard in parallel.
+/// Ranges are disjoint and cover [Begin, End) exactly once; \p Fn runs
+/// concurrently and must synchronize any merging into shared state itself.
+/// With NumThreads == 1 the ranges run inline, in increasing order, on the
+/// calling thread.
 void forEachIndexRangeParallel(
     uint64_t Begin, uint64_t End, const SweepConfig &Config,
     const std::function<void(uint64_t, uint64_t)> &Fn);
-
-/// One (algorithm, width) cell of a multiplication soundness campaign.
-struct MulSweepResult {
-  MulAlgorithm Algorithm;
-  unsigned Width;
-  SoundnessReport Report;
-  double Seconds; // wall-clock for this cell
-};
-
-/// Sweeps ALL six multiplication algorithms at each width in \p Widths
-/// through the parallel soundness checker -- the paper's SIII-A
-/// multiplication campaign, beyond its n = 8 SMT horizon. Cells are
-/// ordered (width-major, algorithm-minor) and each cell's report obeys the
-/// determinism contract above. Since the Campaign refactor this is a thin
-/// wrapper over runCampaign (verify/Campaign.h) without checkpointing;
-/// front ends that want resume/sharding should build a CampaignSpec
-/// directly.
-std::vector<MulSweepResult>
-sweepMulSoundness(const std::vector<unsigned> &Widths,
-                  const SweepConfig &Config = SweepConfig());
 
 } // namespace tnums
 

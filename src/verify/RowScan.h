@@ -31,6 +31,10 @@
 /// SimdTier through target-attributed wrappers; the compiler's
 /// auto-vectorizer supplies each tier's instructions (docs/SIMD.md).
 ///
+/// Only the range scans of verify/ParallelSweep.h call these. The serial
+/// checkers never do: they are the scalar oracle the row scan is tested
+/// against.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_VERIFY_ROWSCAN_H
@@ -74,9 +78,10 @@ struct RowScratch {
 };
 
 /// The segment of P against \p Qs with both concretizations materialized
-/// into \p Scratch -- the path without a member table (width > 12, or
-/// SweepConfig::MemberTableBytesCap 0), and what tests use to build
-/// segments from explicit tnums. Valid until \p Scratch is next reused.
+/// into \p Scratch -- the path without a member table (widths above
+/// MemberTableBytesCap's reach, or a grid whose Members a test reset), and
+/// what tests use to build segments from explicit tnums. Valid until
+/// \p Scratch is next reused.
 RowSegment materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
                           const Tnum &P, std::span<const Tnum> Qs,
                           RowScratch &Scratch);

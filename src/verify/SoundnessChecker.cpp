@@ -10,7 +10,8 @@
 #include "support/Random.h"
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
-#include "verify/ParallelSweep.h"
+
+#include <cassert>
 
 using namespace tnums;
 
@@ -43,18 +44,9 @@ tnums::scanPairMembers(BinaryOp Op, unsigned Width, const Tnum &P,
 }
 
 SoundnessReport tnums::checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
-                                                MulAlgorithm Mul,
-                                                SimdMode Simd) {
+                                                MulAlgorithm Mul) {
   assert((!isShiftOp(Op) || (Width & (Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
-  if (simdModeBatches(Simd)) {
-    // One thread runs the chunks in order and stops at the first failing
-    // one, so the counters are the exact serial prefix.
-    SweepConfig Config;
-    Config.NumThreads = 1;
-    Config.Simd = Simd;
-    return checkSoundnessExhaustiveParallel(Op, Width, Mul, Config);
-  }
   SoundnessReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   for (const Tnum &P : Universe) {

@@ -19,12 +19,16 @@
 /// production width 64. Both produce a solver-style model (counterexample)
 /// on failure.
 ///
+/// The exhaustive checker is the scalar oracle: a plain walk of every pair
+/// and every member pair, sharing no code with the batched engine
+/// (verify/ParallelSweep.h, verify/RowScan.h). Every faster path is
+/// trusted only because a test proves its reports equal to this walk's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_VERIFY_SOUNDNESSCHECKER_H
 #define TNUMS_VERIFY_SOUNDNESSCHECKER_H
 
-#include "support/SimdBatch.h"
 #include "verify/Oracle.h"
 
 #include <cstdint>
@@ -48,6 +52,8 @@ struct SoundnessCounterexample {
 
   /// Renders the witness for diagnostics, e.g. in test failure messages.
   std::string toString(unsigned Width) const;
+
+  bool operator==(const SoundnessCounterexample &) const = default;
 };
 
 /// Statistics from a verification run, reported by the E4 harness.
@@ -57,19 +63,17 @@ struct SoundnessReport {
   std::optional<SoundnessCounterexample> Failure;
 
   bool holds() const { return !Failure.has_value(); }
+
+  bool operator==(const SoundnessReport &) const = default;
 };
 
 /// Complete bounded verification of \p Op at \p Width by enumerating every
-/// well-formed tnum pair and every concrete member pair. Cost is 16^Width
-/// concrete evaluations; keep Width <= 6 (Width <= 8 only if you can wait).
-/// Shift operators additionally require a power-of-two width. \p Simd
-/// selects the path: SimdMode::Off is the scalar per-pair scan below, the
-/// independent reference the differential tests pin the row scan
-/// (verify/RowScan.h) against; every other mode runs the row scan on one
-/// thread. Every mode produces a bit-identical report.
+/// well-formed tnum pair and every concrete member pair, in row-major pair
+/// order through scanPairMembers, stopping at the first violation. Cost is
+/// 16^Width concrete evaluations; keep Width <= 6 (Width <= 8 only if you
+/// can wait). Shift operators additionally require a power-of-two width.
 SoundnessReport checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
-                                         MulAlgorithm Mul = MulAlgorithm::Our,
-                                         SimdMode Simd = SimdMode::Auto);
+                                         MulAlgorithm Mul = MulAlgorithm::Our);
 
 /// The scalar scan of one (P, Q) pair against \p R: x over gamma(P)
 /// (outer) and y over gamma(Q) (inner), both in subset-odometer order.

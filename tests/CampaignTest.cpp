@@ -390,14 +390,15 @@ TEST(Campaign, BrokenOperatorWitnessSurvivesKillResumeAndSplit) {
   };
   Spec.OverrideTag = "broken-add-v1";
 
-  // Reference: the injectable engine with one thread IS the serial walk
+  // Reference: the scalar range scan with one thread IS the serial walk
   // (ascending chunks, stop at the violation), so its counters are the
   // serial-prefix counts the campaign must reproduce.
-  SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1};
-  SoundnessReport Want = checkSoundnessExhaustiveParallel(
+  const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
+  SweepGrid Grid = makeSweepGrid(Width, Serial);
+  SoundnessReport Want = checkSoundnessRangeParallel(
       BinaryOp::Add,
       [](const Tnum &P, const Tnum &Q) { return brokenAdd(P, Q, Width); },
-      Width, Serial);
+      Grid, 0, Grid.TotalPairs, Serial);
   ASSERT_TRUE(Want.Failure.has_value());
 
   for (const SweepConfig &Config : kConfigs) {
@@ -708,11 +709,12 @@ TEST(Campaign, IncrementalResumeReRunsOnlyTheChangedCells) {
   // The re-run really used the new implementation: the changed cell now
   // carries the broken mul's witness, with exact serial-prefix counters.
   ASSERT_TRUE(Inc.Cells[ChangedCellIndex].Soundness.Failure.has_value());
-  SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1};
-  SoundnessReport Want = checkSoundnessExhaustiveParallel(
+  const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
+  SweepGrid Grid = makeSweepGrid(/*Width=*/4, Serial);
+  SoundnessReport Want = checkSoundnessRangeParallel(
       BinaryOp::Mul,
-      [](const Tnum &P, const Tnum &Q) { return brokenMul(P, Q, 4); },
-      /*Width=*/4, Serial);
+      [](const Tnum &P, const Tnum &Q) { return brokenMul(P, Q, 4); }, Grid,
+      0, Grid.TotalPairs, Serial);
   expectSameSoundness(Want, Inc.Cells[ChangedCellIndex].Soundness);
 
   // And the merged report is bit-identical to a from-scratch run of the

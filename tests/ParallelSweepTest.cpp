@@ -6,18 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel sweep's contract is bit-reproducibility: same reports as
-/// the serial checkers, for every thread count and chunk size, including
-/// the counterexample a deliberately broken operator produces. Widths here
-/// stay small so the default suite is quick; set TNUMS_SLOW_TESTS=1 to
-/// also run the width-8 serial/parallel agreement sweep (the paper's SMT
-/// verification horizon for kern_mul; several minutes of CPU).
+/// The parallel sweep's contract is bit-reproducibility: the engine -- a
+/// one-cell in-memory campaign, or a range scan where a test pins the scan
+/// itself -- reports exactly what the scalar serial checkers report, for
+/// every thread count and chunk size, including the counterexample a
+/// deliberately broken operator produces. Widths here stay small so the
+/// default suite is quick; set TNUMS_SLOW_TESTS=1 to also run the width-8
+/// agreement sweep (the paper's SMT verification horizon for kern_mul;
+/// several minutes of CPU).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumOps.h"
-#include "verify/ParallelSweep.h"
+#include "verify/Campaign.h"
 
 #include <gtest/gtest.h>
 
@@ -38,27 +40,28 @@ const SweepConfig kConfigs[] = {
     {/*NumThreads=*/0, /*ChunkPairs=*/257},
 };
 
-void expectSameSoundnessReport(const SoundnessReport &Serial,
-                               const SoundnessReport &Parallel) {
-  EXPECT_EQ(Serial.holds(), Parallel.holds());
-  // A holding sweep scans the full grid, so the work counters are exact
-  // totals on both sides; on failure only the witness is comparable.
-  if (Serial.holds()) {
-    EXPECT_EQ(Serial.PairsChecked, Parallel.PairsChecked);
-    EXPECT_EQ(Serial.ConcreteChecked, Parallel.ConcreteChecked);
-  }
+/// The engine's merged report for \p Cell: a one-cell in-memory campaign
+/// under \p Config, with the rest of the campaign settings from \p Spec.
+CampaignCellResult runOneCell(const CampaignCell &Cell,
+                              const SweepConfig &Config,
+                              CampaignSpec Spec = CampaignSpec()) {
+  Spec.Cells = {Cell};
+  CampaignResult Campaign = runCampaign(Spec, CampaignIO(), Config);
+  EXPECT_TRUE(Campaign.ok()) << Campaign.Error;
+  EXPECT_TRUE(Campaign.Complete);
+  return Campaign.Cells.at(0);
 }
 
 TEST(ParallelSweep, AgreesWithSerialOnEveryOperatorAtWidth4) {
   for (BinaryOp Op : AllBinaryOps) {
+    SCOPED_TRACE(binaryOpName(Op));
     SoundnessReport Serial = checkSoundnessExhaustive(Op, 4);
-    for (const SweepConfig &Config : kConfigs) {
-      SoundnessReport Parallel =
-          checkSoundnessExhaustiveParallel(Op, 4, MulAlgorithm::Our, Config);
-      SCOPED_TRACE(binaryOpName(Op));
-      expectSameSoundnessReport(Serial, Parallel);
-      EXPECT_TRUE(Parallel.holds());
-    }
+    EXPECT_TRUE(Serial.holds());
+    for (const SweepConfig &Config : kConfigs)
+      EXPECT_EQ(Serial, runOneCell({Op, MulAlgorithm::Our, 4,
+                                               CampaignProperty::Soundness},
+                                   Config)
+                            .Soundness);
   }
 }
 
@@ -67,10 +70,11 @@ TEST(ParallelSweep, AgreesWithSerialOnEveryMulAlgorithmAtWidth5) {
   for (MulAlgorithm Alg : AllMulAlgorithms) {
     SCOPED_TRACE(mulAlgorithmName(Alg));
     SoundnessReport Serial = checkSoundnessExhaustive(BinaryOp::Mul, 5, Alg);
-    SoundnessReport Parallel =
-        checkSoundnessExhaustiveParallel(BinaryOp::Mul, 5, Alg, Config);
-    expectSameSoundnessReport(Serial, Parallel);
-    EXPECT_TRUE(Parallel.holds());
+    EXPECT_TRUE(Serial.holds());
+    EXPECT_EQ(Serial, runOneCell({BinaryOp::Mul, Alg, 5,
+                                             CampaignProperty::Soundness},
+                                 Config)
+                          .Soundness);
   }
 }
 
@@ -81,10 +85,11 @@ TEST(ParallelSweep, AgreesWithSerialAtWidth8WhenSlowTestsEnabled) {
                     "(the paper's kern_mul SMT horizon; minutes of CPU)";
   SoundnessReport Serial =
       checkSoundnessExhaustive(BinaryOp::Mul, 8, MulAlgorithm::Our);
-  SoundnessReport Parallel = checkSoundnessExhaustiveParallel(
-      BinaryOp::Mul, 8, MulAlgorithm::Our, SweepConfig());
-  expectSameSoundnessReport(Serial, Parallel);
-  EXPECT_TRUE(Parallel.holds());
+  EXPECT_TRUE(Serial.holds());
+  EXPECT_EQ(Serial, runOneCell({BinaryOp::Mul, MulAlgorithm::Our,
+                                           8, CampaignProperty::Soundness},
+                               SweepConfig())
+                        .Soundness);
 }
 
 //===----------------------------------------------------------------------===//
@@ -133,21 +138,20 @@ SoundnessCounterexample firstViolationByHand(unsigned Width) {
 
 TEST(ParallelSweep, BrokenOperatorYieldsSerialFirstCounterexample) {
   constexpr unsigned Width = 4;
-  AbstractBinaryFn Broken = [](const Tnum &P, const Tnum &Q) {
-    return brokenAdd(P, Q, Width);
-  };
+  CampaignSpec Broken;
+  Broken.OperatorOverride = brokenAdd;
+  Broken.OverrideTag = "broken-add";
   SoundnessCounterexample Expected = firstViolationByHand(Width);
   for (const SweepConfig &Config : kConfigs) {
+    SCOPED_TRACE(::testing::Message() << "threads " << Config.NumThreads
+                                      << " chunk " << Config.ChunkPairs);
     SoundnessReport Report =
-        checkSoundnessExhaustiveParallel(BinaryOp::Add, Broken, Width, Config);
+        runOneCell({BinaryOp::Add, MulAlgorithm::Our, Width,
+                    CampaignProperty::Soundness},
+                   Config, Broken)
+            .Soundness;
     ASSERT_TRUE(Report.Failure.has_value());
-    const SoundnessCounterexample &Got = *Report.Failure;
-    EXPECT_EQ(Got.P, Expected.P);
-    EXPECT_EQ(Got.Q, Expected.Q);
-    EXPECT_EQ(Got.X, Expected.X);
-    EXPECT_EQ(Got.Y, Expected.Y);
-    EXPECT_EQ(Got.Z, Expected.Z);
-    EXPECT_EQ(Got.R, Expected.R);
+    EXPECT_EQ(*Report.Failure, Expected) << Report.Failure->toString(Width);
   }
 }
 
@@ -162,43 +166,30 @@ TEST(ParallelSweep, OptimalityAgreesWithSerialFullScan) {
     SCOPED_TRACE(binaryOpName(Op));
     OptimalityReport Serial = checkOptimalityExhaustive(
         Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false);
-    OptimalityReport Parallel =
-        checkOptimalityExhaustiveParallel(Op, 4, MulAlgorithm::Our, Config);
-    EXPECT_EQ(Serial.PairsChecked, Parallel.PairsChecked);
-    EXPECT_EQ(Serial.OptimalPairs, Parallel.OptimalPairs);
-    ASSERT_EQ(Serial.Failure.has_value(), Parallel.Failure.has_value());
-    if (Serial.Failure) {
-      EXPECT_EQ(Serial.Failure->P, Parallel.Failure->P);
-      EXPECT_EQ(Serial.Failure->Q, Parallel.Failure->Q);
-      EXPECT_EQ(Serial.Failure->Actual, Parallel.Failure->Actual);
-      EXPECT_EQ(Serial.Failure->Optimal, Parallel.Failure->Optimal);
-    }
+    EXPECT_EQ(Serial.isOptimalEverywhere(), Op == BinaryOp::Add);
+    for (const SweepConfig &C : {Config, SweepConfig()})
+      EXPECT_EQ(Serial, runOneCell({Op, MulAlgorithm::Our, 4,
+                                               CampaignProperty::Optimality},
+                                   C)
+                            .Optimality);
   }
-  EXPECT_TRUE(checkOptimalityExhaustiveParallel(BinaryOp::Add, 4)
-                  .isOptimalEverywhere());
-  EXPECT_FALSE(checkOptimalityExhaustiveParallel(BinaryOp::Mul, 4)
-                   .isOptimalEverywhere());
 }
 
 TEST(ParallelSweep, OptimalityStopAtFirstKeepsSerialWitness) {
   OptimalityReport Serial = checkOptimalityExhaustive(
       BinaryOp::Mul, 4, MulAlgorithm::Our, /*StopAtFirst=*/true);
   ASSERT_TRUE(Serial.Failure.has_value());
+  // An early-exit campaign stops at the serial-order first non-optimal
+  // pair and reports the serial prefix counts, whatever the scheduling.
+  CampaignSpec EarlyExit;
+  EarlyExit.OptimalityEarlyExit = true;
   for (const SweepConfig &Config : kConfigs) {
-    OptimalityReport Parallel = checkOptimalityExhaustiveParallel(
-        BinaryOp::Mul, 4, MulAlgorithm::Our, Config, /*StopAtFirst=*/true);
-    ASSERT_TRUE(Parallel.Failure.has_value());
-    // Early exit makes the work counters chunk-granular, but the witness
-    // must still be the serial-order first non-optimal pair.
-    EXPECT_EQ(Serial.Failure->P, Parallel.Failure->P);
-    EXPECT_EQ(Serial.Failure->Q, Parallel.Failure->Q);
-    EXPECT_EQ(Serial.Failure->Actual, Parallel.Failure->Actual);
-    EXPECT_EQ(Serial.Failure->Optimal, Parallel.Failure->Optimal);
-    // Chunks below the failing one always complete, in-flight chunks above
-    // may add a bounded amount of extra work before noticing cancellation.
-    EXPECT_GE(Parallel.PairsChecked, Serial.PairsChecked);
-    uint64_t NumTnums = numWellFormedTnums(4);
-    EXPECT_LE(Parallel.PairsChecked, NumTnums * NumTnums);
+    SCOPED_TRACE(::testing::Message() << "threads " << Config.NumThreads
+                                      << " chunk " << Config.ChunkPairs);
+    EXPECT_EQ(Serial, runOneCell({BinaryOp::Mul, MulAlgorithm::Our, 4,
+                                  CampaignProperty::Optimality},
+                                 Config, EarlyExit)
+                          .Optimality);
   }
 }
 
@@ -296,11 +287,9 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
   Off.Simd = SimdMode::Off;
   Off.NumThreads = 1;
   SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
-  SweepConfig NoTable;
-  NoTable.MemberTableBytesCap = 0;
-  SweepGrid Materialized = makeSweepGrid(Width, NoTable);
+  SweepGrid Materialized = makeSweepGrid(Width, SweepConfig());
+  Materialized.Members.reset(); // Lanes materialized per segment instead.
   ASSERT_TRUE(Grid.Members.has_value());
-  ASSERT_FALSE(Materialized.Members.has_value());
   auto [Begin, End] = midRowRange(Grid);
 
   std::optional<uint64_t> SoundIndex, OptIndex;
@@ -433,27 +422,30 @@ TEST(RowScan, BrokenOperatorsKeepSerialFirstWitnessAndPrefixCounts) {
 }
 
 //===----------------------------------------------------------------------===//
-// The six-algorithm campaign driver
+// The six-algorithm campaign
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelSweep, MulCampaignCoversAllSixAlgorithmsPerWidth) {
-  std::vector<MulSweepResult> Results =
-      sweepMulSoundness({4, 5}, SweepConfig{/*NumThreads=*/2,
-                                            /*ChunkPairs=*/512});
-  ASSERT_EQ(Results.size(), 12u);
-  for (const MulSweepResult &Cell : Results) {
-    SCOPED_TRACE(mulAlgorithmName(Cell.Algorithm));
-    EXPECT_TRUE(Cell.Report.holds());
-    uint64_t NumTnums = numWellFormedTnums(Cell.Width);
-    EXPECT_EQ(Cell.Report.PairsChecked, NumTnums * NumTnums);
+  // The paper's SIII-A multiplication campaign: every algorithm at each
+  // width, as one campaign, against the scalar oracle cell by cell.
+  CampaignSpec Spec;
+  for (MulAlgorithm Alg : AllMulAlgorithms)
+    Spec.addGrid(BinaryOp::Mul, Alg, {4, 5}, {CampaignProperty::Soundness});
+  CampaignResult Campaign = runCampaign(
+      Spec, CampaignIO(), SweepConfig{/*NumThreads=*/2, /*ChunkPairs=*/512});
+  ASSERT_TRUE(Campaign.ok()) << Campaign.Error;
+  ASSERT_TRUE(Campaign.Complete);
+  ASSERT_EQ(Campaign.Cells.size(), 12u);
+  for (const CampaignCellResult &Cell : Campaign.Cells) {
+    SCOPED_TRACE(::testing::Message() << mulAlgorithmName(Cell.Cell.Mul)
+                                      << " width " << Cell.Cell.Width);
+    EXPECT_TRUE(Cell.holds());
+    uint64_t NumTnums = numWellFormedTnums(Cell.Cell.Width);
+    EXPECT_EQ(Cell.Soundness.PairsChecked, NumTnums * NumTnums);
+    EXPECT_EQ(Cell.Soundness, checkSoundnessExhaustive(
+                                  BinaryOp::Mul, Cell.Cell.Width, Cell.Cell.Mul));
     EXPECT_GE(Cell.Seconds, 0.0);
   }
-  // Width-major ordering, all six algorithms per width.
-  EXPECT_EQ(Results[0].Width, 4u);
-  EXPECT_EQ(Results[5].Width, 4u);
-  EXPECT_EQ(Results[6].Width, 5u);
-  EXPECT_EQ(Results[0].Algorithm, MulAlgorithm::Kern);
-  EXPECT_EQ(Results[4].Algorithm, MulAlgorithm::Our);
 }
 
 } // namespace

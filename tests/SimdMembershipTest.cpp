@@ -8,9 +8,9 @@
 /// \file
 /// Differential harness pinning the batched SIMD membership path
 /// (support/SimdBatch.h, tnum/TnumMembers.h, the row scans of
-/// verify/RowScan.h) bit-for-bit to the scalar reference checkers. A
-/// vectorized hot path silently diverging from the reference is the
-/// failure mode this file exists to catch, so every
+/// verify/RowScan.h, and campaigns run on them) bit-for-bit to the scalar
+/// reference checkers. A vectorized hot path silently diverging from the
+/// reference is the failure mode this file exists to catch, so every
 /// assertion compares full reports -- witnesses AND exact work counters --
 /// not just verdicts.
 ///
@@ -24,7 +24,7 @@
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumMembers.h"
 #include "tnum/TnumOps.h"
-#include "verify/ParallelSweep.h"
+#include "verify/Campaign.h"
 #include "verify/RowScan.h"
 
 #include <gtest/gtest.h>
@@ -38,22 +38,13 @@ using namespace tnums;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Batch enumeration: TnumMembers must visit gamma(P) in forEachMember's
-// exact order, batch boundaries included.
+// Materialization: TnumMembers must visit gamma(P) in forEachMember's
+// exact order.
 //===----------------------------------------------------------------------===//
 
 std::vector<uint64_t> membersViaCallback(const Tnum &P) {
   std::vector<uint64_t> Out;
   forEachMember(P, [&](uint64_t X) { Out.push_back(X); });
-  return Out;
-}
-
-std::vector<uint64_t> membersViaStream(const Tnum &P) {
-  std::vector<uint64_t> Out;
-  MemberStream Stream(P);
-  alignas(SimdBatchAlign) uint64_t Buf[SimdBatchLanes];
-  while (unsigned N = Stream.nextBatch(Buf))
-    Out.insert(Out.end(), Buf, Buf + N);
   return Out;
 }
 
@@ -70,33 +61,13 @@ TEST(TnumMembers, MaterializeMatchesForEachMemberOnRandomTnums) {
   }
 }
 
-TEST(TnumMembers, StreamMatchesForEachMemberAcrossBatchBoundaries) {
-  // |gamma| = 2^popcount(mask): exercise < 64 (one short batch), == 64
-  // (exactly one full batch, empty tail), and > 64 (full batches then a
-  // boundary at 256).
-  for (const char *Text : {"0000", "u0u0", "uuuuu0", "uuuuuu", "uuuuuuuu"}) {
-    Tnum P = *Tnum::parse(Text);
-    EXPECT_EQ(membersViaStream(P), membersViaCallback(P)) << Text;
-  }
-}
-
 TEST(TnumMembers, BottomAndConstantEdgeCases) {
   std::vector<uint64_t> Materialized;
   materializeMembers(Tnum::makeBottom(), Materialized);
   EXPECT_TRUE(Materialized.empty());
-  EXPECT_TRUE(membersViaStream(Tnum::makeBottom()).empty());
 
   materializeMembers(Tnum::makeConstant(42), Materialized);
   EXPECT_EQ(Materialized, std::vector<uint64_t>{42});
-
-  MemberStream Stream(Tnum::makeConstant(7));
-  EXPECT_FALSE(Stream.exhausted());
-  Stream.reset();
-  alignas(SimdBatchAlign) uint64_t Buf[SimdBatchLanes];
-  EXPECT_EQ(Stream.nextBatch(Buf), 1u);
-  EXPECT_EQ(Buf[0], 7u);
-  EXPECT_TRUE(Stream.exhausted());
-  EXPECT_EQ(Stream.nextBatch(Buf), 0u);
 }
 
 TEST(TnumMembers, MemberTableSpansAreConsecutiveConcretizations) {
@@ -125,13 +96,12 @@ TEST(TnumMembers, MemberTableBytesSaturatesInsteadOfWrapping) {
   EXPECT_EQ(memberTableBytes(30), uint64_t(1) << 63);
   for (unsigned Width : {31u, 32u, 64u})
     EXPECT_EQ(memberTableBytes(Width), UINT64_MAX) << "width " << Width;
-  SweepConfig Config;
-  EXPECT_LE(memberTableBytes(12), Config.MemberTableBytesCap);
-  EXPECT_GT(memberTableBytes(31), Config.MemberTableBytesCap);
+  EXPECT_LE(memberTableBytes(12), MemberTableBytesCap);
+  EXPECT_GT(memberTableBytes(31), MemberTableBytesCap);
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel differential: every hand-vectorized tier the host can execute
+// Kernel differential: every tier instantiation the host can execute
 // must agree with the portable one on every lane count and every bit
 // pattern we can throw at it.
 //===----------------------------------------------------------------------===//
@@ -178,17 +148,16 @@ TEST(SimdKernels, NeonAgreesWithScalarOnRandomBatches) {
 
 TEST(SimdKernels, ModeParsingIsTotal) {
   EXPECT_EQ(parseSimdMode("auto"), SimdMode::Auto);
-  EXPECT_EQ(parseSimdMode("on"), SimdMode::On); // Legacy alias of auto.
   EXPECT_EQ(parseSimdMode("off"), SimdMode::Off);
   EXPECT_EQ(parseSimdMode("portable"), SimdMode::Portable);
   EXPECT_EQ(parseSimdMode("avx2"), SimdMode::Avx2);
   EXPECT_EQ(parseSimdMode("avx512"), SimdMode::Avx512);
   EXPECT_EQ(parseSimdMode("neon"), SimdMode::Neon);
   EXPECT_EQ(parseSimdMode("fast"), std::nullopt);
+  EXPECT_EQ(parseSimdMode("on"), std::nullopt); // The old alias of auto.
   EXPECT_EQ(parseSimdMode("AVX2"), std::nullopt); // Spellings are exact.
-  for (SimdMode Mode : {SimdMode::Auto, SimdMode::On, SimdMode::Off,
-                        SimdMode::Portable, SimdMode::Avx2, SimdMode::Avx512,
-                        SimdMode::Neon}) {
+  for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off, SimdMode::Portable,
+                        SimdMode::Avx2, SimdMode::Avx512, SimdMode::Neon}) {
     EXPECT_EQ(parseSimdMode(simdModeName(Mode)), Mode);
   }
 }
@@ -200,10 +169,8 @@ TEST(SimdKernels, ModeResolutionIsTotal) {
   EXPECT_STREQ(selectSimdKernels(SimdMode::Portable).Name, "scalar");
   EXPECT_EQ(selectSimdKernels(SimdMode::Portable).Tier, SimdTier::Portable);
 
-  // On/Auto resolve identically to the best tier the host supports
+  // Auto resolves to the best tier the host supports
   // (avx512 > avx2 > neon > portable).
-  EXPECT_STREQ(selectSimdKernels(SimdMode::On).Name,
-               selectSimdKernels(SimdMode::Auto).Name);
   if (cpuHasAvx512())
     EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "avx512");
   else if (cpuHasAvx2())
@@ -243,8 +210,7 @@ TEST(SimdKernels, ModeResolutionIsTotal) {
 
   // The non-forced modes are supported everywhere, and the supported-mode
   // diagnostic list always offers the portable spellings.
-  for (SimdMode Mode :
-       {SimdMode::Auto, SimdMode::On, SimdMode::Off, SimdMode::Portable})
+  for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off, SimdMode::Portable})
     EXPECT_TRUE(simdModeSupported(Mode));
   std::string Supported = supportedSimdModeList();
   EXPECT_NE(Supported.find("auto"), std::string::npos);
@@ -262,9 +228,9 @@ TEST(SimdKernels, ModeResolutionIsTotal) {
 
 /// Every SimdMode spelling; the ones the host lacks resolve to the
 /// portable tier, which must agree just the same.
-constexpr SimdMode AllModes[] = {SimdMode::Off,      SimdMode::On,
+constexpr SimdMode AllModes[] = {SimdMode::Off,    SimdMode::Auto,
                                  SimdMode::Portable, SimdMode::Avx2,
-                                 SimdMode::Avx512,   SimdMode::Neon};
+                                 SimdMode::Avx512, SimdMode::Neon};
 
 /// The lane-loop tiers this host executes.
 std::vector<SimdTier> hostTiers() {
@@ -341,46 +307,51 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-report equivalence: SimdMode::On and SimdMode::Off must produce
-// bit-identical SoundnessReport / OptimalityReport contents.
+// Whole-report equivalence: a campaign in every SimdMode must report
+// exactly what the scalar serial checkers report.
 //===----------------------------------------------------------------------===//
+
+/// \p Spec as one in-memory campaign under \p Config.
+CampaignResult runInMemory(const CampaignSpec &Spec,
+                           const SweepConfig &Config) {
+  CampaignResult Campaign = runCampaign(Spec, CampaignIO(), Config);
+  EXPECT_TRUE(Campaign.ok()) << Campaign.Error;
+  EXPECT_TRUE(Campaign.Complete);
+  return Campaign;
+}
 
 TEST(SimdSweep, SerialSoundnessBitIdenticalAcrossModesAtWidth4) {
   // Forced tiers the host lacks silently fall back to portable, so every
   // mode -- including neon on x86 or avx512 on an old Xeon -- must still
   // reproduce the scalar reference report exactly.
-  for (BinaryOp Op : AllBinaryOps) {
-    SCOPED_TRACE(binaryOpName(Op));
-    SoundnessReport Off =
-        checkSoundnessExhaustive(Op, 4, MulAlgorithm::Our, SimdMode::Off);
-    for (SimdMode Mode : {SimdMode::On, SimdMode::Portable, SimdMode::Avx2,
-                          SimdMode::Avx512, SimdMode::Neon}) {
-      SCOPED_TRACE(simdModeName(Mode));
-      SoundnessReport On =
-          checkSoundnessExhaustive(Op, 4, MulAlgorithm::Our, Mode);
-      EXPECT_EQ(Off.holds(), On.holds());
-      EXPECT_EQ(Off.PairsChecked, On.PairsChecked);
-      EXPECT_EQ(Off.ConcreteChecked, On.ConcreteChecked);
-    }
+  CampaignSpec Spec;
+  for (BinaryOp Op : AllBinaryOps)
+    Spec.addGrid(Op, MulAlgorithm::Our, {4}, {CampaignProperty::Soundness});
+  for (SimdMode Mode : AllModes) {
+    SCOPED_TRACE(simdModeName(Mode));
+    SweepConfig Config;
+    Config.Simd = Mode;
+    CampaignResult Campaign = runInMemory(Spec, Config);
+    for (const CampaignCellResult &Cell : Campaign.Cells)
+      EXPECT_EQ(checkSoundnessExhaustive(Cell.Cell.Op, 4), Cell.Soundness)
+          << binaryOpName(Cell.Cell.Op);
   }
 }
 
 TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
-  for (BinaryOp Op : {BinaryOp::Add, BinaryOp::Mul, BinaryOp::Div}) {
-    SCOPED_TRACE(binaryOpName(Op));
-    OptimalityReport Off = checkOptimalityExhaustive(
-        Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::Off);
-    OptimalityReport On = checkOptimalityExhaustive(
-        Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::On);
-    EXPECT_EQ(Off.PairsChecked, On.PairsChecked);
-    EXPECT_EQ(Off.OptimalPairs, On.OptimalPairs);
-    ASSERT_EQ(Off.Failure.has_value(), On.Failure.has_value());
-    if (Off.Failure) {
-      EXPECT_EQ(Off.Failure->P, On.Failure->P);
-      EXPECT_EQ(Off.Failure->Q, On.Failure->Q);
-      EXPECT_EQ(Off.Failure->Actual, On.Failure->Actual);
-      EXPECT_EQ(Off.Failure->Optimal, On.Failure->Optimal);
-    }
+  CampaignSpec Spec;
+  for (BinaryOp Op : {BinaryOp::Add, BinaryOp::Mul, BinaryOp::Div})
+    Spec.addGrid(Op, MulAlgorithm::Our, {4}, {CampaignProperty::Optimality});
+  for (SimdMode Mode : AllModes) {
+    SCOPED_TRACE(simdModeName(Mode));
+    SweepConfig Config;
+    Config.Simd = Mode;
+    CampaignResult Campaign = runInMemory(Spec, Config);
+    for (const CampaignCellResult &Cell : Campaign.Cells)
+      EXPECT_EQ(checkOptimalityExhaustive(Cell.Cell.Op, 4, MulAlgorithm::Our,
+                                          /*StopAtFirst=*/false),
+                Cell.Optimality)
+          << binaryOpName(Cell.Cell.Op);
   }
 }
 
@@ -425,7 +396,7 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
         for (auto [Lhs, Rhs] : {std::pair{P, Q}, std::pair{Q, P}}) {
           Tnum Scalar = optimalAbstractBinary(Op, Lhs, Rhs, Width);
           for (SimdMode Mode :
-               {SimdMode::Off, SimdMode::On, SimdMode::Portable}) {
+               {SimdMode::Off, SimdMode::Auto, SimdMode::Portable}) {
             Tnum Row;
             optimalAbstractRow(materializeRow(Op, Width,
                                               selectSimdKernels(Mode).Tier,
@@ -454,27 +425,24 @@ TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
       {/*NumThreads=*/3, /*ChunkPairs=*/17},
       {/*NumThreads=*/0, /*ChunkPairs=*/4096},
   };
+  CampaignSpec Spec;
   for (BinaryOp Op : {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul,
-                      BinaryOp::Div}) {
-    SCOPED_TRACE(binaryOpName(Op));
-    OptimalityReport Reference = checkOptimalityExhaustive(
-        Op, Width, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::Off);
-    for (SimdMode Mode : {SimdMode::Off, SimdMode::Portable, SimdMode::Auto}) {
-      for (SweepConfig Config : Schedulers) {
-        Config.Simd = Mode;
-        OptimalityReport Report = checkOptimalityExhaustiveParallel(
-            Op, Width, MulAlgorithm::Our, Config);
-        SCOPED_TRACE(simdModeName(Mode));
-        EXPECT_EQ(Reference.PairsChecked, Report.PairsChecked);
-        EXPECT_EQ(Reference.OptimalPairs, Report.OptimalPairs);
-        ASSERT_EQ(Reference.Failure.has_value(), Report.Failure.has_value());
-        if (Reference.Failure) {
-          EXPECT_EQ(Reference.Failure->P, Report.Failure->P);
-          EXPECT_EQ(Reference.Failure->Q, Report.Failure->Q);
-          EXPECT_EQ(Reference.Failure->Actual, Report.Failure->Actual);
-          EXPECT_EQ(Reference.Failure->Optimal, Report.Failure->Optimal);
-        }
-      }
+                      BinaryOp::Div})
+    Spec.addGrid(Op, MulAlgorithm::Our, {Width},
+                 {CampaignProperty::Optimality});
+  for (SimdMode Mode : {SimdMode::Off, SimdMode::Portable, SimdMode::Auto}) {
+    for (SweepConfig Config : Schedulers) {
+      Config.Simd = Mode;
+      SCOPED_TRACE(::testing::Message()
+                   << simdModeName(Mode) << " threads " << Config.NumThreads
+                   << " chunk " << Config.ChunkPairs);
+      CampaignResult Campaign = runInMemory(Spec, Config);
+      for (const CampaignCellResult &Cell : Campaign.Cells)
+        EXPECT_EQ(checkOptimalityExhaustive(Cell.Cell.Op, Width,
+                                            MulAlgorithm::Our,
+                                            /*StopAtFirst=*/false),
+                  Cell.Optimality)
+            << binaryOpName(Cell.Cell.Op);
     }
   }
 }
@@ -498,18 +466,22 @@ Tnum brokenAdd(const Tnum &P, const Tnum &Q, unsigned Width) {
 
 TEST(SimdSweep, BrokenOperatorWitnessDeterministicAcrossSchedulersAndModes) {
   constexpr unsigned Width = 4;
-  AbstractBinaryFn Broken = [](const Tnum &P, const Tnum &Q) {
-    return brokenAdd(P, Q, Width);
-  };
-  // Scalar serial-order-first reference witness.
-  SweepConfig Reference;
-  Reference.NumThreads = 1;
-  Reference.ChunkPairs = 1;
-  Reference.Simd = SimdMode::Off;
-  SoundnessReport Expected =
-      checkSoundnessExhaustiveParallel(BinaryOp::Add, Broken, Width, Reference);
+  // Reference: the scalar range scan on one thread walks the grid in
+  // serial order and stops at the violation, so its witness and counters
+  // are the serial ones a campaign must reproduce.
+  const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
+  SweepGrid Grid = makeSweepGrid(Width, Serial);
+  SoundnessReport Expected = checkSoundnessRangeParallel(
+      BinaryOp::Add,
+      [](const Tnum &P, const Tnum &Q) { return brokenAdd(P, Q, Width); },
+      Grid, 0, Grid.TotalPairs, Serial);
   ASSERT_TRUE(Expected.Failure.has_value());
 
+  CampaignSpec Spec;
+  Spec.addGrid(BinaryOp::Add, MulAlgorithm::Our, {Width},
+               {CampaignProperty::Soundness});
+  Spec.OperatorOverride = brokenAdd;
+  Spec.OverrideTag = "broken-add";
   const SweepConfig Schedulers[] = {
       {/*NumThreads=*/1, /*ChunkPairs=*/1},
       {/*NumThreads=*/2, /*ChunkPairs=*/7},
@@ -517,26 +489,19 @@ TEST(SimdSweep, BrokenOperatorWitnessDeterministicAcrossSchedulersAndModes) {
       {/*NumThreads=*/8, /*ChunkPairs=*/4096},
       {/*NumThreads=*/0, /*ChunkPairs=*/257},
   };
-  for (SimdMode Mode : {SimdMode::Off, SimdMode::On, SimdMode::Auto,
-                        SimdMode::Portable}) {
+  for (SimdMode Mode : {SimdMode::Off, SimdMode::Auto, SimdMode::Portable}) {
     for (SweepConfig Config : Schedulers) {
       Config.Simd = Mode;
-      SoundnessReport Report = checkSoundnessExhaustiveParallel(
-          BinaryOp::Add, Broken, Width, Config);
-      SCOPED_TRACE(simdModeName(Mode));
-      ASSERT_TRUE(Report.Failure.has_value());
-      EXPECT_EQ(Report.Failure->P, Expected.Failure->P);
-      EXPECT_EQ(Report.Failure->Q, Expected.Failure->Q);
-      EXPECT_EQ(Report.Failure->X, Expected.Failure->X);
-      EXPECT_EQ(Report.Failure->Y, Expected.Failure->Y);
-      EXPECT_EQ(Report.Failure->Z, Expected.Failure->Z);
-      EXPECT_EQ(Report.Failure->R, Expected.Failure->R);
+      SCOPED_TRACE(::testing::Message()
+                   << simdModeName(Mode) << " threads " << Config.NumThreads
+                   << " chunk " << Config.ChunkPairs);
+      EXPECT_EQ(Expected, runInMemory(Spec, Config).Cells.at(0).Soundness);
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel monotonicity agrees with the serial checker, witness included
+// Campaign monotonicity agrees with the serial checker, witness included
 // (kern_mul is non-monotone at width 5 -- a real, deterministic witness).
 //===----------------------------------------------------------------------===//
 
@@ -544,30 +509,27 @@ TEST(SimdSweep, ParallelMonotonicityAgreesWithSerial) {
   // Monotone case: exact quadruple totals must match.
   MonotonicityReport Serial =
       checkMonotonicityExhaustive(BinaryOp::Add, 4, MulAlgorithm::Our);
-  MonotonicityReport Parallel = checkMonotonicityExhaustiveParallel(
-      BinaryOp::Add, 4, MulAlgorithm::Our,
-      SweepConfig{/*NumThreads=*/4, /*ChunkPairs=*/64});
   EXPECT_TRUE(Serial.holds());
-  EXPECT_TRUE(Parallel.holds());
-  EXPECT_EQ(Serial.QuadruplesChecked, Parallel.QuadruplesChecked);
+  CampaignSpec Add;
+  Add.addGrid(BinaryOp::Add, MulAlgorithm::Our, {4},
+              {CampaignProperty::Monotonicity});
+  EXPECT_EQ(Serial,
+            runInMemory(Add, SweepConfig{/*NumThreads=*/4, /*ChunkPairs=*/64})
+                .Cells.at(0)
+                .Monotonicity);
 
-  // Non-monotone case: the witness must be the serial-order first one for
-  // every scheduler shape.
+  // Non-monotone case: the witness and the serial prefix counts for every
+  // scheduler shape.
   MonotonicityReport SerialBad =
       checkMonotonicityExhaustive(BinaryOp::Mul, 5, MulAlgorithm::Kern);
   ASSERT_FALSE(SerialBad.holds());
+  CampaignSpec Kern;
+  Kern.addGrid(BinaryOp::Mul, MulAlgorithm::Kern, {5},
+               {CampaignProperty::Monotonicity});
   for (const SweepConfig &Config :
-       {SweepConfig{1, 1}, SweepConfig{3, 100}, SweepConfig{0, 4096}}) {
-    MonotonicityReport ParallelBad = checkMonotonicityExhaustiveParallel(
-        BinaryOp::Mul, 5, MulAlgorithm::Kern, Config);
-    ASSERT_FALSE(ParallelBad.holds());
-    EXPECT_EQ(SerialBad.Failure->P1, ParallelBad.Failure->P1);
-    EXPECT_EQ(SerialBad.Failure->Q1, ParallelBad.Failure->Q1);
-    EXPECT_EQ(SerialBad.Failure->P2, ParallelBad.Failure->P2);
-    EXPECT_EQ(SerialBad.Failure->Q2, ParallelBad.Failure->Q2);
-    EXPECT_EQ(SerialBad.Failure->R1, ParallelBad.Failure->R1);
-    EXPECT_EQ(SerialBad.Failure->R2, ParallelBad.Failure->R2);
-  }
+       {SweepConfig{1, 1}, SweepConfig{3, 100}, SweepConfig{0, 4096}})
+    EXPECT_EQ(SerialBad, runInMemory(Kern, Config).Cells.at(0).Monotonicity)
+        << "threads " << Config.NumThreads;
 }
 
 //===----------------------------------------------------------------------===//
@@ -576,24 +538,23 @@ TEST(SimdSweep, ParallelMonotonicityAgreesWithSerial) {
 //===----------------------------------------------------------------------===//
 
 void expectMulCampaignBitIdentical(unsigned Width) {
+  // The scalar serial checker: the pre-batching reference.
+  CampaignSpec Spec;
+  std::vector<SoundnessReport> Reference;
   for (MulAlgorithm Alg : AllMulAlgorithms) {
-    SCOPED_TRACE(mulAlgorithmName(Alg));
-    // Scalar serial checker: the pre-batching reference.
-    SoundnessReport Reference =
-        checkSoundnessExhaustive(BinaryOp::Mul, Width, Alg, SimdMode::Off);
-    // SIMD path, serial and parallel scheduling.
-    SoundnessReport Simd =
-        checkSoundnessExhaustive(BinaryOp::Mul, Width, Alg, SimdMode::On);
-    SweepConfig Config;
-    Config.Simd = SimdMode::On;
-    SoundnessReport Parallel =
-        checkSoundnessExhaustiveParallel(BinaryOp::Mul, Width, Alg, Config);
-    for (const SoundnessReport *Report : {&Simd, &Parallel}) {
-      EXPECT_TRUE(Report->holds());
-      EXPECT_EQ(Reference.PairsChecked, Report->PairsChecked);
-      EXPECT_EQ(Reference.ConcreteChecked, Report->ConcreteChecked);
-    }
-    EXPECT_TRUE(Reference.holds());
+    Spec.addGrid(BinaryOp::Mul, Alg, {Width}, {CampaignProperty::Soundness});
+    Reference.push_back(checkSoundnessExhaustive(BinaryOp::Mul, Width, Alg));
+    EXPECT_TRUE(Reference.back().holds()) << mulAlgorithmName(Alg);
+  }
+  // The SIMD path, serial and parallel scheduling.
+  SweepConfig OneThread;
+  OneThread.NumThreads = 1;
+  for (const SweepConfig &Config : {OneThread, SweepConfig()}) {
+    CampaignResult Campaign = runInMemory(Spec, Config);
+    for (size_t I = 0; I != Reference.size(); ++I)
+      EXPECT_EQ(Reference[I], Campaign.Cells.at(I).Soundness)
+          << mulAlgorithmName(Spec.Cells[I].Mul) << ", threads "
+          << Config.NumThreads;
   }
 }
 
