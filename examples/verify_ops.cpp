@@ -52,17 +52,6 @@ static std::optional<MulAlgorithm> parseMulAlgorithm(const char *Name) {
   return std::nullopt;
 }
 
-/// Appends \p Op's soundness and optimality cells to \p Spec, or returns
-/// false when the width rules the operator out.
-static bool addCells(BinaryOp Op, unsigned Width, MulAlgorithm Mul,
-                     CampaignSpec &Spec) {
-  if (isShiftOp(Op) && (Width & (Width - 1)) != 0)
-    return false;
-  Spec.addGrid(Op, Op == BinaryOp::Mul ? Mul : MulAlgorithm::Our, {Width},
-               {CampaignProperty::Soundness, CampaignProperty::Optimality});
-  return true;
-}
-
 int main(int Argc, char **Argv) {
   unsigned Width = 4;
   MulAlgorithm Mul = MulAlgorithm::Our;
@@ -97,11 +86,17 @@ int main(int Argc, char **Argv) {
     Ops.push_back(*Only);
   else
     Ops.assign(std::begin(AllBinaryOps), std::end(AllBinaryOps));
+  // One soundness and one early-exit optimality cell per operator the width
+  // admits (shifts need a power of two).
+  auto Admitted = [Width](BinaryOp Op) {
+    return !isShiftOp(Op) || (Width & (Width - 1)) == 0;
+  };
   CampaignSpec Spec;
   Spec.OptimalityEarlyExit = true; // The first witness is enough here.
-  std::vector<bool> Checked;
   for (BinaryOp Op : Ops)
-    Checked.push_back(addCells(Op, Width, Mul, Spec));
+    if (Admitted(Op))
+      Spec.addGrid(Op, Op == BinaryOp::Mul ? Mul : MulAlgorithm::Our, {Width},
+                   {CampaignProperty::Soundness, CampaignProperty::Optimality});
   // Hardware concurrency, the host's best row-scan tier, in memory.
   CampaignResult Campaign = runCampaign(Spec, CampaignIO(), SweepConfig());
   if (!Campaign.ok()) {
@@ -113,16 +108,16 @@ int main(int Argc, char **Argv) {
               mulAlgorithmName(Mul));
   TextTable Table({"op", "width", "soundness", "optimality", "evals"});
   size_t Cell = 0;
-  for (size_t I = 0; I != Ops.size(); ++I) {
-    if (!Checked[I]) {
-      Table.addRowOf(binaryOpName(Ops[I]), Width, "skipped (width not 2^k)",
-                     "-", "-");
+  for (BinaryOp Op : Ops) {
+    if (!Admitted(Op)) {
+      Table.addRowOf(binaryOpName(Op), Width, "skipped (width not 2^k)", "-",
+                     "-");
       continue;
     }
     const SoundnessReport &Sound = Campaign.Cells[Cell++].Soundness;
     const OptimalityReport &Precise = Campaign.Cells[Cell++].Optimality;
     Table.addRowOf(
-        binaryOpName(Ops[I]), Width,
+        binaryOpName(Op), Width,
         Sound.holds() ? "sound" : Sound.Failure->toString(Width).c_str(),
         Precise.isOptimalEverywhere()
             ? std::string("optimal")

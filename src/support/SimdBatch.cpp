@@ -90,8 +90,10 @@ namespace {
 
 [[gnu::always_inline]] inline uint64_t
 nonMemberMaskBody(const uint64_t *Z, unsigned N, uint64_t V, uint64_t NotM) {
+  // A 64-bit lane index: GCC vectorizes the per-lane shift only when the
+  // shift count has the width of the shifted lanes.
   uint64_t Mask = 0;
-  for (unsigned I = 0; I != N; ++I)
+  for (uint64_t I = 0; I != N; ++I)
     Mask |= uint64_t((Z[I] & NotM) != V) << I;
   return Mask;
 }

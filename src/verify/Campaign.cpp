@@ -1377,7 +1377,7 @@ CampaignDiffResult tnums::diffCampaignBaseline(const CampaignSpec &Spec,
   return Diff;
 }
 
-uint64_t tnums::printPrecisionDeltas(const CampaignSpec &Spec,
+uint64_t tnums::printPrecisionDeltas([[maybe_unused]] const CampaignSpec &Spec,
                                      const CampaignDiffResult &Diff,
                                      const CampaignResult &Current,
                                      std::FILE *Out) {

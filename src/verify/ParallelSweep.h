@@ -83,8 +83,9 @@ struct SweepConfig {
 /// Budget for memoizing the per-universe member table
 /// (tnum/TnumMembers.h): when gamma of the whole universe fits
 /// (memberTableBytes(width) <= cap), the row scans read each segment's
-/// lanes straight from it instead of materializing them per segment. The
-/// cap covers widths <= 12 (128 MiB). Bit-identical reports either way.
+/// lanes straight from it instead of materializing them per segment.
+/// 256 MiB covers widths <= 12 (128 MiB at width 12). Bit-identical
+/// reports either way.
 inline constexpr uint64_t MemberTableBytesCap = uint64_t(1) << 28;
 
 /// An abstract binary transfer function as the sweep sees it: inputs are

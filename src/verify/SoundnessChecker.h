@@ -20,7 +20,7 @@
 /// on failure.
 ///
 /// The exhaustive checker is the scalar oracle: a plain walk of every pair
-/// and every member pair, sharing no code with the batched engine
+/// and every member pair that calls nothing in the batched engine
 /// (verify/ParallelSweep.h, verify/RowScan.h). Every faster path is
 /// trusted only because a test proves its reports equal to this walk's.
 ///

@@ -57,11 +57,9 @@ TEST(ParallelSweep, AgreesWithSerialOnEveryOperatorAtWidth4) {
     SCOPED_TRACE(binaryOpName(Op));
     SoundnessReport Serial = checkSoundnessExhaustive(Op, 4);
     EXPECT_TRUE(Serial.holds());
+    CampaignCell Cell{Op, MulAlgorithm::Our, 4, CampaignProperty::Soundness};
     for (const SweepConfig &Config : kConfigs)
-      EXPECT_EQ(Serial, runOneCell({Op, MulAlgorithm::Our, 4,
-                                               CampaignProperty::Soundness},
-                                   Config)
-                            .Soundness);
+      EXPECT_EQ(Serial, runOneCell(Cell, Config).Soundness);
   }
 }
 
@@ -71,10 +69,8 @@ TEST(ParallelSweep, AgreesWithSerialOnEveryMulAlgorithmAtWidth5) {
     SCOPED_TRACE(mulAlgorithmName(Alg));
     SoundnessReport Serial = checkSoundnessExhaustive(BinaryOp::Mul, 5, Alg);
     EXPECT_TRUE(Serial.holds());
-    EXPECT_EQ(Serial, runOneCell({BinaryOp::Mul, Alg, 5,
-                                             CampaignProperty::Soundness},
-                                 Config)
-                          .Soundness);
+    CampaignCell Cell{BinaryOp::Mul, Alg, 5, CampaignProperty::Soundness};
+    EXPECT_EQ(Serial, runOneCell(Cell, Config).Soundness);
   }
 }
 
@@ -86,10 +82,9 @@ TEST(ParallelSweep, AgreesWithSerialAtWidth8WhenSlowTestsEnabled) {
   SoundnessReport Serial =
       checkSoundnessExhaustive(BinaryOp::Mul, 8, MulAlgorithm::Our);
   EXPECT_TRUE(Serial.holds());
-  EXPECT_EQ(Serial, runOneCell({BinaryOp::Mul, MulAlgorithm::Our,
-                                           8, CampaignProperty::Soundness},
-                               SweepConfig())
-                        .Soundness);
+  CampaignCell Cell{BinaryOp::Mul, MulAlgorithm::Our, 8,
+                    CampaignProperty::Soundness};
+  EXPECT_EQ(Serial, runOneCell(Cell, SweepConfig()).Soundness);
 }
 
 //===----------------------------------------------------------------------===//
@@ -138,6 +133,8 @@ SoundnessCounterexample firstViolationByHand(unsigned Width) {
 
 TEST(ParallelSweep, BrokenOperatorYieldsSerialFirstCounterexample) {
   constexpr unsigned Width = 4;
+  CampaignCell Cell{BinaryOp::Add, MulAlgorithm::Our, Width,
+                    CampaignProperty::Soundness};
   CampaignSpec Broken;
   Broken.OperatorOverride = brokenAdd;
   Broken.OverrideTag = "broken-add";
@@ -145,11 +142,7 @@ TEST(ParallelSweep, BrokenOperatorYieldsSerialFirstCounterexample) {
   for (const SweepConfig &Config : kConfigs) {
     SCOPED_TRACE(::testing::Message() << "threads " << Config.NumThreads
                                       << " chunk " << Config.ChunkPairs);
-    SoundnessReport Report =
-        runOneCell({BinaryOp::Add, MulAlgorithm::Our, Width,
-                    CampaignProperty::Soundness},
-                   Config, Broken)
-            .Soundness;
+    SoundnessReport Report = runOneCell(Cell, Config, Broken).Soundness;
     ASSERT_TRUE(Report.Failure.has_value());
     EXPECT_EQ(*Report.Failure, Expected) << Report.Failure->toString(Width);
   }
@@ -167,11 +160,9 @@ TEST(ParallelSweep, OptimalityAgreesWithSerialFullScan) {
     OptimalityReport Serial = checkOptimalityExhaustive(
         Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false);
     EXPECT_EQ(Serial.isOptimalEverywhere(), Op == BinaryOp::Add);
+    CampaignCell Cell{Op, MulAlgorithm::Our, 4, CampaignProperty::Optimality};
     for (const SweepConfig &C : {Config, SweepConfig()})
-      EXPECT_EQ(Serial, runOneCell({Op, MulAlgorithm::Our, 4,
-                                               CampaignProperty::Optimality},
-                                   C)
-                            .Optimality);
+      EXPECT_EQ(Serial, runOneCell(Cell, C).Optimality);
   }
 }
 
@@ -181,15 +172,14 @@ TEST(ParallelSweep, OptimalityStopAtFirstKeepsSerialWitness) {
   ASSERT_TRUE(Serial.Failure.has_value());
   // An early-exit campaign stops at the serial-order first non-optimal
   // pair and reports the serial prefix counts, whatever the scheduling.
+  CampaignCell Cell{BinaryOp::Mul, MulAlgorithm::Our, 4,
+                    CampaignProperty::Optimality};
   CampaignSpec EarlyExit;
   EarlyExit.OptimalityEarlyExit = true;
   for (const SweepConfig &Config : kConfigs) {
     SCOPED_TRACE(::testing::Message() << "threads " << Config.NumThreads
                                       << " chunk " << Config.ChunkPairs);
-    EXPECT_EQ(Serial, runOneCell({BinaryOp::Mul, MulAlgorithm::Our, 4,
-                                  CampaignProperty::Optimality},
-                                 Config, EarlyExit)
-                          .Optimality);
+    EXPECT_EQ(Serial, runOneCell(Cell, Config, EarlyExit).Optimality);
   }
 }
 
@@ -442,8 +432,9 @@ TEST(ParallelSweep, MulCampaignCoversAllSixAlgorithmsPerWidth) {
     EXPECT_TRUE(Cell.holds());
     uint64_t NumTnums = numWellFormedTnums(Cell.Cell.Width);
     EXPECT_EQ(Cell.Soundness.PairsChecked, NumTnums * NumTnums);
-    EXPECT_EQ(Cell.Soundness, checkSoundnessExhaustive(
-                                  BinaryOp::Mul, Cell.Cell.Width, Cell.Cell.Mul));
+    EXPECT_EQ(Cell.Soundness, checkSoundnessExhaustive(BinaryOp::Mul,
+                                                       Cell.Cell.Width,
+                                                       Cell.Cell.Mul));
     EXPECT_GE(Cell.Seconds, 0.0);
   }
 }

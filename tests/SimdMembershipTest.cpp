@@ -228,9 +228,9 @@ TEST(SimdKernels, ModeResolutionIsTotal) {
 
 /// Every SimdMode spelling; the ones the host lacks resolve to the
 /// portable tier, which must agree just the same.
-constexpr SimdMode AllModes[] = {SimdMode::Off,    SimdMode::Auto,
+constexpr SimdMode AllModes[] = {SimdMode::Off,      SimdMode::Auto,
                                  SimdMode::Portable, SimdMode::Avx2,
-                                 SimdMode::Avx512, SimdMode::Neon};
+                                 SimdMode::Avx512,   SimdMode::Neon};
 
 /// The lane-loop tiers this host executes.
 std::vector<SimdTier> hostTiers() {
