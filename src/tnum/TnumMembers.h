@@ -53,9 +53,6 @@ public:
   /// stored, so the caller gates construction on memberTableBytes().
   explicit MemberTable(const std::vector<Tnum> &Universe);
 
-  /// |gamma(U[i])|.
-  uint64_t numMembers(size_t I) const { return Offsets[I + 1] - Offsets[I]; }
-
   /// gamma(U[Begin]) ++ ... ++ gamma(U[End - 1]) as one flat span.
   std::span<const uint64_t> span(size_t Begin, size_t End) const {
     return {Flat.data() + Offsets[Begin], Offsets[End] - Offsets[Begin]};

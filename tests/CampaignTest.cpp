@@ -81,66 +81,6 @@ CampaignSpec mixedSpec(bool EarlyExit) {
   return Spec;
 }
 
-void expectSameSoundness(const SoundnessReport &Want,
-                         const SoundnessReport &Got) {
-  EXPECT_EQ(Want.PairsChecked, Got.PairsChecked);
-  EXPECT_EQ(Want.ConcreteChecked, Got.ConcreteChecked);
-  ASSERT_EQ(Want.Failure.has_value(), Got.Failure.has_value());
-  if (Want.Failure) {
-    EXPECT_EQ(Want.Failure->P, Got.Failure->P);
-    EXPECT_EQ(Want.Failure->Q, Got.Failure->Q);
-    EXPECT_EQ(Want.Failure->X, Got.Failure->X);
-    EXPECT_EQ(Want.Failure->Y, Got.Failure->Y);
-    EXPECT_EQ(Want.Failure->Z, Got.Failure->Z);
-    EXPECT_EQ(Want.Failure->R, Got.Failure->R);
-  }
-}
-
-void expectSameOptimality(const OptimalityReport &Want,
-                          const OptimalityReport &Got) {
-  EXPECT_EQ(Want.PairsChecked, Got.PairsChecked);
-  EXPECT_EQ(Want.OptimalPairs, Got.OptimalPairs);
-  ASSERT_EQ(Want.Failure.has_value(), Got.Failure.has_value());
-  if (Want.Failure) {
-    EXPECT_EQ(Want.Failure->P, Got.Failure->P);
-    EXPECT_EQ(Want.Failure->Q, Got.Failure->Q);
-    EXPECT_EQ(Want.Failure->Actual, Got.Failure->Actual);
-    EXPECT_EQ(Want.Failure->Optimal, Got.Failure->Optimal);
-  }
-}
-
-void expectSameMonotonicity(const MonotonicityReport &Want,
-                            const MonotonicityReport &Got) {
-  EXPECT_EQ(Want.QuadruplesChecked, Got.QuadruplesChecked);
-  ASSERT_EQ(Want.Failure.has_value(), Got.Failure.has_value());
-  if (Want.Failure) {
-    EXPECT_EQ(Want.Failure->P1, Got.Failure->P1);
-    EXPECT_EQ(Want.Failure->Q1, Got.Failure->Q1);
-    EXPECT_EQ(Want.Failure->P2, Got.Failure->P2);
-    EXPECT_EQ(Want.Failure->Q2, Got.Failure->Q2);
-    EXPECT_EQ(Want.Failure->R1, Got.Failure->R1);
-    EXPECT_EQ(Want.Failure->R2, Got.Failure->R2);
-  }
-}
-
-void expectSamePrecision(const PrecisionReport &Want,
-                         const PrecisionReport &Got) {
-  EXPECT_EQ(Want.PairsChecked, Got.PairsChecked);
-  EXPECT_EQ(Want.SumGap, Got.SumGap);
-  EXPECT_EQ(Want.MaxGap, Got.MaxGap);
-  for (unsigned Bucket = 0; Bucket != PrecisionGapBuckets; ++Bucket)
-    EXPECT_EQ(Want.Buckets[Bucket], Got.Buckets[Bucket]) << "bucket "
-                                                         << Bucket;
-  ASSERT_EQ(Want.Worst.has_value(), Got.Worst.has_value());
-  if (Want.Worst) {
-    EXPECT_EQ(Want.Worst->P, Got.Worst->P);
-    EXPECT_EQ(Want.Worst->Q, Got.Worst->Q);
-    EXPECT_EQ(Want.Worst->Actual, Got.Worst->Actual);
-    EXPECT_EQ(Want.Worst->Optimal, Got.Worst->Optimal);
-    EXPECT_EQ(Want.Worst->Gap, Got.Worst->Gap);
-  }
-}
-
 /// Asserts the merged campaign equals the SERIAL checkers bit for bit:
 /// the strongest form of the determinism contract (the parallel engines'
 /// own counters are only scheduling-independent when the property holds;
@@ -160,25 +100,22 @@ void expectMatchesSerialCheckers(const CampaignSpec &Spec,
     EXPECT_TRUE(Got.Complete);
     switch (Cell.Property) {
     case CampaignProperty::Soundness:
-      expectSameSoundness(
-          checkSoundnessExhaustive(Cell.Op, Cell.Width, Cell.Mul),
-          Got.Soundness);
+      EXPECT_EQ(checkSoundnessExhaustive(Cell.Op, Cell.Width, Cell.Mul),
+                Got.Soundness);
       break;
     case CampaignProperty::Optimality:
-      expectSameOptimality(
+      EXPECT_EQ(
           checkOptimalityExhaustive(Cell.Op, Cell.Width, Cell.Mul,
                                     /*StopAtFirst=*/Spec.OptimalityEarlyExit),
           Got.Optimality);
       break;
     case CampaignProperty::Monotonicity:
-      expectSameMonotonicity(
-          checkMonotonicityExhaustive(Cell.Op, Cell.Width, Cell.Mul),
-          Got.Monotonicity);
+      EXPECT_EQ(checkMonotonicityExhaustive(Cell.Op, Cell.Width, Cell.Mul),
+                Got.Monotonicity);
       break;
     case CampaignProperty::Precision:
-      expectSamePrecision(
-          measurePrecisionGap(Cell.Op, Cell.Width, Cell.Mul),
-          Got.Precision);
+      EXPECT_EQ(measurePrecisionGap(Cell.Op, Cell.Width, Cell.Mul),
+                Got.Precision);
       break;
     }
   }
@@ -217,10 +154,9 @@ TEST(Campaign, EarlyExitSkipsShardsPastTheWitness) {
   ASSERT_TRUE(Campaign.Complete);
   EXPECT_GT(Campaign.ShardsSkipped, 0u);
   EXPECT_LT(Campaign.ShardsRun, Campaign.ShardsTotal);
-  expectSameOptimality(checkOptimalityExhaustive(BinaryOp::Mul, 4,
-                                                 MulAlgorithm::Our,
-                                                 /*StopAtFirst=*/true),
-                       Campaign.Cells[0].Optimality);
+  EXPECT_EQ(checkOptimalityExhaustive(BinaryOp::Mul, 4, MulAlgorithm::Our,
+                                      /*StopAtFirst=*/true),
+            Campaign.Cells[0].Optimality);
 }
 
 //===----------------------------------------------------------------------===//
@@ -415,7 +351,7 @@ TEST(Campaign, BrokenOperatorWitnessSurvivesKillResumeAndSplit) {
     CampaignResult Campaign = runCampaign(Spec, IO, Config);
     ASSERT_TRUE(Campaign.ok()) << Campaign.Error;
     ASSERT_TRUE(Campaign.Complete);
-    expectSameSoundness(Want, Campaign.Cells[0].Soundness);
+    EXPECT_EQ(Want, Campaign.Cells[0].Soundness);
     // The failing shard is terminal: the cell needs no shards past it.
     EXPECT_FALSE(Campaign.Cells[0].holds());
   }
@@ -652,18 +588,16 @@ void expectSameCampaign(const CampaignResult &Want,
     SCOPED_TRACE(testing::Message() << "cell " << I);
     switch (Want.Cells[I].Cell.Property) {
     case CampaignProperty::Soundness:
-      expectSameSoundness(Want.Cells[I].Soundness, Got.Cells[I].Soundness);
+      EXPECT_EQ(Want.Cells[I].Soundness, Got.Cells[I].Soundness);
       break;
     case CampaignProperty::Optimality:
-      expectSameOptimality(Want.Cells[I].Optimality,
-                           Got.Cells[I].Optimality);
+      EXPECT_EQ(Want.Cells[I].Optimality, Got.Cells[I].Optimality);
       break;
     case CampaignProperty::Monotonicity:
-      expectSameMonotonicity(Want.Cells[I].Monotonicity,
-                             Got.Cells[I].Monotonicity);
+      EXPECT_EQ(Want.Cells[I].Monotonicity, Got.Cells[I].Monotonicity);
       break;
     case CampaignProperty::Precision:
-      expectSamePrecision(Want.Cells[I].Precision, Got.Cells[I].Precision);
+      EXPECT_EQ(Want.Cells[I].Precision, Got.Cells[I].Precision);
       break;
     }
   }
@@ -715,7 +649,7 @@ TEST(Campaign, IncrementalResumeReRunsOnlyTheChangedCells) {
       BinaryOp::Mul,
       [](const Tnum &P, const Tnum &Q) { return brokenMul(P, Q, 4); }, Grid,
       0, Grid.TotalPairs, Serial);
-  expectSameSoundness(Want, Inc.Cells[ChangedCellIndex].Soundness);
+  EXPECT_EQ(Want, Inc.Cells[ChangedCellIndex].Soundness);
 
   // And the merged report is bit-identical to a from-scratch run of the
   // changed spec -- reused cells and recomputed cells merge alike.

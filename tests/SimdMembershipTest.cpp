@@ -85,7 +85,7 @@ TEST(TnumMembers, MemberTableSpansAreConsecutiveConcretizations) {
     ASSERT_EQ(Offsets.size(), End - Begin + 1);
     for (size_t I = Begin; I != End; ++I)
       EXPECT_EQ(Offsets[I - Begin + 1] - Offsets[I - Begin],
-                Table.numMembers(I));
+                uint64_t(1) << Universe[I].numUnknownBits());
   }
 }
 
