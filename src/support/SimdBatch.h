@@ -158,7 +158,7 @@ struct SimdKernels {
 
   /// Folds AND/OR accumulators over \p N lanes: *AndAcc &= Z[j],
   /// *OrAcc |= Z[j]. The two reductions of the abstraction function
-  /// alpha (Eqn. 5), batched for the optimality sweeps.
+  /// alpha (Eqn. 5), batched.
   void (*ReduceAndOr)(const uint64_t *Z, unsigned N, uint64_t *AndAcc,
                       uint64_t *OrAcc);
 

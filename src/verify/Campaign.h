@@ -65,6 +65,7 @@
 /// check is a spec of one or more cells run with a default (in-memory)
 /// CampaignIO. The serial checkers stay the independent scalar oracle the
 /// tests hold it to.
+///
 /// diffCampaignBaseline compares a finished run against an earlier
 /// checkpoint directory -- the --diff-baseline report of which cells an
 /// incremental resume would reuse, which it would re-run, and whether any
