@@ -861,7 +861,8 @@ ShardDriveResult tnums::runPropertyCampaign(
     if (IO.MaxShardsThisRun && Result.ShardsRun >= IO.MaxShardsThisRun)
       continue; // Time-box hit: leave the rest for a resume.
     const uint64_t ShardStartNs = Telemetry.active() ? traceNowNs() : 0;
-    // The driver computes the body; the engine stamps the payload header.
+    // The cell's PropertyDriver computes the body; the engine stamps the
+    // payload header.
     PropertyDriver &Driver = *Cells[Ref.Cell].Driver;
     std::string Body;
     ShardRecord Record;
@@ -937,7 +938,8 @@ ShardDriveResult tnums::runPropertyCampaign(
         Complete = false;
         break;
       }
-      // Verify and strip the header before the driver sees the body.
+      // Verify and strip the header before the cell's PropertyDriver
+      // sees the body.
       PropertyDriver &Driver = *Cells[Cell].Driver;
       std::string Body, Error;
       if (!stripPayloadHeader(Record->Payload, Driver.name(),
