@@ -12,28 +12,10 @@
 #
 # ARGS is one space-separated string. DIR is deleted and recreated.
 
-separate_arguments(BenchArgs UNIX_COMMAND "${ARGS}")
+include(${CMAKE_CURRENT_LIST_DIR}/campaign_common.cmake)
 set(Store "${DIR}/ckpt")
 file(REMOVE_RECURSE "${DIR}")
 file(MAKE_DIRECTORY "${DIR}")
-
-# Runs the bench with the shared flags plus ARGN; stores stdout in Var.
-function(run_bench Var)
-  execute_process(
-    COMMAND "${BENCH}" ${BenchArgs} ${ARGN}
-    OUTPUT_VARIABLE Out
-    RESULT_VARIABLE Status)
-  if(NOT Status EQUAL 0)
-    message(FATAL_ERROR "${BENCH} ${ARGS} ${ARGN} failed: ${Status}\n${Out}")
-  endif()
-  set(${Var} "${Out}" PARENT_SCOPE)
-endfunction()
-
-# Drops every line that starts with "campaign".
-function(drop_campaign_lines Var Text)
-  string(REGEX REPLACE "\ncampaign[^\n]*" "" Kept "\n${Text}")
-  set(${Var} "${Kept}" PARENT_SCOPE)
-endfunction()
 
 run_bench(Direct)
 run_bench(Unused --shards 2 --shard-index 0 --checkpoint-dir "${Store}")
