@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Runtime dispatch across the instruction-set tiers the batched sweeps
-/// run on, plus two 64-lane batch kernels. The hot loop of every sweep is
-/// the membership predicate c in gamma(R), i.e. (c & ~R.m) == R.v
-/// (Eqn. 9), evaluated billions of times per campaign. The tiers:
+/// run on, plus two 64-lane batch kernels: the membership predicate
+/// c in gamma(R), i.e. (c & ~R.m) == R.v (Eqn. 9), and the AND/OR
+/// reduction of alpha (Eqn. 5). No sweep calls the kernels; perfbench
+/// measures them per tier. The tiers:
 ///
 ///   * portable -- the plain build; always present, and the reference
 ///     every other tier is pinned against;
@@ -74,11 +75,11 @@ inline constexpr size_t SimdBatchAlign = 32;
 
 /// How a sweep selects its membership path.
 ///
-///   * Off      -- the scalar reference path: one member per callback
-///                 through forEachMember x Tnum::contains, exactly the
-///                 pre-batching code. This is the baseline the
-///                 differential tests (and the --simd A/B benchmark) pin
-///                 the fast path against.
+///   * Off      -- the scalar reference path: each pair's alpha by plain
+///                 enumeration (optimalAbstractBinary), which soundness,
+///                 optimality and precision all read. This is the
+///                 baseline the differential tests (and the --simd A/B
+///                 benchmark) pin the row scan against.
 ///   * Auto     -- the batched path with the best kernel tier the host
 ///                 supports (avx512 > avx2 > neon > portable).
 ///   * Portable -- the batched path, portable kernels forced (no

@@ -112,6 +112,11 @@ sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
   return std::move(FailureByChunk.begin()->second); // Lowest chunk index.
 }
 
+/// |gamma(P)| * |gamma(Q)|: the concrete evaluations of one full pair scan.
+uint64_t pairEvals(const Tnum &P, const Tnum &Q) {
+  return uint64_t(1) << (std::popcount(P.mask()) + std::popcount(Q.mask()));
+}
+
 /// What every row segment of one range scan shares: the grid, the
 /// operator, and the lane-loop tier. Batched is false under SimdMode::Off,
 /// where every segment takes the scalar per-pair path instead.
@@ -149,19 +154,25 @@ struct RowScanner {
 
   /// alpha(opC(gamma(P), gamma(Q))) for every Q of a segment into
   /// Scratch.Results: the row scan, or the scalar fold pair by pair.
-  void optimal(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
-               RowScratch &Scratch) const {
+  /// Returns the concrete evaluations that took, every member pair of
+  /// every pair of the segment.
+  uint64_t optimal(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
+                   RowScratch &Scratch) const {
     std::vector<Tnum> &Optimal = Scratch.Results;
     Optimal.resize(QEnd - QBegin);
     if (Batched) {
-      optimalAbstractRow(segment(PIndex, QBegin, QEnd, Scratch), Scratch,
-                         Optimal);
-      return;
+      RowSegment Row = segment(PIndex, QBegin, QEnd, Scratch);
+      optimalAbstractRow(Row, Scratch, Optimal);
+      return Row.Xs.size() * Row.Lanes.size();
     }
     const Tnum &P = Grid.Universe[PIndex];
-    for (uint64_t Q = QBegin; Q != QEnd; ++Q)
+    uint64_t Evals = 0;
+    for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
       Optimal[Q - QBegin] =
           optimalAbstractBinary(Op, P, Grid.Universe[Q], Grid.Width);
+      Evals += pairEvals(P, Grid.Universe[Q]);
+    }
+    return Evals;
   }
 };
 
@@ -207,24 +218,28 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
               RowScratch &Scratch)
               -> std::optional<IndexedFailure<SoundnessCounterexample>> {
             const Tnum &P = Grid.Universe[PIndex];
-            std::span<const Tnum> Qs = Rows.qs(QBegin, QEnd);
-            std::vector<Tnum> &Rs = Scratch.Results;
-            Rs.clear();
-            for (const Tnum &Q : Qs)
-              Rs.push_back(Abstract(P, Q));
-            std::optional<RowSoundnessFailure> F =
-                Rows.Batched
-                    ? scanSoundnessRow(
-                          Rows.segment(PIndex, QBegin, QEnd, Scratch), Rs,
-                          Scratch, L.Concrete)
-                    : scanSoundnessPairs(Concrete, Grid.Width, P, Qs, Rs,
-                                         L.Concrete);
-            L.Pairs += F ? F->Position + 1 : Qs.size();
-            if (!F)
-              return std::nullopt;
-            return IndexedFailure<SoundnessCounterexample>{
-                PIndex * Grid.NumTnums + QBegin + F->Position,
-                std::move(F->Witness)};
+            const uint64_t Evals = Rows.optimal(PIndex, QBegin, QEnd, Scratch);
+            for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+              const Tnum &Qt = Grid.Universe[Q];
+              Tnum R = Abstract(P, Qt);
+              // Every op(x, y) lies in gamma(R) iff alpha of them is below
+              // R (RowScan.h); a bottom R fails.
+              if (Scratch.Results[Q - QBegin].isSubsetOf(R))
+                continue;
+              // The serial scan counts the pairs before this one in full
+              // and this one up to its first violation.
+              for (uint64_t Held = QBegin; Held != Q; ++Held)
+                L.Concrete += pairEvals(P, Grid.Universe[Held]);
+              L.Pairs += Q - QBegin + 1;
+              std::optional<SoundnessCounterexample> Witness =
+                  scanPairMembers(Concrete, Grid.Width, P, Qt, R, L.Concrete);
+              assert(Witness && "alpha ⊑ R and the member scan disagree");
+              return IndexedFailure<SoundnessCounterexample>{
+                  PIndex * Grid.NumTnums + Q, std::move(*Witness)};
+            }
+            L.Pairs += QEnd - QBegin;
+            L.Concrete += Evals;
+            return std::nullopt;
           },
           [&](const Local &L) {
             PairsChecked.fetch_add(L.Pairs, std::memory_order_relaxed);

@@ -73,10 +73,10 @@ struct SweepConfig {
   /// |gamma(P)| * |gamma(Q)| chunk costs.
   uint64_t ChunkPairs = 4096;
 
-  /// Member-scan path (support/SimdBatch.h): the row scan
-  /// (verify/RowScan.h) with the host's best tier by default, SimdMode::Off
-  /// for the scalar per-pair reference. Orthogonal to the determinism
-  /// contract -- every mode produces bit-identical reports.
+  /// How the scans compute each pair's alpha (support/SimdBatch.h): the
+  /// row scan (verify/RowScan.h) with the host's best tier by default,
+  /// SimdMode::Off for the scalar per-pair reference. Orthogonal to the
+  /// determinism contract -- every mode produces bit-identical reports.
   SimdMode Simd = SimdMode::Auto;
 };
 
@@ -120,6 +120,11 @@ SweepGrid makeSweepGrid(unsigned Width, const SweepConfig &Config);
 /// When the sweep fails and \p FailurePairIndex is non-null, it receives
 /// the failing pair's grid index -- the Campaign layer uses it to
 /// re-normalize failing shards to exact serial-prefix counters.
+///
+/// Soundness reads the optimality fold: a pair holds iff its alpha is
+/// below \p Abstract's result (verify/RowScan.h), and only the first
+/// failing pair is scanned member by member (scanPairMembers), for the
+/// serial-order first witness and its evaluation count.
 SoundnessReport checkSoundnessRangeParallel(
     BinaryOp Concrete, const AbstractBinaryFn &Abstract,
     const SweepGrid &Grid, uint64_t Begin, uint64_t End,

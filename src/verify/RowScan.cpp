@@ -35,10 +35,8 @@ struct LaneArgs {
   uint64_t NumXs;
   const uint64_t *Ys;
   uint64_t NumLanes;
-  const uint64_t *Vs;    ///< Soundness: each lane's R.v.
-  const uint64_t *NotMs; ///< Soundness: each lane's ~R.m.
-  uint64_t *Ands;        ///< Optimality: per-lane AND accumulators.
-  uint64_t *Ors;         ///< Optimality: per-lane OR accumulators.
+  uint64_t *Ands; ///< Per-lane AND accumulators.
+  uint64_t *Ors;  ///< Per-lane OR accumulators.
   unsigned Width;
   uint64_t WMask;
   uint64_t ShiftMask; ///< Width - 1: shift amounts (power-of-two widths).
@@ -92,11 +90,10 @@ template <BinaryOp Op, bool Narrow>
 /// from L2 once per x.
 constexpr uint64_t LaneBlock = 1024;
 
-/// The row scan proper, one block of lanes at a time. Sound: returns false
-/// as soon as one x leaves some lane outside its R. Otherwise: folds every
-/// x into the per-lane AND/OR accumulators and returns true.
-template <bool Sound, BinaryOp Op, bool Narrow>
-[[gnu::always_inline]] inline bool laneLoop(const LaneArgs &A) {
+/// The row scan proper, one block of lanes at a time: folds every x into
+/// the per-lane AND/OR accumulators.
+template <BinaryOp Op, bool Narrow>
+[[gnu::always_inline]] inline void laneLoop(const LaneArgs &A) {
   for (uint64_t B = 0; B < A.NumLanes; B += LaneBlock) {
     const uint64_t N = std::min(LaneBlock, A.NumLanes - B);
     const uint64_t *__restrict Ys = A.Ys + B;
@@ -104,105 +101,90 @@ template <bool Sound, BinaryOp Op, bool Narrow>
       uint64_t X = A.Xs[I];
       if constexpr (Op == BinaryOp::Arsh)
         X = static_cast<uint64_t>(signExtend(X, A.Width));
-      if constexpr (Sound) {
-        const uint64_t *__restrict Vs = A.Vs + B;
-        const uint64_t *__restrict NotMs = A.NotMs + B;
-        uint64_t Bad = 0;
-        for (uint64_t J = 0; J != N; ++J)
-          Bad |= (evalLane<Op, Narrow>(X, Ys[J], A) & NotMs[J]) ^ Vs[J];
-        if (Bad)
-          return false;
-      } else {
-        uint64_t *__restrict Ands = A.Ands + B;
-        uint64_t *__restrict Ors = A.Ors + B;
-        for (uint64_t J = 0; J != N; ++J) {
-          uint64_t Z = evalLane<Op, Narrow>(X, Ys[J], A);
-          Ands[J] &= Z;
-          Ors[J] |= Z;
-        }
+      uint64_t *__restrict Ands = A.Ands + B;
+      uint64_t *__restrict Ors = A.Ors + B;
+      for (uint64_t J = 0; J != N; ++J) {
+        uint64_t Z = evalLane<Op, Narrow>(X, Ys[J], A);
+        Ands[J] &= Z;
+        Ors[J] |= Z;
       }
     }
   }
-  return true;
 }
 
-// One instantiation of the lane loops per SimdTier. The wrappers carry the
+// One instantiation of the lane loop per SimdTier. The wrappers carry the
 // target attribute and the always_inline body is compiled inside each
 // (lambdas would not inherit the attribute). NEON is the AArch64 baseline,
 // so the plain build is that tier's instantiation.
 
 struct PortableLanes {
-  template <bool Sound, BinaryOp Op, bool Narrow>
-  static bool run(const LaneArgs &A) {
-    return laneLoop<Sound, Op, Narrow>(A);
+  template <BinaryOp Op, bool Narrow> static void run(const LaneArgs &A) {
+    laneLoop<Op, Narrow>(A);
   }
 };
 
 #if TNUMS_SIMD_HAVE_X86_KERNELS
 struct Avx2Lanes {
-  template <bool Sound, BinaryOp Op, bool Narrow>
-  __attribute__((target("avx2"))) static bool run(const LaneArgs &A) {
-    return laneLoop<Sound, Op, Narrow>(A);
+  template <BinaryOp Op, bool Narrow>
+  __attribute__((target("avx2"))) static void run(const LaneArgs &A) {
+    laneLoop<Op, Narrow>(A);
   }
 };
 
 /// The features cpuHasAvx512() probes, and no more.
 struct Avx512Lanes {
-  template <bool Sound, BinaryOp Op, bool Narrow>
-  __attribute__((target("avx512f,avx512bw"))) static bool
+  template <BinaryOp Op, bool Narrow>
+  __attribute__((target("avx512f,avx512bw"))) static void
   run(const LaneArgs &A) {
-    return laneLoop<Sound, Op, Narrow>(A);
+    laneLoop<Op, Narrow>(A);
   }
 };
 #endif
 
 /// Dispatches (Op, Width) to \p TierT's instantiation; only mul, div and
 /// mod have a separate narrow form.
-template <typename TierT, bool Sound>
-bool runOnTier(BinaryOp Op, const LaneArgs &A) {
+template <typename TierT> void runOnTier(BinaryOp Op, const LaneArgs &A) {
   const bool Narrow = A.Width <= 32;
   switch (Op) {
   case BinaryOp::Add:
-    return TierT::template run<Sound, BinaryOp::Add, false>(A);
+    return TierT::template run<BinaryOp::Add, false>(A);
   case BinaryOp::Sub:
-    return TierT::template run<Sound, BinaryOp::Sub, false>(A);
+    return TierT::template run<BinaryOp::Sub, false>(A);
   case BinaryOp::Mul:
-    return Narrow ? TierT::template run<Sound, BinaryOp::Mul, true>(A)
-                  : TierT::template run<Sound, BinaryOp::Mul, false>(A);
+    return Narrow ? TierT::template run<BinaryOp::Mul, true>(A)
+                  : TierT::template run<BinaryOp::Mul, false>(A);
   case BinaryOp::Div:
-    return Narrow ? TierT::template run<Sound, BinaryOp::Div, true>(A)
-                  : TierT::template run<Sound, BinaryOp::Div, false>(A);
+    return Narrow ? TierT::template run<BinaryOp::Div, true>(A)
+                  : TierT::template run<BinaryOp::Div, false>(A);
   case BinaryOp::Mod:
-    return Narrow ? TierT::template run<Sound, BinaryOp::Mod, true>(A)
-                  : TierT::template run<Sound, BinaryOp::Mod, false>(A);
+    return Narrow ? TierT::template run<BinaryOp::Mod, true>(A)
+                  : TierT::template run<BinaryOp::Mod, false>(A);
   case BinaryOp::And:
-    return TierT::template run<Sound, BinaryOp::And, false>(A);
+    return TierT::template run<BinaryOp::And, false>(A);
   case BinaryOp::Or:
-    return TierT::template run<Sound, BinaryOp::Or, false>(A);
+    return TierT::template run<BinaryOp::Or, false>(A);
   case BinaryOp::Xor:
-    return TierT::template run<Sound, BinaryOp::Xor, false>(A);
+    return TierT::template run<BinaryOp::Xor, false>(A);
   case BinaryOp::Lsh:
-    return TierT::template run<Sound, BinaryOp::Lsh, false>(A);
+    return TierT::template run<BinaryOp::Lsh, false>(A);
   case BinaryOp::Rsh:
-    return TierT::template run<Sound, BinaryOp::Rsh, false>(A);
+    return TierT::template run<BinaryOp::Rsh, false>(A);
   case BinaryOp::Arsh:
-    return TierT::template run<Sound, BinaryOp::Arsh, false>(A);
+    return TierT::template run<BinaryOp::Arsh, false>(A);
   }
   assert(false && "unknown binary op");
-  return false;
 }
 
-template <bool Sound> bool runLanes(SimdTier Tier, BinaryOp Op,
-                                    const LaneArgs &A) {
+void runLanes(SimdTier Tier, BinaryOp Op, const LaneArgs &A) {
   switch (Tier) {
 #if TNUMS_SIMD_HAVE_X86_KERNELS
   case SimdTier::Avx2:
-    return runOnTier<Avx2Lanes, Sound>(Op, A);
+    return runOnTier<Avx2Lanes>(Op, A);
   case SimdTier::Avx512:
-    return runOnTier<Avx512Lanes, Sound>(Op, A);
+    return runOnTier<Avx512Lanes>(Op, A);
 #endif
   default:
-    return runOnTier<PortableLanes, Sound>(Op, A);
+    return runOnTier<PortableLanes>(Op, A);
   }
 }
 
@@ -256,45 +238,6 @@ RowSegment tnums::materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
                     Qs,        Scratch.Xs, Scratch.Lanes, Scratch.Offsets};
 }
 
-std::optional<RowSoundnessFailure>
-tnums::scanSoundnessPairs(BinaryOp Op, unsigned Width, const Tnum &P,
-                          std::span<const Tnum> Qs, std::span<const Tnum> Rs,
-                          uint64_t &ConcreteChecked) {
-  for (size_t K = 0; K != Qs.size(); ++K)
-    if (std::optional<SoundnessCounterexample> Witness =
-            scanPairMembers(Op, Width, P, Qs[K], Rs[K], ConcreteChecked))
-      return RowSoundnessFailure{K, *Witness};
-  return std::nullopt;
-}
-
-std::optional<RowSoundnessFailure>
-tnums::scanSoundnessRow(const RowSegment &Row, std::span<const Tnum> Rs,
-                        RowScratch &Scratch, uint64_t &ConcreteChecked) {
-  assert(Rs.size() == Row.Qs.size() && "one result per Q");
-  rowMetrics().record(Row);
-  Scratch.Vs.resize(Row.Lanes.size());
-  Scratch.NotMs.resize(Row.Lanes.size());
-  uint64_t *Vs = Scratch.Vs.data();
-  uint64_t *NotMs = Scratch.NotMs.data();
-  for (size_t K = 0; K != Row.Qs.size(); ++K) {
-    uint64_t N = Row.Offsets[K + 1] - Row.Offsets[K];
-    Vs = std::fill_n(Vs, N, Rs[K].value());
-    NotMs = std::fill_n(NotMs, N, ~Rs[K].mask());
-  }
-
-  LaneArgs A = laneArgs(Row);
-  A.Vs = Scratch.Vs.data();
-  A.NotMs = Scratch.NotMs.data();
-  if (runLanes</*Sound=*/true>(Row.Tier, Row.Op, A)) {
-    ConcreteChecked += Row.Xs.size() * Row.Lanes.size();
-    return std::nullopt;
-  }
-  std::optional<RowSoundnessFailure> Failure = scanSoundnessPairs(
-      Row.Op, Row.Width, Row.P, Row.Qs, Rs, ConcreteChecked);
-  assert(Failure && "the lane loop and the scalar scan disagree");
-  return Failure;
-}
-
 void tnums::optimalAbstractRow(const RowSegment &Row, RowScratch &Scratch,
                                std::span<Tnum> Optimal) {
   assert(Optimal.size() == Row.Qs.size() && "one result per Q");
@@ -305,7 +248,7 @@ void tnums::optimalAbstractRow(const RowSegment &Row, RowScratch &Scratch,
   LaneArgs A = laneArgs(Row);
   A.Ands = Scratch.Ands.data();
   A.Ors = Scratch.Ors.data();
-  runLanes</*Sound=*/false>(Row.Tier, Row.Op, A);
+  runLanes(Row.Tier, Row.Op, A);
 
   // Fold each Q's lanes: alpha over a non-empty set is (AND, AND ^ OR).
   const uint64_t *Ands = Scratch.Ands.data();

@@ -12,21 +12,22 @@
 /// (Q, y) with y in gamma(Q). A segment's lanes are gamma(Q_0) ++ gamma(Q_1)
 /// ++ ... back to back -- one contiguous span of the grid's MemberTable
 /// (tnum/TnumMembers.h), 1024 lanes for a full width-5 row -- so for each
-/// x in gamma(P) ONE plain loop over the whole span evaluates opC(x, y):
+/// x in gamma(P) ONE plain loop over the whole span evaluates opC(x, y).
+/// Each lane keeps AND and OR accumulators over x, and after the x loop
+/// each Q's lanes fold into alpha(opC(gamma(P), gamma(Q))) = (AND, AND ^ OR)
+/// (Eqn. 5). The three scans read that one alpha per pair:
 ///
-///  * soundness: each lane carries its pair's abstract result R as
-///    (R.v, ~R.m) and the loop ORs (z & ~R.m) ^ R.v, which is zero iff z is
-///    in gamma(R) -- Tnum::contains exactly, bottom (~0, ~0) included,
-///    which contains nothing. A nonzero OR means the segment fails
-///    somewhere; it is then rescanned pair by pair on the scalar path
-///    (scanPairMembers), in serial order, which yields the serial-order
-///    first witness and the exact prefix evaluation count;
-///  * optimality and precision: each lane keeps AND and OR accumulators
-///    over x, and after the x loop each Q's lanes fold into
-///    alpha = (AND, AND ^ OR) (Eqn. 5).
+///  * soundness: alpha ⊑ R. gamma(P) x gamma(Q) is never empty, and by the
+///    Galois connection a non-empty set lies in gamma(R) exactly when its
+///    alpha is below R; a bottom R (any v & m != 0) fails, as
+///    Tnum::contains does for every z. At the first failing pair the
+///    scalar member scan (scanPairMembers) finds the serial-order first
+///    witness;
+///  * optimality: alpha == R;
+///  * precision: the gap between R and alpha (verify/OptimalityChecker.h).
 ///
 /// The per-pair fixed cost (a call, a dispatch and a short vector tail per
-/// pair and per x) becomes one long pass per x. The lane loops are written
+/// pair and per x) becomes one long pass per x. The lane loop is written
 /// once, as plain C++ templated on the operator, and instantiated once per
 /// SimdTier through target-attributed wrappers; the compiler's
 /// auto-vectorizer supplies each tier's instructions (docs/SIMD.md).
@@ -41,9 +42,8 @@
 #define TNUMS_VERIFY_ROWSCAN_H
 
 #include "support/SimdBatch.h"
-#include "verify/SoundnessChecker.h"
+#include "verify/Oracle.h"
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,12 +53,11 @@ namespace tnums {
 /// gamma(Qs[0]) ++ ... ++ gamma(Qs[n-1]) in Lanes, each in subset-odometer
 /// order. Qs[k]'s lanes start at Offsets[k] - Offsets[0] and end where the
 /// next one's start (Offsets has n + 1 entries): the member table's own
-/// offsets, or the ones materializeRow records. P may be bottom (an empty
-/// Xs scans nothing).
+/// offsets, or the ones materializeRow records.
 struct RowSegment {
   BinaryOp Op;
   unsigned Width;
-  SimdTier Tier; ///< Which instantiation of the lane loops runs.
+  SimdTier Tier; ///< Which instantiation of the lane loop runs.
   Tnum P;
   std::span<const Tnum> Qs;
   std::span<const uint64_t> Xs;
@@ -72,9 +71,8 @@ struct RowScratch {
   std::vector<uint64_t> Xs;        ///< gamma(P) without a member table.
   std::vector<uint64_t> Lanes;     ///< A segment's lanes, likewise,
   std::vector<uint64_t> Offsets;   ///< and where each Q's lanes start.
-  std::vector<uint64_t> Vs, NotMs; ///< Soundness: each lane's (R.v, ~R.m).
-  std::vector<uint64_t> Ands, Ors; ///< Optimality: per-lane accumulators.
-  std::vector<Tnum> Results;       ///< The caller's per-Q results.
+  std::vector<uint64_t> Ands, Ors; ///< The per-lane alpha accumulators.
+  std::vector<Tnum> Results;       ///< Each Q's alpha, for the caller.
 };
 
 /// The segment of P against \p Qs with both concretizations materialized
@@ -85,32 +83,6 @@ struct RowScratch {
 RowSegment materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
                           const Tnum &P, std::span<const Tnum> Qs,
                           RowScratch &Scratch);
-
-/// The first failing pair of a row segment: its position in Qs and the
-/// serial-order first counterexample inside it.
-struct RowSoundnessFailure {
-  size_t Position;
-  SoundnessCounterexample Witness;
-};
-
-/// Soundness of a row segment against the explicit per-Q results
-/// \p Rs (Rs[k] is the result checked for (P, Qs[k]); the sweeps pass
-/// opT(P, Qs[k]), tests pass arbitrary ones to drive the failure path).
-/// Grows \p ConcreteChecked by exactly what the scalar serial scan of the
-/// segment counts -- every evaluation when the segment holds, the full
-/// pairs before the witness pair plus its evaluations up to and including
-/// the violation otherwise -- and returns the serial-order first failure.
-std::optional<RowSoundnessFailure>
-scanSoundnessRow(const RowSegment &Row, std::span<const Tnum> Rs,
-                 RowScratch &Scratch, uint64_t &ConcreteChecked);
-
-/// The scalar path of scanSoundnessRow: each pair of the segment in order
-/// through scanPairMembers, stopping at the first violation. SimdMode::Off
-/// runs this, and the row scan falls back to it on a failing segment.
-std::optional<RowSoundnessFailure>
-scanSoundnessPairs(BinaryOp Op, unsigned Width, const Tnum &P,
-                   std::span<const Tnum> Qs, std::span<const Tnum> Rs,
-                   uint64_t &ConcreteChecked);
 
 /// alpha(opC(gamma(P), gamma(Qs[k]))) for every Q of a row segment, into
 /// Optimal[k]: bit-identical to optimalAbstractBinary pair by pair (both

@@ -103,32 +103,32 @@ Tnum brokenAdd(const Tnum &P, const Tnum &Q, unsigned Width) {
   return Tnum(R.value(), M & ~Lowest);
 }
 
-/// Independent reference scan: the first violation in row-major pair
-/// order, member-odometer order, computed with plain loops (no engine).
-SoundnessCounterexample firstViolationByHand(unsigned Width) {
+/// Independent reference scan of \p Abstract from pair index \p Begin to
+/// the end of the grid: row-major pair order, member-odometer order inside
+/// a pair, plain loops (no engine). Stops at the first violation and
+/// counts what the serial checker counts up to and including it.
+SoundnessReport soundnessByHand(BinaryOp Op, const AbstractBinaryFn &Abstract,
+                                unsigned Width, uint64_t Begin = 0) {
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
-  for (const Tnum &P : Universe) {
-    for (const Tnum &Q : Universe) {
-      Tnum R = brokenAdd(P, Q, Width);
-      SoundnessCounterexample Found;
-      bool HasFound = false;
-      forEachMember(P, [&](uint64_t X) {
-        forEachMember(Q, [&](uint64_t Y) {
-          if (HasFound)
-            return;
-          uint64_t Z = applyConcreteBinary(BinaryOp::Add, X, Y, Width);
-          if (!R.contains(Z)) {
-            Found = SoundnessCounterexample{P, Q, X, Y, Z, R};
-            HasFound = true;
-          }
-        });
+  const uint64_t N = Universe.size();
+  SoundnessReport Report;
+  for (uint64_t Index = Begin; Index != N * N && !Report.Failure; ++Index) {
+    const Tnum &P = Universe[Index / N];
+    const Tnum &Q = Universe[Index % N];
+    Tnum R = Abstract(P, Q);
+    ++Report.PairsChecked;
+    forEachMember(P, [&](uint64_t X) {
+      forEachMember(Q, [&](uint64_t Y) {
+        if (Report.Failure)
+          return;
+        ++Report.ConcreteChecked;
+        uint64_t Z = applyConcreteBinary(Op, X, Y, Width);
+        if (!R.contains(Z))
+          Report.Failure = SoundnessCounterexample{P, Q, X, Y, Z, R};
       });
-      if (HasFound)
-        return Found;
-    }
+    });
   }
-  ADD_FAILURE() << "brokenAdd unexpectedly sound";
-  return SoundnessCounterexample{};
+  return Report;
 }
 
 TEST(ParallelSweep, BrokenOperatorYieldsSerialFirstCounterexample) {
@@ -138,13 +138,20 @@ TEST(ParallelSweep, BrokenOperatorYieldsSerialFirstCounterexample) {
   CampaignSpec Broken;
   Broken.OperatorOverride = brokenAdd;
   Broken.OverrideTag = "broken-add";
-  SoundnessCounterexample Expected = firstViolationByHand(Width);
+  std::optional<SoundnessCounterexample> Expected =
+      soundnessByHand(BinaryOp::Add,
+                      [](const Tnum &P, const Tnum &Q) {
+                        return brokenAdd(P, Q, Width);
+                      },
+                      Width)
+          .Failure;
+  ASSERT_TRUE(Expected.has_value()) << "brokenAdd unexpectedly sound";
   for (const SweepConfig &Config : kConfigs) {
     SCOPED_TRACE(::testing::Message() << "threads " << Config.NumThreads
                                       << " chunk " << Config.ChunkPairs);
     SoundnessReport Report = runOneCell(Cell, Config, Broken).Soundness;
     ASSERT_TRUE(Report.Failure.has_value());
-    EXPECT_EQ(*Report.Failure, Expected) << Report.Failure->toString(Width);
+    EXPECT_EQ(*Report.Failure, *Expected) << Report.Failure->toString(Width);
   }
 }
 
@@ -407,6 +414,52 @@ TEST(RowScan, BrokenOperatorsKeepSerialFirstWitnessAndPrefixCounts) {
                                                 /*StopAtFirst=*/true)
                        .isOptimalEverywhere());
       expectRowScanAgreesWithScalar(Op, Fn, Width);
+    }
+  }
+}
+
+/// tnum_add, except that it returns bottom whenever an operand is top: an
+/// ill-formed (v | 1, m | 1) when P is, the canonical (~0, ~0) when only Q
+/// is. Top is the universe's last tnum, so row 0's first violation has the
+/// canonical bottom and the top row's has the ill-formed one.
+Tnum bottomingAdd(const Tnum &P, const Tnum &Q, unsigned Width) {
+  Tnum R = tnumTruncate(tnumAdd(P, Q), Width);
+  if (P.isUnknown(Width))
+    return Tnum(R.value() | 1, R.mask() | 1);
+  if (Q.isUnknown(Width))
+    return Tnum::makeBottom();
+  return R;
+}
+
+TEST(RowScan, BottomResultsFailAgainstTheMemberScan) {
+  // No member lies in a bottom R, whatever its bits. Both kinds of bottom
+  // must fail soundness at the pair that returns them, with the hand
+  // scan's witness and counts, on the scalar path and on every tier.
+  for (unsigned Width : {3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "width " << Width);
+    AbstractBinaryFn Fn = [Width](const Tnum &P, const Tnum &Q) {
+      return bottomingAdd(P, Q, Width);
+    };
+    expectRowScanAgreesWithScalar(BinaryOp::Add, Fn, Width);
+
+    SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
+    std::vector<SimdMode> Modes = hostRowScanModes();
+    Modes.push_back(SimdMode::Off);
+    for (uint64_t Begin : {uint64_t(0), Grid.TotalPairs - Grid.NumTnums}) {
+      SoundnessReport Expected =
+          soundnessByHand(BinaryOp::Add, Fn, Width, Begin);
+      ASSERT_TRUE(Expected.Failure.has_value());
+      EXPECT_TRUE(Expected.Failure->R.isBottom());
+      EXPECT_EQ(Expected.Failure->R == Tnum::makeBottom(), Begin == 0);
+      for (SimdMode Mode : Modes) {
+        SCOPED_TRACE(::testing::Message()
+                     << simdModeName(Mode) << " from pair " << Begin);
+        SweepConfig Config{/*NumThreads=*/1, /*ChunkPairs=*/7};
+        Config.Simd = Mode;
+        EXPECT_EQ(Expected,
+                  checkSoundnessRangeParallel(BinaryOp::Add, Fn, Grid, Begin,
+                                              Grid.TotalPairs, Config));
+      }
     }
   }
 }
