@@ -1,75 +1,34 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate for the committed bench baselines.
+"""Bench gate: compares a bench's JSON report with its committed baseline.
 
-Compares the JSON a CI bench run just produced against the committed
-snapshot in bench/baselines/. The gate dispatches on the "bench" key and
-applies two classes of check to each harness:
+Each bench is one SCHEMA entry, keyed by the report's "bench" value (a
+report without one is a verifier_throughput report). One gate reads the
+entry in two passes:
 
- * Verdict identity (exact): the generator is seeded and every verdict is
-   a pure function of its program, so accepted/rejected counts, the
-   verdict fingerprint, and the determinism flags must match the baseline
-   bit for bit on ANY machine. A mismatch means the analyzer, generator,
-   or wire-protocol semantics changed -- refresh the baseline deliberately
-   (rerun the bench with the baseline's command line and commit the new
-   JSON) or find the bug.
+ * Identity, at every ratio. The benches are seeded or exhaustive, so these
+   fields are the same on any machine, build type and SIMD tier: the
+   workload keys (a mismatch means the files are different experiments),
+   the exact keys, the flags that must be true, and the rosters, whose rows
+   must match by key and then field by field. A mismatch means the
+   semantics changed: find the bug, or rerun the bench with the baseline's
+   command line and commit the new JSON.
 
- * Performance (generous tolerance): CI runners vary wildly, so the gate
-   only fails when throughput falls below ``--min-throughput-ratio``
-   (default 0.4) of the baseline -- a 2.5x slowdown -- or, for the daemon
-   bench, when p99 latency balloons past the reciprocal multiple of the
-   baseline. That catches accidental algorithmic regressions (losing
-   per-worker engine reuse, an accidental O(clients) scan in the event
-   loop) while shrugging off runner noise. Tune the ratio per workflow if
-   a runner class proves noisier.
+ * Performance, only when --min-throughput-ratio is above 0. CI runners
+   vary, so the tolerance is generous: a floor rate may not fall below
+   ratio x baseline (0.4 by default, a 2.5x slowdown), and a ceiling cost
+   may not rise above baseline / ratio. Three hooks make the checks a table
+   cannot express: the daemon's latency sanity (at every ratio) and p99
+   ceiling, and the interp and cycles floors on a within-process speedup.
+   Debug and sanitizer builds pass 0 and keep the identity checks only.
 
-Supported "bench" values:
+Trend mode (--trend) takes the same bench's reports from consecutive runs,
+oldest first, and tracks one metric: the floor rate, else the speedup, else
+gbench_ops' mul/our_mul ops/s. It fails only on a sustained slide: 3
+consecutive run-over-run drops that lose more than 5% in total. Each step
+may be inside the single-run floor; the slide may not.
 
- * ``verifier_throughput`` (also the default when the key is absent, for
-   pre-daemon baselines): exact verdict counts + jobs=1 scaling floor.
- * ``daemon_throughput``: exact fingerprint/identity flags, p50/p99
-   latency sanity (present, positive, ordered), saturation-throughput
-   floor and p99 ceiling.
- * ``interpreter_throughput``: exact run-outcome counts + result
-   fingerprint, the decoded-vs-legacy identity flag must be true, and --
-   on perf-gated legs only -- a floor on the decoded executor's speedup
-   over the legacy interpreter. The speedup is a same-process ratio, so
-   unlike absolute throughput it barely depends on the runner class.
- * ``mul_cycles`` (bench/fig5_mul_cycles --json): algorithm roster must
-   match the baseline; our_mul's speedup over kern_mul (a within-process
-   ratio of two algorithms timed back to back on identical inputs) must
-   stay above both an absolute floor of 1.0 and a fraction of the
-   baseline's speedup; per-algorithm mean cycles get a generous ceiling,
-   applied only when run and baseline share a cycle-counter unit.
- * ``sweep_campaign`` (bench/soundness_verification --json): every
-   property must hold, and the per-algorithm pairs/evals totals are
-   seeded exact counts that must match the baseline bit for bit; the
-   campaign-wide Mevals/s gets the generous throughput floor. The
-   resolved simd kernel tier is machine-dependent and only reported.
- * ``precision_atlas`` (bench/precision_atlas --json): the gap figures
-   are exhaustive deterministic measurements, so every per-cell field
-   (pairs, sum_gap, max_gap, gap_cdf, witness) and every unary cast row
-   must match the baseline bit for bit on any machine and any SIMD tier;
-   campaign pairs/s gets the generous throughput floor.
- * ``gbench_ops`` (bench/gbench_ops --json): the benchmark roster must
-   match the baseline exactly; each benchmark's ns/op gets a generous
-   ceiling of baseline divided by the throughput ratio.
-
-Trend mode (``--trend``): instead of one current-vs-baseline gate, pass
-the SAME bench's JSON from consecutive CI runs in chronological order
-(oldest first, the current run last). The gate tracks each bench's
-primary metric (verifier jobs=1 programs/s, daemon verdicts/s,
-interpreter best speedup, sweep Mevals/s, mul_cycles speedup, atlas
-pairs/s, gbench_ops our_mul ops/s) and fails
-only on a sustained slide: ``--trend-window`` (default 3) consecutive
-run-over-run drops whose cumulative loss exceeds ``--trend-tolerance``
-(default 5%). One noisy runner cannot trip it; a slow leak across a
-stack of PRs -- each individually inside the generous single-run floor --
-can.
-
-Top-level keys the gate does not recognize (e.g. the "build_info" and
-"metrics" observability sections, or future additions) are TOLERATED in
-both files and listed in the output, so baselines and runs from
-different bench versions keep comparing on the fields they share.
+Top-level keys no schema entry names (say "build_info" or "metrics") are
+tolerated in both files.
 
 Exit status: 0 ok, 1 regression, 2 usage/IO error.
 """
@@ -77,6 +36,106 @@ Exit status: 0 ok, 1 regression, 2 usage/IO error.
 import argparse
 import json
 import sys
+
+DEFAULT_BENCH = "verifier_throughput"
+TREND_WINDOW = 3
+TREND_TOLERANCE = 0.05
+
+
+def daemon_latency(current, baseline, ratio, failures):
+    """p50 and p99 present, positive and ordered; p99 under its ceiling."""
+    p50, p99 = current.get("latency_p50_ms"), current.get("latency_p99_ms")
+    numbers = [isinstance(p, (int, float)) for p in (p50, p99)]
+    for key, value, number in zip(("p50", "p99"), (p50, p99), numbers):
+        if not number or value <= 0:
+            failures.append(f"latency_{key}_ms is {value!r}, expected > 0")
+    if all(numbers) and p50 > p99:
+        failures.append(f"latency_p50_ms {p50} > latency_p99_ms {p99}")
+    base_p99 = baseline.get("latency_p99_ms", 0.0)
+    if ratio > 0 and base_p99 and numbers[1]:
+        ceiling = base_p99 / ratio
+        print(f"bench gate: p99 latency {p99:.3f} ms vs baseline "
+              f"{base_p99:.3f} (ceiling {ceiling:.3f})")
+        if p99 > ceiling:
+            failures.append(f"p99 latency regressed to {p99:.3f} ms "
+                            f"(ceiling {ceiling:.3f} = baseline / {ratio})")
+
+
+# workload: keys that must match before anything else compares ("bench" is
+#   always one).
+# exact: keys that must equal the baseline's. true: flags the run must
+#   report as true.
+# rosters: section -> (row-key fields, exact fields). The row keys of the
+#   two files must match, then each row's fields must.
+# report: keys printed, never gated.
+# floor: the primary rate, a top-level key or (section, key, value, field)
+#   in the row whose key is value. The row must exist at every ratio.
+# ceilings: (roster section, cost field, unit key the two files must agree
+#   on for the ceilings to apply; None for no unit).
+# speedup: (key, floor function of current and baseline).
+# hook: a function adding the checks a table cannot express.
+# trend: (metric, scale) for a bench with neither floor nor speedup; the
+#   trend tracks scale / metric.
+SCHEMA = {
+    "verifier_throughput": {
+        "workload": ("seed", "profile", "programs", "mem_size"),
+        "exact": ("accepted", "rejected_structural", "rejected_semantic",
+                  "insn_visits", "dedup_hits", "verdict_fingerprint",
+                  "deterministic"),
+        "floor": ("scaling", "jobs", 1, "programs_per_s"),
+    },
+    "daemon_throughput": {
+        "workload": ("seed", "profile", "clients", "programs", "mem_size"),
+        "exact": ("total_verdicts", "verdict_fingerprint"),
+        "true": ("deterministic", "matches_in_process"),
+        "floor": "verdicts_per_s",
+        "hook": daemon_latency,
+    },
+    "interpreter_throughput": {
+        "workload": ("seed", "profile", "programs", "runs_per_program",
+                     "mem_size", "step_limit", "reps"),
+        "exact": ("ok_runs", "trap_runs", "step_limit_runs",
+                  "result_fingerprint"),
+        "true": ("identical",),
+        # The decoded executor over the legacy interpreter, an absolute
+        # floor; threaded dispatch needs computed goto.
+        "speedup": ("best_speedup", lambda current, baseline:
+                    5.0 if current.get("threaded_available") else 2.5),
+    },
+    "mul_cycles": {
+        "workload": ("pairs", "trials", "low_bits"),
+        "rosters": {"algorithms": (("name",), ())},
+        "ceilings": ("algorithms", "mean", "unit"),
+        # Fig. 5: our_mul never slower than kern_mul, and within 0.7x of
+        # the baseline's lead.
+        "speedup": ("speedup_our_vs_kern", lambda current, baseline: max(
+            1.0, baseline.get("speedup_our_vs_kern", 0.0) * 0.7)),
+    },
+    "sweep_campaign": {
+        "workload": ("width", "mul_width", "jobs", "simd"),
+        "exact": ("campaign_evals",),
+        "true": ("all_hold",),
+        "rosters": {"algorithms": (("name",), ("pairs", "evals"))},
+        "report": ("simd_kernels",),
+        "floor": "campaign_mevals_per_s",
+    },
+    "precision_atlas": {
+        "workload": ("width", "shift_width", "cast_width"),
+        "exact": ("campaign_pairs",),
+        "rosters": {
+            "cells": (("op", "algorithm", "width"),
+                      ("pairs", "sum_gap", "max_gap", "gap_cdf", "witness")),
+            "cast": (("op", "param"), ("width", "tnums", "sum_gap",
+                                       "max_gap")),
+        },
+        "floor": "campaign_pairs_per_s",
+    },
+    "gbench_ops": {
+        "rosters": {"benchmarks": (("name",), ())},
+        "ceilings": ("benchmarks", "ns_per_op", None),
+        "trend": (("benchmarks", "name", "mul/our_mul", "ns_per_op"), 1e9),
+    },
+}
 
 
 def load(path):
@@ -88,619 +147,164 @@ def load(path):
         sys.exit(2)
 
 
-def check_workload(current, baseline, keys, failures):
-    """The workload must be the same experiment before numbers compare."""
-    for key in keys:
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"{key}: current {current.get(key)!r} != baseline "
-                f"{baseline.get(key)!r}"
-            )
+def differ(current, baseline, keys, where=""):
+    """One failure per key whose value differs between the two dicts."""
+    return [f"{where}{key}: current {current.get(key)!r} != baseline "
+            f"{baseline.get(key)!r}"
+            for key in keys if current.get(key) != baseline.get(key)]
+
+
+def pick(data, metric):
+    """The number at metric (see SCHEMA's floor). A missing number reads
+    0.0; a missing row raises LookupError."""
+    if isinstance(metric, str):
+        return data.get(metric, 0.0)
+    section, key, value, field = metric
+    for row in data.get(section, []):
+        if row.get(key) == value:
+            return row.get(field, 0.0)
+    raise LookupError(f"no {key}={value} {section} row")
+
+
+def describe(metric):
+    return metric if isinstance(metric, str) else "{}[{}={}].{}".format(
+        *metric)
+
+
+def gate(schema, current, baseline, ratio):
+    """The failures of current against baseline under one SCHEMA entry."""
+    failures = differ(current, baseline,
+                      ("bench", *schema.get("workload", ())))
     if failures:
         print("bench gate: baseline and run are DIFFERENT experiments:")
         for failure in failures:
             print(f"  {failure}")
-        print(
-            "refresh bench/baselines/ with the workflow's exact bench "
-            "command if the workload change was intentional"
-        )
-    return not failures
-
-
-def gate_verifier(current, baseline, args):
-    failures = []
-    if not check_workload(
-        current,
-        baseline,
-        ("bench", "seed", "profile", "programs", "mem_size"),
-        failures,
-    ):
+        print("refresh bench/baselines/ with the workflow's exact bench "
+              "command if the workload change was intentional")
         return failures
 
-    # Machine-independent semantics: exact.
-    for key in (
-        "accepted",
-        "rejected_structural",
-        "rejected_semantic",
-        "insn_visits",
-        "dedup_hits",
-        "verdict_fingerprint",
-        "deterministic",
-    ):
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"{key}: current {current.get(key)!r} != baseline "
-                f"{baseline.get(key)!r}"
-            )
-
-    # Machine-dependent throughput: generous floor on the jobs=1 point
-    # (every run records it; higher job counts depend on runner cores).
-    def single_job_rate(data, name):
-        for point in data.get("scaling", []):
-            if point.get("jobs") == 1:
-                return point.get("programs_per_s", 0.0)
-        failures.append(f"{name} has no jobs=1 scaling point")
-        return None
-
-    current_rate = single_job_rate(current, "current run")
-    baseline_rate = single_job_rate(baseline, "baseline")
-    if current_rate is not None and baseline_rate:
-        ratio = current_rate / baseline_rate
-        floor = args.min_throughput_ratio
-        print(
-            f"bench gate: jobs=1 throughput {current_rate:.0f} programs/s "
-            f"vs baseline {baseline_rate:.0f} ({ratio:.2f}x, floor {floor})"
-        )
-        if ratio < floor:
-            failures.append(
-                f"jobs=1 throughput regressed to {ratio:.2f}x of baseline "
-                f"(floor {floor})"
-            )
-    return failures
-
-
-def gate_daemon(current, baseline, args):
-    failures = []
-    if not check_workload(
-        current,
-        baseline,
-        ("bench", "seed", "profile", "clients", "programs", "mem_size"),
-        failures,
-    ):
-        return failures
-
-    # Machine-independent semantics: exact. The fingerprint covers every
-    # verdict field; deterministic/matches_in_process are the bench's own
-    # cross-client and daemon-vs-in-process identity checks and must hold
-    # on every machine, not merely match the baseline.
-    for key in ("total_verdicts", "verdict_fingerprint"):
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"{key}: current {current.get(key)!r} != baseline "
-                f"{baseline.get(key)!r}"
-            )
-    for key in ("deterministic", "matches_in_process"):
-        if current.get(key) is not True:
-            failures.append(f"{key} is {current.get(key)!r}, expected true")
-
-    # Latency sanity: the fields must exist, be positive, and be ordered.
-    # (A zero p50 means the bench stopped measuring; a p50 above p99 means
-    # the percentile math broke.)
-    p50 = current.get("latency_p50_ms")
-    p99 = current.get("latency_p99_ms")
-    if not isinstance(p50, (int, float)) or p50 <= 0:
-        failures.append(f"latency_p50_ms is {p50!r}, expected > 0")
-    if not isinstance(p99, (int, float)) or p99 <= 0:
-        failures.append(f"latency_p99_ms is {p99!r}, expected > 0")
-    if (
-        isinstance(p50, (int, float))
-        and isinstance(p99, (int, float))
-        and p50 > p99
-    ):
-        failures.append(f"latency_p50_ms {p50} > latency_p99_ms {p99}")
-
-    # Machine-dependent perf, generous in both directions: saturation
-    # throughput may not fall below the floor fraction of the baseline,
-    # and p99 latency may not balloon past the reciprocal multiple.
-    floor = args.min_throughput_ratio
-    current_rate = current.get("verdicts_per_s", 0.0)
-    baseline_rate = baseline.get("verdicts_per_s", 0.0)
-    if baseline_rate and floor > 0:
-        ratio = current_rate / baseline_rate
-        print(
-            f"bench gate: saturation throughput {current_rate:.0f} "
-            f"verdicts/s vs baseline {baseline_rate:.0f} "
-            f"({ratio:.2f}x, floor {floor})"
-        )
-        if ratio < floor:
-            failures.append(
-                f"saturation throughput regressed to {ratio:.2f}x of "
-                f"baseline (floor {floor})"
-            )
-    baseline_p99 = baseline.get("latency_p99_ms", 0.0)
-    if baseline_p99 and floor > 0 and isinstance(p99, (int, float)):
-        ceiling = baseline_p99 / floor
-        print(
-            f"bench gate: p99 latency {p99:.3f} ms vs baseline "
-            f"{baseline_p99:.3f} (ceiling {ceiling:.3f})"
-        )
-        if p99 > ceiling:
-            failures.append(
-                f"p99 latency regressed to {p99:.3f} ms "
-                f"(ceiling {ceiling:.3f} = baseline / {floor})"
-            )
-    return failures
-
-
-def gate_interp(current, baseline, args):
-    failures = []
-    if not check_workload(
-        current,
-        baseline,
-        (
-            "bench",
-            "seed",
-            "profile",
-            "programs",
-            "runs_per_program",
-            "mem_size",
-            "step_limit",
-            "reps",
-        ),
-        failures,
-    ):
-        return failures
-
-    # Machine-independent semantics: exact. The fingerprint hashes every
-    # run's full outcome (status, return value, steps, final registers),
-    # and ``identical`` is the bench's own decoded-vs-legacy bit-identity
-    # check -- it must hold on every machine, not merely match the
-    # baseline.
-    for key in ("ok_runs", "trap_runs", "step_limit_runs",
-                "result_fingerprint"):
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"{key}: current {current.get(key)!r} != baseline "
-                f"{baseline.get(key)!r}"
-            )
-    if current.get("identical") is not True:
-        failures.append(
-            f"identical is {current.get('identical')!r}, expected true "
-            "(decoded executor diverged from the legacy interpreter)"
-        )
-
-    # Machine-dependent perf: the decoded executor must stay meaningfully
-    # faster than the legacy interpreter. A within-process ratio, so the
-    # floor can be much tighter than an absolute-throughput one; still
-    # skipped entirely on debug/sanitizer legs (ratio 0) where neither
-    # engine is optimized. Threaded dispatch is a compiler feature
-    # (computed goto), so the floor adapts when only the switch engine is
-    # available.
-    if args.min_throughput_ratio > 0:
-        best = current.get("best_speedup", 0.0)
-        threaded = current.get("threaded_available")
-        floor = 5.0 if threaded else 2.5
-        print(
-            f"bench gate: decoded-executor best speedup {best:.3f}x vs "
-            f"legacy (floor {floor}, threaded dispatch "
-            f"{'available' if threaded else 'unavailable'})"
-        )
-        if not isinstance(best, (int, float)) or best < floor:
-            failures.append(
-                f"decoded-executor speedup {best!r} fell below the "
-                f"{floor}x floor"
-            )
-    return failures
-
-
-def gate_cycles(current, baseline, args):
-    failures = []
-    if not check_workload(
-        current,
-        baseline,
-        ("bench", "pairs", "trials", "low_bits"),
-        failures,
-    ):
-        return failures
-
-    def by_name(data):
-        return {a.get("name"): a for a in data.get("algorithms", [])}
-
-    current_algs = by_name(current)
-    baseline_algs = by_name(baseline)
-    if set(current_algs) != set(baseline_algs):
-        failures.append(
-            f"algorithm roster changed: current {sorted(current_algs)} != "
-            f"baseline {sorted(baseline_algs)}"
-        )
-        return failures
-
-    if args.min_throughput_ratio <= 0:
-        return failures
-
-    # The headline claim of the paper's Figure 5: our_mul beats kern_mul.
-    # A within-process ratio, so it gets both an absolute floor (never
-    # slower than kern_mul) and a baseline-relative one.
-    floor = max(1.0, baseline.get("speedup_our_vs_kern", 0.0) * 0.7)
-    speedup = current.get("speedup_our_vs_kern", 0.0)
-    print(
-        f"bench gate: our_mul speedup over kern_mul {speedup:.3f}x vs "
-        f"baseline {baseline.get('speedup_our_vs_kern', 0.0):.3f}x "
-        f"(floor {floor:.3f})"
-    )
-    if not isinstance(speedup, (int, float)) or speedup < floor:
-        failures.append(
-            f"our_mul speedup over kern_mul {speedup!r} fell below the "
-            f"{floor:.3f}x floor"
-        )
-
-    # Absolute cycle ceilings only compare like with like: a runner whose
-    # cycle counter fell back to a different unit cannot be gated on
-    # magnitudes.
-    if current.get("unit") == baseline.get("unit"):
-        for name, base_alg in baseline_algs.items():
-            base_mean = base_alg.get("mean", 0.0)
-            cur_mean = current_algs[name].get("mean", 0.0)
-            if not base_mean:
-                continue
-            ceiling = base_mean / args.min_throughput_ratio
-            if cur_mean > ceiling:
-                failures.append(
-                    f"{name} mean {cur_mean:.1f} {current.get('unit')} "
-                    f"exceeded ceiling {ceiling:.1f} (baseline "
-                    f"{base_mean:.1f} / {args.min_throughput_ratio})"
-                )
-    else:
-        print(
-            f"bench gate: skipping cycle ceilings (unit "
-            f"{current.get('unit')!r} != baseline {baseline.get('unit')!r})"
-        )
-    return failures
-
-
-def gate_sweep(current, baseline, args):
-    failures = []
-    if not check_workload(
-        current,
-        baseline,
-        ("bench", "width", "mul_width", "jobs", "simd"),
-        failures,
-    ):
-        return failures
-
-    # Machine-independent semantics: the sweep is exhaustive over a fixed
-    # grid (plus a seeded random-pair stage), so every property must hold
-    # and the work totals are exact on any machine and any kernel tier --
-    # THE determinism contract the SIMD tiers promise.
-    if current.get("all_hold") is not True:
-        failures.append(
-            f"all_hold is {current.get('all_hold')!r}, expected true "
-            "(a verified property failed)"
-        )
-    if current.get("campaign_evals") != baseline.get("campaign_evals"):
-        failures.append(
-            f"campaign_evals: current {current.get('campaign_evals')!r} != "
-            f"baseline {baseline.get('campaign_evals')!r}"
-        )
-
-    def by_name(data):
-        return {a.get("name"): a for a in data.get("algorithms", [])}
-
-    current_algs = by_name(current)
-    baseline_algs = by_name(baseline)
-    if set(current_algs) != set(baseline_algs):
-        failures.append(
-            f"algorithm roster changed: current {sorted(current_algs)} != "
-            f"baseline {sorted(baseline_algs)}"
-        )
-    else:
-        for name, base_alg in baseline_algs.items():
-            for key in ("pairs", "evals"):
-                if current_algs[name].get(key) != base_alg.get(key):
-                    failures.append(
-                        f"{name}.{key}: current "
-                        f"{current_algs[name].get(key)!r} != baseline "
-                        f"{base_alg.get(key)!r}"
-                    )
-
-    # The resolved kernel tier depends on the runner's CPU; report, never
-    # gate.
-    print(
-        f"bench gate: simd kernels {current.get('simd_kernels')!r} "
-        f"(baseline recorded {baseline.get('simd_kernels')!r})"
-    )
-
-    # Machine-dependent throughput: generous floor on the campaign rate.
-    floor = args.min_throughput_ratio
-    current_rate = current.get("campaign_mevals_per_s", 0.0)
-    baseline_rate = baseline.get("campaign_mevals_per_s", 0.0)
-    if baseline_rate and floor > 0:
-        ratio = current_rate / baseline_rate
-        print(
-            f"bench gate: campaign throughput {current_rate:.1f} Mevals/s "
-            f"vs baseline {baseline_rate:.1f} ({ratio:.2f}x, floor {floor})"
-        )
-        if ratio < floor:
-            failures.append(
-                f"campaign throughput regressed to {ratio:.2f}x of baseline "
-                f"(floor {floor})"
-            )
-    return failures
-
-
-def gate_atlas(current, baseline, args):
-    failures = []
-    if not check_workload(
-        current,
-        baseline,
-        ("bench", "width", "shift_width", "cast_width"),
-        failures,
-    ):
-        return failures
-
-    # Machine-independent semantics: the atlas is an exhaustive scan of a
-    # fixed grid, so every measured gap figure -- per cell and per unary
-    # cast row -- is exact on any machine, scheduler, and SIMD tier (the
-    # campaign determinism contract). A mismatch means a transfer
-    # function's precision actually changed; refresh the baseline only if
-    # that change was intentional.
-    def cell_key(cell):
-        return (cell.get("op"), cell.get("algorithm"), cell.get("width"))
-
-    def by_cell(data, section):
-        return {cell_key(c): c for c in data.get(section, [])}
-
-    for section, key_of, exact in (
-        ("cells", cell_key,
-         ("pairs", "sum_gap", "max_gap", "gap_cdf", "witness")),
-        ("cast", lambda c: (c.get("op"), c.get("param")),
-         ("width", "tnums", "sum_gap", "max_gap")),
-    ):
-        current_rows = {key_of(c): c for c in current.get(section, [])}
-        baseline_rows = {key_of(c): c for c in baseline.get(section, [])}
+    failures = differ(current, baseline, schema.get("exact", ()))
+    failures += [f"{key} is {current.get(key)!r}, expected true"
+                 for key in schema.get("true", ())
+                 if current.get(key) is not True]
+    rosters = schema.get("rosters", {})
+    rows = {}
+    for section, (key_fields, exact) in rosters.items():
+        current_rows, baseline_rows = (
+            {tuple(row.get(f) for f in key_fields): row
+             for row in data.get(section, [])}
+            for data in (current, baseline))
         if set(current_rows) != set(baseline_rows):
-            failures.append(
-                f"{section} roster changed: current {sorted(current_rows)} "
-                f"!= baseline {sorted(baseline_rows)}"
-            )
+            only = sorted(set(current_rows) ^ set(baseline_rows), key=repr)
+            failures.append(f"{section} roster changed: {only} in one file "
+                            "only")
             continue
-        for key, base_row in baseline_rows.items():
-            for field in exact:
-                if current_rows[key].get(field) != base_row.get(field):
-                    failures.append(
-                        f"{section}{key}.{field}: current "
-                        f"{current_rows[key].get(field)!r} != baseline "
-                        f"{base_row.get(field)!r}"
-                    )
-    if current.get("campaign_pairs") != baseline.get("campaign_pairs"):
-        failures.append(
-            f"campaign_pairs: current {current.get('campaign_pairs')!r} != "
-            f"baseline {baseline.get('campaign_pairs')!r}"
-        )
+        rows[section] = current_rows, baseline_rows
+        for key, row in baseline_rows.items():
+            failures += differ(current_rows[key], row, exact,
+                               f"{section}[{'/'.join(map(str, key))}].")
+    for key in schema.get("report", ()):
+        print(f"bench gate: {key} {current.get(key)!r} (baseline "
+              f"{baseline.get(key)!r}; reported, not gated)")
+    if len(rows) < len(rosters):
+        return failures  # a changed roster skips the perf checks
 
-    # Machine-dependent throughput: generous floor on the campaign rate.
-    floor = args.min_throughput_ratio
-    current_rate = current.get("campaign_pairs_per_s", 0.0)
-    baseline_rate = baseline.get("campaign_pairs_per_s", 0.0)
-    if baseline_rate and floor > 0:
-        ratio = current_rate / baseline_rate
-        print(
-            f"bench gate: atlas throughput {current_rate:.0f} pairs/s vs "
-            f"baseline {baseline_rate:.0f} ({ratio:.2f}x, floor {floor})"
-        )
-        if ratio < floor:
-            failures.append(
-                f"atlas throughput regressed to {ratio:.2f}x of baseline "
-                f"(floor {floor})"
-            )
+    if "hook" in schema:
+        schema["hook"](current, baseline, ratio, failures)
+    if "floor" in schema:
+        metric = schema["floor"]
+        try:
+            rate, base = (pick(data, metric) for data in (current, baseline))
+        except LookupError as err:
+            failures.append(f"{err} in the run or the baseline")
+        else:
+            if ratio > 0 and base and rate is not None:
+                share = rate / base
+                print(f"bench gate: {describe(metric)} {rate:.1f} vs "
+                      f"baseline {base:.1f} ({share:.2f}x, floor {ratio})")
+                if share < ratio:
+                    failures.append(f"{describe(metric)} regressed to "
+                                    f"{share:.2f}x of baseline")
+    if ratio > 0 and "speedup" in schema:
+        key, floor_of = schema["speedup"]
+        floor, speedup = floor_of(current, baseline), current.get(key, 0.0)
+        print(f"bench gate: {key} {speedup!r} (floor {floor:.3f})")
+        if not isinstance(speedup, (int, float)) or speedup < floor:
+            failures.append(f"{key} {speedup!r} fell below the {floor:.3f}x "
+                            "floor")
+    section, field, unit = schema.get("ceilings", (None, None, None))
+    if ratio > 0 and section and current.get(unit) != baseline.get(unit):
+        print(f"bench gate: skipping {section} ceilings ({unit} "
+              f"{current.get(unit)!r} != baseline {baseline.get(unit)!r})")
+    elif ratio > 0 and section:
+        current_rows, baseline_rows = rows[section]
+        for key, row in baseline_rows.items():
+            cost, base = current_rows[key].get(field, 0.0), row.get(field, 0.0)
+            if base and (not isinstance(cost, (int, float))
+                         or cost > base / ratio):
+                failures.append(f"{section}[{'/'.join(map(str, key))}]."
+                                f"{field} {cost!r} exceeded ceiling "
+                                f"{base / ratio:.1f} (baseline {base} / "
+                                f"{ratio})")
     return failures
 
 
-def gate_gbops(current, baseline, args):
-    failures = []
-    if not check_workload(current, baseline, ("bench",), failures):
-        return failures
-
-    def by_name(data):
-        return {b.get("name"): b for b in data.get("benchmarks", [])}
-
-    current_benches = by_name(current)
-    baseline_benches = by_name(baseline)
-    if set(current_benches) != set(baseline_benches):
-        failures.append(
-            f"benchmark roster changed: current {sorted(current_benches)} "
-            f"!= baseline {sorted(baseline_benches)}"
-        )
-        return failures
-
-    # Absolute wall-clock numbers, so everything perf is behind the
-    # generous ratio (and skipped on debug/sanitizer legs).
-    if args.min_throughput_ratio <= 0:
-        return failures
-    for name, base_bench in sorted(baseline_benches.items()):
-        base_ns = base_bench.get("ns_per_op", 0.0)
-        cur_ns = current_benches[name].get("ns_per_op", 0.0)
-        if not base_ns:
-            continue
-        ceiling = base_ns / args.min_throughput_ratio
-        if not isinstance(cur_ns, (int, float)) or cur_ns > ceiling:
-            failures.append(
-                f"{name} ns/op {cur_ns!r} exceeded ceiling {ceiling:.1f} "
-                f"(baseline {base_ns:.1f} / {args.min_throughput_ratio})"
-            )
-    return failures
-
-
-GATES = {
-    "verifier_throughput": gate_verifier,
-    "daemon_throughput": gate_daemon,
-    "interpreter_throughput": gate_interp,
-    "mul_cycles": gate_cycles,
-    "sweep_campaign": gate_sweep,
-    "precision_atlas": gate_atlas,
-    "gbench_ops": gate_gbops,
-}
-
-# Every top-level key each gate reads. Anything else in either file is
-# tolerated -- compared by no check -- and reported, so a run from a newer
-# bench (say, one embedding a "metrics" section) still gates against an
-# older baseline on the fields both understand.
-KNOWN_KEYS = {
-    "verifier_throughput": {
-        "bench", "seed", "profile", "programs", "mem_size", "accepted",
-        "rejected_structural", "rejected_semantic", "insn_visits",
-        "dedup_hits", "verdict_fingerprint", "deterministic", "scaling",
-    },
-    "daemon_throughput": {
-        "bench", "seed", "profile", "clients", "programs", "mem_size",
-        "total_verdicts", "verdict_fingerprint", "deterministic",
-        "matches_in_process", "latency_p50_ms", "latency_p99_ms",
-        "verdicts_per_s", "seconds", "cache_hits", "analyses_delta",
-        "cache_hits_delta", "busy_delta",
-    },
-    "interpreter_throughput": {
-        "bench", "seed", "profile", "programs", "runs_per_program",
-        "mem_size", "step_limit", "reps", "ok_runs", "trap_runs",
-        "step_limit_runs", "result_fingerprint", "identical",
-        "threaded_available", "best_speedup", "engines",
-    },
-    "mul_cycles": {
-        "bench", "pairs", "trials", "low_bits", "unit",
-        "speedup_our_vs_kern", "algorithms",
-    },
-    "sweep_campaign": {
-        "bench", "width", "mul_width", "jobs", "simd", "simd_kernels",
-        "all_hold", "campaign_evals", "campaign_seconds",
-        "campaign_mevals_per_s", "algorithms",
-    },
-    "precision_atlas": {
-        "bench", "width", "shift_width", "cast_width", "jobs", "simd",
-        "campaign_pairs", "campaign_seconds", "campaign_pairs_per_s",
-        "cells", "cast",
-    },
-    "gbench_ops": {
-        "bench", "benchmarks",
-    },
-}
-
-
-# The one number trend mode tracks per bench: a rate or within-process
-# ratio where bigger is better. Returns 0.0/None-safe floats.
-def _verifier_primary(data):
-    for point in data.get("scaling", []):
-        if point.get("jobs") == 1:
-            return point.get("programs_per_s")
-    return None
-
-
-def _gbops_primary(data):
-    # ns/op is smaller-is-better; track the reciprocal rate of the
-    # headline microbenchmark so the slide detector's direction holds.
-    for bench in data.get("benchmarks", []):
-        if bench.get("name") == "mul/our_mul":
-            ns = bench.get("ns_per_op")
-            if isinstance(ns, (int, float)) and ns > 0:
-                return 1e9 / ns
-    return None
-
-
-PRIMARY_METRIC = {
-    "verifier_throughput": ("jobs=1 programs/s", _verifier_primary),
-    "daemon_throughput": (
-        "verdicts/s", lambda d: d.get("verdicts_per_s")),
-    "interpreter_throughput": (
-        "best decoded speedup", lambda d: d.get("best_speedup")),
-    "mul_cycles": (
-        "our_mul speedup vs kern_mul",
-        lambda d: d.get("speedup_our_vs_kern")),
-    "sweep_campaign": (
-        "campaign Mevals/s", lambda d: d.get("campaign_mevals_per_s")),
-    "precision_atlas": (
-        "campaign pairs/s", lambda d: d.get("campaign_pairs_per_s")),
-    "gbench_ops": ("our_mul ops/s", _gbops_primary),
-}
-
-
-def run_trend(paths, args):
+def trend(paths):
     """Sustained-slide detector over a chronological series of runs."""
-    series = []
-    name = None
-    for path in paths:
-        data = load(path)
-        bench = data.get("bench", "verifier_throughput")
-        if name is None:
-            name = bench
-        elif bench != name:
-            print(
-                f"error: {path} is bench {bench!r}, series started as "
-                f"{name!r}",
-                file=sys.stderr,
-            )
+    runs = [(path, load(path)) for path in paths]
+    name = runs[0][1].get("bench", DEFAULT_BENCH)
+    for path, data in runs:
+        bench = data.get("bench", DEFAULT_BENCH)
+        if bench != name:
+            print(f"error: {path} is bench {bench!r}, series started as "
+                  f"{name!r}", file=sys.stderr)
             return 2
-        series.append((path, data))
-
-    if name not in PRIMARY_METRIC:
-        print(f"error: no primary metric for bench {name!r}", file=sys.stderr)
+    if name not in SCHEMA:
+        print(f"error: no schema for bench {name!r}", file=sys.stderr)
         return 2
-    label, extract = PRIMARY_METRIC[name]
+    schema = SCHEMA[name]
+    metric, scale = schema.get("trend") or (
+        schema.get("floor") or schema["speedup"][0], None)
+    label = describe(metric) if scale is None else (
+        f"{scale:g} / {describe(metric)}")
 
     points = []
-    for path, data in series:
-        value = extract(data)
+    for path, data in runs:
+        try:
+            value = pick(data, metric)
+        except LookupError:
+            value = None
         if isinstance(value, (int, float)) and value > 0:
-            points.append((path, float(value)))
+            points.append((path, scale / value if scale else float(value)))
         else:
             print(f"trend: skipping {path} (no usable {label}: {value!r})")
-
-    print(f"trend: {name} {label}, {len(points)} usable runs "
-          f"(window {args.trend_window}, tolerance "
-          f"{args.trend_tolerance:.0%}):")
+    print(f"trend: {name} {label}, {len(points)} usable runs (window "
+          f"{TREND_WINDOW}, tolerance {TREND_TOLERANCE:.0%}):")
     for path, value in points:
         print(f"  {value:12.3f}  {path}")
-    if len(points) < args.trend_window + 1:
-        print(
-            f"trend: ok (need {args.trend_window + 1} usable runs for a "
-            f"verdict; collecting history)"
-        )
+    if len(points) < TREND_WINDOW + 1:
+        print(f"trend: ok (need {TREND_WINDOW + 1} usable runs for a "
+              "verdict; collecting history)")
         return 0
 
     # Count the run-over-run drops ending at the newest run.
     streak = 0
-    for i in range(len(points) - 1, 0, -1):
-        if points[i][1] < points[i - 1][1]:
-            streak += 1
-        else:
-            break
-    newest = points[-1][1]
-    peak = points[-1 - streak][1]
-    loss = 1.0 - newest / peak if peak > 0 else 0.0
-    print(
-        f"trend: {streak} consecutive drop(s); cumulative loss {loss:.1%} "
-        f"from {peak:.3f} to {newest:.3f}"
-    )
-    if streak >= args.trend_window and loss > args.trend_tolerance:
-        print(
-            f"trend: REGRESSION: {label} slid for {streak} consecutive "
-            f"runs, losing {loss:.1%} (> {args.trend_tolerance:.0%}); each "
-            "step may be inside the single-run floor, but the slide is "
-            "sustained -- find the leak or refresh the baseline with "
-            "intent"
-        )
+    while streak < len(points) - 1 and (
+            points[-1 - streak][1] < points[-2 - streak][1]):
+        streak += 1
+    newest, peak = points[-1][1], points[-1 - streak][1]
+    loss = 1.0 - newest / peak
+    print(f"trend: {streak} consecutive drop(s); cumulative loss {loss:.1%} "
+          f"from {peak:.3f} to {newest:.3f}")
+    if streak >= TREND_WINDOW and loss > TREND_TOLERANCE:
+        print(f"trend: REGRESSION: {label} slid for {streak} consecutive "
+              f"runs, losing {loss:.1%} (> {TREND_TOLERANCE:.0%}); each step "
+              "may be inside the single-run floor, but the slide is "
+              "sustained -- find the leak or refresh the baseline with "
+              "intent")
         return 1
     print("trend: ok (no sustained slide)")
     return 0
-
-
-def report_tolerated_keys(name, current, baseline):
-    """Lists top-level keys no check reads, without failing on them."""
-    known = KNOWN_KEYS.get(name, set())
-    for label, data in (("current run", current), ("baseline", baseline)):
-        extra = sorted(set(data) - known)
-        if extra:
-            print(
-                f"bench gate: tolerating unknown top-level keys in "
-                f"{label}: {', '.join(extra)}"
-            )
 
 
 def main():
@@ -719,10 +323,10 @@ def main():
         "--min-throughput-ratio",
         type=float,
         default=0.4,
-        help="fail if throughput drops below this fraction of the baseline "
-        "(and, for the daemon bench, if p99 latency exceeds baseline "
-        "divided by it); default %(default)s, generous on purpose; 0 "
-        "disables the perf checks (debug/sanitizer legs)",
+        help="fail if a floor rate drops below this fraction of the "
+        "baseline, or a ceiling cost rises above the baseline divided by "
+        "it; default %(default)s, generous on purpose; 0 disables the perf "
+        "checks (debug/sanitizer legs)",
     )
     parser.add_argument(
         "--trend",
@@ -730,43 +334,23 @@ def main():
         help="sustained-slide mode over a chronological series instead of "
         "a single current-vs-baseline gate",
     )
-    parser.add_argument(
-        "--trend-window",
-        type=int,
-        default=3,
-        help="consecutive run-over-run drops that count as a slide "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--trend-tolerance",
-        type=float,
-        default=0.05,
-        help="cumulative fractional loss a slide must exceed to fail "
-        "(default %(default)s)",
-    )
     args = parser.parse_args()
 
     if args.trend:
-        return run_trend(args.files, args)
+        return trend(args.files)
 
     if len(args.files) != 2:
-        print(
-            "error: default mode takes exactly CURRENT and BASELINE "
-            "(use --trend for a series)",
-            file=sys.stderr,
-        )
+        print("error: default mode takes exactly CURRENT and BASELINE "
+              "(use --trend for a series)", file=sys.stderr)
         return 2
     current = load(args.files[0])
     baseline = load(args.files[1])
 
-    name = baseline.get("bench", "verifier_throughput")
-    gate = GATES.get(name)
-    if gate is None:
-        print(f"error: no gate for bench {name!r}", file=sys.stderr)
+    name = baseline.get("bench", DEFAULT_BENCH)
+    if name not in SCHEMA:
+        print(f"error: no schema for bench {name!r}", file=sys.stderr)
         return 2
-
-    report_tolerated_keys(name, current, baseline)
-    failures = gate(current, baseline, args)
+    failures = gate(SCHEMA[name], current, baseline, args.min_throughput_ratio)
     if failures:
         print("bench gate: REGRESSION detected:")
         for failure in failures:
