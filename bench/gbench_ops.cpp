@@ -12,8 +12,8 @@
 /// statistically managed wall-clock numbers.
 ///
 /// `--json FILE` (a repo-local flag, stripped before google-benchmark sees
-/// the command line) additionally writes BENCH_gbops.json for the CI perf
-/// gate (ci/compare_bench.py gate_gbops); all other flags pass through to
+/// the command line) additionally writes BENCH_gbops.json for
+/// ci/compare_bench.py (e2e.gbops_baseline); all other flags pass through to
 /// google-benchmark unchanged.
 ///
 //===----------------------------------------------------------------------===//
@@ -182,7 +182,7 @@ public:
 } // namespace
 
 /// BENCHMARK_MAIN(), plus a repo-convention `--json FILE` that writes
-/// BENCH_gbops.json for ci/compare_bench.py gate_gbops: the benchmark
+/// BENCH_gbops.json for ci/compare_bench.py: the benchmark
 /// roster is exact; ns_per_op is the machine-dependent number the gate
 /// ceilings against the committed baseline.
 int main(int argc, char **argv) {

@@ -43,7 +43,7 @@
 ///                       earlier run's checkpoint store ("0 precision
 ///                       deltas vs baseline" on an identical rerun)
 ///   --json FILE         BENCH_atlas.json for ci/compare_bench.py
-///                       gate_atlas: gap fields are exact cross-machine;
+///                       (e2e.atlas_baseline): gap fields are exact;
 ///                       campaign_pairs_per_s gets the throughput floor
 ///
 /// Reports are bit-identical across schedulers, SIMD tiers, shard splits,
@@ -360,7 +360,7 @@ int main(int Argc, char **Argv) {
   //===--------------------------------------------------------------------===//
   // BENCH_atlas.json: every gap figure is exact cross-machine (the scans
   // are exhaustive and deterministic); campaign_pairs_per_s is the
-  // machine-dependent perf number gate_atlas floors.
+  // machine-dependent perf number ci/compare_bench.py floors.
   //===--------------------------------------------------------------------===//
   if (JsonPath) {
     std::FILE *Json = std::fopen(JsonPath, "w");

@@ -65,7 +65,7 @@
 /// scalar per-pair path (--simd=off, the row scan's off switch), which
 /// must report identically to the main run.
 /// --json FILE dumps the campaign figures of merit as BENCH_sweep.json
-/// for the CI perf gate (ci/compare_bench.py gate_sweep).
+/// for ci/compare_bench.py (e2e.sweep_baseline).
 /// --precision (opt-in) appends precision cells to the campaign -- the
 /// per-operator optimality-gap measurement of docs/ATLAS.md -- printed as
 /// section [7] and diffed by --diff-baseline as "precision deltas";
@@ -668,7 +668,7 @@ int main(int Argc, char **Argv) {
   // BENCH_sweep.json: the campaign figures of merit for the CI perf gate.
   // Identity fields (width/mul_width/jobs/simd/algorithm totals) are exact
   // across machines; campaign_mevals_per_s is the machine-dependent perf
-  // number ci/compare_bench.py gate_sweep floors with a generous ratio.
+  // number ci/compare_bench.py floors with a generous ratio.
   //===--------------------------------------------------------------------===//
   if (JsonPath) {
     std::FILE *Json = std::fopen(JsonPath, "w");
