@@ -61,9 +61,10 @@
 /// checkers on the multiplication campaign.
 /// --optimality={first,full} picks first-witness-only (default; the
 /// ROADMAP's deterministic early-exit mode) or exact-total optimality
-/// scans, and --compare-optimality re-times the optimality cells on the
-/// scalar per-pair path (--simd=off, the row scan's off switch), which
-/// must report identically to the main run.
+/// scans, and --compare-optimality re-times each operator's soundness and
+/// optimality cells -- one pass of their grid -- on the scalar per-pair
+/// path (--simd=off, the row scan's off switch), which must report
+/// identically to the main run.
 /// --json FILE dumps the campaign figures of merit as BENCH_sweep.json
 /// for ci/compare_bench.py (e2e.sweep_baseline).
 /// --precision (opt-in) appends precision cells to the campaign -- the
@@ -95,6 +96,7 @@
 #include "verify/LemmaChecks.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -450,20 +452,25 @@ int main(int Argc, char **Argv) {
               "conservatively imprecise.\n\n");
 
   if (CompareOptimality) {
-    // A/B the row scan against its off switch: rerun only the optimality
-    // cells on the scalar per-pair path (SimdMode::Off) and diff the
-    // reports, witness included (they must be identical).
-    CampaignSpec OptSpec;
-    OptSpec.OptimalityEarlyExit = OptimalityEarlyExit;
-    std::vector<size_t> Twins; ///< The same cells in the main run.
-    for (const OpCells &Row : Sec1)
-      if (!Row.Skipped) {
-        OptSpec.Cells.push_back(Spec.Cells[Row.Optimality]);
-        Twins.push_back(Row.Optimality);
+    // A/B the row scan against its off switch: rerun section 1's grids on
+    // the scalar per-pair path (SimdMode::Off) and diff the reports,
+    // witnesses included (they must be identical). An operator's soundness
+    // and optimality cells share one pass with every other fold-reading
+    // cell of their grid, so the rerun takes all of them: both sides then
+    // book each cell the same share of the same passes, and each row times
+    // the operator's two cells together.
+    CampaignSpec ScalarSpec = Spec;
+    ScalarSpec.Cells.clear();
+    std::vector<size_t> ScalarIndex(Spec.Cells.size(), SIZE_MAX);
+    for (size_t I = 0; I != Spec.Cells.size(); ++I)
+      if (Spec.Cells[I].Width == Width &&
+          Spec.Cells[I].Property != CampaignProperty::Monotonicity) {
+        ScalarIndex[I] = ScalarSpec.Cells.size();
+        ScalarSpec.Cells.push_back(Spec.Cells[I]);
       }
     SweepConfig Scalar = Sweep;
     Scalar.Simd = SimdMode::Off;
-    CampaignResult ScalarRun = runCampaign(OptSpec, CampaignIO(), Scalar);
+    CampaignResult ScalarRun = runCampaign(ScalarSpec, CampaignIO(), Scalar);
     if (!ScalarRun.ok()) {
       std::fprintf(stderr, "error: %s\n", ScalarRun.Error.c_str());
       return 1;
@@ -471,23 +478,34 @@ int main(int Argc, char **Argv) {
     TextTable CmpTable({"op", "row scan s", "scalar s", "speedup",
                         "reports"});
     bool Identical = true;
-    for (size_t I = 0; I != OptSpec.Cells.size(); ++I) {
-      size_t Twin = Twins[I];
-      bool Same =
-          Campaign.Cells[Twin].Optimality == ScalarRun.Cells[I].Optimality;
+    for (const OpCells &Row : Sec1) {
+      if (Row.Skipped)
+        continue;
+      double RowSeconds = 0, ScalarSeconds = 0;
+      bool Same = true;
+      for (size_t I = 0; I != Spec.Cells.size(); ++I) {
+        if (ScalarIndex[I] == SIZE_MAX || Spec.Cells[I].Op != Row.Op)
+          continue;
+        const CampaignCellResult &Main = Campaign.Cells[I];
+        const CampaignCellResult &Off = ScalarRun.Cells[ScalarIndex[I]];
+        Same &= Main.Soundness == Off.Soundness &&
+                Main.Optimality == Off.Optimality &&
+                Main.Precision == Off.Precision;
+        if (I == Row.Soundness || I == Row.Optimality) {
+          RowSeconds += Main.Seconds;
+          ScalarSeconds += Off.Seconds;
+        }
+      }
       Identical &= Same;
-      double RowSeconds = Campaign.Cells[Twin].Seconds;
-      double ScalarSeconds = ScalarRun.Cells[I].Seconds;
-      CmpTable.addRowOf(binaryOpName(OptSpec.Cells[I].Op),
-                        formatString("%.3f", RowSeconds),
+      CmpTable.addRowOf(binaryOpName(Row.Op), formatString("%.3f", RowSeconds),
                         formatString("%.3f", ScalarSeconds),
                         formatString("%.2fx", RowSeconds > 0
                                                   ? ScalarSeconds / RowSeconds
                                                   : 0.0),
                         Same ? "identical" : "DIVERGED");
     }
-    std::printf("optimality row scan (%s) vs the scalar per-pair path "
-                "(--simd=off):\n",
+    std::printf("soundness + optimality row scan (%s) vs the scalar "
+                "per-pair path (--simd=off):\n",
                 simdPathDescription(Sweep.Simd).c_str());
     CmpTable.printAligned(stdout);
     std::printf("\n");

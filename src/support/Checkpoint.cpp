@@ -7,10 +7,12 @@
 
 #include "support/Checkpoint.h"
 
+#include "support/ArgParse.h"
 #include "support/Table.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -208,9 +210,14 @@ std::optional<uint64_t> parseKeyedU64(const std::string &Line,
       Line[KeyLen] != ' ')
     return std::nullopt;
   const char *Text = Line.c_str() + KeyLen + 1;
+  if (!Hex)
+    return parseBoundedU64(Text, 0, UINT64_MAX);
+  // strtoull would take a sign (and read "-1" as 2^64 - 1).
+  if (!std::isxdigit(static_cast<unsigned char>(*Text)))
+    return std::nullopt;
   char *End = nullptr;
   errno = 0;
-  unsigned long long Value = std::strtoull(Text, &End, Hex ? 16 : 10);
+  unsigned long long Value = std::strtoull(Text, &End, 16);
   if (errno != 0 || End == Text || *End != '\0')
     return std::nullopt;
   return static_cast<uint64_t>(Value);

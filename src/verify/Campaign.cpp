@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -315,12 +316,11 @@ struct PayloadReader {
     auto It = Fields.find(Key);
     if (It == Fields.end())
       return false;
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long Value = std::strtoull(It->second.c_str(), &End, 10);
-    if (errno != 0 || End == It->second.c_str() || *End != '\0')
+    std::optional<uint64_t> Value =
+        parseBoundedU64(It->second.c_str(), 0, UINT64_MAX);
+    if (!Value)
       return false;
-    Out = static_cast<uint64_t>(Value);
+    Out = *Value;
     return true;
   }
 
@@ -339,6 +339,11 @@ struct PayloadReader {
       return false;
     const char *Text = It->second.c_str();
     for (unsigned I = 0; I != Count; ++I) {
+      // strtoull would take a sign (and read "-1" as 2^64 - 1).
+      while (*Text == ' ')
+        ++Text;
+      if (!std::isxdigit(static_cast<unsigned char>(*Text)))
+        return false;
       char *End = nullptr;
       errno = 0;
       unsigned long long Value = std::strtoull(Text, &End, 16);
@@ -643,21 +648,20 @@ void normalizeMonotonicityFailure(BinaryOp Op, MulAlgorithm Mul,
   Report.QuadruplesChecked = Quads;
 }
 
-/// Early-exit optimality: one full-scan optimality pass over
+/// Early-exit optimality: a one-cell full-scan optimality pass over
 /// [Begin, FailIndex) recovers the exact prefix OptimalPairs count. The
 /// witness is almost always in the first shard of a non-optimal cell, so
 /// the rescan is short in practice.
-void normalizeOptimalityFailure(BinaryOp Op, MulAlgorithm Mul,
+void normalizeOptimalityFailure(BinaryOp Op, const AbstractBinaryFn &Abstract,
                                 const SweepGrid &Grid,
                                 const SweepConfig &Config, uint64_t Begin,
                                 uint64_t FailIndex,
                                 OptimalityReport &Report) {
   assert(Report.Failure && "nothing to normalize");
+  FoldCell Prefix(FoldCheck::Optimality, Abstract);
+  checkFoldRangeParallel(Op, Grid, Begin, FailIndex, Config, {&Prefix, 1});
   Report.PairsChecked = FailIndex - Begin + 1;
-  Report.OptimalPairs =
-      checkOptimalityRangeParallel(Op, Mul, Grid, Begin, FailIndex, Config,
-                                   /*StopAtFirst=*/false)
-          .OptimalPairs;
+  Report.OptimalPairs = Prefix.Optimality.OptimalPairs;
 }
 
 /// The per-cell pair totals of \p Spec (one grid dimension per width).
@@ -710,19 +714,37 @@ ShardDriveResult tnums::runPropertyCampaign(
 
   // A cell's stored fingerprint extends its content fingerprint by the
   // driver's property name and payload version.
+  // Each pass's cells, in cell order.
   std::vector<uint64_t> CellPairs;
   std::vector<uint64_t> CellFingerprints;
+  std::map<uint64_t, std::vector<size_t>> PassCells;
   CellPairs.reserve(Cells.size());
   CellFingerprints.reserve(Cells.size());
-  for (const PropertyCampaignCell &Cell : Cells) {
+  for (size_t Index = 0; Index != Cells.size(); ++Index) {
+    const PropertyCampaignCell &Cell = Cells[Index];
     assert(Cell.Driver && "every property cell needs a driver");
     CellPairs.push_back(Cell.TotalPairs);
     CellFingerprints.push_back(
         propertyCellFingerprint(Cell.ContentFingerprint, Cell.Driver->name(),
                                 Cell.Driver->payloadVersion()));
+    if (!Cell.Pass)
+      continue;
+    std::vector<size_t> &Members = PassCells[Cell.Pass];
+    if (!Members.empty() && Cells[Members[0]].TotalPairs != Cell.TotalPairs) {
+      Result.Error = formatString("cells %zu and %zu share pass %" PRIu64
+                                  " but not their pair count",
+                                  Members[0], Index, Cell.Pass);
+      return Result;
+    }
+    Members.push_back(Index);
   }
   const std::vector<ShardRef> Manifest =
       buildManifest(CellPairs, IO.ShardPairs);
+  // A cell's shards are consecutive manifest entries from FirstShard on,
+  // so the k-th shards of a pass's cells cover the same range.
+  std::vector<uint64_t> FirstShard(Cells.size());
+  for (uint64_t Id = Manifest.size(); Id-- != 0;)
+    FirstShard[Manifest[Id].Cell] = Id;
   Result.ShardsTotal = Manifest.size();
   if (CellCounts)
     CellCounts->assign(Cells.size(), CellShardCounts{});
@@ -810,25 +832,25 @@ ShardDriveResult tnums::runPropertyCampaign(
     return Stored::Current;
   };
 
-  //===--------------------------------------------------------------------===//
-  // Execution: walk the manifest in order, running owned shards,
-  // absorbing checkpointed ones whose cell fingerprint still matches,
-  // and GC-ing + re-running owned shards invalidated by an operator
-  // change.
-  //===--------------------------------------------------------------------===//
-  for (uint64_t Id = 0; Id != Manifest.size(); ++Id) {
+  /// Decides what this invocation does with shard \p Id when the walk
+  /// reaches it: skip it past its cell's terminal shard, serve it from the
+  /// store, GC it when stale, and set \p Run when it is owned, has no
+  /// current stored copy, and fits the budget next to \p Queued shards
+  /// already bound for the same pass. False on a hard error.
+  auto admit = [&](uint64_t Id, uint64_t Queued, bool &Run) {
+    Run = false;
     const ShardRef &Ref = Manifest[Id];
     if (isDead(Ref, Id)) {
       ++Result.ShardsSkipped;
       if (CellCounts)
         ++(*CellCounts)[Ref.Cell].Skipped;
-      continue;
+      return true;
     }
     const bool Owned = Id % IO.Shards == IO.ShardIndex;
     if (Store && Store->hasShard(Id)) {
       switch (classifyStored(Id, Ref)) {
       case Stored::Error:
-        return Result;
+        return false;
       case Stored::Missing:
         break; // Vanished under us: fall through and run if owned.
       case Stored::Current:
@@ -837,7 +859,7 @@ ShardDriveResult tnums::runPropertyCampaign(
           if (CellCounts)
             ++(*CellCounts)[Ref.Cell].Resumed;
         }
-        continue;
+        return true;
       case Stored::Stale: {
         // Only the OWNER may GC: a non-owner unlinking here could race
         // the owner's re-run and delete the freshly renamed replacement.
@@ -850,55 +872,99 @@ ShardDriveResult tnums::runPropertyCampaign(
         std::string Error;
         if (!Store->removeShard(Id, Error)) {
           Result.Error = std::move(Error);
-          return Result;
+          return false;
         }
         break; // Fall through to re-run below.
       }
       }
     }
-    if (!Owned)
-      continue;
-    if (IO.MaxShardsThisRun && Result.ShardsRun >= IO.MaxShardsThisRun)
-      continue; // Time-box hit: leave the rest for a resume.
-    const uint64_t ShardStartNs = Telemetry.active() ? traceNowNs() : 0;
-    // The cell's PropertyDriver computes the body; the engine stamps the
-    // payload header.
-    PropertyDriver &Driver = *Cells[Ref.Cell].Driver;
-    std::string Body;
-    ShardRecord Record;
-    Driver.runShard(Ref.Cell, Ref.Begin, Ref.End, Body, Record.Terminal);
-    Record.Payload =
-        payloadHeaderLine(Driver.name(), Driver.payloadVersion()) + Body;
-    Record.Cell = Ref.Cell;
-    Record.CellFingerprint = CellFingerprints[Ref.Cell];
-    if (Store) {
-      std::string Error;
-      if (!Store->storeShard(Id, Record, Error)) {
-        Result.Error = std::move(Error);
+    // Past the time box, the rest is left for a resume.
+    Run = Owned && !(IO.MaxShardsThisRun &&
+                     Result.ShardsRun + Queued >= IO.MaxShardsThisRun);
+    return true;
+  };
+
+  //===--------------------------------------------------------------------===//
+  // Execution: walk the manifest in order, running owned shards,
+  // absorbing checkpointed ones whose cell fingerprint still matches,
+  // and GC-ing + re-running owned shards invalidated by an operator
+  // change. A pass's cells are walked together: at each shard of its
+  // first cell, the same-range shards of all its cells run as one pass.
+  //===--------------------------------------------------------------------===//
+  for (uint64_t Id = 0; Id != Manifest.size(); ++Id) {
+    const ShardRef &Ref = Manifest[Id];
+    std::vector<uint64_t> Slot{Id};
+    if (const uint64_t Pass = Cells[Ref.Cell].Pass) {
+      const std::vector<size_t> &Members = PassCells[Pass];
+      if (Members[0] != Ref.Cell)
+        continue; // Walked with the pass's first cell.
+      Slot.clear();
+      for (size_t Member : Members)
+        Slot.push_back(FirstShard[Member] + (Id - FirstShard[Ref.Cell]));
+    }
+    std::vector<uint64_t> JobIds;
+    std::vector<ShardJob> Jobs;
+    for (uint64_t Member : Slot) {
+      bool Run = false;
+      if (!admit(Member, Jobs.size(), Run))
         return Result;
+      if (!Run)
+        continue;
+      const ShardRef &Shard = Manifest[Member];
+      JobIds.push_back(Member);
+      Jobs.push_back(ShardJob{Shard.Cell, Shard.Begin, Shard.End, {}, false});
+    }
+    if (Jobs.empty())
+      continue;
+
+    const uint64_t PassStartNs = Telemetry.active() ? traceNowNs() : 0;
+    Cells[Jobs[0].Cell].Driver->runShards(Jobs);
+    for (size_t J = 0; J != Jobs.size(); ++J) {
+      // The cell's PropertyDriver computed the body; the engine stamps the
+      // payload header.
+      const ShardJob &Job = Jobs[J];
+      PropertyDriver &Driver = *Cells[Job.Cell].Driver;
+      ShardRecord Record;
+      Record.Payload =
+          payloadHeaderLine(Driver.name(), Driver.payloadVersion()) +
+          Job.Payload;
+      Record.Terminal = Job.Terminal;
+      Record.Cell = Job.Cell;
+      Record.CellFingerprint = CellFingerprints[Job.Cell];
+      if (Store) {
+        std::string Error;
+        if (!Store->storeShard(JobIds[J], Record, Error)) {
+          Result.Error = std::move(Error);
+          return Result;
+        }
       }
+      if (Record.Terminal)
+        CellTerminalShard.emplace(Job.Cell, JobIds[J]);
+      Cache.emplace(JobIds[J], std::move(Record));
+      ++Result.ShardsRun;
+      if (CellCounts)
+        ++(*CellCounts)[Job.Cell].Run;
     }
     if (Telemetry.active()) {
-      const double WallS = double(traceNowNs() - ShardStartNs) / 1e9;
-      const uint64_t Pairs = Ref.End - Ref.Begin;
-      JsonLineBuilder Line;
-      Line.field("ts_ms", traceWallMs())
-          .field("event", "shard")
-          .field("shard", Id)
-          .field("cell", static_cast<uint64_t>(Ref.Cell))
-          .field("begin", Ref.Begin)
-          .field("end", Ref.End)
-          .field("wall_s", WallS)
-          .field("pairs_per_s", WallS > 0 ? double(Pairs) / WallS : 0.0)
-          .field("terminal", Record.Terminal);
-      Telemetry.write(Line.str());
+      // Each shard is booked an even share of its pass's wall time.
+      const double WallS =
+          double(traceNowNs() - PassStartNs) / 1e9 / double(Jobs.size());
+      for (size_t J = 0; J != Jobs.size(); ++J) {
+        const ShardJob &Job = Jobs[J];
+        JsonLineBuilder Line;
+        Line.field("ts_ms", traceWallMs())
+            .field("event", "shard")
+            .field("shard", JobIds[J])
+            .field("cell", static_cast<uint64_t>(Job.Cell))
+            .field("begin", Job.Begin)
+            .field("end", Job.End)
+            .field("wall_s", WallS)
+            .field("pairs_per_s",
+                   WallS > 0 ? double(Job.End - Job.Begin) / WallS : 0.0)
+            .field("terminal", Job.Terminal);
+        Telemetry.write(Line.str());
+      }
     }
-    if (Record.Terminal)
-      CellTerminalShard.emplace(Ref.Cell, Id);
-    Cache.emplace(Id, std::move(Record));
-    ++Result.ShardsRun;
-    if (CellCounts)
-      ++(*CellCounts)[Ref.Cell].Run;
   }
 
   //===--------------------------------------------------------------------===//
@@ -981,8 +1047,8 @@ ShardDriveResult tnums::runPropertyCampaign(
 
 namespace {
 
-/// State the four built-in drivers share: the spec and scheduling config,
-/// the per-invocation result cells they fold into, and one sweep grid
+/// State the built-in driver shares: the spec and scheduling config, the
+/// per-invocation result cells it folds into, and one sweep grid
 /// (universe + member table) per width, shared by every cell, shard, and
 /// property at that width and built on first use.
 struct CampaignEngine {
@@ -1012,143 +1078,145 @@ struct CampaignEngine {
       return applyAbstractBinary(Op, P, Q, Width, Mul);
     };
   }
-};
 
-/// Built-in driver plumbing: name and payload version come from the
-/// property enum, merging goes through the shared mergePropertyShard
-/// fold (also used by the baseline loader).
-class BuiltinPropertyDriver : public PropertyDriver {
-protected:
-  CampaignEngine &Engine;
-  const CampaignProperty Property;
-
-  BuiltinPropertyDriver(CampaignEngine &Engine, CampaignProperty Property)
-      : Engine(Engine), Property(Property) {}
-
-  const CampaignCell &cell(size_t Index) const {
-    return Engine.Spec.Cells[Index];
-  }
-
-public:
-  const char *name() const override { return campaignPropertyName(Property); }
-  unsigned payloadVersion() const override {
-    return campaignPropertyPayloadVersion(Property);
-  }
-  bool mergeShard(size_t Cell, uint64_t, uint64_t,
-                  const std::string &Payload, std::string &Error) override {
-    return mergePropertyShard(Engine.Result.Cells[Cell], Cell, Payload,
-                              Error);
-  }
-};
-
-class SoundnessDriver final : public BuiltinPropertyDriver {
-public:
-  explicit SoundnessDriver(CampaignEngine &Engine)
-      : BuiltinPropertyDriver(Engine, CampaignProperty::Soundness) {}
-
-  void runShard(size_t CellIndex, uint64_t Begin, uint64_t End,
-                std::string &Payload, bool &Terminal) override {
-    const CampaignCell &Cell = cell(CellIndex);
-    const SweepGrid &Grid = Engine.gridFor(Cell.Width);
-    auto Start = std::chrono::steady_clock::now();
-    std::optional<uint64_t> FailIndex;
-    SoundnessReport Report =
-        checkSoundnessRangeParallel(Cell.Op, Engine.abstractFor(Cell), Grid,
-                                    Begin, End, Engine.Config, &FailIndex);
-    if (Report.Failure) {
-      normalizeSoundnessFailure(Cell.Op, Grid, Begin, *FailIndex, Report);
-      Terminal = true; // Soundness cells stop at the first witness.
+  FoldCheck foldCheckFor(CampaignProperty Property) const {
+    switch (Property) {
+    case CampaignProperty::Soundness:
+      return FoldCheck::Soundness;
+    case CampaignProperty::Optimality:
+      return Spec.OptimalityEarlyExit ? FoldCheck::OptimalityFirst
+                                      : FoldCheck::Optimality;
+    case CampaignProperty::Precision:
+      return FoldCheck::Precision;
+    case CampaignProperty::Monotonicity:
+      break;
     }
-    std::chrono::duration<double> Elapsed =
-        std::chrono::steady_clock::now() - Start;
-    Payload = serializeSoundnessShard(Report, Elapsed.count());
+    assert(false && "monotonicity cells do not read the fold");
+    return FoldCheck::Precision;
   }
-};
 
-class OptimalityDriver final : public BuiltinPropertyDriver {
-public:
-  explicit OptimalityDriver(CampaignEngine &Engine)
-      : BuiltinPropertyDriver(Engine, CampaignProperty::Optimality) {}
-
-  void runShard(size_t CellIndex, uint64_t Begin, uint64_t End,
-                std::string &Payload, bool &Terminal) override {
-    const CampaignCell &Cell = cell(CellIndex);
-    const SweepGrid &Grid = Engine.gridFor(Cell.Width);
-    auto Start = std::chrono::steady_clock::now();
-    std::optional<uint64_t> FailIndex;
-    OptimalityReport Report = checkOptimalityRangeParallel(
-        Cell.Op, Cell.Mul, Grid, Begin, End, Engine.Config,
-        /*StopAtFirst=*/Engine.Spec.OptimalityEarlyExit, &FailIndex);
-    if (Report.Failure && Engine.Spec.OptimalityEarlyExit) {
-      normalizeOptimalityFailure(Cell.Op, Cell.Mul, Grid, Engine.Config,
-                                 Begin, *FailIndex, Report);
-      Terminal = true;
-    }
-    std::chrono::duration<double> Elapsed =
-        std::chrono::steady_clock::now() - Start;
-    Payload = serializeOptimalityShard(Report, Elapsed.count());
-  }
-};
-
-class MonotonicityDriver final : public BuiltinPropertyDriver {
-public:
-  explicit MonotonicityDriver(CampaignEngine &Engine)
-      : BuiltinPropertyDriver(Engine, CampaignProperty::Monotonicity) {}
-
-  void runShard(size_t CellIndex, uint64_t Begin, uint64_t End,
-                std::string &Payload, bool &Terminal) override {
-    const CampaignCell &Cell = cell(CellIndex);
-    const SweepGrid &Grid = Engine.gridFor(Cell.Width);
-    auto Start = std::chrono::steady_clock::now();
-    std::optional<uint64_t> FailIndex;
-    MonotonicityReport Report = checkMonotonicityRangeParallel(
-        Cell.Op, Cell.Mul, Grid, Begin, End, Engine.Config, &FailIndex);
-    if (Report.Failure) {
-      normalizeMonotonicityFailure(Cell.Op, Cell.Mul, Grid, Begin,
-                                   *FailIndex, Report);
-      Terminal = true;
-    }
-    std::chrono::duration<double> Elapsed =
-        std::chrono::steady_clock::now() - Start;
-    Payload = serializeMonotonicityShard(Report, Elapsed.count());
-  }
-};
-
-class PrecisionDriver final : public BuiltinPropertyDriver {
-public:
-  explicit PrecisionDriver(CampaignEngine &Engine)
-      : BuiltinPropertyDriver(Engine, CampaignProperty::Precision) {}
-
-  void runShard(size_t CellIndex, uint64_t Begin, uint64_t End,
-                std::string &Payload, bool &) override {
+  /// Runs one pass over one shard range: a monotonicity shard alone, or
+  /// the shards of soundness, optimality and precision cells of one
+  /// (concrete op, width) grid as one fold pass. Failing soundness,
+  /// monotonicity and early-exit optimality shards are normalized to
+  /// serial-prefix counts and end their cells. Every shard is booked an
+  /// even share of the pass's compute time.
+  void runPass(std::span<ShardJob> Jobs) {
     struct ScanMetrics {
       Counter Cells{"tnums_precision_cells_total"};
     };
     static ScanMetrics Metrics;
-    if (Begin == 0)
-      Metrics.Cells.add(1);
-    // A measurement has no terminal shards: every pair is scanned.
-    const CampaignCell &Cell = cell(CellIndex);
-    const SweepGrid &Grid = Engine.gridFor(Cell.Width);
-    auto Start = std::chrono::steady_clock::now();
-    PrecisionReport Report =
-        checkPrecisionRangeParallel(Cell.Op, Engine.abstractFor(Cell), Grid,
-                                    Begin, End, Engine.Config);
-    std::chrono::duration<double> Elapsed =
-        std::chrono::steady_clock::now() - Start;
-    Payload = serializePrecisionShard(Report, Elapsed.count());
+    const auto Start = std::chrono::steady_clock::now();
+    const CampaignCell &First = Spec.Cells[Jobs[0].Cell];
+    const SweepGrid &Grid = gridFor(First.Width);
+    const uint64_t Begin = Jobs[0].Begin;
+    const uint64_t End = Jobs[0].End;
+    auto seconds = [&] {
+      std::chrono::duration<double> Elapsed =
+          std::chrono::steady_clock::now() - Start;
+      return Elapsed.count() / double(Jobs.size());
+    };
+
+    if (First.Property == CampaignProperty::Monotonicity) {
+      assert(Jobs.size() == 1 && "monotonicity cells run alone");
+      std::optional<uint64_t> FailIndex;
+      MonotonicityReport Report = checkMonotonicityRangeParallel(
+          First.Op, First.Mul, Grid, Begin, End, Config, &FailIndex);
+      if (Report.Failure) {
+        normalizeMonotonicityFailure(First.Op, First.Mul, Grid, Begin,
+                                     *FailIndex, Report);
+        Jobs[0].Terminal = true;
+      }
+      Jobs[0].Payload = serializeMonotonicityShard(Report, seconds());
+      return;
+    }
+
+    std::vector<FoldCell> Folds;
+    Folds.reserve(Jobs.size());
+    for (const ShardJob &Job : Jobs) {
+      const CampaignCell &Cell = Spec.Cells[Job.Cell];
+      assert(Cell.Op == First.Op && Cell.Width == First.Width &&
+             Job.Begin == Begin && Job.End == End && "one grid, one range");
+      if (Cell.Property == CampaignProperty::Precision && Begin == 0)
+        Metrics.Cells.add(1);
+      Folds.emplace_back(foldCheckFor(Cell.Property), abstractFor(Cell));
+    }
+    checkFoldRangeParallel(First.Op, Grid, Begin, End, Config, Folds);
+    for (size_t I = 0; I != Jobs.size(); ++I) {
+      FoldCell &Fold = Folds[I];
+      if (Fold.Check == FoldCheck::Soundness && Fold.Soundness.Failure) {
+        normalizeSoundnessFailure(First.Op, Grid, Begin, *Fold.FailureIndex,
+                                  Fold.Soundness);
+        Jobs[I].Terminal = true; // Soundness cells stop at the first witness.
+      } else if (Fold.Check == FoldCheck::OptimalityFirst &&
+                 Fold.Optimality.Failure) {
+        normalizeOptimalityFailure(First.Op, Fold.Abstract, Grid, Config,
+                                   Begin, *Fold.FailureIndex,
+                                   Fold.Optimality);
+        Jobs[I].Terminal = true;
+      }
+    }
+    const double Seconds = seconds();
+    for (size_t I = 0; I != Jobs.size(); ++I) {
+      const FoldCell &Fold = Folds[I];
+      switch (Spec.Cells[Jobs[I].Cell].Property) {
+      case CampaignProperty::Soundness:
+        Jobs[I].Payload = serializeSoundnessShard(Fold.Soundness, Seconds);
+        break;
+      case CampaignProperty::Optimality:
+        Jobs[I].Payload = serializeOptimalityShard(Fold.Optimality, Seconds);
+        break;
+      case CampaignProperty::Precision:
+        Jobs[I].Payload = serializePrecisionShard(Fold.Precision, Seconds);
+        break;
+      case CampaignProperty::Monotonicity:
+        assert(false && "monotonicity cells run alone");
+        break;
+      }
+    }
+  }
+};
+
+/// The built-in properties' driver: name and payload version come from
+/// the property enum, shards run through the shared engine (so one pass
+/// may hold soundness, optimality and precision shards of one grid), and
+/// merging goes through the shared mergePropertyShard fold (also used by
+/// the baseline loader).
+class BuiltinPropertyDriver final : public PropertyDriver {
+  CampaignEngine &Engine;
+  const CampaignProperty Property;
+
+public:
+  BuiltinPropertyDriver(CampaignEngine &Engine, CampaignProperty Property)
+      : Engine(Engine), Property(Property) {}
+
+  const char *name() const override { return campaignPropertyName(Property); }
+  unsigned payloadVersion() const override {
+    return campaignPropertyPayloadVersion(Property);
   }
 
-  bool mergeShard(size_t Cell, uint64_t Begin, uint64_t End,
+  void runShard(size_t Cell, uint64_t Begin, uint64_t End,
+                std::string &Payload, bool &Terminal) override {
+    ShardJob Job{Cell, Begin, End, {}, false};
+    Engine.runPass({&Job, 1});
+    Payload = std::move(Job.Payload);
+    Terminal = Job.Terminal;
+  }
+
+  void runShards(std::span<ShardJob> Jobs) override { Engine.runPass(Jobs); }
+
+  bool mergeShard(size_t Cell, uint64_t, uint64_t,
                   const std::string &Payload, std::string &Error) override {
     struct MergeMetrics {
       Histogram MergeNs{"tnums_precision_merge_ns"};
     };
     static MergeMetrics Metrics;
-    const uint64_t StartNs = metricsEnabled() ? traceNowNs() : 0;
+    const bool Timed =
+        Property == CampaignProperty::Precision && metricsEnabled();
+    const uint64_t StartNs = Timed ? traceNowNs() : 0;
     bool Ok =
-        BuiltinPropertyDriver::mergeShard(Cell, Begin, End, Payload, Error);
-    if (metricsEnabled())
+        mergePropertyShard(Engine.Result.Cells[Cell], Cell, Payload, Error);
+    if (Timed)
       Metrics.MergeNs.record(traceNowNs() - StartNs);
     return Ok;
   }
@@ -1182,30 +1250,26 @@ CampaignResult tnums::runCampaign(const CampaignSpec &Spec,
     Result.Cells[I].Cell = Spec.Cells[I];
 
   CampaignEngine Engine{Spec, Config, Result, {}};
-  SoundnessDriver Soundness(Engine);
-  OptimalityDriver Optimality(Engine);
-  MonotonicityDriver Monotonicity(Engine);
-  PrecisionDriver Precision(Engine);
-  auto driverFor = [&](CampaignProperty Property) -> PropertyDriver * {
-    switch (Property) {
-    case CampaignProperty::Soundness:
-      return &Soundness;
-    case CampaignProperty::Optimality:
-      return &Optimality;
-    case CampaignProperty::Monotonicity:
-      return &Monotonicity;
-    case CampaignProperty::Precision:
-      return &Precision;
-    }
-    return nullptr;
-  };
+  BuiltinPropertyDriver Drivers[] = { // In CampaignProperty order.
+      {Engine, CampaignProperty::Soundness},
+      {Engine, CampaignProperty::Optimality},
+      {Engine, CampaignProperty::Monotonicity},
+      {Engine, CampaignProperty::Precision}};
 
+  // One pass per (concrete op, width) grid for every cell that reads the
+  // fold; monotonicity cells run alone.
   std::vector<PropertyCampaignCell> Cells;
   Cells.reserve(Spec.Cells.size());
-  for (size_t I = 0; I != Spec.Cells.size(); ++I)
+  for (size_t I = 0; I != Spec.Cells.size(); ++I) {
+    const CampaignCell &Cell = Spec.Cells[I];
+    const uint64_t Pass =
+        Cell.Property == CampaignProperty::Monotonicity
+            ? 0
+            : (uint64_t(Cell.Op) + 1) << 32 | Cell.Width;
     Cells.push_back(PropertyCampaignCell{
-        CellPairs[I], cellContentFingerprint(Spec, Spec.Cells[I]),
-        driverFor(Spec.Cells[I].Property)});
+        CellPairs[I], cellContentFingerprint(Spec, Cell),
+        &Drivers[static_cast<size_t>(Cell.Property)], Pass});
+  }
 
   std::vector<bool> CellComplete;
   std::vector<CellShardCounts> CellCounts;

@@ -59,7 +59,10 @@
 /// properties are drivers inside runCampaign, and the Table I / Fig. 4
 /// front ends plug their custom order-independent reductions in as drivers
 /// of their own, which is how every sweep front end shares one resume
-/// story AND one payload-versioning story.
+/// story AND one payload-versioning story. runCampaign runs the
+/// soundness, optimality and precision cells of one (concrete op, width)
+/// grid as one pass per shard range: they all read one fold, alpha of the
+/// concrete operator (checkFoldRangeParallel), which it computes once.
 ///
 /// runCampaign is the one batched entry point over whole grids: a one-shot
 /// check is a spec of one or more cells run with a default (in-memory)
@@ -83,6 +86,7 @@
 #include <cstdio>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -228,7 +232,8 @@ struct CampaignCellResult {
   uint64_t ShardsInvalidated = 0;
   uint64_t ShardsSkipped = 0;
   /// Compute seconds summed over merged shards (informational: it is the
-  /// one merged quantity that is NOT deterministic).
+  /// one merged quantity that is NOT deterministic). A shard run in a pass
+  /// of n shards carries 1/n of the pass's compute time.
   double Seconds = 0;
 
   /// Property-specific "no counterexample" (meaningful when Complete).
@@ -401,6 +406,16 @@ void printCampaignStatus(uint64_t ShardsTotal, uint64_t ShardsRun,
                          uint64_t ShardsInvalidated,
                          const std::string &CheckpointDir);
 
+/// One shard handed to PropertyDriver::runShards: the cell and pair range
+/// in, the payload body and the terminal flag out.
+struct ShardJob {
+  size_t Cell = 0;
+  uint64_t Begin = 0;
+  uint64_t End = 0;
+  std::string Payload;
+  bool Terminal = false;
+};
+
 /// One campaign property as the engine sees it. A driver owns its
 /// payload format end to end: runShard serializes a deterministic BODY,
 /// mergeShard folds bodies back in manifest order, and payloadVersion
@@ -428,6 +443,18 @@ public:
   virtual void runShard(size_t Cell, uint64_t Begin, uint64_t End,
                         std::string &Payload, bool &Terminal) = 0;
 
+  /// Runs one pass: shards of cells that share a Pass key
+  /// (PropertyCampaignCell), all over the same pair range. The engine
+  /// calls it on the first job's driver with every job of the pass; the
+  /// default runs each job through runShard, which is right when the pass
+  /// has one cell. A driver that shares work across a pass writes each
+  /// job's payload as runShard would, and books each job an even share of
+  /// the pass's compute time.
+  virtual void runShards(std::span<ShardJob> Jobs) {
+    for (ShardJob &Job : Jobs)
+      runShard(Job.Cell, Job.Begin, Job.End, Job.Payload, Job.Terminal);
+  }
+
   /// Folds one payload body into the driver's accumulators. Called in
   /// manifest order (cell-major, ranges ascending), never past a
   /// terminal shard. Return false (with \p Error set) on a malformed
@@ -448,6 +475,11 @@ struct PropertyCampaignCell {
   uint64_t TotalPairs = 0;
   uint64_t ContentFingerprint = 0;
   PropertyDriver *Driver = nullptr;
+  /// Cells with the same nonzero Pass run as one pass per shard range:
+  /// the engine hands each range's runnable shards of all of them to one
+  /// runShards call. They must have equal TotalPairs (so equal shard
+  /// ranges) and drivers that run each other's jobs. 0 runs alone.
+  uint64_t Pass = 0;
 };
 
 /// The fingerprint actually stored in a property campaign's shard files:
@@ -465,6 +497,12 @@ uint64_t propertyCellFingerprint(uint64_t ContentFingerprint,
 /// (stamping the payload header, persisting to IO.CheckpointDir when set),
 /// then merges every available shard in manifest order through the
 /// drivers' mergeShard (verifying and stripping the header first).
+/// Execution walks the manifest, except that a pass's shards of one range
+/// run together when the walk reaches its first cell's shard: each joins
+/// if this invocation owns it, its cell has not ended at an earlier
+/// terminal shard, the store holds no current copy, and it fits the
+/// MaxShardsThisRun budget. Only the execution order depends on passes;
+/// shard ids, payloads and the merge do not.
 /// \p Fingerprint guards the store directory (campaignFingerprint for
 /// runCampaign's specs). Stored shards are served only while their cell
 /// fingerprint (propertyCellFingerprint) still matches; stale owned shards

@@ -125,7 +125,7 @@ inline unsigned precisionGap(const Tnum &Actual, const Tnum &Optimal) {
 
 /// Exhaustively measures \p Op's precision gap against the optimal
 /// abstraction at \p Width -- the serial reference the parallel sweep
-/// (checkPrecisionRangeParallel) and the campaign merges are bit-identical
+/// (checkFoldRangeParallel) and the campaign merges are bit-identical
 /// to. Always a full scan (a measurement has no early exit).
 PrecisionReport measurePrecisionGap(BinaryOp Op, unsigned Width,
                                     MulAlgorithm Mul = MulAlgorithm::Our);

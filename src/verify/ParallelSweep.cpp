@@ -18,98 +18,45 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <map>
 #include <mutex>
 
 using namespace tnums;
 
 namespace {
 
-/// A failing pair: its grid index (for the Campaign layer's serial-prefix
-/// re-normalization) plus the property-specific witness.
-template <typename CounterexampleT> struct IndexedFailure {
-  uint64_t Index;
-  CounterexampleT Witness;
-};
-
-/// The chunk / first-fail-chunk cancellation protocol, shared by the four
-/// range scans (soundness, optimality, monotonicity, precision), applied
-/// to the pair-index range [Begin, End) of \p Grid. Each chunk is split
-/// into row segments -- the pairs of one P, [QBegin, QEnd) -- and the body
-/// scans one segment at a time. Templated on the counterexample type, a
-/// chunk-local counter block, and the segment body, which also gets the
-/// row scan's buffers: one RowScratch per worker thread, so its capacity
-/// (up to a row's lanes per array) is allocated once, not per chunk.
-///
-///   Segment(PIndex, QBegin, QEnd, Local, Scratch)
-///       -> std::optional<IndexedFailure<CounterexampleT>>
-///          (the segment's serial-order first failure, by grid index)
-///   Merge(Local)  -- fold the chunk's counters into the totals
-///
-/// With \p CancelOnFailure (the soundness protocol) a failing chunk stops
-/// at its own first violation, chunks strictly above the lowest failing
-/// chunk are cancelled, and chunks at or below it always finish -- so the
-/// returned counterexample is the serial row-major first one in the
-/// range. Without it (optimality's exact-count mode) every chunk
-/// full-scans and only the lowest chunk's first witness is kept; the
-/// result is the serial-order first counterexample either way.
-template <typename CounterexampleT, typename LocalT, typename SegmentT,
-          typename MergeT>
-std::optional<IndexedFailure<CounterexampleT>>
-sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
-              const SweepConfig &Config, bool CancelOnFailure,
-              const SegmentT &Segment, const MergeT &Merge) {
-  assert(Begin <= End && End <= Grid.TotalPairs && "range out of grid");
+/// Schedules \p Body(Chunk, ChunkBegin, ChunkEnd, Worker) over the chunks
+/// of ChunkPairs consecutive indices of [\p Begin, \p End) on the sweep
+/// pool, with one \p MakeWorker() state per worker thread. Chunks are
+/// handed out in ascending order.
+template <typename MakeWorkerT, typename BodyT>
+void forEachChunk(uint64_t Begin, uint64_t End, const SweepConfig &Config,
+                  const MakeWorkerT &MakeWorker, const BodyT &Body) {
+  assert(Begin <= End && "bad index range");
   const uint64_t ChunkPairs = std::max<uint64_t>(1, Config.ChunkPairs);
   const uint64_t NumChunks = (End - Begin + ChunkPairs - 1) / ChunkPairs;
+  forEachChunkOnPool(Config.NumThreads, NumChunks, MakeWorker,
+                     [&](uint64_t Chunk, auto &Worker) {
+                       uint64_t ChunkBegin = Begin + Chunk * ChunkPairs;
+                       Body(Chunk, ChunkBegin,
+                            std::min(End, ChunkBegin + ChunkPairs), Worker);
+                     });
+}
 
-  // Lowest chunk index with a violation; the final value's witness is the
-  // serial-order first counterexample.
-  std::atomic<uint64_t> FirstFailChunk{UINT64_MAX};
-  std::mutex FailuresMutex;
-  std::map<uint64_t, IndexedFailure<CounterexampleT>> FailureByChunk;
-
-  forEachChunkOnPool(
-      Config.NumThreads, NumChunks, [] { return RowScratch(); },
-      [&](uint64_t Chunk, RowScratch &Scratch) {
-        if (CancelOnFailure &&
-            Chunk > FirstFailChunk.load(std::memory_order_acquire))
-          return;
-        uint64_t ChunkBegin = Begin + Chunk * ChunkPairs;
-        uint64_t ChunkEnd = std::min(End, ChunkBegin + ChunkPairs);
-        LocalT Local{};
-        bool ChunkHasFailure = false;
-        for (uint64_t Index = ChunkBegin; Index != ChunkEnd;) {
-          if (CancelOnFailure &&
-              Chunk > FirstFailChunk.load(std::memory_order_relaxed))
-            break;
-          uint64_t PIndex = Index / Grid.NumTnums;
-          uint64_t RowBegin = PIndex * Grid.NumTnums;
-          uint64_t SegmentEnd =
-              std::min(ChunkEnd, RowBegin + Grid.NumTnums);
-          std::optional<IndexedFailure<CounterexampleT>> Failure =
-              Segment(PIndex, Index - RowBegin, SegmentEnd - RowBegin, Local,
-                      Scratch);
-          Index = SegmentEnd;
-          if (Failure && !ChunkHasFailure) {
-            ChunkHasFailure = true;
-            {
-              std::lock_guard<std::mutex> Lock(FailuresMutex);
-              FailureByChunk.emplace(Chunk, std::move(*Failure));
-            }
-            atomicMinU64(FirstFailChunk, Chunk);
-          }
-          // This chunk's first (= serial-order) violation is recorded.
-          if (ChunkHasFailure && CancelOnFailure)
-            break;
-        }
-        Merge(Local);
-      });
-
-  std::lock_guard<std::mutex> Lock(FailuresMutex);
-  if (FailureByChunk.empty())
-    return std::nullopt;
-  return std::move(FailureByChunk.begin()->second); // Lowest chunk index.
+/// Calls \p Segment(PIndex, QBegin, QEnd) for each row segment of the pair
+/// range [\p Begin, \p End) of \p Grid -- the pairs of one P, Qs
+/// [QBegin, QEnd) -- in ascending order, while it returns true.
+template <typename SegmentT>
+void forEachRowSegment(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
+                       const SegmentT &Segment) {
+  assert(End <= Grid.TotalPairs && "range out of grid");
+  for (uint64_t Index = Begin; Index != End;) {
+    uint64_t PIndex = Index / Grid.NumTnums;
+    uint64_t RowBegin = PIndex * Grid.NumTnums;
+    uint64_t SegmentEnd = std::min(End, RowBegin + Grid.NumTnums);
+    if (!Segment(PIndex, Index - RowBegin, SegmentEnd - RowBegin))
+      return;
+    Index = SegmentEnd;
+  }
 }
 
 /// |gamma(P)| * |gamma(Q)|: the concrete evaluations of one full pair scan.
@@ -117,7 +64,7 @@ uint64_t pairEvals(const Tnum &P, const Tnum &Q) {
   return uint64_t(1) << (std::popcount(P.mask()) + std::popcount(Q.mask()));
 }
 
-/// What every row segment of one range scan shares: the grid, the
+/// What every row segment of one fold pass shares: the grid, the concrete
 /// operator, and the lane-loop tier. Batched is false under SimdMode::Off,
 /// where every segment takes the scalar per-pair path instead.
 struct RowScanner {
@@ -176,10 +123,148 @@ struct RowScanner {
   }
 };
 
-void publishFailureIndex(std::optional<uint64_t> *Out,
-                         std::optional<uint64_t> Index) {
-  if (Out)
-    *Out = Index;
+bool stopsAtFirstFailure(FoldCheck Check) {
+  return Check == FoldCheck::Soundness || Check == FoldCheck::OptimalityFirst;
+}
+
+/// One cell's share of one chunk: the counters of its report, its first
+/// failure in the chunk (by grid index), and whether it still scans.
+struct FoldLocal {
+  bool Live = false;
+  SoundnessReport Soundness;
+  OptimalityReport Optimality;
+  PrecisionReport Precision;
+  std::optional<uint64_t> FailureIndex;
+  uint64_t WorstIndex = UINT64_MAX;
+};
+
+/// A fold pass worker: the row scan's buffers (their capacity, up to a
+/// row's lanes per array, is allocated once per thread, not per chunk) and
+/// one FoldLocal per cell.
+struct FoldWorker {
+  RowScratch Scratch;
+  std::vector<FoldLocal> Locals;
+};
+
+// The witnesses are recorded out of line so that the hot loops below keep
+// the transfer function's result in registers: built inline, GCC moves it
+// through the stack into a vector register on every pair, which defeats
+// store-to-load forwarding.
+
+/// Records a chunk's first non-optimal pair.
+[[gnu::noinline, gnu::cold]] void recordNonOptimal(const SweepGrid &Grid,
+                                                   uint64_t PIndex, uint64_t Q,
+                                                   Tnum Actual, Tnum Optimal,
+                                                   FoldLocal &L) {
+  L.FailureIndex = PIndex * Grid.NumTnums + Q;
+  L.Optimality.Failure = {Grid.Universe[PIndex], Grid.Universe[Q], Actual,
+                          Optimal};
+}
+
+/// Records a chunk's new worst precision gap.
+[[gnu::noinline, gnu::cold]] void recordWorst(const SweepGrid &Grid,
+                                              uint64_t PIndex, uint64_t Q,
+                                              Tnum Actual, Tnum Optimal,
+                                              unsigned G, FoldLocal &L) {
+  L.Precision.MaxGap = G;
+  L.WorstIndex = PIndex * Grid.NumTnums + Q;
+  L.Precision.Worst = PrecisionWitness{Grid.Universe[PIndex],
+                                       Grid.Universe[Q], Actual, Optimal, G};
+}
+
+/// Applies \p Cell's check to the segment of P = Universe[PIndex] against
+/// Qs [\p QBegin, \p QEnd), whose alphas are \p Alphas and took \p Evals
+/// concrete evaluations. Returns false once the cell stops in this chunk.
+bool foldSegment(const SweepGrid &Grid, BinaryOp Concrete,
+                 const FoldCell &Cell, uint64_t PIndex, uint64_t QBegin,
+                 uint64_t QEnd, const std::vector<Tnum> &Alphas,
+                 uint64_t Evals, FoldLocal &L) {
+  const Tnum &P = Grid.Universe[PIndex];
+  const uint64_t RowBegin = PIndex * Grid.NumTnums;
+  switch (Cell.Check) {
+  case FoldCheck::Soundness:
+    for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+      Tnum R = Cell.Abstract(P, Grid.Universe[Q]);
+      // Every op(x, y) lies in gamma(R) iff alpha of them is below R
+      // (RowScan.h); a bottom R fails.
+      if (Alphas[Q - QBegin].isSubsetOf(R))
+        continue;
+      // The serial scan counts the pairs before this one in full and this
+      // one up to its first violation.
+      for (uint64_t Held = QBegin; Held != Q; ++Held)
+        L.Soundness.ConcreteChecked += pairEvals(P, Grid.Universe[Held]);
+      L.Soundness.PairsChecked += Q - QBegin + 1;
+      L.Soundness.Failure =
+          scanPairMembers(Concrete, Grid.Width, P, Grid.Universe[Q], R,
+                          L.Soundness.ConcreteChecked);
+      assert(L.Soundness.Failure && "alpha ⊑ R and the member scan disagree");
+      L.FailureIndex = RowBegin + Q;
+      return false;
+    }
+    L.Soundness.PairsChecked += QEnd - QBegin;
+    L.Soundness.ConcreteChecked += Evals;
+    return true;
+  case FoldCheck::Optimality:
+  case FoldCheck::OptimalityFirst:
+    for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+      ++L.Optimality.PairsChecked;
+      Tnum Actual = Cell.Abstract(P, Grid.Universe[Q]);
+      if (Actual == Alphas[Q - QBegin]) {
+        ++L.Optimality.OptimalPairs;
+        continue;
+      }
+      if (!L.FailureIndex)
+        recordNonOptimal(Grid, PIndex, Q, Actual, Alphas[Q - QBegin], L);
+      if (Cell.Check == FoldCheck::OptimalityFirst)
+        return false;
+    }
+    return true;
+  case FoldCheck::Precision: {
+    uint64_t SumGap = 0;
+    for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
+      const Tnum &Optimal = Alphas[Q - QBegin];
+      Tnum Actual = Cell.Abstract(P, Grid.Universe[Q]);
+      unsigned G = precisionGap(Actual, Optimal);
+      SumGap += G;
+      ++L.Precision.Buckets[G];
+      if (G > L.Precision.MaxGap)
+        recordWorst(Grid, PIndex, Q, Actual, Optimal, G, L);
+    }
+    L.Precision.PairsChecked += QEnd - QBegin;
+    L.Precision.SumGap += SumGap;
+    return true;
+  }
+  }
+  return false;
+}
+
+/// Folds one chunk's share into \p Cell. Counters add; the failure kept is
+/// the lowest-indexed one (each chunk's first is its serial first), and
+/// the worst precision witness the greatest gap, ties to the lowest index.
+void mergeFoldLocal(const FoldLocal &L, FoldCell &Cell,
+                    uint64_t &WorstIndex) {
+  Cell.Soundness.PairsChecked += L.Soundness.PairsChecked;
+  Cell.Soundness.ConcreteChecked += L.Soundness.ConcreteChecked;
+  Cell.Optimality.PairsChecked += L.Optimality.PairsChecked;
+  Cell.Optimality.OptimalPairs += L.Optimality.OptimalPairs;
+  if (L.FailureIndex &&
+      (!Cell.FailureIndex || *L.FailureIndex < *Cell.FailureIndex)) {
+    Cell.FailureIndex = L.FailureIndex;
+    Cell.Soundness.Failure = L.Soundness.Failure;
+    Cell.Optimality.Failure = L.Optimality.Failure;
+  }
+  PrecisionReport &Report = Cell.Precision;
+  Report.PairsChecked += L.Precision.PairsChecked;
+  Report.SumGap += L.Precision.SumGap;
+  for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
+    Report.Buckets[G] += L.Precision.Buckets[G];
+  if (L.Precision.Worst &&
+      (L.Precision.MaxGap > Report.MaxGap ||
+       (L.Precision.MaxGap == Report.MaxGap && L.WorstIndex < WorstIndex))) {
+    Report.MaxGap = L.Precision.MaxGap;
+    WorstIndex = L.WorstIndex;
+    Report.Worst = L.Precision.Worst;
+  }
 }
 
 } // namespace
@@ -196,142 +281,86 @@ SweepGrid tnums::makeSweepGrid(unsigned Width, const SweepConfig &Config) {
   return Grid;
 }
 
-SoundnessReport tnums::checkSoundnessRangeParallel(
-    BinaryOp Concrete, const AbstractBinaryFn &Abstract,
-    const SweepGrid &Grid, uint64_t Begin, uint64_t End,
-    const SweepConfig &Config, std::optional<uint64_t> *FailurePairIndex) {
+void tnums::checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
+                                   uint64_t Begin, uint64_t End,
+                                   const SweepConfig &Config,
+                                   std::span<FoldCell> Cells) {
   assert((!isShiftOp(Concrete) || (Grid.Width & (Grid.Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
-  std::atomic<uint64_t> PairsChecked{0};
-  std::atomic<uint64_t> ConcreteChecked{0};
+  // Precision-scan observability (docs/OBSERVABILITY.md): counters and
+  // per-pass latency, recorded only while the process recorder is enabled
+  // -- never feeding back into the report (no observer effect).
+  struct ScanMetrics {
+    Counter Pairs{"tnums_precision_pairs_total"};
+    Histogram ScanNs{"tnums_precision_scan_ns"};
+  };
+  static ScanMetrics Metrics;
+  const uint64_t ScanStartNs = metricsEnabled() ? traceNowNs() : 0;
   const RowScanner Rows(Grid, Concrete, Config);
+  const size_t NumCells = Cells.size();
 
-  struct Local {
-    uint64_t Pairs = 0;
-    uint64_t Concrete = 0;
+  // Per cell: the lowest chunk holding a failure (the serial-order first
+  // one lies in it) and, under Mutex, the lowest index of a retained
+  // precision witness.
+  std::vector<std::atomic<uint64_t>> FirstFailChunk(NumCells);
+  for (std::atomic<uint64_t> &Chunk : FirstFailChunk)
+    Chunk.store(UINT64_MAX, std::memory_order_relaxed);
+  std::vector<uint64_t> WorstIndex(NumCells, UINT64_MAX);
+  std::mutex Mutex;
+  for (FoldCell &Cell : Cells)
+    Cell = FoldCell(Cell.Check, std::move(Cell.Abstract));
+
+  // A stopping cell is live in a chunk until it fails there, and never in
+  // a chunk above its lowest failing one.
+  auto cancelled = [&](size_t C, uint64_t Chunk) {
+    return stopsAtFirstFailure(Cells[C].Check) &&
+           Chunk > FirstFailChunk[C].load(std::memory_order_acquire);
   };
 
-  std::optional<IndexedFailure<SoundnessCounterexample>> Failure =
-      sweepPairGrid<SoundnessCounterexample, Local>(
-          Grid, Begin, End, Config, /*CancelOnFailure=*/true,
-          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
-              RowScratch &Scratch)
-              -> std::optional<IndexedFailure<SoundnessCounterexample>> {
-            const Tnum &P = Grid.Universe[PIndex];
-            const uint64_t Evals = Rows.optimal(PIndex, QBegin, QEnd, Scratch);
-            for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
-              const Tnum &Qt = Grid.Universe[Q];
-              Tnum R = Abstract(P, Qt);
-              // Every op(x, y) lies in gamma(R) iff alpha of them is below
-              // R (RowScan.h); a bottom R fails.
-              if (Scratch.Results[Q - QBegin].isSubsetOf(R))
-                continue;
-              // The serial scan counts the pairs before this one in full
-              // and this one up to its first violation.
-              for (uint64_t Held = QBegin; Held != Q; ++Held)
-                L.Concrete += pairEvals(P, Grid.Universe[Held]);
-              L.Pairs += Q - QBegin + 1;
-              std::optional<SoundnessCounterexample> Witness =
-                  scanPairMembers(Concrete, Grid.Width, P, Qt, R, L.Concrete);
-              assert(Witness && "alpha ⊑ R and the member scan disagree");
-              return IndexedFailure<SoundnessCounterexample>{
-                  PIndex * Grid.NumTnums + Q, std::move(*Witness)};
-            }
-            L.Pairs += QEnd - QBegin;
-            L.Concrete += Evals;
-            return std::nullopt;
-          },
-          [&](const Local &L) {
-            PairsChecked.fetch_add(L.Pairs, std::memory_order_relaxed);
-            ConcreteChecked.fetch_add(L.Concrete, std::memory_order_relaxed);
-          });
+  forEachChunk(
+      Begin, End, Config, [] { return FoldWorker(); },
+      [&](uint64_t Chunk, uint64_t ChunkBegin, uint64_t ChunkEnd,
+          FoldWorker &W) {
+        W.Locals.assign(NumCells, FoldLocal{});
+        for (size_t C = 0; C != NumCells; ++C)
+          W.Locals[C].Live = !cancelled(C, Chunk);
+        forEachRowSegment(Grid, ChunkBegin, ChunkEnd, [&](uint64_t PIndex,
+                                                          uint64_t QBegin,
+                                                          uint64_t QEnd) {
+          bool AnyLive = false;
+          for (size_t C = 0; C != NumCells; ++C) {
+            FoldLocal &L = W.Locals[C];
+            L.Live = L.Live && !cancelled(C, Chunk);
+            AnyLive |= L.Live;
+          }
+          if (!AnyLive)
+            return false;
+          const uint64_t Evals = Rows.optimal(PIndex, QBegin, QEnd, W.Scratch);
+          for (size_t C = 0; C != NumCells; ++C) {
+            FoldLocal &L = W.Locals[C];
+            if (!L.Live ||
+                foldSegment(Grid, Concrete, Cells[C], PIndex, QBegin, QEnd,
+                            W.Scratch.Results, Evals, L))
+              continue;
+            // This chunk's first (= serial-order) violation is recorded.
+            L.Live = false;
+            atomicMinU64(FirstFailChunk[C], Chunk);
+          }
+          return true;
+        });
+        std::lock_guard<std::mutex> Lock(Mutex);
+        for (size_t C = 0; C != NumCells; ++C)
+          mergeFoldLocal(W.Locals[C], Cells[C], WorstIndex[C]);
+      });
 
-  SoundnessReport Report;
-  Report.PairsChecked = PairsChecked.load();
-  Report.ConcreteChecked = ConcreteChecked.load();
-  if (Failure) {
-    publishFailureIndex(FailurePairIndex, Failure->Index);
-    Report.Failure = std::move(Failure->Witness);
-  } else {
-    publishFailureIndex(FailurePairIndex, std::nullopt);
-  }
-  return Report;
-}
-
-OptimalityReport tnums::checkOptimalityRangeParallel(
-    BinaryOp Op, MulAlgorithm Mul, const SweepGrid &Grid, uint64_t Begin,
-    uint64_t End, const SweepConfig &Config, bool StopAtFirst,
-    std::optional<uint64_t> *FailurePairIndex) {
-  unsigned Width = Grid.Width;
-  return checkOptimalityRangeParallel(
-      Op,
-      [Op, Width, Mul](const Tnum &P, const Tnum &Q) {
-        return applyAbstractBinary(Op, P, Q, Width, Mul);
-      },
-      Grid, Begin, End, Config, StopAtFirst, FailurePairIndex);
-}
-
-OptimalityReport tnums::checkOptimalityRangeParallel(
-    BinaryOp Op, const AbstractBinaryFn &Abstract, const SweepGrid &Grid,
-    uint64_t Begin, uint64_t End, const SweepConfig &Config,
-    bool StopAtFirst, std::optional<uint64_t> *FailurePairIndex) {
-  assert((!isShiftOp(Op) || (Grid.Width & (Grid.Width - 1)) == 0) &&
-         "shift verification requires a power-of-two width");
-  std::atomic<uint64_t> PairsChecked{0};
-  std::atomic<uint64_t> OptimalPairs{0};
-  const RowScanner Rows(Grid, Op, Config);
-
-  struct Local {
-    uint64_t Pairs = 0;
-    uint64_t Optimal = 0;
-  };
-
-  // StopAtFirst selects the soundness cancellation protocol (early exit,
-  // scheduling-dependent counts on failure) and stops a segment at its
-  // first non-optimal Q; the default full-scan keeps OptimalPairs /
-  // PairsChecked exact grid totals. Either way the witness is the
-  // serial-order first non-optimal pair.
-  std::optional<IndexedFailure<OptimalityCounterexample>> Failure =
-      sweepPairGrid<OptimalityCounterexample, Local>(
-          Grid, Begin, End, Config, /*CancelOnFailure=*/StopAtFirst,
-          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
-              RowScratch &Scratch)
-              -> std::optional<IndexedFailure<OptimalityCounterexample>> {
-            const Tnum &P = Grid.Universe[PIndex];
-            Rows.optimal(PIndex, QBegin, QEnd, Scratch);
-            std::optional<IndexedFailure<OptimalityCounterexample>> First;
-            for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
-              ++L.Pairs;
-              const Tnum &Optimal = Scratch.Results[Q - QBegin];
-              Tnum Actual = Abstract(P, Grid.Universe[Q]);
-              if (Actual == Optimal) {
-                ++L.Optimal;
-                continue;
-              }
-              if (!First)
-                First = IndexedFailure<OptimalityCounterexample>{
-                    PIndex * Grid.NumTnums + Q,
-                    {P, Grid.Universe[Q], Actual, Optimal}};
-              if (StopAtFirst)
-                break;
-            }
-            return First;
-          },
-          [&](const Local &L) {
-            PairsChecked.fetch_add(L.Pairs, std::memory_order_relaxed);
-            OptimalPairs.fetch_add(L.Optimal, std::memory_order_relaxed);
-          });
-
-  OptimalityReport Report;
-  Report.PairsChecked = PairsChecked.load();
-  Report.OptimalPairs = OptimalPairs.load();
-  if (Failure) {
-    publishFailureIndex(FailurePairIndex, Failure->Index);
-    Report.Failure = std::move(Failure->Witness);
-  } else {
-    publishFailureIndex(FailurePairIndex, std::nullopt);
-  }
-  return Report;
+  bool AnyPrecision = false;
+  for (const FoldCell &Cell : Cells)
+    if (Cell.Check == FoldCheck::Precision) {
+      AnyPrecision = true;
+      Metrics.Pairs.add(Cell.Precision.PairsChecked);
+    }
+  if (AnyPrecision && metricsEnabled())
+    Metrics.ScanNs.record(traceNowNs() - ScanStartNs);
 }
 
 MonotonicityReport tnums::checkMonotonicityRangeParallel(
@@ -340,149 +369,68 @@ MonotonicityReport tnums::checkMonotonicityRangeParallel(
     std::optional<uint64_t> *FailurePairIndex) {
   assert((!isShiftOp(Op) || (Grid.Width & (Grid.Width - 1)) == 0) &&
          "shift verification requires a power-of-two width");
-  std::atomic<uint64_t> QuadruplesChecked{0};
   const unsigned Width = Grid.Width;
+  // The lowest chunk with a violation: chunks above it are cancelled, and
+  // its first violation is the serial-order first one.
+  std::atomic<uint64_t> FirstFailChunk{UINT64_MAX};
+  std::mutex Mutex;
+  MonotonicityReport Report;
+  std::optional<uint64_t> FailIndex;
 
-  struct Local {
-    uint64_t Quadruples = 0;
-  };
-
-  std::optional<IndexedFailure<MonotonicityCounterexample>> Failure =
-      sweepPairGrid<MonotonicityCounterexample, Local>(
-          Grid, Begin, End, Config, /*CancelOnFailure=*/true,
-          [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
-              RowScratch &)
-              -> std::optional<IndexedFailure<MonotonicityCounterexample>> {
-            const Tnum &P2 = Grid.Universe[PIndex];
-            for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
-              const Tnum &Q2 = Grid.Universe[Q];
-              Tnum R2 = applyAbstractBinary(Op, P2, Q2, Width, Mul);
-              std::optional<MonotonicityCounterexample> Violation;
-              forEachSubTnum(P2, [&](Tnum P1) {
+  forEachChunk(
+      Begin, End, Config, [] { return 0; },
+      [&](uint64_t Chunk, uint64_t ChunkBegin, uint64_t ChunkEnd, int &) {
+        if (Chunk > FirstFailChunk.load(std::memory_order_acquire))
+          return;
+        uint64_t Quadruples = 0;
+        std::optional<MonotonicityCounterexample> Violation;
+        uint64_t ViolationIndex = 0;
+        forEachRowSegment(Grid, ChunkBegin, ChunkEnd, [&](uint64_t PIndex,
+                                                          uint64_t QBegin,
+                                                          uint64_t QEnd) {
+          if (Chunk > FirstFailChunk.load(std::memory_order_relaxed))
+            return false;
+          const Tnum &P2 = Grid.Universe[PIndex];
+          for (uint64_t Q = QBegin; Q != QEnd && !Violation; ++Q) {
+            const Tnum &Q2 = Grid.Universe[Q];
+            Tnum R2 = applyAbstractBinary(Op, P2, Q2, Width, Mul);
+            forEachSubTnum(P2, [&](Tnum P1) {
+              if (Violation)
+                return;
+              forEachSubTnum(Q2, [&](Tnum Q1) {
                 if (Violation)
                   return;
-                forEachSubTnum(Q2, [&](Tnum Q1) {
-                  if (Violation)
-                    return;
-                  ++L.Quadruples;
-                  Tnum R1 = applyAbstractBinary(Op, P1, Q1, Width, Mul);
-                  if (!R1.isSubsetOf(R2))
-                    Violation =
-                        MonotonicityCounterexample{P1, Q1, P2, Q2, R1, R2};
-                });
+                ++Quadruples;
+                Tnum R1 = applyAbstractBinary(Op, P1, Q1, Width, Mul);
+                if (R1.isSubsetOf(R2))
+                  return;
+                Violation = MonotonicityCounterexample{P1, Q1, P2, Q2, R1, R2};
+                ViolationIndex = PIndex * Grid.NumTnums + Q;
               });
-              if (Violation)
-                return IndexedFailure<MonotonicityCounterexample>{
-                    PIndex * Grid.NumTnums + Q, std::move(*Violation)};
-            }
-            return std::nullopt;
-          },
-          [&](const Local &L) {
-            QuadruplesChecked.fetch_add(L.Quadruples,
-                                        std::memory_order_relaxed);
-          });
-
-  MonotonicityReport Report;
-  Report.QuadruplesChecked = QuadruplesChecked.load();
-  if (Failure) {
-    publishFailureIndex(FailurePairIndex, Failure->Index);
-    Report.Failure = std::move(Failure->Witness);
-  } else {
-    publishFailureIndex(FailurePairIndex, std::nullopt);
-  }
-  return Report;
-}
-
-PrecisionReport tnums::checkPrecisionRangeParallel(
-    BinaryOp Op, const AbstractBinaryFn &Abstract, const SweepGrid &Grid,
-    uint64_t Begin, uint64_t End, const SweepConfig &Config) {
-  assert((!isShiftOp(Op) || (Grid.Width & (Grid.Width - 1)) == 0) &&
-         "shift verification requires a power-of-two width");
-
-  // Precision-scan observability (docs/OBSERVABILITY.md): counters and
-  // per-scan latency, recorded only while the process recorder is enabled
-  // -- never feeding back into the report (no observer effect).
-  struct ScanMetrics {
-    Counter Pairs{"tnums_precision_pairs_total"};
-    Histogram ScanNs{"tnums_precision_scan_ns"};
-  };
-  static ScanMetrics Metrics;
-  const uint64_t ScanStartNs = metricsEnabled() ? traceNowNs() : 0;
-  const RowScanner Rows(Grid, Op, Config);
-
-  // Chunk-local accumulators: buckets and sums add order-independently,
-  // and each chunk's worst witness carries its pair index so the global
-  // pick (greatest gap, then lowest index) equals the serial scan's
-  // first-attaining-max witness for any scheduling.
-  struct Local {
-    uint64_t Pairs = 0;
-    uint64_t SumGap = 0;
-    unsigned MaxGap = 0;
-    uint64_t Buckets[PrecisionGapBuckets] = {};
-    uint64_t WorstIndex = UINT64_MAX;
-    std::optional<PrecisionWitness> Worst;
-  };
-
-  std::mutex Mutex;
-  PrecisionReport Report;
-  uint64_t WorstIndex = UINT64_MAX;
-
-  // A measurement has no failures: every segment returns none and every
-  // chunk full-scans.
-  sweepPairGrid<PrecisionWitness, Local>(
-      Grid, Begin, End, Config, /*CancelOnFailure=*/false,
-      [&](uint64_t PIndex, uint64_t QBegin, uint64_t QEnd, Local &L,
-          RowScratch &Scratch)
-          -> std::optional<IndexedFailure<PrecisionWitness>> {
-        const Tnum &P = Grid.Universe[PIndex];
-        Rows.optimal(PIndex, QBegin, QEnd, Scratch);
-        for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
-          ++L.Pairs;
-          const Tnum &Optimal = Scratch.Results[Q - QBegin];
-          Tnum Actual = Abstract(P, Grid.Universe[Q]);
-          unsigned G = precisionGap(Actual, Optimal);
-          L.SumGap += G;
-          ++L.Buckets[G];
-          if (G > L.MaxGap) {
-            L.MaxGap = G;
-            L.WorstIndex = PIndex * Grid.NumTnums + Q;
-            L.Worst = PrecisionWitness{P, Grid.Universe[Q], Actual, Optimal,
-                                       G};
+            });
           }
-        }
-        return std::nullopt;
-      },
-      [&](const Local &L) {
+          return !Violation;
+        });
+        if (Violation)
+          atomicMinU64(FirstFailChunk, Chunk);
         std::lock_guard<std::mutex> Lock(Mutex);
-        Report.PairsChecked += L.Pairs;
-        Report.SumGap += L.SumGap;
-        for (unsigned I = 0; I != PrecisionGapBuckets; ++I)
-          Report.Buckets[I] += L.Buckets[I];
-        if (L.Worst &&
-            (L.MaxGap > Report.MaxGap ||
-             (L.MaxGap == Report.MaxGap && L.WorstIndex < WorstIndex))) {
-          Report.MaxGap = L.MaxGap;
-          WorstIndex = L.WorstIndex;
-          Report.Worst = L.Worst;
+        Report.QuadruplesChecked += Quadruples;
+        if (Violation && (!FailIndex || ViolationIndex < *FailIndex)) {
+          FailIndex = ViolationIndex;
+          Report.Failure = std::move(Violation);
         }
       });
 
-  Metrics.Pairs.add(Report.PairsChecked);
-  if (metricsEnabled())
-    Metrics.ScanNs.record(traceNowNs() - ScanStartNs);
+  if (FailurePairIndex)
+    *FailurePairIndex = Report.Failure ? FailIndex : std::nullopt;
   return Report;
 }
 
 void tnums::forEachIndexRangeParallel(
     uint64_t Begin, uint64_t End, const SweepConfig &Config,
     const std::function<void(uint64_t, uint64_t)> &Fn) {
-  assert(Begin <= End && "bad index range");
-  uint64_t ChunkSize = std::max<uint64_t>(1, Config.ChunkPairs);
-  uint64_t NumChunks = (End - Begin + ChunkSize - 1) / ChunkSize;
-  forEachChunkOnPool(
-      Config.NumThreads, NumChunks, [] { return 0; },
-      [&](uint64_t Chunk, int &) {
-        uint64_t ChunkBegin = Begin + Chunk * ChunkSize;
-        Fn(ChunkBegin, std::min(End, ChunkBegin + ChunkSize));
-      });
+  forEachChunk(Begin, End, Config, [] { return 0; },
+               [&](uint64_t, uint64_t ChunkBegin, uint64_t ChunkEnd, int &) {
+                 Fn(ChunkBegin, ChunkEnd);
+               });
 }

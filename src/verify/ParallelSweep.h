@@ -19,7 +19,11 @@
 ///
 /// The engine is *range-based*: a SweepGrid (the enumerated universe plus
 /// the optional memoized member table) is built once per width and any
-/// number of [Begin, End) pair-index ranges are swept against it.
+/// number of [Begin, End) pair-index ranges are swept against it. The
+/// soundness, optimality and precision checks all read one fold, alpha of
+/// the concrete operator over each pair, so they run as cells of one fold
+/// pass (checkFoldRangeParallel): any number of cells that share a
+/// concrete operator and width read one alpha per row segment.
 /// verify/Campaign.h layers sharding, checkpointing, and order-independent
 /// merging on top, and runCampaign is how every front end runs a whole
 /// grid; the range scans below are its building blocks.
@@ -34,7 +38,8 @@
 ///    one in serial row-major order: each chunk stops at its own first
 ///    violation, chunks above the lowest failing chunk are cancelled, and
 ///    chunks below it always run to completion, so the minimum failing
-///    chunk's witness is exactly the serial witness. The work counters
+///    chunk's witness is exactly the serial witness. In a fold pass this
+///    holds per cell. The work counters
 ///    then reflect only the work actually performed (cancellation makes
 ///    them scheduling-dependent; one thread gives the exact serial
 ///    prefix). The Campaign layer re-normalizes failing shards to the
@@ -58,6 +63,8 @@
 
 #include <functional>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace tnums {
@@ -114,57 +121,66 @@ struct SweepGrid {
 /// path and byte cap allow, memoizes the member table.
 SweepGrid makeSweepGrid(unsigned Width, const SweepConfig &Config);
 
-/// Range forms of the three sweeps: scan pair indices [\p Begin, \p End)
-/// of \p Grid under the determinism contract above, restricted to the
-/// range (the "serial order" is the ascending index order of the range).
-/// When the sweep fails and \p FailurePairIndex is non-null, it receives
-/// the failing pair's grid index -- the Campaign layer uses it to
-/// re-normalize failing shards to exact serial-prefix counters.
+/// What one cell of a fold pass checks against the pass's alpha
+/// (verify/RowScan.h) with its own transfer function R.
+enum class FoldCheck : uint8_t {
+  /// alpha ⊑ R; stops at the first failing pair, which alone is scanned
+  /// member by member (scanPairMembers) for the serial-order first
+  /// witness and its evaluation count.
+  Soundness,
+  /// alpha == R over the whole range: exact OptimalPairs totals.
+  Optimality,
+  /// alpha == R, stopping at the first non-optimal pair.
+  OptimalityFirst,
+  /// The gap between R and alpha (measurePrecisionGap's report): a
+  /// measurement, so always a full scan.
+  Precision,
+};
+
+/// One cell of a fold pass: its check, its transfer function, and, once
+/// the pass returns, the report matching Check. A failing Soundness,
+/// Optimality or OptimalityFirst cell also gets the failing pair's grid
+/// index -- the Campaign layer uses it to re-normalize failing shards to
+/// exact serial-prefix counters.
+struct FoldCell {
+  FoldCell(FoldCheck Check, AbstractBinaryFn Abstract)
+      : Check(Check), Abstract(std::move(Abstract)) {}
+
+  FoldCheck Check;
+  AbstractBinaryFn Abstract;
+  SoundnessReport Soundness;
+  OptimalityReport Optimality;
+  PrecisionReport Precision;
+  std::optional<uint64_t> FailureIndex;
+};
+
+/// The fold pass: scans pair indices [\p Begin, \p End) of \p Grid once
+/// for every cell of \p Cells, under the determinism contract above
+/// restricted to the range (the "serial order" is the ascending index
+/// order of the range). Each row segment's alpha(opC(gamma(P), gamma(Q)))
+/// for \p Concrete is computed once, and only while some cell is still
+/// live in the segment's chunk; each cell then applies its own check.
+/// The cancellation protocol is per cell: a stopping cell (Soundness,
+/// OptimalityFirst) skips the chunks above its own lowest failing chunk,
+/// and a chunk stops once every cell in it is done. Each cell's report
+/// equals what a pass of that cell alone reports.
 ///
-/// Soundness reads the optimality fold: a pair holds iff its alpha is
-/// below \p Abstract's result (verify/RowScan.h), and only the first
-/// failing pair is scanned member by member (scanPairMembers), for the
-/// serial-order first witness and its evaluation count.
-SoundnessReport checkSoundnessRangeParallel(
-    BinaryOp Concrete, const AbstractBinaryFn &Abstract,
-    const SweepGrid &Grid, uint64_t Begin, uint64_t End,
-    const SweepConfig &Config,
-    std::optional<uint64_t> *FailurePairIndex = nullptr);
+/// Precision reports merge chunk-local histograms order-independently --
+/// buckets and sums add, and the retained Worst witness is the one with
+/// the greatest gap, ties broken by lowest pair index -- so they are
+/// bit-identical to the serial reference for every thread count, chunk
+/// size, and SIMD tier.
+void checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
+                            uint64_t Begin, uint64_t End,
+                            const SweepConfig &Config,
+                            std::span<FoldCell> Cells);
 
-OptimalityReport checkOptimalityRangeParallel(
-    BinaryOp Op, MulAlgorithm Mul, const SweepGrid &Grid, uint64_t Begin,
-    uint64_t End, const SweepConfig &Config, bool StopAtFirst,
-    std::optional<uint64_t> *FailurePairIndex = nullptr);
-
-/// Same, with an injected abstract operator compared against the optimal
-/// abstraction of \p Concrete's semantics.
-OptimalityReport checkOptimalityRangeParallel(
-    BinaryOp Concrete, const AbstractBinaryFn &Abstract,
-    const SweepGrid &Grid, uint64_t Begin, uint64_t End,
-    const SweepConfig &Config, bool StopAtFirst,
-    std::optional<uint64_t> *FailurePairIndex = nullptr);
-
+/// The range form of the monotonicity sweep, under the same contract; a
+/// failure's grid index goes to \p FailurePairIndex when non-null.
 MonotonicityReport checkMonotonicityRangeParallel(
     BinaryOp Op, MulAlgorithm Mul, const SweepGrid &Grid, uint64_t Begin,
     uint64_t End, const SweepConfig &Config,
     std::optional<uint64_t> *FailurePairIndex = nullptr);
-
-/// Parallel precision-gap measurement over [\p Begin, \p End): the range
-/// form of measurePrecisionGap (verify/OptimalityChecker.h), always a
-/// full scan (a measurement has no cancellation protocol). \p Abstract is
-/// the transfer function under measurement (the campaign's override hook
-/// flows through here); \p Op supplies the concrete semantics the optimal
-/// yardstick enumerates. Chunk-local histograms merge order-independently
-/// -- buckets and sums add, and the retained Worst witness is the one with
-/// the greatest gap, ties broken by lowest pair index -- so the report is
-/// bit-identical to the serial reference for every thread count, chunk
-/// size, and SIMD tier. Computes the optimal results with the optimality
-/// sweep's row scan.
-PrecisionReport checkPrecisionRangeParallel(BinaryOp Op,
-                                            const AbstractBinaryFn &Abstract,
-                                            const SweepGrid &Grid,
-                                            uint64_t Begin, uint64_t End,
-                                            const SweepConfig &Config);
 
 /// Schedules \p Fn(ChunkBegin, ChunkEnd) over consecutive chunks of the
 /// index range [\p Begin, \p End) on the sweep pool -- the building block

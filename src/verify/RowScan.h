@@ -32,7 +32,7 @@
 /// SimdTier through target-attributed wrappers; the compiler's
 /// auto-vectorizer supplies each tier's instructions (docs/SIMD.md).
 ///
-/// Only the range scans of verify/ParallelSweep.h call these. The serial
+/// Only the fold pass of verify/ParallelSweep.h calls these. The serial
 /// checkers never do: they are the scalar oracle the row scan is tested
 /// against.
 ///

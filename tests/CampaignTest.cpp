@@ -22,16 +22,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/Table.h"
 #include "tnum/TnumEnum.h"
 #include "verify/Campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 
 #include <stdlib.h>
@@ -119,6 +123,19 @@ void expectMatchesSerialCheckers(const CampaignSpec &Spec,
       break;
     }
   }
+}
+
+/// The scalar one-thread fold pass of one cell over the whole width-\p Width
+/// grid: it walks the grid in serial order (ascending chunks, stopping at
+/// a violation), so its counters are the serial-prefix counts a campaign
+/// must reproduce -- the oracle for cells under an OperatorOverride.
+FoldCell serialFold(BinaryOp Op, unsigned Width, FoldCheck Check,
+                    AbstractBinaryFn Abstract) {
+  const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
+  SweepGrid Grid = makeSweepGrid(Width, Serial);
+  FoldCell Cell(Check, std::move(Abstract));
+  checkFoldRangeParallel(Op, Grid, 0, Grid.TotalPairs, Serial, {&Cell, 1});
+  return Cell;
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,15 +343,12 @@ TEST(Campaign, BrokenOperatorWitnessSurvivesKillResumeAndSplit) {
   };
   Spec.OverrideTag = "broken-add-v1";
 
-  // Reference: the scalar range scan with one thread IS the serial walk
-  // (ascending chunks, stop at the violation), so its counters are the
-  // serial-prefix counts the campaign must reproduce.
-  const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
-  SweepGrid Grid = makeSweepGrid(Width, Serial);
-  SoundnessReport Want = checkSoundnessRangeParallel(
-      BinaryOp::Add,
-      [](const Tnum &P, const Tnum &Q) { return brokenAdd(P, Q, Width); },
-      Grid, 0, Grid.TotalPairs, Serial);
+  SoundnessReport Want =
+      serialFold(BinaryOp::Add, Width, FoldCheck::Soundness,
+                 [](const Tnum &P, const Tnum &Q) {
+                   return brokenAdd(P, Q, Width);
+                 })
+          .Soundness;
   ASSERT_TRUE(Want.Failure.has_value());
 
   for (const SweepConfig &Config : kConfigs) {
@@ -643,12 +657,12 @@ TEST(Campaign, IncrementalResumeReRunsOnlyTheChangedCells) {
   // The re-run really used the new implementation: the changed cell now
   // carries the broken mul's witness, with exact serial-prefix counters.
   ASSERT_TRUE(Inc.Cells[ChangedCellIndex].Soundness.Failure.has_value());
-  const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
-  SweepGrid Grid = makeSweepGrid(/*Width=*/4, Serial);
-  SoundnessReport Want = checkSoundnessRangeParallel(
-      BinaryOp::Mul,
-      [](const Tnum &P, const Tnum &Q) { return brokenMul(P, Q, 4); }, Grid,
-      0, Grid.TotalPairs, Serial);
+  SoundnessReport Want =
+      serialFold(BinaryOp::Mul, 4, FoldCheck::Soundness,
+                 [](const Tnum &P, const Tnum &Q) {
+                   return brokenMul(P, Q, 4);
+                 })
+          .Soundness;
   EXPECT_EQ(Want, Inc.Cells[ChangedCellIndex].Soundness);
 
   // And the merged report is bit-identical to a from-scratch run of the
@@ -990,6 +1004,273 @@ TEST(Campaign, DiffBaselineCountsPrecisionDeltas) {
       << Text;
   EXPECT_NE(Text.find("1 precision deltas vs baseline"), std::string::npos)
       << Text;
+}
+
+//===----------------------------------------------------------------------===//
+// One pass per grid: the fold-reading cells of one (concrete op, width)
+// grid run as one pass per shard range
+//===----------------------------------------------------------------------===//
+
+/// One (Mul, width 4) grid: the six soundness cells with kern_mul's
+/// replaced by a broken override, the optimality cell (non-optimal at
+/// width 4), and two precision cells, kern_mul's overridden.
+CampaignSpec groupedMulSpec(bool EarlyExit) {
+  CampaignSpec Spec;
+  Spec.OptimalityEarlyExit = EarlyExit;
+  for (MulAlgorithm Mul : AllMulAlgorithms) // Kern first: cell 0.
+    Spec.Cells.push_back({BinaryOp::Mul, Mul, 4, CampaignProperty::Soundness});
+  Spec.Cells.push_back({BinaryOp::Mul, MulAlgorithm::Our, 4,
+                        CampaignProperty::Optimality}); // Cell 6.
+  Spec.Cells.push_back({BinaryOp::Mul, MulAlgorithm::Our, 4,
+                        CampaignProperty::Precision});
+  Spec.Cells.push_back({BinaryOp::Mul, MulAlgorithm::Kern, 4,
+                        CampaignProperty::Precision});
+  Spec.OperatorOverride = [](const Tnum &P, const Tnum &Q, unsigned W) {
+    return brokenMul(P, Q, W);
+  };
+  Spec.OverrideTag = "broken-kern-mul-v1";
+  Spec.OverrideOp = BinaryOp::Mul;
+  Spec.OverrideMul = MulAlgorithm::Kern;
+  return Spec;
+}
+
+constexpr size_t BrokenCellIndex = 0;     ///< Kern soundness, overridden.
+constexpr size_t OptimalityCellIndex = 6; ///< Stops early with early exit.
+
+TEST(Campaign, GroupedMulPassMatchesTheScalarOracle) {
+  const AbstractBinaryFn Broken = [](const Tnum &P, const Tnum &Q) {
+    return brokenMul(P, Q, 4);
+  };
+  const FoldCell BrokenSound =
+      serialFold(BinaryOp::Mul, 4, FoldCheck::Soundness, Broken);
+  ASSERT_TRUE(BrokenSound.FailureIndex.has_value());
+  const PrecisionReport BrokenPrecision =
+      serialFold(BinaryOp::Mul, 4, FoldCheck::Precision, Broken).Precision;
+  const std::optional<uint64_t> OptimalityWitness =
+      serialFold(BinaryOp::Mul, 4, FoldCheck::OptimalityFirst,
+                 [](const Tnum &P, const Tnum &Q) {
+                   return applyAbstractBinary(BinaryOp::Mul, P, Q, 4);
+                 })
+          .FailureIndex;
+  ASSERT_TRUE(OptimalityWitness.has_value());
+
+  for (bool EarlyExit : {true, false}) {
+    const CampaignSpec Spec = groupedMulSpec(EarlyExit);
+    for (SweepConfig Config : kConfigs) {
+      for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off}) {
+        Config.Simd = Mode;
+        for (uint64_t ShardPairs : {uint64_t(100), uint64_t(997),
+                                    uint64_t(1) << 20}) {
+          SCOPED_TRACE(testing::Message()
+                       << "early-exit " << EarlyExit << " threads "
+                       << Config.NumThreads << " " << simdModeName(Mode)
+                       << " shard-pairs " << ShardPairs);
+          CampaignIO IO;
+          IO.ShardPairs = ShardPairs;
+          CampaignResult Campaign = runCampaign(Spec, IO, Config);
+          ASSERT_TRUE(Campaign.ok()) << Campaign.Error;
+          ASSERT_TRUE(Campaign.Complete);
+          const std::vector<CampaignCellResult> &Cells = Campaign.Cells;
+          for (size_t I = 1; I != 6; ++I)
+            EXPECT_EQ(checkSoundnessExhaustive(BinaryOp::Mul, 4,
+                                               Spec.Cells[I].Mul),
+                      Cells[I].Soundness)
+                << mulAlgorithmName(Spec.Cells[I].Mul);
+          EXPECT_EQ(BrokenSound.Soundness, Cells[BrokenCellIndex].Soundness);
+          EXPECT_EQ(checkOptimalityExhaustive(BinaryOp::Mul, 4,
+                                              MulAlgorithm::Our, EarlyExit),
+                    Cells[OptimalityCellIndex].Optimality);
+          EXPECT_EQ(measurePrecisionGap(BinaryOp::Mul, 4, MulAlgorithm::Our),
+                    Cells[7].Precision);
+          EXPECT_EQ(BrokenPrecision, Cells[8].Precision);
+
+          // The stopping cells skip their shards past the witness; every
+          // peer runs all of its own.
+          const uint64_t Total = Cells[0].ShardsTotal;
+          auto ranThrough = [&](uint64_t Index) {
+            return Index / ShardPairs + 1;
+          };
+          for (size_t I = 0; I != Cells.size(); ++I) {
+            SCOPED_TRACE(testing::Message() << "cell " << I);
+            uint64_t Run = Total;
+            if (I == BrokenCellIndex)
+              Run = ranThrough(*BrokenSound.FailureIndex);
+            if (I == OptimalityCellIndex && EarlyExit)
+              Run = ranThrough(*OptimalityWitness);
+            EXPECT_EQ(Cells[I].ShardsTotal, Total);
+            EXPECT_EQ(Cells[I].ShardsRun, Run);
+            EXPECT_EQ(Cells[I].ShardsSkipped, Total - Run);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Campaign, GroupedShardSplitKeepsEachInvocationToItsOwnShards) {
+  const CampaignSpec Spec = groupedMulSpec(/*EarlyExit=*/true);
+  CampaignIO IO;
+  IO.ShardPairs = 997;
+  const CampaignResult Whole = runCampaign(Spec, IO, kConfigs[0]);
+
+  const std::string Dir = makeCheckpointDir();
+  std::set<uint64_t> Stored;
+  CampaignResult Last;
+  for (unsigned Index : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "shard index " << Index);
+    CampaignIO Split = IO;
+    Split.CheckpointDir = Dir;
+    Split.Shards = 2;
+    Split.ShardIndex = Index;
+    Last = runCampaign(Spec, Split, kConfigs[Index + 1]);
+    ASSERT_TRUE(Last.ok()) << Last.Error;
+    EXPECT_GT(Last.ShardsRun, 0u);
+    std::string Error;
+    std::optional<CheckpointStore> Store = CheckpointStore::open(
+        Dir, campaignFingerprint(Spec, Split), Last.ShardsTotal, Error);
+    ASSERT_TRUE(Store.has_value()) << Error;
+    uint64_t Added = 0;
+    for (uint64_t Id : Store->completedShards())
+      if (Stored.insert(Id).second) {
+        ++Added;
+        EXPECT_EQ(Id % 2, Index) << "shard " << Id;
+      }
+    EXPECT_EQ(Added, Last.ShardsRun);
+  }
+  EXPECT_TRUE(Last.Complete);
+  expectSameCampaign(Whole, Last);
+}
+
+/// Sums the "wall_s" of every shard heartbeat in \p Dir's telemetry.jsonl.
+double heartbeatSeconds(const std::string &Dir) {
+  std::ifstream In(Dir + "/telemetry.jsonl");
+  std::string Line;
+  double Sum = 0;
+  while (std::getline(In, Line)) {
+    size_t At = Line.find("\"wall_s\":");
+    if (Line.find("\"event\":\"shard\"") != std::string::npos &&
+        At != std::string::npos)
+      Sum += std::strtod(Line.c_str() + At + std::strlen("\"wall_s\":"),
+                         nullptr);
+  }
+  return Sum;
+}
+
+TEST(Campaign, GroupedCellSecondsShareThePassWallTime) {
+  // Nine cells of one grid run as one pass per shard range. Each shard is
+  // booked an even share of its pass, so per-cell seconds (and shard
+  // heartbeats) still add up to compute time rather than counting every
+  // pass nine times.
+  const CampaignSpec Spec = groupedMulSpec(/*EarlyExit=*/false);
+  for (bool Checkpointed : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "checkpointed " << Checkpointed);
+    CampaignIO IO;
+    if (Checkpointed)
+      IO.CheckpointDir = makeCheckpointDir();
+    const auto Start = std::chrono::steady_clock::now();
+    CampaignResult Campaign = runCampaign(Spec, IO, kConfigs[0]);
+    const std::chrono::duration<double> Wall =
+        std::chrono::steady_clock::now() - Start;
+    ASSERT_TRUE(Campaign.ok()) << Campaign.Error;
+    ASSERT_TRUE(Campaign.Complete);
+    double Seconds = 0;
+    for (const CampaignCellResult &Cell : Campaign.Cells)
+      Seconds += Cell.Seconds;
+    EXPECT_GT(Seconds, 0.0);
+    EXPECT_LE(Seconds, Wall.count());
+    if (Checkpointed) {
+      double Heartbeats = heartbeatSeconds(IO.CheckpointDir);
+      EXPECT_GT(Heartbeats, 0.0);
+      EXPECT_LE(Heartbeats, Wall.count());
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Stored counters are unsigned
+//===----------------------------------------------------------------------===//
+
+/// Replaces the first \p From in \p Path with \p To; false if absent.
+bool editFile(const std::string &Path, const std::string &From,
+              const std::string &To) {
+  std::ifstream In(Path);
+  std::string Contents((std::istreambuf_iterator<char>(In)),
+                       std::istreambuf_iterator<char>());
+  In.close();
+  size_t At = Contents.find(From);
+  if (At == std::string::npos)
+    return false;
+  Contents.replace(At, From.size(), To);
+  std::ofstream Out(Path, std::ios::trunc);
+  Out << Contents;
+  return true;
+}
+
+TEST(Campaign, RefusesSignedCountersInStoredShards) {
+  // strtoull reads "-256" as 2^64 - 256: a sign in a stored counter or
+  // witness word must make the shard malformed, on resume and in a
+  // baseline diff alike.
+  struct Case {
+    CampaignCell Cell;
+    const char *From;
+    const char *To;
+  };
+  const Case Cases[] = {
+      {{BinaryOp::Add, MulAlgorithm::Our, 3, CampaignProperty::Soundness},
+       "\nconcrete ", "\nconcrete -"},
+      {{BinaryOp::Mul, MulAlgorithm::Our, 3, CampaignProperty::Optimality},
+       "\noptimal ", "\noptimal -"},
+      {{BinaryOp::Mul, MulAlgorithm::Kern, 3, CampaignProperty::Monotonicity},
+       "\nquadruples ", "\nquadruples -"},
+      {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
+       "\npairs ", "\npairs -"},
+      {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
+       "\nwitness ", "\nwitness -"},
+  };
+  for (const Case &C : Cases) {
+    const char *Name = campaignPropertyName(C.Cell.Property);
+    SCOPED_TRACE(testing::Message() << Name << " " << C.To);
+    CampaignSpec Spec;
+    Spec.Cells.push_back(C.Cell);
+    CampaignIO IO;
+    IO.CheckpointDir = makeCheckpointDir();
+    CampaignResult Clean = runCampaign(Spec, IO, kConfigs[0]);
+    ASSERT_TRUE(Clean.Complete) << Clean.Error;
+    ASSERT_TRUE(editFile(IO.CheckpointDir + "/shard-00000000.ckpt", C.From,
+                         C.To));
+    const std::string Malformed =
+        formatString("malformed %s shard payload", Name);
+
+    CampaignIO ResumeIO = IO;
+    ResumeIO.Resume = true;
+    CampaignResult Resumed = runCampaign(Spec, ResumeIO, kConfigs[0]);
+    EXPECT_FALSE(Resumed.ok());
+    EXPECT_NE(Resumed.Error.find(Malformed), std::string::npos)
+        << Resumed.Error;
+
+    CampaignDiffResult Diff =
+        diffCampaignBaseline(Spec, CampaignIO(), IO.CheckpointDir, Clean);
+    EXPECT_FALSE(Diff.ok());
+    EXPECT_NE(Diff.Error.find(Malformed), std::string::npos) << Diff.Error;
+  }
+
+  // The shard file's own header fields are unsigned too.
+  CampaignSpec Spec;
+  Spec.Cells.push_back(Cases[0].Cell);
+  CampaignIO IO;
+  IO.CheckpointDir = makeCheckpointDir();
+  CampaignResult Clean = runCampaign(Spec, IO, kConfigs[0]);
+  ASSERT_TRUE(Clean.Complete) << Clean.Error;
+  ASSERT_TRUE(editFile(IO.CheckpointDir + "/shard-00000000.ckpt",
+                       "\ncell 0\n", "\ncell -0\n"));
+  std::string Error;
+  std::optional<CheckpointStore> Store =
+      CheckpointStore::open(IO.CheckpointDir, campaignFingerprint(Spec, IO),
+                            Clean.ShardsTotal, Error);
+  ASSERT_TRUE(Store.has_value()) << Error;
+  EXPECT_FALSE(Store->loadShard(0, Error).has_value());
+  EXPECT_NE(Error.find("not a v2 campaign shard"), std::string::npos)
+      << Error;
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/Metrics.h"
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumOps.h"
 #include "verify/Campaign.h"
@@ -273,11 +274,35 @@ void expectSamePrecision(const PrecisionReport &Expected,
   }
 }
 
-/// One operator (and transfer function) through the three range scans:
-/// the row scan on every host tier, scheduler, and with and without the
-/// member table, against SimdMode::Off. The failure pair index must match
-/// too; work counters must match wherever they are exact (every holding
-/// scan, and one-thread scans of failing ones).
+/// Every fold check: soundness, optimality both ways, precision.
+constexpr FoldCheck kFoldChecks[] = {FoldCheck::Soundness,
+                                     FoldCheck::Optimality,
+                                     FoldCheck::OptimalityFirst,
+                                     FoldCheck::Precision};
+
+/// One transfer function under every fold check over [Begin, End), as one
+/// fold pass of four cells or (\p OnePass false) as four one-cell passes.
+std::vector<FoldCell> foldChecks(BinaryOp Op, const AbstractBinaryFn &Fn,
+                                 const SweepGrid &Grid, uint64_t Begin,
+                                 uint64_t End, const SweepConfig &Config,
+                                 bool OnePass) {
+  std::vector<FoldCell> Cells;
+  for (FoldCheck Check : kFoldChecks)
+    Cells.emplace_back(Check, Fn);
+  if (OnePass)
+    checkFoldRangeParallel(Op, Grid, Begin, End, Config, Cells);
+  else
+    for (FoldCell &Cell : Cells)
+      checkFoldRangeParallel(Op, Grid, Begin, End, Config, {&Cell, 1});
+  return Cells;
+}
+
+/// One operator (and transfer function) through every fold check: the
+/// four checks as one pass of the row scan on every host tier, scheduler,
+/// and with and without the member table, against one-cell passes with
+/// SimdMode::Off. The failure pair indices must match too; work counters
+/// must match wherever they are exact (every holding scan, and one-thread
+/// scans of failing ones).
 void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
                                    unsigned Width) {
   SweepConfig Off;
@@ -288,16 +313,10 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
   Materialized.Members.reset(); // Lanes materialized per segment instead.
   ASSERT_TRUE(Grid.Members.has_value());
   auto [Begin, End] = midRowRange(Grid);
-
-  std::optional<uint64_t> SoundIndex, OptIndex;
-  SoundnessReport Sound = checkSoundnessRangeParallel(Op, Fn, Grid, Begin,
-                                                      End, Off, &SoundIndex);
-  OptimalityReport Optimal = checkOptimalityRangeParallel(
-      Op, Fn, Grid, Begin, End, Off, /*StopAtFirst=*/false);
-  OptimalityReport First = checkOptimalityRangeParallel(
-      Op, Fn, Grid, Begin, End, Off, /*StopAtFirst=*/true, &OptIndex);
-  PrecisionReport Precision =
-      checkPrecisionRangeParallel(Op, Fn, Grid, Begin, End, Off);
+  const std::vector<FoldCell> Want =
+      foldChecks(Op, Fn, Grid, Begin, End, Off, /*OnePass=*/false);
+  const SoundnessReport &Sound = Want[0].Soundness;
+  const OptimalityReport &First = Want[2].Optimality;
 
   for (SimdMode Mode : hostRowScanModes()) {
     for (SweepConfig Config : rowScanSchedulers(Grid.NumTnums)) {
@@ -311,25 +330,16 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
                      << " chunk " << Config.ChunkPairs
                      << (G->Members ? " table" : " materialized"));
         bool Exact = Config.NumThreads == 1;
-        std::optional<uint64_t> Index;
-        expectSameSoundness(Sound,
-                            checkSoundnessRangeParallel(Op, Fn, *G, Begin, End,
-                                                        Config, &Index),
-                            Exact || Sound.holds());
-        EXPECT_EQ(SoundIndex, Index);
-        expectSameOptimality(Optimal,
-                             checkOptimalityRangeParallel(
-                                 Op, Fn, *G, Begin, End, Config,
-                                 /*StopAtFirst=*/false),
+        std::vector<FoldCell> Got =
+            foldChecks(Op, Fn, *G, Begin, End, Config, /*OnePass=*/true);
+        expectSameSoundness(Sound, Got[0].Soundness, Exact || Sound.holds());
+        expectSameOptimality(Want[1].Optimality, Got[1].Optimality,
                              /*ExactCounts=*/true);
-        expectSameOptimality(First,
-                             checkOptimalityRangeParallel(
-                                 Op, Fn, *G, Begin, End, Config,
-                                 /*StopAtFirst=*/true, &Index),
+        expectSameOptimality(First, Got[2].Optimality,
                              Exact || !First.Failure);
-        EXPECT_EQ(OptIndex, Index);
-        expectSamePrecision(Precision, checkPrecisionRangeParallel(
-                                           Op, Fn, *G, Begin, End, Config));
+        expectSamePrecision(Want[3].Precision, Got[3].Precision);
+        for (size_t C = 0; C != Got.size(); ++C)
+          EXPECT_EQ(Want[C].FailureIndex, Got[C].FailureIndex) << "cell " << C;
       }
     }
   }
@@ -408,11 +418,10 @@ TEST(RowScan, BrokenOperatorsKeepSerialFirstWitnessAndPrefixCounts) {
       Off.Simd = SimdMode::Off;
       SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
       auto [Begin, End] = midRowRange(Grid);
-      ASSERT_FALSE(
-          checkSoundnessRangeParallel(Op, Fn, Grid, Begin, End, Off).holds());
-      ASSERT_FALSE(checkOptimalityRangeParallel(Op, Fn, Grid, Begin, End, Off,
-                                                /*StopAtFirst=*/true)
-                       .isOptimalEverywhere());
+      std::vector<FoldCell> Scalar =
+          foldChecks(Op, Fn, Grid, Begin, End, Off, /*OnePass=*/false);
+      ASSERT_FALSE(Scalar[0].Soundness.holds());
+      ASSERT_FALSE(Scalar[2].Optimality.isOptimalEverywhere());
       expectRowScanAgreesWithScalar(Op, Fn, Width);
     }
   }
@@ -456,12 +465,116 @@ TEST(RowScan, BottomResultsFailAgainstTheMemberScan) {
                      << simdModeName(Mode) << " from pair " << Begin);
         SweepConfig Config{/*NumThreads=*/1, /*ChunkPairs=*/7};
         Config.Simd = Mode;
-        EXPECT_EQ(Expected,
-                  checkSoundnessRangeParallel(BinaryOp::Add, Fn, Grid, Begin,
-                                              Grid.TotalPairs, Config));
+        FoldCell Cell(FoldCheck::Soundness, Fn);
+        checkFoldRangeParallel(BinaryOp::Add, Grid, Begin, Grid.TotalPairs,
+                               Config, {&Cell, 1});
+        EXPECT_EQ(Expected, Cell.Soundness);
       }
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The fold pass itself: cells of one grid share each segment's alpha, and
+// each keeps its own checks, witness and cancellation.
+//===----------------------------------------------------------------------===//
+
+TEST(FoldPass, MixedCellsMatchTheirOneCellPasses) {
+  // Six mul transfer functions (one of them unsound) under soundness, one
+  // full and one early-exit optimality cell, and two precision cells: each
+  // cell of the one pass equals its one-cell scalar pass, on every tier
+  // and scheduler, over the whole grid and over a mid-row range.
+  constexpr unsigned Width = 4;
+  const AbstractBinaryFn Broken = [](const Tnum &P, const Tnum &Q) {
+    return brokenMul(P, Q, Width);
+  };
+  std::vector<FoldCell> Cells;
+  for (MulAlgorithm Mul : AllMulAlgorithms) // Kern first: the broken one.
+    Cells.emplace_back(FoldCheck::Soundness,
+                       Mul == MulAlgorithm::Kern
+                           ? Broken
+                           : transferFunction(BinaryOp::Mul, Mul, Width));
+  const AbstractBinaryFn Our =
+      transferFunction(BinaryOp::Mul, MulAlgorithm::Our, Width);
+  Cells.emplace_back(FoldCheck::Optimality, Our);
+  Cells.emplace_back(FoldCheck::OptimalityFirst, Our);
+  Cells.emplace_back(FoldCheck::Precision, Our);
+  Cells.emplace_back(FoldCheck::Precision, Broken);
+
+  SweepConfig Off;
+  Off.Simd = SimdMode::Off;
+  Off.NumThreads = 1;
+  SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
+  auto [MidBegin, MidEnd] = midRowRange(Grid);
+  for (auto [Begin, End] : {std::pair<uint64_t, uint64_t>{0, Grid.TotalPairs},
+                            std::pair{MidBegin, MidEnd}}) {
+    std::vector<FoldCell> Want = Cells;
+    for (FoldCell &Cell : Want)
+      checkFoldRangeParallel(BinaryOp::Mul, Grid, Begin, End, Off,
+                             {&Cell, 1});
+    ASSERT_FALSE(Want[0].Soundness.holds()) << "brokenMul went unnoticed";
+    for (SimdMode Mode : {SimdMode::Off, SimdMode::Auto}) {
+      for (SweepConfig Config : kConfigs) {
+        Config.Simd = Mode;
+        SCOPED_TRACE(::testing::Message()
+                     << simdModeName(Mode) << " threads " << Config.NumThreads
+                     << " chunk " << Config.ChunkPairs << " range " << Begin);
+        std::vector<FoldCell> Got = Cells;
+        checkFoldRangeParallel(BinaryOp::Mul, Grid, Begin, End, Config, Got);
+        bool Exact = Config.NumThreads == 1;
+        for (size_t C = 0; C != Got.size(); ++C) {
+          SCOPED_TRACE(::testing::Message() << "cell " << C);
+          EXPECT_EQ(Want[C].FailureIndex, Got[C].FailureIndex);
+          expectSameSoundness(Want[C].Soundness, Got[C].Soundness,
+                              Exact || Want[C].Soundness.holds());
+          expectSameOptimality(
+              Want[C].Optimality, Got[C].Optimality,
+              Exact || Got[C].Check != FoldCheck::OptimalityFirst);
+          expectSamePrecision(Want[C].Precision, Got[C].Precision);
+        }
+      }
+    }
+  }
+}
+
+/// Row segments the row scans have folded so far, process-wide.
+uint64_t segmentsScanned() {
+  MetricsSnapshot Snap = MetricsRegistry::instance().snapshot();
+  const MetricValue *Segments = Snap.find("tnums_sweep_segments_total");
+  return Segments ? Segments->Count : 0;
+}
+
+TEST(FoldPass, FoldsASegmentOnlyWhileSomeCellIsLive) {
+  // One row per chunk on one thread. A soundness cell that fails at the
+  // first pair ends its chunk and cancels every later one, so a pass of it
+  // alone folds one segment; next to a precision cell, the pass folds
+  // every row once, not twice.
+  constexpr unsigned Width = 3;
+  SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
+  const SweepConfig Config{/*NumThreads=*/1, /*ChunkPairs=*/Grid.NumTnums};
+  const AbstractBinaryFn Bottom = [](const Tnum &, const Tnum &) {
+    return Tnum::makeBottom();
+  };
+  enableProcessMetrics();
+  uint64_t Before = segmentsScanned();
+  FoldCell Alone(FoldCheck::Soundness, Bottom);
+  checkFoldRangeParallel(BinaryOp::Add, Grid, 0, Grid.TotalPairs, Config,
+                         {&Alone, 1});
+  EXPECT_EQ(Alone.FailureIndex, uint64_t(0));
+  EXPECT_EQ(segmentsScanned() - Before, 1u);
+
+  Before = segmentsScanned();
+  std::vector<FoldCell> Pass{
+      FoldCell(FoldCheck::Soundness, Bottom),
+      FoldCell(FoldCheck::Precision,
+               transferFunction(BinaryOp::Add, MulAlgorithm::Our, Width))};
+  checkFoldRangeParallel(BinaryOp::Add, Grid, 0, Grid.TotalPairs, Config,
+                         Pass);
+  EXPECT_EQ(segmentsScanned() - Before, Grid.NumTnums);
+  disableProcessMetrics();
+  EXPECT_EQ(Pass[0].Soundness, Alone.Soundness);
+  EXPECT_EQ(Pass[1].Precision.PairsChecked, Grid.TotalPairs);
+  EXPECT_EQ(Pass[1].Precision.MaxGap, 0u); // Add is optimal everywhere.
 }
 
 //===----------------------------------------------------------------------===//

@@ -452,15 +452,17 @@ Tnum brokenAdd(const Tnum &P, const Tnum &Q, unsigned Width) {
 
 TEST(SimdSweep, BrokenOperatorWitnessDeterministicAcrossSchedulersAndModes) {
   constexpr unsigned Width = 4;
-  // Reference: the scalar range scan on one thread walks the grid in
-  // serial order and stops at the violation, so its witness and counters
-  // are the serial ones a campaign must reproduce.
+  // Reference: the scalar one-cell fold pass on one thread walks the grid
+  // in serial order and stops at the violation, so its witness and
+  // counters are the serial ones a campaign must reproduce.
   const SweepConfig Serial{/*NumThreads=*/1, /*ChunkPairs=*/1, SimdMode::Off};
   SweepGrid Grid = makeSweepGrid(Width, Serial);
-  SoundnessReport Expected = checkSoundnessRangeParallel(
-      BinaryOp::Add,
-      [](const Tnum &P, const Tnum &Q) { return brokenAdd(P, Q, Width); },
-      Grid, 0, Grid.TotalPairs, Serial);
+  FoldCell Reference(FoldCheck::Soundness, [](const Tnum &P, const Tnum &Q) {
+    return brokenAdd(P, Q, Width);
+  });
+  checkFoldRangeParallel(BinaryOp::Add, Grid, 0, Grid.TotalPairs, Serial,
+                         {&Reference, 1});
+  const SoundnessReport &Expected = Reference.Soundness;
   ASSERT_TRUE(Expected.Failure.has_value());
 
   CampaignSpec Spec;
