@@ -9,12 +9,11 @@
 /// Throughput harness for the fuzz oracle's concrete executors: the same
 /// seeded program stream and input memories are driven through the legacy
 /// per-run Interpreter (construct + switch loop per memory, the pattern
-/// the fuzzer used before pre-decoding) and the DecodedProgram executor
-/// in both dispatch modes, reporting memories/s per engine and the
-/// speedup over legacy.
+/// the fuzzer used before pre-decoding) and the DecodedProgram executor,
+/// reporting memories/s per engine and the speedup over legacy.
 ///
 /// Before timing anything, a differential pass runs every (program, run)
-/// through all engines and requires bit-identical results -- status,
+/// through both engines and requires bit-identical results -- status,
 /// return value, ExitPc/FaultPc, step counts, messages, final register
 /// file, init flags, and memory contents. The campaign-wide FNV-1a
 /// digest of those results is machine-independent and exact, so CI gates
@@ -27,7 +26,7 @@
 /// The legacy engine reproduces the historical fuzz-oracle pattern
 /// exactly, including its unconditional per-run staging copy of the
 /// input memory (the pre-decode harness had no store scan). The decoded
-/// engines additionally skip the staging copy for store-free programs,
+/// engine additionally skips the staging copy for store-free programs,
 /// which cannot modify the input memory -- a capability the pre-decoded
 /// harness makes practical and DifferentialFuzz now uses.
 ///
@@ -181,7 +180,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(StepLimit));
 
   //===--------------------------------------------------------------------===//
-  // Differential pass (untimed): every engine must produce bit-identical
+  // Differential pass (untimed): both engines must produce bit-identical
   // results on every (program, run). The legacy results feed the exact
   // fingerprint CI gates.
   //===--------------------------------------------------------------------===//
@@ -219,36 +218,26 @@ int main(int Argc, char **Argv) {
         break;
       }
 
-      const DispatchMode Modes[] = {DispatchMode::Switch,
-                                    DispatchMode::Threaded};
-      for (DispatchMode Mode : Modes) {
-        if (Mode == DispatchMode::Threaded && !threadedDispatchAvailable())
-          continue;
-        WorkB = Mem;
-        ExecResult RD = Decoded->run(WorkB, StepLimit, Mode);
-        bool Same = RL.St == RD.St && RL.ReturnValue == RD.ReturnValue &&
-                    RL.ExitPc == RD.ExitPc && RL.FaultPc == RD.FaultPc &&
-                    RL.Steps == RD.Steps && RL.Message == RD.Message &&
-                    Legacy.registers() == Decoded->registers() &&
-                    Legacy.initialized() == Decoded->initialized() &&
-                    WorkA == WorkB;
-        if (!Same) {
-          std::fprintf(stderr,
-                       "FAIL: %s dispatch diverged from legacy on program "
-                       "%zu run %u\n%s\n",
-                       dispatchModeName(Mode), Index, Run,
-                       P.disassemble().c_str());
-          Identical = false;
-          break;
-        }
-      }
+      WorkB = Mem;
+      ExecResult RD = Decoded->run(WorkB, StepLimit);
+      Identical = RL.St == RD.St && RL.ReturnValue == RD.ReturnValue &&
+                  RL.ExitPc == RD.ExitPc && RL.FaultPc == RD.FaultPc &&
+                  RL.Steps == RD.Steps && RL.Message == RD.Message &&
+                  Legacy.registers() == Decoded->registers() &&
+                  Legacy.initialized() == Decoded->initialized() &&
+                  WorkA == WorkB;
+      if (!Identical)
+        std::fprintf(stderr,
+                     "FAIL: decoded executor diverged from legacy on program "
+                     "%zu run %u\n%s\n",
+                     Index, Run, P.disassemble().c_str());
     }
   }
   uint64_t ResultFingerprint = ResultHash.digest();
   uint64_t RunCount = OkRuns + TrapRuns + StepLimitRuns;
   std::printf("differential: %s (%llu ok, %llu trapped, %llu step-limit "
               "runs; %.1f steps/run; result fingerprint %016llx)\n\n",
-              Identical ? "all engines bit-identical" : "DIVERGED",
+              Identical ? "engines bit-identical" : "DIVERGED",
               static_cast<unsigned long long>(OkRuns),
               static_cast<unsigned long long>(TrapRuns),
               static_cast<unsigned long long>(StepLimitRuns),
@@ -259,11 +248,11 @@ int main(int Argc, char **Argv) {
 
   //===--------------------------------------------------------------------===//
   // Timed passes. Legacy pays its historical per-run cost (program copy +
-  // construct per memory); the decoded engines decode once per program
-  // inside their own timed region. Each engine's pass repeats --reps
+  // construct per memory); the decoded engine decodes once per program
+  // inside its own timed region. Each engine's pass repeats --reps
   // times and keeps the fastest (min-of-K). The legacy engine stages a
   // copy of every input memory, as the historical oracle loop did; the
-  // decoded engines skip the copy for store-free programs, which cannot
+  // decoded engine skips the copy for store-free programs, which cannot
   // modify the input. A cheap checksum keeps the loops alive and
   // cross-checks the engines (and reps) once more.
   //===--------------------------------------------------------------------===//
@@ -296,7 +285,7 @@ int main(int Argc, char **Argv) {
     }
     return Acc;
   };
-  auto RunDecoded = [&](DispatchMode Mode) {
+  auto RunDecoded = [&] {
     uint64_t Acc = 0;
     for (size_t Index = 0; Index != Stream.size(); ++Index) {
       std::string DecodeError;
@@ -309,7 +298,7 @@ int main(int Argc, char **Argv) {
         std::vector<uint8_t> &Mem =
             Stage ? (Work = Pristine[Index * Runs + Run], Work)
                   : Pristine[Index * Runs + Run];
-        ExecResult R = Decoded->run(Mem, StepLimit, Mode);
+        ExecResult R = Decoded->run(Mem, StepLimit);
         Acc ^= R.ReturnValue + 0x9E3779B97F4A7C15ull * R.Steps +
                static_cast<uint64_t>(R.St);
       }
@@ -324,11 +313,7 @@ int main(int Argc, char **Argv) {
   // engine difference, while min-of-K over interleaved rounds cancels it.
   std::vector<std::pair<const char *, std::function<uint64_t()>>> Engines;
   Engines.emplace_back("legacy", RunLegacy);
-  Engines.emplace_back("decoded-switch",
-                       [&] { return RunDecoded(DispatchMode::Switch); });
-  if (threadedDispatchAvailable())
-    Engines.emplace_back("decoded-threaded",
-                         [&] { return RunDecoded(DispatchMode::Threaded); });
+  Engines.emplace_back("decoded", RunDecoded);
 
   // Each engine runs a burst of two back-to-back passes per round, both
   // timed: the first re-warms the branch predictors after the other
@@ -375,11 +360,9 @@ int main(int Argc, char **Argv) {
                    formatString("%.2fx", Speedup));
   }
   Table.printAligned(stdout);
-  std::printf("\nchecksums: %s across engines and reps (best of %llu); "
-              "threaded dispatch %s\n",
+  std::printf("\nchecksums: %s across engines and reps (best of %llu)\n",
               ChecksumsAgree ? "identical" : "DIVERGED",
-              static_cast<unsigned long long>(Reps),
-              threadedDispatchAvailable() ? "available" : "unavailable");
+              static_cast<unsigned long long>(Reps));
 
   //===--------------------------------------------------------------------===//
   // Machine-readable dump for the CI gate (BENCH_interp.json). With
@@ -411,7 +394,6 @@ int main(int Argc, char **Argv) {
                  "  \"step_limit\": %llu,\n"
                  "  \"reps\": %llu,\n"
                  "  \"identical\": %s,\n"
-                 "  \"threaded_available\": %s,\n"
                  "  \"ok_runs\": %llu,\n"
                  "  \"trap_runs\": %llu,\n"
                  "  \"step_limit_runs\": %llu,\n"
@@ -427,7 +409,6 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(StepLimit),
                  static_cast<unsigned long long>(Reps),
                  Identical && ChecksumsAgree ? "true" : "false",
-                 threadedDispatchAvailable() ? "true" : "false",
                  static_cast<unsigned long long>(OkRuns),
                  static_cast<unsigned long long>(TrapRuns),
                  static_cast<unsigned long long>(StepLimitRuns),

@@ -98,9 +98,8 @@ SCHEMA = {
                   "result_fingerprint"),
         "true": ("identical",),
         # The decoded executor over the legacy interpreter, an absolute
-        # floor; threaded dispatch needs computed goto.
-        "speedup": ("best_speedup", lambda current, baseline:
-                    5.0 if current.get("threaded_available") else 2.5),
+        # floor.
+        "speedup": ("best_speedup", lambda current, baseline: 5.0),
     },
     "mul_cycles": {
         "workload": ("pairs", "trials", "low_bits"),

@@ -252,14 +252,15 @@ class Performance(unittest.TestCase):
             with self.subTest(field=field, value=value):
                 self.assertEqual(gate(current, base, 0), 1)
 
-    def test_interp_speedup_floor_follows_threaded_dispatch(self):
+    def test_interp_speedup_floor(self):
         base = baseline("interp")
-        current = dict(base, best_speedup=4.9, threaded_available=True)
-        self.assertEqual(gate(current, base, 0.4), 1)
-        self.assertEqual(gate(current, base, 0), 0)
-        current["threaded_available"] = False
-        self.assertEqual(gate(current, base, 0.4), 0)
-        current["best_speedup"] = 2.4
+        for speedup, ratio, code in ((4.9, 0.4, 1), (4.9, 0, 0),
+                                     (5.0, 0.4, 0)):
+            current = dict(base, best_speedup=speedup)
+            with self.subTest(speedup=speedup, ratio=ratio):
+                self.assertEqual(gate(current, base, ratio), code)
+        # The report's old threaded_available flag no longer lowers it.
+        current = dict(base, best_speedup=4.9, threaded_available=False)
         self.assertEqual(gate(current, base, 0.4), 1)
 
     def test_cycles_speedup_floor(self):

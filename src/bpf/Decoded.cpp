@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // decode() lowers validated Insns into flat DInsn records whose Op field
-// indexes the specialized handlers in DecodedBody.inc; run() executes
-// them with computed-goto threaded dispatch (GCC/Clang) or a portable
-// switch loop. The handler bodies live in DecodedBody.inc and are
-// included once per dispatch mode, so the two modes cannot drift.
+// indexes the specialized handlers in run(); run() executes them with
+// computed-goto threaded dispatch, which needs GCC or Clang
+// labels-as-values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,14 +17,7 @@
 #include "support/Metrics.h"
 #include "support/Table.h"
 
-#include <cassert>
 #include <cstring>
-
-#if defined(__GNUC__) || defined(__clang__)
-#define TNUMS_HAVE_COMPUTED_GOTO 1
-#else
-#define TNUMS_HAVE_COMPUTED_GOTO 0
-#endif
 
 using namespace tnums;
 using namespace tnums::bpf;
@@ -330,7 +322,7 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
   ((static_cast<uint32_t>(L) & static_cast<uint32_t>(R)) != 0)
 
 //===----------------------------------------------------------------------===//
-// Register-init tracking. The run loops keep the per-register init flags
+// Register-init tracking. The run loop keeps the per-register init flags
 // in one bitmask register (InitMask, a uint32_t local) instead of a bool
 // array; NumRegs == 11 bits.
 //===----------------------------------------------------------------------===//
@@ -339,16 +331,71 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
 #define TNUMS_SET_INITED(R) (void)(InitMask |= (1u << (R)))
 
 //===----------------------------------------------------------------------===//
-// Handler-family generators, expanded by DecodedBody.inc with the
-// includer's TNUMS_OP / TNUMS_NEXT / TNUMS_TRAP primitives in force.
-// Operand-check order mirrors Interpreter.cpp: ALU reads check Src before
-// Dst; stores check the base (Dst) before the value (Src).
+// Dispatch primitives of the handlers in run(), which provides in scope:
+// I (const DInsn *, walked directly -- no separate Pc variable), IBase,
+// Executed, StepLimit, Table (handler labels indexed by opcode), Regs,
+// InitMask, MemData, MemSize, StackData, DirtyLo/DirtyHi (the run's dirty
+// stack range, widened by store handlers) and Result.
 //===----------------------------------------------------------------------===//
 
-// Statement bodies shared between the standalone handlers and the fused
-// superinstructions (each fused handler is body1 + TNUMS_FUSE + body2, so
-// the two can never drift). A body performs its init checks (trapping at
-// the current I) and the state update, but no dispatch.
+// The current program counter.
+#define TNUMS_PC (static_cast<size_t>(I - IBase))
+// Opens the handler for opcode Name.
+#define TNUMS_OP(Name) L_##Name:
+// Jumps straight to the handler of *I, unless the step budget is spent.
+#define TNUMS_DISPATCH()                                                       \
+  do {                                                                         \
+    if (Executed == StepLimit)                                                 \
+      goto StepLimitHit;                                                       \
+    goto *Table[I->Op];                                                        \
+  } while (0)
+// Counts the executed instruction and advances to the next record.
+#define TNUMS_NEXT                                                             \
+  do {                                                                         \
+    ++Executed;                                                                \
+    ++I;                                                                       \
+    TNUMS_DISPATCH();                                                          \
+  } while (0)
+// Counts the executed instruction and branches to record T.
+#define TNUMS_JUMP(T)                                                          \
+  do {                                                                         \
+    ++Executed;                                                                \
+    I = IBase + (T);                                                           \
+    TNUMS_DISPATCH();                                                          \
+  } while (0)
+// Finishes the run with a trap at the current pc.
+#define TNUMS_TRAP(St_, Msg_)                                                  \
+  do {                                                                         \
+    Result.St = ExecResult::Status::St_;                                       \
+    Result.FaultPc = TNUMS_PC;                                                 \
+    Result.Steps = Executed + 1;                                               \
+    Result.Message = (Msg_);                                                   \
+    goto Done;                                                                 \
+  } while (0)
+// Finishes the run; the Result fields are already set.
+#define TNUMS_DONE goto Done
+// The step between two instructions of a fused group: counts the first
+// instruction, advances I to the group's next record, and honors the step
+// limit exactly as a separate dispatch would.
+#define TNUMS_FUSE                                                             \
+  do {                                                                         \
+    ++Executed;                                                                \
+    ++I;                                                                       \
+    if (Executed == StepLimit)                                                 \
+      goto StepLimitHit;                                                       \
+  } while (0)
+
+//===----------------------------------------------------------------------===//
+// Handler-family generators, expanded inside run(). Operand-check order
+// mirrors Interpreter.cpp: ALU reads check Src before Dst; stores check the
+// base (Dst) before the value (Src).
+//===----------------------------------------------------------------------===//
+
+// One statement body per instruction that appears in a fused group: its
+// standalone handler and every fused handler holding it (body1 +
+// TNUMS_FUSE + body2) expand the same macro, so the two can never drift.
+// A body performs its init checks (trapping at the current I) and the
+// state update, but no dispatch.
 
 #define TNUMS_BODY_ALU_REG64(NAME)                                             \
   if (!TNUMS_INITED(I->Src))                                                   \
@@ -433,20 +480,7 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
 
 #define TNUMS_LOAD_HANDLER(N)                                                  \
   TNUMS_OP(Load##N) {                                                          \
-    if (!TNUMS_INITED(I->Src))                                                 \
-      TNUMS_TRAP(UninitRead, "load via uninit reg");                           \
-    uint64_t Addr = Regs[I->Src] + static_cast<int64_t>(I->Off);               \
-    const uint8_t *Ptr = spanAt(MemData, MemSize, StackData, Addr, N);         \
-    if (!Ptr)                                                                  \
-      TNUMS_TRAP(OutOfBounds,                                                  \
-                 formatString("load of %u bytes at 0x%llx out of bounds",      \
-                              static_cast<unsigned>(N),                        \
-                              static_cast<unsigned long long>(Addr)));         \
-    uint64_t Value = 0;                                                        \
-    for (unsigned B = 0; B != (N); ++B)                                        \
-      Value |= static_cast<uint64_t>(Ptr[B]) << (8 * B);                       \
-    Regs[I->Dst] = Value;                                                      \
-    TNUMS_SET_INITED(I->Dst);                                                  \
+    TNUMS_BODY_LOAD(N)                                                         \
     TNUMS_NEXT;                                                                \
   }
 
@@ -513,10 +547,7 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
     TNUMS_NEXT;                                                                \
   }                                                                            \
   TNUMS_OP(Jmp##NAME##Imm64) {                                                 \
-    if (!TNUMS_INITED(I->Dst))                                                 \
-      TNUMS_TRAP(UninitRead, "jump on uninit reg");                            \
-    if (TNUMS_CMP64_##NAME(Regs[I->Dst], I->Imm))                              \
-      TNUMS_JUMP(I->Target);                                                   \
+    TNUMS_BODY_JMP_IMM64(NAME)                                                 \
     TNUMS_NEXT;                                                                \
   }                                                                            \
   TNUMS_OP(Jmp##NAME##Reg32) {                                                 \
@@ -538,11 +569,9 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
 
 //===----------------------------------------------------------------------===//
 // Fused superinstruction handlers: body1 + TNUMS_FUSE + body2. TNUMS_FUSE
-// (defined by the includer) counts the first instruction, advances I to
-// the pair's second record, and performs the same mid-pair step-limit
-// check an unfused dispatch would -- so traps in body2 report the second
-// instruction's pc and step count, exactly as if the pair had been
-// dispatched twice.
+// performs the same mid-pair step-limit check an unfused dispatch would,
+// so traps in body2 report the second instruction's pc and step count,
+// exactly as if the pair had been dispatched twice.
 //===----------------------------------------------------------------------===//
 
 // mov rd, rs; <aluop> rd2, imm
@@ -620,23 +649,6 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
   }
 
 } // namespace
-
-bool tnums::bpf::threadedDispatchAvailable() {
-  return TNUMS_HAVE_COMPUTED_GOTO != 0;
-}
-
-const char *tnums::bpf::dispatchModeName(DispatchMode Mode) {
-  switch (Mode) {
-  case DispatchMode::Auto:
-    return "auto";
-  case DispatchMode::Threaded:
-    return "threaded";
-  case DispatchMode::Switch:
-    return "switch";
-  }
-  assert(false && "unknown dispatch mode");
-  return "?";
-}
 
 std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
                                                      std::string &Error) {
@@ -820,108 +832,25 @@ std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
 }
 
 //===----------------------------------------------------------------------===//
-// The portable switch dispatcher.
+// The run loop: computed-goto threaded dispatch through a label table
+// indexed by opcode, so each handler jumps straight to the next one with
+// no central branch. Handler semantics (operand order, init-check order,
+// trap messages, BPF div/mod/shift conventions) mirror Interpreter.cpp
+// exactly -- the differential tests enforce it.
 //===----------------------------------------------------------------------===//
 
-ExecResult DecodedProgram::runSwitch(std::vector<uint8_t> &Memory,
-                                     uint64_t StepLimit) {
-  ExecResult Result;
-  uint64_t Regs[NumRegs] = {};
-  if (StackLo < StackHi)
-    std::memset(Stack.data() + StackLo, 0, StackHi - StackLo);
-  uint32_t DirtyLo = StackSize, DirtyHi = 0;
-  uint8_t *MemData = Memory.data();
-  const uint64_t MemSize = Memory.size();
-  uint8_t *StackData = Stack.data();
-  Regs[R1] = MemBase;
-  Regs[R2] = MemSize;
-  Regs[R10] = StackBase;
-  uint32_t InitMask = (1u << R1) | (1u << R2) | (1u << R10);
-
-  const DInsn *const IBase = Code.data();
-  const DInsn *I = IBase;
-  uint64_t Executed = 0;
-
-#define TNUMS_PC (static_cast<size_t>(I - IBase))
-Dispatch:
-  if (Executed == StepLimit) {
-    Result.St = ExecResult::Status::StepLimit;
-    Result.FaultPc = TNUMS_PC;
-    Result.Steps = Executed;
-    Result.Message = "step limit exhausted";
-    goto Done;
+ExecResult DecodedProgram::run(std::vector<uint8_t> &Memory,
+                               uint64_t StepLimit) {
+  if (Code.empty()) {
+    // A default-constructed DecodedProgram; decode() refuses empty
+    // programs (validate() requires a terminator), so this is the only
+    // way here.
+    ExecResult Result;
+    Result.St = ExecResult::Status::InvalidProgram;
+    Result.Message = "empty decoded program";
+    return Result;
   }
-  switch (static_cast<DOp>(I->Op)) {
-#define TNUMS_OP(Name) case D##Name:
-#define TNUMS_NEXT                                                             \
-  do {                                                                         \
-    ++Executed;                                                                \
-    ++I;                                                                       \
-    goto Dispatch;                                                             \
-  } while (0)
-#define TNUMS_JUMP(T)                                                          \
-  do {                                                                         \
-    ++Executed;                                                                \
-    I = IBase + (T);                                                           \
-    goto Dispatch;                                                             \
-  } while (0)
-#define TNUMS_TRAP(St_, Msg_)                                                  \
-  do {                                                                         \
-    Result.St = ExecResult::Status::St_;                                       \
-    Result.FaultPc = TNUMS_PC;                                                 \
-    Result.Steps = Executed + 1;                                               \
-    Result.Message = (Msg_);                                                   \
-    goto Done;                                                                 \
-  } while (0)
-#define TNUMS_DONE goto Done
-#define TNUMS_FUSE                                                             \
-  do {                                                                         \
-    ++Executed;                                                                \
-    ++I;                                                                       \
-    if (Executed == StepLimit)                                                 \
-      goto Dispatch;                                                           \
-  } while (0)
-// The switch dispatcher has no profitable way to express the tied fast
-// paths (no fall-through into another handler's label), so the tied
-// opcodes stack onto their generic group's case -- semantically the
-// same records, executed slot by slot.
-#define TNUMS_TIED_MASKED_ACCUM_JMPLT
-#define TNUMS_TIED_DOWN_MASKED_ITER
-#include "bpf/DecodedBody.inc"
-#undef TNUMS_OP
-#undef TNUMS_NEXT
-#undef TNUMS_JUMP
-#undef TNUMS_TRAP
-#undef TNUMS_DONE
-#undef TNUMS_FUSE
-#undef TNUMS_TIED_MASKED_ACCUM_JMPLT
-#undef TNUMS_TIED_DOWN_MASKED_ITER
-  }
-  // Unreachable for decode()-produced code; refuse corrupt opcodes.
-  Result.St = ExecResult::Status::InvalidProgram;
-  Result.FaultPc = TNUMS_PC;
-  Result.Steps = Executed;
-  Result.Message = "corrupt decoded opcode";
-#undef TNUMS_PC
 
-Done:
-  std::memcpy(this->Regs.data(), Regs, sizeof(Regs));
-  LastInitMask = InitMask;
-  StackLo = DirtyLo;
-  StackHi = DirtyHi;
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// The computed-goto threaded dispatcher (GCC/Clang only). Same handler
-// bodies, dispatched through a label table indexed by opcode, so each
-// handler jumps straight to the next one with no central branch.
-//===----------------------------------------------------------------------===//
-
-#if TNUMS_HAVE_COMPUTED_GOTO
-
-ExecResult DecodedProgram::runThreaded(std::vector<uint8_t> &Memory,
-                                       uint64_t StepLimit) {
   static const void *const Table[] = {
 #define TNUMS_DOP_LABEL(Name) &&L_##Name,
       TNUMS_DOP_LIST(TNUMS_DOP_LABEL)
@@ -945,125 +874,287 @@ ExecResult DecodedProgram::runThreaded(std::vector<uint8_t> &Memory,
   const DInsn *I = IBase;
   uint64_t Executed = 0;
 
-#define TNUMS_PC (static_cast<size_t>(I - IBase))
-#define TNUMS_OP(Name) L_##Name:
-#define TNUMS_DISPATCH()                                                       \
-  do {                                                                         \
-    if (Executed == StepLimit)                                                 \
-      goto StepLimitHit;                                                       \
-    goto *Table[I->Op];                                                        \
-  } while (0)
-#define TNUMS_NEXT                                                             \
-  do {                                                                         \
-    ++Executed;                                                                \
-    ++I;                                                                       \
-    TNUMS_DISPATCH();                                                          \
-  } while (0)
-#define TNUMS_JUMP(T)                                                          \
-  do {                                                                         \
-    ++Executed;                                                                \
-    I = IBase + (T);                                                           \
-    TNUMS_DISPATCH();                                                          \
-  } while (0)
-#define TNUMS_TRAP(St_, Msg_)                                                  \
-  do {                                                                         \
-    Result.St = ExecResult::Status::St_;                                       \
-    Result.FaultPc = TNUMS_PC;                                                 \
-    Result.Steps = Executed + 1;                                               \
-    Result.Message = (Msg_);                                                   \
-    goto Done;                                                                 \
-  } while (0)
-#define TNUMS_DONE goto Done
-#define TNUMS_FUSE                                                             \
-  do {                                                                         \
-    ++Executed;                                                                \
-    ++I;                                                                       \
-    if (Executed == StepLimit)                                                 \
-      goto StepLimitHit;                                                       \
-  } while (0)
-
-// Fast paths for the tied whole-iteration opcodes (decode() proved the
-// register roles distinct and chained exactly as genLoop emits them, so
-// the chained values live in locals instead of round-tripping through
-// Regs[], and one step-headroom test replaces the per-slot TNUMS_FUSE
-// checks). Nothing is committed before the last possible trap point; any
-// condition the fast path cannot take -- step limit close, an operand
-// register uninitialized, the load out of bounds -- falls through to the
-// generic group handler directly below, which re-executes the same
-// records slot by slot with bit-identical trap attribution.
-#define TNUMS_TIED_MASKED_ACCUM_JMPLT                                          \
-  do {                                                                         \
-    if (StepLimit - Executed < 7)                                              \
-      break;                                                                   \
-    if (!TNUMS_INITED(I->Src) || !TNUMS_INITED(I[2].Src) ||                    \
-        !TNUMS_INITED(I[4].Dst))                                               \
-      break;                                                                   \
-    const uint64_t VB = Regs[I->Src];                                          \
-    const uint64_t VA = (VB & I[1].Imm) + Regs[I[2].Src];                      \
-    const uint64_t Addr = VA + static_cast<int64_t>(I[3].Off);                 \
-    const uint8_t *Ptr = spanAt(MemData, MemSize, StackData, Addr, 1);         \
-    if (!Ptr)                                                                  \
-      break;                                                                   \
-    const uint64_t VD = Ptr[0];                                                \
-    Regs[I->Dst] = VA;                                                         \
-    Regs[I[3].Dst] = VD;                                                       \
-    Regs[I[4].Dst] ^= VD;                                                      \
-    const uint64_t VB2 = VB + I[5].Imm;                                        \
-    Regs[I[5].Dst] = VB2;                                                      \
-    InitMask |= (1u << I->Dst) | (1u << I[3].Dst);                             \
-    Executed += 7;                                                             \
-    I = VB2 < I[6].Imm ? IBase + I[6].Target : I + 7;                          \
-    TNUMS_DISPATCH();                                                          \
-  } while (0);
-#define TNUMS_TIED_DOWN_MASKED_ITER                                            \
-  do {                                                                         \
-    if (StepLimit - Executed < 9)                                              \
-      break;                                                                   \
-    if (!TNUMS_INITED(I->Dst) || !TNUMS_INITED(I[3].Src) ||                    \
-        !TNUMS_INITED(I[5].Dst))                                               \
-      break;                                                                   \
-    const uint64_t VB = Regs[I->Dst];                                          \
-    if (VB == I->Imm) {                                                        \
-      ++Executed;                                                              \
-      I = IBase + I->Target;                                                   \
-      TNUMS_DISPATCH();                                                        \
-    }                                                                          \
-    const uint64_t VA = (VB & I[2].Imm) + Regs[I[3].Src];                      \
-    const uint64_t Addr = VA + static_cast<int64_t>(I[4].Off);                 \
-    const uint8_t *Ptr = spanAt(MemData, MemSize, StackData, Addr, 1);         \
-    if (!Ptr)                                                                  \
-      break;                                                                   \
-    const uint64_t VD = Ptr[0];                                                \
-    Regs[I[1].Dst] = VA;                                                       \
-    Regs[I[4].Dst] = VD;                                                       \
-    Regs[I[5].Dst] = (Regs[I[5].Dst] ^ VD) + VB;                               \
-    Regs[I[7].Dst] = VB - I[7].Imm;                                            \
-    InitMask |= (1u << I[1].Dst) | (1u << I[4].Dst);                           \
-    Executed += 9;                                                             \
-    I = IBase + I[8].Target;                                                   \
-    TNUMS_DISPATCH();                                                          \
-  } while (0);
-
   TNUMS_DISPATCH();
 
-#include "bpf/DecodedBody.inc"
+  // The 44 specialized two-operand ALU handlers ({op} x {reg,imm} x {64,32}).
+  TNUMS_ARITH_LIST(TNUMS_ARITH_HANDLERS)
 
-#undef TNUMS_OP
-#undef TNUMS_DISPATCH
-#undef TNUMS_NEXT
-#undef TNUMS_JUMP
-#undef TNUMS_TRAP
-#undef TNUMS_DONE
-#undef TNUMS_FUSE
-#undef TNUMS_TIED_MASKED_ACCUM_JMPLT
-#undef TNUMS_TIED_DOWN_MASKED_ITER
+  TNUMS_OP(MovReg64) {
+    TNUMS_BODY_MOV_REG64
+    TNUMS_NEXT;
+  }
+  TNUMS_OP(MovImm64) {
+    TNUMS_BODY_MOV_IMM64
+    TNUMS_NEXT;
+  }
+  TNUMS_OP(MovReg32) {
+    if (!TNUMS_INITED(I->Src))
+      TNUMS_TRAP(UninitRead, "read of uninit reg");
+    Regs[I->Dst] = static_cast<uint32_t>(Regs[I->Src]);
+    TNUMS_SET_INITED(I->Dst);
+    TNUMS_NEXT;
+  }
+  TNUMS_OP(MovImm32) {
+    Regs[I->Dst] = I->Imm; // Truncated to 32 bits at decode time.
+    TNUMS_SET_INITED(I->Dst);
+    TNUMS_NEXT;
+  }
+
+  TNUMS_OP(Neg64) {
+    if (!TNUMS_INITED(I->Dst))
+      TNUMS_TRAP(UninitRead, "neg of uninit reg");
+    Regs[I->Dst] = 0 - Regs[I->Dst];
+    TNUMS_NEXT;
+  }
+  TNUMS_OP(Neg32) {
+    if (!TNUMS_INITED(I->Dst))
+      TNUMS_TRAP(UninitRead, "neg of uninit reg");
+    Regs[I->Dst] =
+        static_cast<uint32_t>(0u - static_cast<uint32_t>(Regs[I->Dst]));
+    TNUMS_NEXT;
+  }
+
+  TNUMS_OP(LoadImm) {
+    Regs[I->Dst] = I->Imm;
+    TNUMS_SET_INITED(I->Dst);
+    TNUMS_NEXT;
+  }
+
+  TNUMS_LOAD_HANDLER(1)
+  TNUMS_LOAD_HANDLER(2)
+  TNUMS_LOAD_HANDLER(4)
+  TNUMS_LOAD_HANDLER(8)
+
+  TNUMS_STORE_REG_HANDLER(1)
+  TNUMS_STORE_REG_HANDLER(2)
+  TNUMS_STORE_REG_HANDLER(4)
+  TNUMS_STORE_REG_HANDLER(8)
+
+  TNUMS_STORE_IMM_HANDLER(1)
+  TNUMS_STORE_IMM_HANDLER(2)
+  TNUMS_STORE_IMM_HANDLER(4)
+  TNUMS_STORE_IMM_HANDLER(8)
+
+  // The 44 specialized conditional-jump handlers ({cmp} x {reg,imm} x
+  // {64,32}); the comparison is inlined per opcode.
+  TNUMS_COMPARE_LIST(TNUMS_JMP_HANDLERS)
+
+  TNUMS_OP(Ja) {
+    TNUMS_BODY_JA
+  }
+
+  TNUMS_OP(Exit) {
+    TNUMS_BODY_EXIT
+  }
+
+  // Fused superinstructions (see TNUMS_DOP_FUSE_LIST). Each is body1 +
+  // TNUMS_FUSE + body2 over the same body macros the standalone handlers
+  // use, so fused and unfused execution cannot diverge.
+
+  TNUMS_ARITH_LIST(TNUMS_F1_HANDLERS)
+
+  TNUMS_F2_HANDLER(1)
+  TNUMS_F2_HANDLER(2)
+  TNUMS_F2_HANDLER(4)
+  TNUMS_F2_HANDLER(8)
+
+  TNUMS_ARITH_LIST(TNUMS_F3_HANDLERS)
+
+  TNUMS_COMPARE_LIST(TNUMS_F5_HANDLERS)
+
+  // {add,sub} rd, imm; ja target
+  TNUMS_OP(FuseAddImmJa) {
+    TNUMS_BODY_ALU_IMM64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_JA
+  }
+  TNUMS_OP(FuseSubImmJa) {
+    TNUMS_BODY_ALU_IMM64(Sub)
+    TNUMS_FUSE;
+    TNUMS_BODY_JA
+  }
+
+  // mov rd, rs; exit
+  TNUMS_OP(FuseMovRegExit) {
+    TNUMS_BODY_MOV_REG64
+    TNUMS_FUSE;
+    TNUMS_BODY_EXIT
+  }
+
+  // mov rd, imm; mov rd2, imm2
+  TNUMS_OP(FuseMovImmMovImm64) {
+    TNUMS_BODY_MOV_IMM64
+    TNUMS_FUSE;
+    TNUMS_BODY_MOV_IMM64
+    TNUMS_NEXT;
+  }
+
+  // ldx rd, [rs + off] (1 byte); xor rd2, rs2
+  TNUMS_OP(FuseLoad1XorReg64) {
+    TNUMS_BODY_LOAD(1)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Xor)
+    TNUMS_NEXT;
+  }
+
+  // ldx rd, [rs + off] (1 byte); and rd2, imm
+  TNUMS_OP(FuseLoad1AndImm64) {
+    TNUMS_BODY_LOAD(1)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(And)
+    TNUMS_NEXT;
+  }
+
+  // Fused triple: mov rd, rs; and rd2, imm; add rd3, rs3.
+  TNUMS_OP(FuseMovRegAndImmAddReg64) {
+    TNUMS_BODY_MOV_REG64
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(And)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Add)
+    TNUMS_NEXT;
+  }
+
+  // Fused triple: add rd, rs; sub rd2, imm; ja target.
+  TNUMS_OP(FuseAddRegSubImmJa) {
+    TNUMS_BODY_ALU_REG64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(Sub)
+    TNUMS_FUSE;
+    TNUMS_BODY_JA
+  }
+
+  // The widest group: mov rd, rs; and rd2, imm; add rd3, rs3;
+  // ldx rd4, [rs4 + off] (1 byte); xor rd5, rs5 -- a masked
+  // byte-accumulate loop body in one dispatch.
+  TNUMS_OP(FuseMaskedByteAccum) {
+    TNUMS_BODY_MOV_REG64
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(And)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_LOAD(1)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Xor)
+    TNUMS_NEXT;
+  }
+
+  // Fused triples: <aluop> rd, imm; add rd2, imm2; jlt rd3, imm3 -- an
+  // up-counting loop's body + induction + back-edge.
+  TNUMS_ARITH_LIST(TNUMS_F10_HANDLERS)
+
+  // A whole up-counting masked-body loop iteration: the masked
+  // byte-accumulate body plus induction increment and back-edge, one
+  // dispatch per iteration.
+  //
+  // The T variants are the tied forms: decode() proved the register roles
+  // distinct and chained exactly as genLoop emits them, so the chained
+  // values live in locals instead of round-tripping through Regs[], and
+  // one step-headroom test replaces the per-slot TNUMS_FUSE checks.
+  // Nothing is committed before the last possible trap point; any
+  // condition the fast path cannot take -- step limit close, an operand
+  // register uninitialized, the load out of bounds -- breaks out to the
+  // generic group handler directly below, which re-executes the same
+  // records slot by slot with bit-identical trap attribution.
+  TNUMS_OP(FuseMaskedAccumJmpLtT) do {
+    if (StepLimit - Executed < 7)
+      break;
+    if (!TNUMS_INITED(I->Src) || !TNUMS_INITED(I[2].Src) ||
+        !TNUMS_INITED(I[4].Dst))
+      break;
+    const uint64_t VB = Regs[I->Src];
+    const uint64_t VA = (VB & I[1].Imm) + Regs[I[2].Src];
+    const uint64_t Addr = VA + static_cast<int64_t>(I[3].Off);
+    const uint8_t *Ptr = spanAt(MemData, MemSize, StackData, Addr, 1);
+    if (!Ptr)
+      break;
+    const uint64_t VD = Ptr[0];
+    Regs[I->Dst] = VA;
+    Regs[I[3].Dst] = VD;
+    Regs[I[4].Dst] ^= VD;
+    const uint64_t VB2 = VB + I[5].Imm;
+    Regs[I[5].Dst] = VB2;
+    InitMask |= (1u << I->Dst) | (1u << I[3].Dst);
+    Executed += 7;
+    I = VB2 < I[6].Imm ? IBase + I[6].Target : I + 7;
+    TNUMS_DISPATCH();
+  } while (0);
+  TNUMS_OP(FuseMaskedAccumJmpLt) {
+    TNUMS_BODY_MOV_REG64
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(And)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_LOAD(1)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Xor)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_JMP_IMM64(Lt)
+    TNUMS_NEXT;
+  }
+
+  // A whole down-counting masked-body loop iteration: loop-exit test,
+  // masked byte-accumulate body, accumulate, decrement, back-edge. Tied
+  // variant as above.
+  TNUMS_OP(FuseDownMaskedIterT) do {
+    if (StepLimit - Executed < 9)
+      break;
+    if (!TNUMS_INITED(I->Dst) || !TNUMS_INITED(I[3].Src) ||
+        !TNUMS_INITED(I[5].Dst))
+      break;
+    const uint64_t VB = Regs[I->Dst];
+    if (VB == I->Imm) {
+      ++Executed;
+      I = IBase + I->Target;
+      TNUMS_DISPATCH();
+    }
+    const uint64_t VA = (VB & I[2].Imm) + Regs[I[3].Src];
+    const uint64_t Addr = VA + static_cast<int64_t>(I[4].Off);
+    const uint8_t *Ptr = spanAt(MemData, MemSize, StackData, Addr, 1);
+    if (!Ptr)
+      break;
+    const uint64_t VD = Ptr[0];
+    Regs[I[1].Dst] = VA;
+    Regs[I[4].Dst] = VD;
+    Regs[I[5].Dst] = (Regs[I[5].Dst] ^ VD) + VB;
+    Regs[I[7].Dst] = VB - I[7].Imm;
+    InitMask |= (1u << I[1].Dst) | (1u << I[4].Dst);
+    Executed += 9;
+    I = IBase + I[8].Target;
+    TNUMS_DISPATCH();
+  } while (0);
+  TNUMS_OP(FuseDownMaskedIter) {
+    TNUMS_BODY_JMP_IMM64(Eq)
+    TNUMS_FUSE;
+    TNUMS_BODY_MOV_REG64
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(And)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_LOAD(1)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Xor)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_REG64(Add)
+    TNUMS_FUSE;
+    TNUMS_BODY_ALU_IMM64(Sub)
+    TNUMS_FUSE;
+    TNUMS_BODY_JA
+  }
+
+  // Whole down-counting random-body loop iterations, one per ALU op.
+  TNUMS_ARITH_LIST(TNUMS_F11_HANDLERS)
 
 StepLimitHit:
   Result.St = ExecResult::Status::StepLimit;
   Result.FaultPc = TNUMS_PC;
   Result.Steps = Executed;
   Result.Message = "step limit exhausted";
-#undef TNUMS_PC
 
 Done:
   std::memcpy(this->Regs.data(), Regs, sizeof(Regs));
@@ -1071,33 +1162,4 @@ Done:
   StackLo = DirtyLo;
   StackHi = DirtyHi;
   return Result;
-}
-
-#else
-
-ExecResult DecodedProgram::runThreaded(std::vector<uint8_t> &Memory,
-                                       uint64_t StepLimit) {
-  // No computed goto in this build; Threaded degrades to Switch
-  // (threadedDispatchAvailable() tells callers).
-  return runSwitch(Memory, StepLimit);
-}
-
-#endif // TNUMS_HAVE_COMPUTED_GOTO
-
-ExecResult DecodedProgram::run(std::vector<uint8_t> &Memory,
-                               uint64_t StepLimit, DispatchMode Mode) {
-  if (Code.empty()) {
-    // A default-constructed DecodedProgram; decode() refuses empty
-    // programs (validate() requires a terminator), so this is the only
-    // way here.
-    ExecResult Result;
-    Result.St = ExecResult::Status::InvalidProgram;
-    Result.Message = "empty decoded program";
-    return Result;
-  }
-  bool Threaded = Mode == DispatchMode::Threaded ||
-                  (Mode == DispatchMode::Auto && threadedDispatchAvailable());
-  if (Threaded)
-    return runThreaded(Memory, StepLimit);
-  return runSwitch(Memory, StepLimit);
 }

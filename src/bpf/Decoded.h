@@ -12,10 +12,9 @@
 /// access sizes specialized into distinct opcodes, jump targets
 /// pre-computed via Program::jumpTarget -- so the hot loop never
 /// re-inspects Insn::Kind, UsesImm, Is32, or Size. Dispatch is
-/// computed-goto threaded where the compiler supports it (GCC/Clang) with
-/// a portable switch fallback; both modes are compiled when available and
-/// selectable per run, so the differential tests can pin them against
-/// each other and against the legacy Interpreter.
+/// computed-goto threaded, so the executor needs GCC or Clang
+/// labels-as-values; the differential tests pin it against the legacy
+/// Interpreter.
 ///
 /// The payoff the fuzzer cares about: one DecodedProgram executes many
 /// random input memories through run(Memory) without re-copying the
@@ -25,11 +24,11 @@
 /// Determinism contract: run() is bit-identical to Interpreter::run on
 /// the same (program, memory, step limit) -- same Status, ReturnValue,
 /// ExitPc, FaultPc, Steps, Message, final register file, init flags, and
-/// memory contents, in both dispatch modes. The machine model (synthetic
-/// MemBase/StackBase addressing, 512-byte zeroed stack, BPF div/mod/shift
-/// conventions, uninitialized-register tracking) is shared via Insn.h
-/// constants; tests/InterpreterDifferentialTest.cpp locks the contract
-/// over every generator profile.
+/// memory contents. The machine model (synthetic MemBase/StackBase
+/// addressing, 512-byte zeroed stack, BPF div/mod/shift conventions,
+/// uninitialized-register tracking) is shared via Insn.h constants;
+/// tests/InterpreterDifferentialTest.cpp locks the contract over every
+/// generator profile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,21 +46,6 @@
 
 namespace tnums {
 namespace bpf {
-
-/// How run() dispatches decoded handlers.
-enum class DispatchMode : uint8_t {
-  Auto,     ///< Threaded when the build supports it, else Switch.
-  Threaded, ///< Computed-goto dispatch (falls back to Switch when the
-            ///< build has no computed goto; see
-            ///< threadedDispatchAvailable()).
-  Switch,   ///< Portable switch loop over the decoded records.
-};
-
-/// True when this build compiles the computed-goto dispatch path.
-bool threadedDispatchAvailable();
-
-/// Stable lower-case mode name ("auto", "threaded", "switch").
-const char *dispatchModeName(DispatchMode Mode);
 
 /// A program lowered to directly executable records. Decode once, run on
 /// as many input memories as you like.
@@ -91,14 +75,13 @@ public:
   /// Executes over \p Memory (read and written in place) from a fresh
   /// machine state: zeroed stack, R1 = MemBase, R2 = Memory.size(),
   /// R10 = StackBase. Reusable: each call is independent.
-  ExecResult run(std::vector<uint8_t> &Memory, uint64_t StepLimit = 1 << 20,
-                 DispatchMode Mode = DispatchMode::Auto);
+  ExecResult run(std::vector<uint8_t> &Memory, uint64_t StepLimit = 1 << 20);
 
   /// Register file after the last run() (for differential inspection).
   const std::array<uint64_t, NumRegs> &registers() const { return Regs; }
 
   /// Per-register initialization flags after the last run(). The run
-  /// loops keep the flags as a bitmask; this expands it on demand so the
+  /// loop keeps the flags as a bitmask; this expands it on demand so the
   /// hot path never pays the per-register copy-out.
   const std::array<bool, NumRegs> &initialized() const {
     for (unsigned R = 0; R != NumRegs; ++R)
@@ -113,9 +96,6 @@ public:
   const std::vector<DInsn> &code() const { return Code; }
 
 private:
-  ExecResult runSwitch(std::vector<uint8_t> &Memory, uint64_t StepLimit);
-  ExecResult runThreaded(std::vector<uint8_t> &Memory, uint64_t StepLimit);
-
   std::vector<DInsn> Code;
   std::array<uint8_t, StackSize> Stack = {};
   /// Dirty stack byte range [StackLo, StackHi) left by the previous run();

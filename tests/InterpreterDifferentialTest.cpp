@@ -9,14 +9,15 @@
 /// Locks DecodedProgram's determinism contract (bpf/Decoded.h): run() is
 /// bit-identical to the legacy Interpreter on the same (program, memory,
 /// step limit) -- Status, ReturnValue, ExitPc, FaultPc, Steps, Message,
-/// init flags, initialized register values, and memory contents -- in
-/// BOTH dispatch modes, over every generator profile (mutants included),
-/// across reuse of one decoded program on many memories, and at step
-/// limits that land inside fused instruction groups (which forces the
-/// tied whole-iteration fast paths to fall back mid-group).
+/// init flags, initialized register values, and memory contents -- over
+/// every generator profile (mutants included), across reuse of one decoded
+/// program on many memories, and at step limits that land inside fused
+/// instruction groups (which forces the tied whole-iteration fast paths to
+/// fall back mid-group).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bpf/Builder.h"
 #include "bpf/Decoded.h"
 
 #include "service/ProgramGen.h"
@@ -69,10 +70,10 @@ Outcome runLegacy(const Program &P, std::vector<uint8_t> Mem,
 }
 
 Outcome runDecoded(DecodedProgram &Exec, std::vector<uint8_t> Mem,
-                   uint64_t StepLimit, DispatchMode Mode) {
+                   uint64_t StepLimit) {
   Outcome O;
   O.Mem = std::move(Mem);
-  O.R = Exec.run(O.Mem, StepLimit, Mode);
+  O.R = Exec.run(O.Mem, StepLimit);
   O.Regs = Exec.registers();
   O.Inited = Exec.initialized();
   return O;
@@ -129,22 +130,14 @@ void sweepProfiles(uint64_t Programs, unsigned RunsPerProgram,
                            genProfileName(Profile),
                            static_cast<unsigned long long>(Seed),
                            static_cast<unsigned long long>(Index), Run);
-          expectIdentical(Legacy,
-                          runDecoded(*Exec, Mem, StepLimit,
-                                     DispatchMode::Switch),
-                          P, Tag + " [switch]");
-          if (threadedDispatchAvailable())
-            expectIdentical(Legacy,
-                            runDecoded(*Exec, Mem, StepLimit,
-                                       DispatchMode::Threaded),
-                            P, Tag + " [threaded]");
+          expectIdentical(Legacy, runDecoded(*Exec, Mem, StepLimit), P, Tag);
         }
       }
     }
   }
 }
 
-TEST(InterpreterDifferential, AllProfilesBothModesMatchLegacy) {
+TEST(InterpreterDifferential, AllProfilesMatchLegacy) {
   sweepProfiles(/*Programs=*/30, /*RunsPerProgram=*/3,
                 /*StepLimit=*/1 << 16);
 }
@@ -154,13 +147,11 @@ TEST(InterpreterDifferential, MidGroupStepLimitsStayBitIdentical) {
   // groups (7- and 9-instruction iterations): the tied fast paths must
   // refuse the whole-iteration shortcut when the remaining budget is
   // short and fall back to slot-by-slot execution with exact Steps and
-  // trap attribution.
-  GenOptions Opts;
-  Opts.Profile = GenProfile::Loops;
-  Opts.MemSize = MemSize;
-  ProgramGen Gen(2022, Opts);
-  for (uint64_t Index = 0; Index != 20; ++Index) {
-    Program P = Gen.next();
+  // trap attribution. That fallback is where the generic group bodies
+  // run. Each generated loop also runs as a mutant (reshaped loops decode
+  // to the pair families), and a hand-written loop covers the
+  // `{add,sub} imm; ja` pairs no generator profile emits.
+  auto Check = [](const Program &P, uint64_t Index) {
     std::string Error;
     std::optional<DecodedProgram> Exec = DecodedProgram::decode(P, Error);
     ASSERT_TRUE(Exec) << Error;
@@ -171,15 +162,37 @@ TEST(InterpreterDifferential, MidGroupStepLimitsStayBitIdentical) {
       std::string Tag = formatString(
           "program %llu limit %llu", static_cast<unsigned long long>(Index),
           static_cast<unsigned long long>(StepLimit));
-      expectIdentical(
-          Legacy, runDecoded(*Exec, Mem, StepLimit, DispatchMode::Switch), P,
-          Tag + " [switch]");
-      if (threadedDispatchAvailable())
-        expectIdentical(
-            Legacy, runDecoded(*Exec, Mem, StepLimit, DispatchMode::Threaded),
-            P, Tag + " [threaded]");
+      expectIdentical(Legacy, runDecoded(*Exec, Mem, StepLimit), P, Tag);
     }
+  };
+  GenOptions Opts;
+  Opts.Profile = GenProfile::Loops;
+  Opts.MemSize = MemSize;
+  ProgramGen Gen(2022, Opts);
+  ProgramGen Mutator(99, Opts);
+  for (uint64_t Index = 0; Index != 20; ++Index) {
+    Program P = Gen.next();
+    Check(P, Index);
+    Check(Mutator.mutate(P), Index);
   }
+  Check(ProgramBuilder()
+            .movImm(R6, 0)
+            .movImm(R7, 0)
+            .label("up")
+            .jmpImm(CompareOp::Ge, R6, 5, "down")
+            .alu32(AluOp::Xor, R7, R6)
+            .aluImm(AluOp::Add, R6, 1)
+            .ja("up")
+            .label("down")
+            .jmpImm(CompareOp::Eq, R6, 0, "done")
+            .alu32(AluOp::Xor, R7, R6)
+            .aluImm(AluOp::Sub, R6, 1)
+            .ja("down")
+            .label("done")
+            .mov(R0, R7)
+            .exit()
+            .build(),
+        20);
 }
 
 TEST(InterpreterDifferential, DecodeRefusesInvalidPrograms) {
@@ -220,13 +233,8 @@ TEST(InterpreterDifferential, ReusedDecodedProgramMatchesFreshInterpreters) {
   for (unsigned Run = 0; Run != 10; ++Run) {
     std::vector<uint8_t> Mem = makeMemory(5, 0, Run);
     Outcome Legacy = runLegacy(P, Mem, 1 << 16);
-    expectIdentical(Legacy, runDecoded(*Exec, Mem, 1 << 16,
-                                       DispatchMode::Switch),
-                    P, formatString("reuse run %u [switch]", Run));
-    if (threadedDispatchAvailable())
-      expectIdentical(Legacy, runDecoded(*Exec, Mem, 1 << 16,
-                                         DispatchMode::Threaded),
-                      P, formatString("reuse run %u [threaded]", Run));
+    expectIdentical(Legacy, runDecoded(*Exec, Mem, 1 << 16), P,
+                    formatString("reuse run %u", Run));
   }
 }
 
