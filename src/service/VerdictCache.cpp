@@ -54,20 +54,32 @@ std::string takeLine(std::string &Text) {
   return Line;
 }
 
-/// Parses "<key> <hex64>" exactly.
+/// The value of the hex digit \p C, or -1. Lower case only: that is what
+/// every writer here emits.
+int hexNibble(char C) {
+  if (C >= '0' && C <= '9')
+    return C - '0';
+  if (C >= 'a' && C <= 'f')
+    return C - 'a' + 10;
+  return -1;
+}
+
+/// Parses "<key> <hex64>" exactly as store() writes it: the key, one
+/// space, 16 lower-case hex digits. No sign, prefix or padding.
 std::optional<uint64_t> parseKeyedHex64(const std::string &Line,
                                         const char *Key) {
   size_t KeyLen = std::strlen(Key);
-  if (Line.compare(0, KeyLen, Key) != 0 || Line.size() <= KeyLen ||
+  if (Line.size() != KeyLen + 17 || Line.compare(0, KeyLen, Key) != 0 ||
       Line[KeyLen] != ' ')
     return std::nullopt;
-  const char *Text = Line.c_str() + KeyLen + 1;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long Value = std::strtoull(Text, &End, 16);
-  if (errno != 0 || End == Text || *End != '\0')
-    return std::nullopt;
-  return static_cast<uint64_t>(Value);
+  uint64_t Value = 0;
+  for (size_t I = KeyLen + 1; I != Line.size(); ++I) {
+    int Digit = hexNibble(Line[I]);
+    if (Digit < 0)
+      return std::nullopt;
+    Value = Value << 4 | static_cast<uint64_t>(Digit);
+  }
+  return Value;
 }
 
 std::string hexEncode(const std::string &Bytes) {
@@ -84,17 +96,10 @@ std::string hexEncode(const std::string &Bytes) {
 std::optional<std::string> hexDecode(const std::string &Text) {
   if (Text.size() % 2 != 0)
     return std::nullopt;
-  auto Nibble = [](char C) -> int {
-    if (C >= '0' && C <= '9')
-      return C - '0';
-    if (C >= 'a' && C <= 'f')
-      return C - 'a' + 10;
-    return -1;
-  };
   std::string Out;
   Out.reserve(Text.size() / 2);
   for (size_t I = 0; I != Text.size(); I += 2) {
-    int Hi = Nibble(Text[I]), Lo = Nibble(Text[I + 1]);
+    int Hi = hexNibble(Text[I]), Lo = hexNibble(Text[I + 1]);
     if (Hi < 0 || Lo < 0)
       return std::nullopt;
     Out.push_back(static_cast<char>((Hi << 4) | Lo));

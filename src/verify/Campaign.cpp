@@ -20,6 +20,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -324,12 +325,17 @@ struct PayloadReader {
     return true;
   }
 
+  /// The shard's wall time: the whole field, a finite non-negative
+  /// decimal (strtod alone would take a sign, "nan", "inf" or hex).
   bool seconds(double &Out) const {
     auto It = Fields.find("seconds");
     if (It == Fields.end())
       return false;
-    Out = std::strtod(It->second.c_str(), nullptr);
-    return true;
+    const char *Text = It->second.c_str();
+    char *End = nullptr;
+    Out = std::strtod(Text, &End);
+    return std::isdigit(static_cast<unsigned char>(*Text)) && *End == '\0' &&
+           std::isfinite(Out) && !std::strpbrk(Text, "xX");
   }
 
   /// Parses \p Count whitespace-separated hex words from field \p Key.

@@ -1209,7 +1209,8 @@ bool editFile(const std::string &Path, const std::string &From,
 TEST(Campaign, RefusesSignedCountersInStoredShards) {
   // strtoull reads "-256" as 2^64 - 256: a sign in a stored counter or
   // witness word must make the shard malformed, on resume and in a
-  // baseline diff alike.
+  // baseline diff alike. So must a seconds field that is not a finite,
+  // non-negative decimal (strtod takes "-", "nan", and stops at "x").
   struct Case {
     CampaignCell Cell;
     const char *From;
@@ -1226,6 +1227,12 @@ TEST(Campaign, RefusesSignedCountersInStoredShards) {
        "\npairs ", "\npairs -"},
       {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
        "\nwitness ", "\nwitness -"},
+      {{BinaryOp::Add, MulAlgorithm::Our, 3, CampaignProperty::Soundness},
+       "\nseconds ", "\nseconds -"},
+      {{BinaryOp::Mul, MulAlgorithm::Our, 3, CampaignProperty::Optimality},
+       "\nseconds ", "\nseconds nan"},
+      {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
+       "\nseconds ", "\nseconds x"},
   };
   for (const Case &C : Cases) {
     const char *Name = campaignPropertyName(C.Cell.Property);

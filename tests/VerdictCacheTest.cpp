@@ -240,10 +240,25 @@ TEST(VerdictCache, TornAndPoisonedEntriesRefusedNeverMisread) {
   std::vector<VerifyRequest> Requests = makeRequests(31, 6);
   VerificationService Service;
 
-  // Each corruption gets a fresh directory so counters are isolated.
-  enum class Damage { TruncateHalf, TruncateOneByte, GarbageMagic, FlipHeader };
-  for (Damage Kind : {Damage::TruncateHalf, Damage::TruncateOneByte,
-                      Damage::GarbageMagic, Damage::FlipHeader}) {
+  // Each corruption gets a fresh directory so counters are isolated. The
+  // respelled kinds keep a header field's value but not the writer's
+  // spelling of it (16 lower-case hex digits): strtoull would read each
+  // back as the stored value.
+  enum class Damage {
+    TruncateHalf,
+    TruncateOneByte,
+    GarbageMagic,
+    FlipHeader,
+    SignedVersionFp,
+    SignedKey,
+    PlusSign,
+    LeadingSpace,
+    HexPrefix
+  };
+  for (Damage Kind :
+       {Damage::TruncateHalf, Damage::TruncateOneByte, Damage::GarbageMagic,
+        Damage::FlipHeader, Damage::SignedVersionFp, Damage::SignedKey,
+        Damage::PlusSign, Damage::LeadingSpace, Damage::HexPrefix}) {
     std::string Dir = makeCacheDir();
     std::string Path;
     {
@@ -255,6 +270,20 @@ TEST(VerdictCache, TornAndPoisonedEntriesRefusedNeverMisread) {
     }
     std::string Contents = slurp(Path);
     ASSERT_GT(Contents.size(), 8u);
+    // Replaces the 16 digits of header field Name with Spell(digits).
+    auto Respell = [&](const std::string &Name, auto Spell) {
+      size_t At = Contents.find("\n" + Name + " ") + Name.size() + 2;
+      Contents.replace(At, 16, Spell(Contents.substr(At, 16)));
+      spew(Path, Contents);
+    };
+    // "-" and the two's complement: strtoull negates it back.
+    auto Signed = [](const std::string &Digits) {
+      uint64_t Value = std::stoull(Digits, nullptr, 16);
+      char Text[32];
+      std::snprintf(Text, sizeof(Text), "-%016llx",
+                    static_cast<unsigned long long>(0 - Value));
+      return std::string(Text);
+    };
     switch (Kind) {
     case Damage::TruncateHalf: // A torn write that lost its tail.
       spew(Path, Contents.substr(0, Contents.size() / 2));
@@ -268,6 +297,21 @@ TEST(VerdictCache, TornAndPoisonedEntriesRefusedNeverMisread) {
     case Damage::FlipHeader: // Bit flip inside the versionfp hex line.
       Contents[Contents.find("versionfp ") + 10] ^= 0x01;
       spew(Path, Contents);
+      break;
+    case Damage::SignedVersionFp:
+      Respell("versionfp", Signed);
+      break;
+    case Damage::SignedKey:
+      Respell("key", Signed);
+      break;
+    case Damage::PlusSign:
+      Respell("versionfp", [](const std::string &D) { return "+" + D; });
+      break;
+    case Damage::LeadingSpace:
+      Respell("key", [](const std::string &D) { return " " + D; });
+      break;
+    case Damage::HexPrefix:
+      Respell("versionfp", [](const std::string &D) { return "0x" + D; });
       break;
     }
 
