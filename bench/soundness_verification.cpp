@@ -66,7 +66,9 @@
 /// path (--simd=off, the row scan's off switch), which must report
 /// identically to the main run.
 /// --json FILE dumps the campaign figures of merit as BENCH_sweep.json
-/// for ci/compare_bench.py (e2e.sweep_baseline).
+/// for ci/compare_bench.py (e2e.sweep_baseline); with --metrics it also
+/// holds the metrics snapshot, which splits the sweeps' time between
+/// alpha and the checks (docs/OBSERVABILITY.md).
 /// --precision (opt-in) appends precision cells to the campaign -- the
 /// per-operator optimality-gap measurement of docs/ATLAS.md -- printed as
 /// section [7] and diffed by --diff-baseline as "precision deltas";
@@ -77,7 +79,7 @@
 ///                               [--simd=MODE] [--compare-serial]
 ///                               [--optimality={first,full}]
 ///                               [--compare-optimality] [--precision]
-///                               [--json FILE]
+///                               [--json FILE] [--metrics]
 ///                               [--diff-baseline D] [--flip-mul ALGO]
 ///                               [--checkpoint-dir D] [--resume]
 ///                               [--shards K] [--shard-index I]
@@ -148,6 +150,7 @@ int main(int Argc, char **Argv) {
   bool CompareOptimality = false;
   bool NoTiming = false;
   bool Precision = false;
+  bool UseMetrics = false;
   const char *SimdText = nullptr;
   const char *OptimalityText = nullptr;
   const char *DiffBaselineDir = nullptr;
@@ -194,6 +197,10 @@ int main(int Argc, char **Argv) {
     }
     if (Args.matchFlag("--compare-optimality")) {
       CompareOptimality = true;
+      continue;
+    }
+    if (Args.matchFlag("--metrics")) {
+      UseMetrics = true;
       continue;
     }
     // Suppress wall-clock columns so the report is byte-for-byte
@@ -248,11 +255,13 @@ int main(int Argc, char **Argv) {
         "usage: %s [--width 1..16] [--mul-width 1..16] [--random-pairs N] "
         "[--jobs 0..1024] [--simd=%s] [--compare-serial] "
         "[--optimality={first,full}] [--compare-optimality] [--no-timing] "
-        "[--precision] [--json FILE] [--diff-baseline D] [--flip-mul ALGO] "
-        "%s\n",
+        "[--precision] [--json FILE] [--metrics] [--diff-baseline D] "
+        "[--flip-mul ALGO] %s\n",
         Argv[0], SimdModeUsage, CampaignArgsUsage);
     return 1;
   }
+  if (UseMetrics)
+    enableProcessMetrics();
   SweepConfig Sweep;
   Sweep.NumThreads = Jobs;
   Sweep.Simd = Simd;
@@ -726,7 +735,11 @@ int main(int Argc, char **Argv) {
           static_cast<unsigned long long>(Row.Soundness.ConcreteChecked),
           Row.Seconds, I + 1 == Sec2.size() ? "" : ",");
     }
-    std::fprintf(Json, "  ]\n}\n");
+    if (UseMetrics)
+      std::fprintf(Json, "  ],\n  \"metrics\": %s\n}\n",
+                   MetricsRegistry::instance().snapshot().toJson().c_str());
+    else
+      std::fprintf(Json, "  ]\n}\n");
     std::fclose(Json);
     std::printf("\nwrote %s\n", JsonPath);
   }

@@ -16,9 +16,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -64,22 +64,30 @@ int hexNibble(char C) {
   return -1;
 }
 
+/// Parses exactly 16 lower-case hex digits, as store() and entryPath()
+/// write a 64-bit word. No sign, prefix, space or padding.
+std::optional<uint64_t> parseHex64(std::string_view Digits) {
+  if (Digits.size() != 16)
+    return std::nullopt;
+  uint64_t Value = 0;
+  for (char C : Digits) {
+    int Digit = hexNibble(C);
+    if (Digit < 0)
+      return std::nullopt;
+    Value = Value << 4 | static_cast<uint64_t>(Digit);
+  }
+  return Value;
+}
+
 /// Parses "<key> <hex64>" exactly as store() writes it: the key, one
-/// space, 16 lower-case hex digits. No sign, prefix or padding.
+/// space, 16 lower-case hex digits.
 std::optional<uint64_t> parseKeyedHex64(const std::string &Line,
                                         const char *Key) {
   size_t KeyLen = std::strlen(Key);
   if (Line.size() != KeyLen + 17 || Line.compare(0, KeyLen, Key) != 0 ||
       Line[KeyLen] != ' ')
     return std::nullopt;
-  uint64_t Value = 0;
-  for (size_t I = KeyLen + 1; I != Line.size(); ++I) {
-    int Digit = hexNibble(Line[I]);
-    if (Digit < 0)
-      return std::nullopt;
-    Value = Value << 4 | static_cast<uint64_t>(Digit);
-  }
-  return Value;
+  return parseHex64(std::string_view(Line).substr(KeyLen + 1));
 }
 
 std::string hexEncode(const std::string &Bytes) {
@@ -222,23 +230,22 @@ void VerdictCache::loadDiskIndex() {
   std::error_code Ec;
   for (const fs::directory_entry &Ent : fs::directory_iterator(Dir, Ec)) {
     std::string Name = Ent.path().filename().string();
-    // Exactly "verdict-<16 hex>.vkt"; anything else in the directory (the
-    // manifest, foreign files) is not the cache's to manage.
+    // Exactly "verdict-<16 lower-case hex>.vkt", as entryPath() writes it:
+    // eviction unlinks that canonical name. Anything else in the directory
+    // (the manifest, foreign files) is not the cache's to manage.
     if (Name.size() != 28 || Name.compare(0, 8, "verdict-") != 0 ||
         Name.compare(24, 4, ".vkt") != 0)
       continue;
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long Key = std::strtoull(Name.c_str() + 8, &End, 16);
-    if (errno != 0 || End != Name.c_str() + 24)
+    std::optional<uint64_t> Key =
+        parseHex64(std::string_view(Name).substr(8, 16));
+    if (!Key)
       continue;
     std::error_code SizeEc, TimeEc;
     uint64_t Bytes = Ent.file_size(SizeEc);
     fs::file_time_type MTime = Ent.last_write_time(TimeEc);
     if (SizeEc || TimeEc)
       continue;
-    Entries.push_back({static_cast<uint64_t>(Key), Bytes, MTime,
-                       std::move(Name)});
+    Entries.push_back({*Key, Bytes, MTime, std::move(Name)});
   }
   std::sort(Entries.begin(), Entries.end(),
             [](const Found &A, const Found &B) {

@@ -62,18 +62,6 @@ uint64_t Tnum::concretizationSize() const {
   return uint64_t(1) << UnknownBits;
 }
 
-bool Tnum::isSubsetOf(const Tnum &Q) const {
-  if (isBottom())
-    return true;
-  if (Q.isBottom())
-    return false;
-  // Eqn. 2: every trit known in Q must be known with the same value in P,
-  // and every unknown trit of P must be unknown in Q.
-  if ((Mask & ~Q.Mask) != 0)
-    return false;
-  return ((Value ^ Q.Value) & ~Q.Mask) == 0;
-}
-
 Tnum Tnum::joinWith(const Tnum &Q) const {
   if (isBottom())
     return Q.isBottom() ? makeBottom() : Q;

@@ -155,7 +155,18 @@ public:
 
   /// The abstract partial order P ⊑A Q (Eqn. 2): gamma(P) ⊆ gamma(Q).
   /// Bottom is below everything; nothing but bottom is below bottom.
-  bool isSubsetOf(const Tnum &Q) const;
+  /// Inline: the exhaustive soundness checks call it once per pair.
+  bool isSubsetOf(const Tnum &Q) const {
+    if (isBottom())
+      return true;
+    if (Q.isBottom())
+      return false;
+    // Eqn. 2: every trit known in Q must be known with the same value in
+    // P, and every unknown trit of P must be unknown in Q.
+    if ((Mask & ~Q.Mask) != 0)
+      return false;
+    return ((Value ^ Q.Value) & ~Q.Mask) == 0;
+  }
 
   /// True if this and \p Q are comparable under ⊑A in either direction.
   bool isComparableTo(const Tnum &Q) const {

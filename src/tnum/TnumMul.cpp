@@ -51,26 +51,6 @@ const char *tnums::mulAlgorithmVersion(MulAlgorithm Algorithm) {
 }
 
 Tnum tnums::tnumMul(Tnum P, Tnum Q, MulAlgorithm Algorithm, unsigned Width) {
-  Tnum Result;
-  switch (Algorithm) {
-  case MulAlgorithm::Kern:
-    Result = kernMul(P, Q);
-    break;
-  case MulAlgorithm::BitwiseNaive:
-    Result = bitwiseMulNaive(P, Q, Width);
-    break;
-  case MulAlgorithm::BitwiseOpt:
-    Result = bitwiseMulOpt(P, Q, Width);
-    break;
-  case MulAlgorithm::OurSimplified:
-    Result = ourMulSimplified(P, Q, Width);
-    break;
-  case MulAlgorithm::Our:
-    Result = ourMul(P, Q);
-    break;
-  case MulAlgorithm::OurFullLoop:
-    Result = ourMulFullLoop(P, Q, Width);
-    break;
-  }
-  return tnumTruncate(Result, Width);
+  return withMulAlgorithm(Algorithm, Width,
+                          [&](auto Mul) { return Mul(P, Q); });
 }

@@ -204,6 +204,44 @@ const char *mulAlgorithmName(MulAlgorithm Algorithm);
 /// on it, so a stale tag silently serves outdated verdicts.
 const char *mulAlgorithmVersion(MulAlgorithm Algorithm);
 
+/// Calls \p Fn with a callable (P, Q) -> Tnum that runs \p Algorithm and
+/// truncates the result to \p Width bits, and returns what \p Fn returns.
+/// The one dispatch over MulAlgorithm: tnumMul pays it per product, while
+/// the sweeps pay it once per row segment and get the algorithm inlined
+/// into their loop.
+template <typename FnT>
+decltype(auto) withMulAlgorithm(MulAlgorithm Algorithm, unsigned Width,
+                                FnT &&Fn) {
+  switch (Algorithm) {
+  case MulAlgorithm::Kern:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(kernMul(P, Q), Width);
+    });
+  case MulAlgorithm::BitwiseNaive:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(bitwiseMulNaive(P, Q, Width), Width);
+    });
+  case MulAlgorithm::BitwiseOpt:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(bitwiseMulOpt(P, Q, Width), Width);
+    });
+  case MulAlgorithm::OurSimplified:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(ourMulSimplified(P, Q, Width), Width);
+    });
+  case MulAlgorithm::OurFullLoop:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(ourMulFullLoop(P, Q, Width), Width);
+    });
+  case MulAlgorithm::Our:
+    break;
+  }
+  assert(Algorithm == MulAlgorithm::Our && "unknown multiplication algorithm");
+  return Fn([Width](Tnum P, Tnum Q) {
+    return tnumTruncate(ourMul(P, Q), Width);
+  });
+}
+
 /// Runs \p Algorithm on (\p P, \p Q) and truncates the result to \p Width
 /// bits. Dispatch layer for the sweeping harnesses; performance benchmarks
 /// call the concrete functions directly.

@@ -658,13 +658,12 @@ void normalizeMonotonicityFailure(BinaryOp Op, MulAlgorithm Mul,
 /// [Begin, FailIndex) recovers the exact prefix OptimalPairs count. The
 /// witness is almost always in the first shard of a non-optimal cell, so
 /// the rescan is short in practice.
-void normalizeOptimalityFailure(BinaryOp Op, const AbstractBinaryFn &Abstract,
-                                const SweepGrid &Grid,
-                                const SweepConfig &Config, uint64_t Begin,
-                                uint64_t FailIndex,
+void normalizeOptimalityFailure(BinaryOp Op, const FoldTransfer &Transfer,
+                                SweepGrid &Grid, const SweepConfig &Config,
+                                uint64_t Begin, uint64_t FailIndex,
                                 OptimalityReport &Report) {
   assert(Report.Failure && "nothing to normalize");
-  FoldCell Prefix(FoldCheck::Optimality, Abstract);
+  FoldCell Prefix(FoldCheck::Optimality, Transfer);
   checkFoldRangeParallel(Op, Grid, Begin, FailIndex, Config, {&Prefix, 1});
   Report.PairsChecked = FailIndex - Begin + 1;
   Report.OptimalPairs = Prefix.Optimality.OptimalPairs;
@@ -1055,34 +1054,32 @@ namespace {
 
 /// State the built-in driver shares: the spec and scheduling config, the
 /// per-invocation result cells it folds into, and one sweep grid
-/// (universe + member table) per width, shared by every cell, shard, and
-/// property at that width and built on first use.
+/// (universe, member table and constant-row table slot) per width, shared
+/// by every cell, shard, and property at that width and built on first
+/// use.
 struct CampaignEngine {
   const CampaignSpec &Spec;
   const SweepConfig &Config;
   CampaignResult &Result;
   std::map<unsigned, SweepGrid> Grids;
 
-  const SweepGrid &gridFor(unsigned Width) {
+  SweepGrid &gridFor(unsigned Width) {
     auto It = Grids.find(Width);
     if (It == Grids.end())
       It = Grids.emplace(Width, makeSweepGrid(Width, Config)).first;
     return It->second;
   }
 
-  AbstractBinaryFn abstractFor(const CampaignCell &Cell) const {
+  /// The cell's built-in transfer function, or the spec's override bound
+  /// to the cell's width.
+  FoldTransfer transferFor(const CampaignCell &Cell) const {
+    if (!Spec.overrideApplies(Cell))
+      return FoldTransfer(Cell.Op, Cell.Mul, Cell.Width);
     unsigned Width = Cell.Width;
-    if (Spec.overrideApplies(Cell)) {
-      OperatorOverrideFn Override = Spec.OperatorOverride;
-      return [Override, Width](const Tnum &P, const Tnum &Q) {
-        return Override(P, Q, Width);
-      };
-    }
-    BinaryOp Op = Cell.Op;
-    MulAlgorithm Mul = Cell.Mul;
-    return [Op, Mul, Width](const Tnum &P, const Tnum &Q) {
-      return applyAbstractBinary(Op, P, Q, Width, Mul);
-    };
+    OperatorOverrideFn Override = Spec.OperatorOverride;
+    return FoldTransfer([Override, Width](const Tnum &P, const Tnum &Q) {
+      return Override(P, Q, Width);
+    });
   }
 
   FoldCheck foldCheckFor(CampaignProperty Property) const {
@@ -1114,7 +1111,7 @@ struct CampaignEngine {
     static ScanMetrics Metrics;
     const auto Start = std::chrono::steady_clock::now();
     const CampaignCell &First = Spec.Cells[Jobs[0].Cell];
-    const SweepGrid &Grid = gridFor(First.Width);
+    SweepGrid &Grid = gridFor(First.Width);
     const uint64_t Begin = Jobs[0].Begin;
     const uint64_t End = Jobs[0].End;
     auto seconds = [&] {
@@ -1145,7 +1142,7 @@ struct CampaignEngine {
              Job.Begin == Begin && Job.End == End && "one grid, one range");
       if (Cell.Property == CampaignProperty::Precision && Begin == 0)
         Metrics.Cells.add(1);
-      Folds.emplace_back(foldCheckFor(Cell.Property), abstractFor(Cell));
+      Folds.emplace_back(foldCheckFor(Cell.Property), transferFor(Cell));
     }
     checkFoldRangeParallel(First.Op, Grid, Begin, End, Config, Folds);
     for (size_t I = 0; I != Jobs.size(); ++I) {
@@ -1156,7 +1153,7 @@ struct CampaignEngine {
         Jobs[I].Terminal = true; // Soundness cells stop at the first witness.
       } else if (Fold.Check == FoldCheck::OptimalityFirst &&
                  Fold.Optimality.Failure) {
-        normalizeOptimalityFailure(First.Op, Fold.Abstract, Grid, Config,
+        normalizeOptimalityFailure(First.Op, Fold.Transfer, Grid, Config,
                                    Begin, *Fold.FailureIndex,
                                    Fold.Optimality);
         Jobs[I].Terminal = true;

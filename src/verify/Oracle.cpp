@@ -131,30 +131,6 @@ uint64_t tnums::opFingerprint(BinaryOp Op, MulAlgorithm Mul) {
 
 Tnum tnums::applyAbstractBinary(BinaryOp Op, Tnum P, Tnum Q, unsigned Width,
                                 MulAlgorithm Mul) {
-  switch (Op) {
-  case BinaryOp::Add:
-    return tnumTruncate(tnumAdd(P, Q), Width);
-  case BinaryOp::Sub:
-    return tnumTruncate(tnumSub(P, Q), Width);
-  case BinaryOp::Mul:
-    return tnumMul(P, Q, Mul, Width);
-  case BinaryOp::Div:
-    return tnumDiv(P, Q, Width);
-  case BinaryOp::Mod:
-    return tnumMod(P, Q, Width);
-  case BinaryOp::And:
-    return tnumAnd(P, Q);
-  case BinaryOp::Or:
-    return tnumOr(P, Q);
-  case BinaryOp::Xor:
-    return tnumXor(P, Q);
-  case BinaryOp::Lsh:
-    return tnumLshiftByTnum(P, Q, Width);
-  case BinaryOp::Rsh:
-    return tnumRshiftByTnum(P, Q, Width);
-  case BinaryOp::Arsh:
-    return tnumArshiftByTnum(P, Q, Width);
-  }
-  assert(false && "unknown binary op");
-  return Tnum::makeBottom();
+  return withAbstractBinary(Op, Mul, Width,
+                            [&](auto Abstract) { return Abstract(P, Q); });
 }

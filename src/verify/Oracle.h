@@ -61,6 +61,53 @@ bool isShiftOp(BinaryOp Op);
 uint64_t applyConcreteBinary(BinaryOp Op, uint64_t X, uint64_t Y,
                              unsigned Width);
 
+/// Calls \p Fn with a callable (P, Q) -> Tnum that computes the abstract
+/// transfer function for \p Op truncated to \p Width (multiplication with
+/// \p Mul), and returns what \p Fn returns. The one dispatch over
+/// BinaryOp: applyAbstractBinary pays it per call, while the fold pass
+/// (verify/ParallelSweep.h) pays it once per row segment and gets the
+/// transfer function inlined into its loop.
+template <typename FnT>
+decltype(auto) withAbstractBinary(BinaryOp Op, MulAlgorithm Mul,
+                                  unsigned Width, FnT &&Fn) {
+  switch (Op) {
+  case BinaryOp::Add:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(tnumAdd(P, Q), Width);
+    });
+  case BinaryOp::Sub:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumTruncate(tnumSub(P, Q), Width);
+    });
+  case BinaryOp::Mul:
+    return withMulAlgorithm(Mul, Width, Fn);
+  case BinaryOp::Div:
+    return Fn([Width](Tnum P, Tnum Q) { return tnumDiv(P, Q, Width); });
+  case BinaryOp::Mod:
+    return Fn([Width](Tnum P, Tnum Q) { return tnumMod(P, Q, Width); });
+  case BinaryOp::And:
+    return Fn([](Tnum P, Tnum Q) { return tnumAnd(P, Q); });
+  case BinaryOp::Or:
+    return Fn([](Tnum P, Tnum Q) { return tnumOr(P, Q); });
+  case BinaryOp::Xor:
+    return Fn([](Tnum P, Tnum Q) { return tnumXor(P, Q); });
+  case BinaryOp::Lsh:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumLshiftByTnum(P, Q, Width);
+    });
+  case BinaryOp::Rsh:
+    return Fn([Width](Tnum P, Tnum Q) {
+      return tnumRshiftByTnum(P, Q, Width);
+    });
+  case BinaryOp::Arsh:
+    break;
+  }
+  assert(Op == BinaryOp::Arsh && "unknown binary op");
+  return Fn([Width](Tnum P, Tnum Q) {
+    return tnumArshiftByTnum(P, Q, Width);
+  });
+}
+
 /// The abstract transfer function for \p Op, truncated to \p Width.
 /// Multiplication is computed with \p Mul so that every algorithm variant
 /// can be pushed through the same verification pipeline.

@@ -64,18 +64,75 @@ uint64_t pairEvals(const Tnum &P, const Tnum &Q) {
   return uint64_t(1) << (std::popcount(P.mask()) + std::popcount(Q.mask()));
 }
 
+/// Where a fold pass spends its time (docs/OBSERVABILITY.md), recorded
+/// only while the process recorder is enabled: alpha (table builds, table
+/// joins, lane loops and the scalar fold) and the cells' checks (transfer
+/// calls and compares).
+struct FoldMetrics {
+  Counter AlphaNs{"tnums_sweep_alpha_ns_total"};
+  Counter CheckNs{"tnums_sweep_check_ns_total"};
+};
+
+FoldMetrics &foldMetrics() {
+  static FoldMetrics Metrics;
+  return Metrics;
+}
+
+/// \p Grid's constant-row table for \p Op, (re)built on the sweep pool
+/// when it is missing or holds another operator's rows, one chunk per
+/// constant. Null when \p Grid has no member table or the table would not
+/// fit ConstantRowTableBytesCap: its segments then run the lane loop.
+const ConstantRowTable *constantRows(SweepGrid &Grid, BinaryOp Op,
+                                     SimdTier Tier,
+                                     const SweepConfig &Config) {
+  if (!Grid.Members ||
+      constantRowTableBytes(Grid.Width) > ConstantRowTableBytesCap)
+    return nullptr;
+  if (Grid.Rows && Grid.Rows->Op == Op)
+    return &*Grid.Rows;
+  const bool Timed = metricsEnabled();
+  ConstantRowTable &Table = Grid.Rows.emplace();
+  Table.Op = Op;
+  Table.NumQs = Grid.NumTnums;
+  const uint64_t NumConstants = uint64_t(1) << Grid.Width;
+  Table.Ands.resize(NumConstants * Grid.NumTnums);
+  Table.Ors.resize(NumConstants * Grid.NumTnums);
+  const std::span<const Tnum> Qs(Grid.Universe);
+  forEachChunkOnPool(
+      Config.NumThreads, NumConstants, [] { return RowScratch(); },
+      [&](uint64_t X, RowScratch &Scratch) {
+        assert(Grid.Universe[X] == Tnum::makeConstant(X) &&
+               "the universe lists the constants first, ascending");
+        const uint64_t StartNs = Timed ? traceNowNs() : 0;
+        const MemberTable &Members = *Grid.Members;
+        buildConstantRow(RowSegment{Op, Grid.Width, Tier, Grid.Universe[X],
+                                    Qs, Members.span(X, X + 1),
+                                    Members.span(0, Grid.NumTnums),
+                                    Members.offsets(0, Grid.NumTnums)},
+                         Scratch, Table);
+        if (Timed)
+          foldMetrics().AlphaNs.add(traceNowNs() - StartNs);
+      });
+  return &Table;
+}
+
 /// What every row segment of one fold pass shares: the grid, the concrete
-/// operator, and the lane-loop tier. Batched is false under SimdMode::Off,
-/// where every segment takes the scalar per-pair path instead.
+/// operator, the tier, and the constant-row table when the grid has one.
+/// Batched is false under SimdMode::Off, where every segment takes the
+/// scalar per-pair path instead.
 struct RowScanner {
   const SweepGrid &Grid;
   BinaryOp Op;
   bool Batched;
   SimdTier Tier;
+  const ConstantRowTable *Table = nullptr;
 
-  RowScanner(const SweepGrid &Grid, BinaryOp Op, const SweepConfig &Config)
+  RowScanner(SweepGrid &Grid, BinaryOp Op, const SweepConfig &Config)
       : Grid(Grid), Op(Op), Batched(simdModeBatches(Config.Simd)),
-        Tier(selectSimdKernels(Config.Simd).Tier) {}
+        Tier(selectSimdKernels(Config.Simd).Tier) {
+    if (Batched)
+      Table = constantRows(Grid, Op, Tier, Config);
+  }
 
   std::span<const Tnum> qs(uint64_t QBegin, uint64_t QEnd) const {
     return {Grid.Universe.data() + QBegin, QEnd - QBegin};
@@ -100,16 +157,20 @@ struct RowScanner {
   }
 
   /// alpha(opC(gamma(P), gamma(Q))) for every Q of a segment into
-  /// Scratch.Results: the row scan, or the scalar fold pair by pair.
-  /// Returns the concrete evaluations that took, every member pair of
-  /// every pair of the segment.
+  /// Scratch.Results: the join of the table's rows, the row scan, or the
+  /// scalar fold pair by pair. Returns the concrete evaluations a member
+  /// scan takes, every member pair of every pair of the segment, which is
+  /// what the reports count whichever way alpha was computed.
   uint64_t optimal(uint64_t PIndex, uint64_t QBegin, uint64_t QEnd,
                    RowScratch &Scratch) const {
     std::vector<Tnum> &Optimal = Scratch.Results;
     Optimal.resize(QEnd - QBegin);
     if (Batched) {
       RowSegment Row = segment(PIndex, QBegin, QEnd, Scratch);
-      optimalAbstractRow(Row, Scratch, Optimal);
+      if (Table)
+        joinConstantRows(*Table, Tier, Row.Xs, QBegin, Scratch, Optimal);
+      else
+        optimalAbstractRow(Row, Scratch, Optimal);
       return Row.Xs.size() * Row.Lanes.size();
     }
     const Tnum &P = Grid.Universe[PIndex];
@@ -172,19 +233,22 @@ struct FoldWorker {
                                        Grid.Universe[Q], Actual, Optimal, G};
 }
 
-/// Applies \p Cell's check to the segment of P = Universe[PIndex] against
-/// Qs [\p QBegin, \p QEnd), whose alphas are \p Alphas and took \p Evals
-/// concrete evaluations. Returns false once the cell stops in this chunk.
-bool foldSegment(const SweepGrid &Grid, BinaryOp Concrete,
-                 const FoldCell &Cell, uint64_t PIndex, uint64_t QBegin,
-                 uint64_t QEnd, const std::vector<Tnum> &Alphas,
-                 uint64_t Evals, FoldLocal &L) {
+/// Applies \p Check with the transfer function \p Abstract to the segment
+/// of P = Universe[PIndex] against Qs [\p QBegin, \p QEnd), whose alphas
+/// are \p Alphas and took \p Evals concrete evaluations. Returns false once
+/// the cell stops in this chunk.
+template <typename AbstractT>
+bool foldSegmentWith(const AbstractT &Abstract, FoldCheck Check,
+                     const SweepGrid &Grid, BinaryOp Concrete, uint64_t PIndex,
+                     uint64_t QBegin, uint64_t QEnd,
+                     const std::vector<Tnum> &Alphas, uint64_t Evals,
+                     FoldLocal &L) {
   const Tnum &P = Grid.Universe[PIndex];
   const uint64_t RowBegin = PIndex * Grid.NumTnums;
-  switch (Cell.Check) {
+  switch (Check) {
   case FoldCheck::Soundness:
     for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
-      Tnum R = Cell.Abstract(P, Grid.Universe[Q]);
+      Tnum R = Abstract(P, Grid.Universe[Q]);
       // Every op(x, y) lies in gamma(R) iff alpha of them is below R
       // (RowScan.h); a bottom R fails.
       if (Alphas[Q - QBegin].isSubsetOf(R))
@@ -205,25 +269,31 @@ bool foldSegment(const SweepGrid &Grid, BinaryOp Concrete,
     L.Soundness.ConcreteChecked += Evals;
     return true;
   case FoldCheck::Optimality:
-  case FoldCheck::OptimalityFirst:
-    for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
-      ++L.Optimality.PairsChecked;
-      Tnum Actual = Cell.Abstract(P, Grid.Universe[Q]);
+  case FoldCheck::OptimalityFirst: {
+    // Counted in locals: L's counters would make a store-to-load chain
+    // through memory on every pair.
+    uint64_t OptimalPairs = 0;
+    bool Stopped = false;
+    uint64_t Q = QBegin;
+    for (; Q != QEnd && !Stopped; ++Q) {
+      Tnum Actual = Abstract(P, Grid.Universe[Q]);
       if (Actual == Alphas[Q - QBegin]) {
-        ++L.Optimality.OptimalPairs;
+        ++OptimalPairs;
         continue;
       }
       if (!L.FailureIndex)
         recordNonOptimal(Grid, PIndex, Q, Actual, Alphas[Q - QBegin], L);
-      if (Cell.Check == FoldCheck::OptimalityFirst)
-        return false;
+      Stopped = Check == FoldCheck::OptimalityFirst;
     }
-    return true;
+    L.Optimality.PairsChecked += Q - QBegin;
+    L.Optimality.OptimalPairs += OptimalPairs;
+    return !Stopped;
+  }
   case FoldCheck::Precision: {
     uint64_t SumGap = 0;
     for (uint64_t Q = QBegin; Q != QEnd; ++Q) {
       const Tnum &Optimal = Alphas[Q - QBegin];
-      Tnum Actual = Cell.Abstract(P, Grid.Universe[Q]);
+      Tnum Actual = Abstract(P, Grid.Universe[Q]);
       unsigned G = precisionGap(Actual, Optimal);
       SumGap += G;
       ++L.Precision.Buckets[G];
@@ -236,6 +306,23 @@ bool foldSegment(const SweepGrid &Grid, BinaryOp Concrete,
   }
   }
   return false;
+}
+
+/// Applies \p Cell's check to one segment (see foldSegmentWith): a
+/// built-in transfer function is dispatched here, once per segment, and
+/// inlined into the check's loop.
+bool foldSegment(const FoldCell &Cell, const SweepGrid &Grid,
+                 BinaryOp Concrete, uint64_t PIndex, uint64_t QBegin,
+                 uint64_t QEnd, const std::vector<Tnum> &Alphas,
+                 uint64_t Evals, FoldLocal &L) {
+  const FoldTransfer &T = Cell.Transfer;
+  auto Fold = [&](const auto &Abstract) {
+    return foldSegmentWith(Abstract, Cell.Check, Grid, Concrete, PIndex,
+                           QBegin, QEnd, Alphas, Evals, L);
+  };
+  if (T.Override)
+    return Fold(T.Override);
+  return withAbstractBinary(T.Op, T.Mul, T.Width, Fold);
 }
 
 /// Folds one chunk's share into \p Cell. Counters add; the failure kept is
@@ -281,7 +368,7 @@ SweepGrid tnums::makeSweepGrid(unsigned Width, const SweepConfig &Config) {
   return Grid;
 }
 
-void tnums::checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
+void tnums::checkFoldRangeParallel(BinaryOp Concrete, SweepGrid &Grid,
                                    uint64_t Begin, uint64_t End,
                                    const SweepConfig &Config,
                                    std::span<FoldCell> Cells) {
@@ -295,7 +382,8 @@ void tnums::checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
     Histogram ScanNs{"tnums_precision_scan_ns"};
   };
   static ScanMetrics Metrics;
-  const uint64_t ScanStartNs = metricsEnabled() ? traceNowNs() : 0;
+  const bool Timed = metricsEnabled();
+  const uint64_t ScanStartNs = Timed ? traceNowNs() : 0;
   const RowScanner Rows(Grid, Concrete, Config);
   const size_t NumCells = Cells.size();
 
@@ -308,7 +396,7 @@ void tnums::checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
   std::vector<uint64_t> WorstIndex(NumCells, UINT64_MAX);
   std::mutex Mutex;
   for (FoldCell &Cell : Cells)
-    Cell = FoldCell(Cell.Check, std::move(Cell.Abstract));
+    Cell = FoldCell(Cell.Check, std::move(Cell.Transfer));
 
   // A stopping cell is live in a chunk until it fails there, and never in
   // a chunk above its lowest failing one.
@@ -335,16 +423,22 @@ void tnums::checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
           }
           if (!AnyLive)
             return false;
+          const uint64_t AlphaStartNs = Timed ? traceNowNs() : 0;
           const uint64_t Evals = Rows.optimal(PIndex, QBegin, QEnd, W.Scratch);
+          const uint64_t CheckStartNs = Timed ? traceNowNs() : 0;
           for (size_t C = 0; C != NumCells; ++C) {
             FoldLocal &L = W.Locals[C];
             if (!L.Live ||
-                foldSegment(Grid, Concrete, Cells[C], PIndex, QBegin, QEnd,
+                foldSegment(Cells[C], Grid, Concrete, PIndex, QBegin, QEnd,
                             W.Scratch.Results, Evals, L))
               continue;
             // This chunk's first (= serial-order) violation is recorded.
             L.Live = false;
             atomicMinU64(FirstFailChunk[C], Chunk);
+          }
+          if (Timed) {
+            foldMetrics().AlphaNs.add(CheckStartNs - AlphaStartNs);
+            foldMetrics().CheckNs.add(traceNowNs() - CheckStartNs);
           }
           return true;
         });
@@ -359,7 +453,7 @@ void tnums::checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
       AnyPrecision = true;
       Metrics.Pairs.add(Cell.Precision.PairsChecked);
     }
-  if (AnyPrecision && metricsEnabled())
+  if (AnyPrecision && Timed)
     Metrics.ScanNs.record(traceNowNs() - ScanStartNs);
 }
 

@@ -23,7 +23,9 @@
 /// soundness, optimality and precision checks all read one fold, alpha of
 /// the concrete operator over each pair, so they run as cells of one fold
 /// pass (checkFoldRangeParallel): any number of cells that share a
-/// concrete operator and width read one alpha per row segment.
+/// concrete operator and width read one alpha per row segment, which the
+/// grid's constant-row table (verify/RowScan.h) gives once a pass has
+/// built it for that operator.
 /// verify/Campaign.h layers sharding, checkpointing, and order-independent
 /// merging on top, and runCampaign is how every front end runs a whole
 /// grid; the range scans below are its building blocks.
@@ -46,9 +48,10 @@
 ///    exact serial-prefix counts, which is what makes its merged reports
 ///    deterministic; see docs/CAMPAIGN.md.
 ///
-/// The scans accept an injectable abstract operator so the test suite
-/// can feed deliberately broken transfer functions through the exact same
-/// machinery and observe the deterministic witness.
+/// The scans call the built-in transfer functions inline, dispatched once
+/// per row segment, and also accept an injectable abstract operator so the
+/// test suite can feed deliberately broken transfer functions through the
+/// exact same machinery and observe the deterministic witness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +62,7 @@
 #include "tnum/TnumMembers.h"
 #include "verify/MonotonicityChecker.h"
 #include "verify/OptimalityChecker.h"
+#include "verify/RowScan.h"
 #include "verify/SoundnessChecker.h"
 
 #include <functional>
@@ -95,6 +99,14 @@ struct SweepConfig {
 /// reports either way.
 inline constexpr uint64_t MemberTableBytesCap = uint64_t(1) << 28;
 
+/// Budget for a grid's constant-row table (verify/RowScan.h): a grid with a
+/// member table builds one when constantRowTableBytes(width) <= cap, and
+/// its fold passes join table rows instead of running the lane loop over
+/// gamma(P). 256 MiB covers widths <= 9 (161 MB at width 9, 967 MB at
+/// width 10); the six-mul width-9 soundness campaign runs faster with the
+/// table than without. Bit-identical reports either way.
+inline constexpr uint64_t ConstantRowTableBytesCap = uint64_t(1) << 28;
+
 /// An abstract binary transfer function as the sweep sees it: inputs are
 /// well-formed width-n tnums, the result is already truncated to width.
 /// Signature matches applyAbstractBinary after binding Op/Width/Mul.
@@ -115,6 +127,11 @@ struct SweepGrid {
   /// Engaged when the batched path is on and gamma of the whole universe
   /// fits MemberTableBytesCap (see tnum/TnumMembers.h).
   std::optional<MemberTable> Members;
+  /// The constant-row table of the last concrete operator a batched fold
+  /// pass swept on this grid, built by the first pass that needs it when
+  /// Members is engaged and it fits ConstantRowTableBytesCap. One slot is
+  /// enough: a campaign runs all of one grid's passes back to back.
+  std::optional<ConstantRowTable> Rows;
 };
 
 /// Enumerates the width-\p Width universe and, when \p Config's batched
@@ -137,17 +154,35 @@ enum class FoldCheck : uint8_t {
   Precision,
 };
 
+/// The transfer function R a fold cell checks: a built-in
+/// applyAbstractBinary(Op, P, Q, Width, Mul), which a pass dispatches once
+/// per row segment (withAbstractBinary) and calls inline, or an Override
+/// -- a broken operator in a test, --flip-mul -- called through
+/// std::function.
+struct FoldTransfer {
+  FoldTransfer(BinaryOp Op, MulAlgorithm Mul, unsigned Width)
+      : Op(Op), Mul(Mul), Width(Width) {}
+  FoldTransfer(AbstractBinaryFn Override) : Override(std::move(Override)) {}
+
+  BinaryOp Op = BinaryOp::Add;
+  MulAlgorithm Mul = MulAlgorithm::Our;
+  unsigned Width = 0;
+  AbstractBinaryFn Override; ///< Replaces the built-in when set.
+};
+
 /// One cell of a fold pass: its check, its transfer function, and, once
 /// the pass returns, the report matching Check. A failing Soundness,
 /// Optimality or OptimalityFirst cell also gets the failing pair's grid
 /// index -- the Campaign layer uses it to re-normalize failing shards to
 /// exact serial-prefix counters.
 struct FoldCell {
-  FoldCell(FoldCheck Check, AbstractBinaryFn Abstract)
-      : Check(Check), Abstract(std::move(Abstract)) {}
+  FoldCell(FoldCheck Check, FoldTransfer Transfer)
+      : Check(Check), Transfer(std::move(Transfer)) {}
+  FoldCell(FoldCheck Check, AbstractBinaryFn Override)
+      : FoldCell(Check, FoldTransfer(std::move(Override))) {}
 
   FoldCheck Check;
-  AbstractBinaryFn Abstract;
+  FoldTransfer Transfer;
   SoundnessReport Soundness;
   OptimalityReport Optimality;
   PrecisionReport Precision;
@@ -170,7 +205,11 @@ struct FoldCell {
 /// the greatest gap, ties broken by lowest pair index -- so they are
 /// bit-identical to the serial reference for every thread count, chunk
 /// size, and SIMD tier.
-void checkFoldRangeParallel(BinaryOp Concrete, const SweepGrid &Grid,
+///
+/// A batched pass over a grid whose constant-row table is missing or was
+/// built for another operator first (re)builds it, on the sweep pool, so
+/// passes over one grid must not run concurrently.
+void checkFoldRangeParallel(BinaryOp Concrete, SweepGrid &Grid,
                             uint64_t Begin, uint64_t End,
                             const SweepConfig &Config,
                             std::span<FoldCell> Cells);

@@ -9,6 +9,7 @@
 
 #include "support/Bits.h"
 #include "support/Metrics.h"
+#include "tnum/TnumEnum.h"
 #include "tnum/TnumMembers.h"
 
 #include <algorithm>
@@ -112,15 +113,53 @@ template <BinaryOp Op, bool Narrow>
   }
 }
 
-// One instantiation of the lane loop per SimdTier. The wrappers carry the
-// target attribute and the always_inline body is compiled inside each
-// (lambdas would not inherit the attribute). NEON is the AArch64 baseline,
-// so the plain build is that tier's instantiation.
+/// Everything a join loop reads or writes.
+struct JoinArgs {
+  const uint64_t *Xs;
+  uint64_t NumXs;
+  const uint64_t *TableAnds; ///< Entry (0, QBegin) of the table,
+  const uint64_t *TableOrs;  ///< in both arrays.
+  uint64_t RowLength;        ///< Words from one table row to the next.
+  uint64_t NumQs;
+  uint64_t *Ands; ///< Per-Q AND accumulators.
+  uint64_t *Ors;  ///< Per-Q OR accumulators.
+};
+
+/// The table's counterpart of laneLoop: the per-Q accumulators start as
+/// the table's row of the first x and fold in the row of every other x,
+/// one block of Qs at a time.
+[[gnu::always_inline]] inline void joinLoop(const JoinArgs &A) {
+  for (uint64_t B = 0; B < A.NumQs; B += LaneBlock) {
+    const uint64_t N = std::min(LaneBlock, A.NumQs - B);
+    uint64_t *__restrict Ands = A.Ands + B;
+    uint64_t *__restrict Ors = A.Ors + B;
+    for (uint64_t I = 0; I != A.NumXs; ++I) {
+      const uint64_t Row = A.Xs[I] * A.RowLength + B;
+      const uint64_t *__restrict RowAnds = A.TableAnds + Row;
+      const uint64_t *__restrict RowOrs = A.TableOrs + Row;
+      if (I == 0) {
+        std::copy_n(RowAnds, N, Ands);
+        std::copy_n(RowOrs, N, Ors);
+        continue;
+      }
+      for (uint64_t J = 0; J != N; ++J) {
+        Ands[J] &= RowAnds[J];
+        Ors[J] |= RowOrs[J];
+      }
+    }
+  }
+}
+
+// One instantiation of the lane loop and of the join loop per SimdTier.
+// The wrappers carry the target attribute and the always_inline bodies are
+// compiled inside each (lambdas would not inherit the attribute). NEON is
+// the AArch64 baseline, so the plain build is that tier's instantiation.
 
 struct PortableLanes {
   template <BinaryOp Op, bool Narrow> static void run(const LaneArgs &A) {
     laneLoop<Op, Narrow>(A);
   }
+  static void join(const JoinArgs &A) { joinLoop(A); }
 };
 
 #if TNUMS_SIMD_HAVE_X86_KERNELS
@@ -128,6 +167,9 @@ struct Avx2Lanes {
   template <BinaryOp Op, bool Narrow>
   __attribute__((target("avx2"))) static void run(const LaneArgs &A) {
     laneLoop<Op, Narrow>(A);
+  }
+  __attribute__((target("avx2"))) static void join(const JoinArgs &A) {
+    joinLoop(A);
   }
 };
 
@@ -137,6 +179,10 @@ struct Avx512Lanes {
   __attribute__((target("avx512f,avx512bw"))) static void
   run(const LaneArgs &A) {
     laneLoop<Op, Narrow>(A);
+  }
+  __attribute__((target("avx512f,avx512bw"))) static void
+  join(const JoinArgs &A) {
+    joinLoop(A);
   }
 };
 #endif
@@ -188,6 +234,19 @@ void runLanes(SimdTier Tier, BinaryOp Op, const LaneArgs &A) {
   }
 }
 
+void runJoin(SimdTier Tier, const JoinArgs &A) {
+  switch (Tier) {
+#if TNUMS_SIMD_HAVE_X86_KERNELS
+  case SimdTier::Avx2:
+    return Avx2Lanes::join(A);
+  case SimdTier::Avx512:
+    return Avx512Lanes::join(A);
+#endif
+  default:
+    return PortableLanes::join(A);
+  }
+}
+
 LaneArgs laneArgs(const RowSegment &Row) {
   assert((!isShiftOp(Row.Op) || (Row.Width & (Row.Width - 1)) == 0) &&
          "shift semantics need 2^k width");
@@ -206,20 +265,46 @@ LaneArgs laneArgs(const RowSegment &Row) {
 }
 
 /// Segment-granular attribution of the row scans (docs/OBSERVABILITY.md):
-/// one add() per segment, never per lane.
+/// one add() per alpha segment, lane loop or table row, never per lane.
 struct RowMetrics {
   Counter Segments{"tnums_sweep_segments_total"};
   Counter Lanes{"tnums_sweep_lanes_total"};
-
-  void record(const RowSegment &Row) {
-    Segments.add(1);
-    Lanes.add(Row.Lanes.size());
-  }
+  Counter TableRows{"tnums_sweep_table_rows_total"};
 };
 
 RowMetrics &rowMetrics() {
   static RowMetrics Metrics;
   return Metrics;
+}
+
+/// Runs the lane loop over \p Row and folds each Q's lanes, calling
+/// \p Out(K, And, Or) with the AND and the OR of opC over gamma(P) x
+/// gamma(Qs[K]).
+template <typename OutT>
+void foldRow(const RowSegment &Row, RowScratch &Scratch, const OutT &Out) {
+  assert(!Row.Xs.empty() && "optimal abstraction of bottom");
+  rowMetrics().Lanes.add(Row.Lanes.size());
+  Scratch.Ands.assign(Row.Lanes.size(), ~uint64_t(0));
+  Scratch.Ors.assign(Row.Lanes.size(), 0);
+  LaneArgs A = laneArgs(Row);
+  A.Ands = Scratch.Ands.data();
+  A.Ors = Scratch.Ors.data();
+  runLanes(Row.Tier, Row.Op, A);
+
+  const uint64_t *Ands = Scratch.Ands.data();
+  const uint64_t *Ors = Scratch.Ors.data();
+  for (size_t K = 0; K != Row.Qs.size(); ++K) {
+    uint64_t N = Row.Offsets[K + 1] - Row.Offsets[K];
+    uint64_t And = ~uint64_t(0);
+    uint64_t Or = 0;
+    for (uint64_t J = 0; J != N; ++J) {
+      And &= Ands[J];
+      Or |= Ors[J];
+    }
+    Out(K, And, Or);
+    Ands += N;
+    Ors += N;
+  }
 }
 
 } // namespace
@@ -241,28 +326,47 @@ RowSegment tnums::materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
 void tnums::optimalAbstractRow(const RowSegment &Row, RowScratch &Scratch,
                                std::span<Tnum> Optimal) {
   assert(Optimal.size() == Row.Qs.size() && "one result per Q");
-  assert(!Row.Xs.empty() && "optimal abstraction of bottom");
-  rowMetrics().record(Row);
-  Scratch.Ands.assign(Row.Lanes.size(), ~uint64_t(0));
-  Scratch.Ors.assign(Row.Lanes.size(), 0);
-  LaneArgs A = laneArgs(Row);
+  rowMetrics().Segments.add(1);
+  // alpha over a non-empty set is (AND, AND ^ OR).
+  foldRow(Row, Scratch, [&](size_t K, uint64_t And, uint64_t Or) {
+    Optimal[K] = Tnum(And, And ^ Or);
+  });
+}
+
+uint64_t tnums::constantRowTableBytes(unsigned Width) {
+  return (numWellFormedTnums(Width) << Width) * 2 * sizeof(uint64_t);
+}
+
+void tnums::buildConstantRow(const RowSegment &Row, RowScratch &Scratch,
+                             ConstantRowTable &Table) {
+  assert(Row.Xs.size() == 1 && Row.Qs.size() == Table.NumQs &&
+         Row.Op == Table.Op && "a constant P against the whole universe");
+  rowMetrics().TableRows.add(1);
+  const uint64_t First = Row.Xs[0] * Table.NumQs;
+  foldRow(Row, Scratch, [&](size_t K, uint64_t And, uint64_t Or) {
+    Table.Ands[First + K] = And;
+    Table.Ors[First + K] = Or;
+  });
+}
+
+void tnums::joinConstantRows(const ConstantRowTable &Table, SimdTier Tier,
+                             std::span<const uint64_t> Xs, uint64_t QBegin,
+                             RowScratch &Scratch, std::span<Tnum> Optimal) {
+  assert(!Xs.empty() && "optimal abstraction of bottom");
+  assert(QBegin + Optimal.size() <= Table.NumQs && "Qs out of the table");
+  rowMetrics().Segments.add(1);
+  Scratch.Ands.resize(Optimal.size());
+  Scratch.Ors.resize(Optimal.size());
+  JoinArgs A{};
+  A.Xs = Xs.data();
+  A.NumXs = Xs.size();
+  A.TableAnds = Table.Ands.data() + QBegin;
+  A.TableOrs = Table.Ors.data() + QBegin;
+  A.RowLength = Table.NumQs;
+  A.NumQs = Optimal.size();
   A.Ands = Scratch.Ands.data();
   A.Ors = Scratch.Ors.data();
-  runLanes(Row.Tier, Row.Op, A);
-
-  // Fold each Q's lanes: alpha over a non-empty set is (AND, AND ^ OR).
-  const uint64_t *Ands = Scratch.Ands.data();
-  const uint64_t *Ors = Scratch.Ors.data();
-  for (size_t K = 0; K != Row.Qs.size(); ++K) {
-    uint64_t N = Row.Offsets[K + 1] - Row.Offsets[K];
-    uint64_t And = ~uint64_t(0);
-    uint64_t Or = 0;
-    for (uint64_t J = 0; J != N; ++J) {
-      And &= Ands[J];
-      Or |= Ors[J];
-    }
-    Optimal[K] = Tnum(And, And ^ Or);
-    Ands += N;
-    Ors += N;
-  }
+  runJoin(Tier, A);
+  for (size_t K = 0; K != Optimal.size(); ++K)
+    Optimal[K] = Tnum(Scratch.Ands[K], Scratch.Ands[K] ^ Scratch.Ors[K]);
 }

@@ -32,6 +32,14 @@
 /// SimdTier through target-attributed wrappers; the compiler's
 /// auto-vectorizer supplies each tier's instructions (docs/SIMD.md).
 ///
+/// AND and OR are associative and commutative, so alpha of a pair is also
+/// the join, over x in gamma(P), of the constant-operand folds of opC(x, .)
+/// over gamma(Q). A ConstantRowTable holds those folds for every constant
+/// x and every Q of a grid: the lane loop builds it once per (concrete op,
+/// width) from 8^n evaluations, and each segment's alphas are then one
+/// AND/OR loop over its Qs per x (joinConstantRows) instead of a lane loop
+/// over gamma(P) x lanes, which evaluates opC 16^n times per grid.
+///
 /// Only the fold pass of verify/ParallelSweep.h calls these. The serial
 /// checkers never do: they are the scalar oracle the row scan is tested
 /// against.
@@ -90,6 +98,36 @@ RowSegment materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
 /// well-formed.
 void optimalAbstractRow(const RowSegment &Row, RowScratch &Scratch,
                         std::span<Tnum> Optimal);
+
+/// The constant rows of one (concrete op, width) grid: entry (x, k) holds
+/// the AND and the OR of opC(x, y) over y in gamma(Universe[k]), for every
+/// constant x < 2^n and every k < 3^n. allWellFormedTnums lists the 2^n
+/// constants first, in ascending order, so row x is the alpha row of
+/// Universe[x].
+struct ConstantRowTable {
+  BinaryOp Op = BinaryOp::Add;
+  uint64_t NumQs = 0;         ///< 3^n: the length of every row.
+  std::vector<uint64_t> Ands; ///< Entry (x, k) at x * NumQs + k, in
+  std::vector<uint64_t> Ors;  ///< both arrays.
+};
+
+/// Bytes a width-\p Width ConstantRowTable occupies: 2^n x 3^n entries of
+/// two words (124 kB at width 5, 27 MB at width 8). Width <= 16, as for
+/// allWellFormedTnums.
+uint64_t constantRowTableBytes(unsigned Width);
+
+/// Fills row x of \p Table from \p Row, the segment of the constant P = x
+/// against every Q of the universe (Row.Xs == {x}), on the lane loop.
+void buildConstantRow(const RowSegment &Row, RowScratch &Scratch,
+                      ConstantRowTable &Table);
+
+/// alpha(opC(gamma(P), gamma(Universe[QBegin + k]))) into Optimal[k], as
+/// the join of \p Table's entries (x, QBegin + k) over x in \p Xs =
+/// gamma(P), on \p Tier's instantiation of the join loop: bit-identical to
+/// optimalAbstractRow.
+void joinConstantRows(const ConstantRowTable &Table, SimdTier Tier,
+                      std::span<const uint64_t> Xs, uint64_t QBegin,
+                      RowScratch &Scratch, std::span<Tnum> Optimal);
 
 } // namespace tnums
 

@@ -282,10 +282,9 @@ constexpr FoldCheck kFoldChecks[] = {FoldCheck::Soundness,
 
 /// One transfer function under every fold check over [Begin, End), as one
 /// fold pass of four cells or (\p OnePass false) as four one-cell passes.
-std::vector<FoldCell> foldChecks(BinaryOp Op, const AbstractBinaryFn &Fn,
-                                 const SweepGrid &Grid, uint64_t Begin,
-                                 uint64_t End, const SweepConfig &Config,
-                                 bool OnePass) {
+std::vector<FoldCell> foldChecks(BinaryOp Op, const FoldTransfer &Fn,
+                                 SweepGrid &Grid, uint64_t Begin, uint64_t End,
+                                 const SweepConfig &Config, bool OnePass) {
   std::vector<FoldCell> Cells;
   for (FoldCheck Check : kFoldChecks)
     Cells.emplace_back(Check, Fn);
@@ -299,11 +298,15 @@ std::vector<FoldCell> foldChecks(BinaryOp Op, const AbstractBinaryFn &Fn,
 
 /// One operator (and transfer function) through every fold check: the
 /// four checks as one pass of the row scan on every host tier, scheduler,
-/// and with and without the member table, against one-cell passes with
-/// SimdMode::Off. The failure pair indices must match too; work counters
-/// must match wherever they are exact (every holding scan, and one-thread
-/// scans of failing ones).
-void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
+/// and both alpha sources, against one-cell passes with SimdMode::Off. The
+/// member-table grid takes the table path: its first batched pass builds
+/// the constant-row table on the lane loop, and every pass then joins
+/// table rows on its tier. The materialized grid, with no member table and
+/// so no table, takes the lane loop over gamma(P) on every tier. The
+/// failure pair indices must match too; work counters must match wherever
+/// they are exact (every holding scan, and one-thread scans of failing
+/// ones).
+void expectRowScanAgreesWithScalar(BinaryOp Op, const FoldTransfer &Fn,
                                    unsigned Width) {
   SweepConfig Off;
   Off.Simd = SimdMode::Off;
@@ -321,14 +324,14 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
   for (SimdMode Mode : hostRowScanModes()) {
     for (SweepConfig Config : rowScanSchedulers(Grid.NumTnums)) {
       Config.Simd = Mode;
-      for (const SweepGrid *G : {&Grid, &Materialized}) {
+      for (SweepGrid *G : {&Grid, &Materialized}) {
         // The materialized path once per tier is enough.
         if (G == &Materialized && Config.ChunkPairs != 7)
           continue;
         SCOPED_TRACE(::testing::Message()
                      << simdModeName(Mode) << " threads " << Config.NumThreads
                      << " chunk " << Config.ChunkPairs
-                     << (G->Members ? " table" : " materialized"));
+                     << (G->Members ? " table join" : " lane loop"));
         bool Exact = Config.NumThreads == 1;
         std::vector<FoldCell> Got =
             foldChecks(Op, Fn, *G, Begin, End, Config, /*OnePass=*/true);
@@ -343,13 +346,15 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const AbstractBinaryFn &Fn,
       }
     }
   }
+  // Each leg took the path it names.
+  ASSERT_TRUE(Grid.Rows.has_value());
+  EXPECT_EQ(Grid.Rows->Op, Op);
+  EXPECT_FALSE(Materialized.Rows.has_value());
 }
 
-AbstractBinaryFn transferFunction(BinaryOp Op, MulAlgorithm Mul,
-                                  unsigned Width) {
-  return [Op, Mul, Width](const Tnum &P, const Tnum &Q) {
-    return applyAbstractBinary(Op, P, Q, Width, Mul);
-  };
+/// The built-in transfer function of (\p Op, \p Mul) at \p Width.
+FoldTransfer transferFunction(BinaryOp Op, MulAlgorithm Mul, unsigned Width) {
+  return FoldTransfer(Op, Mul, Width);
 }
 
 void expectRowScanAgreesOnEveryOperator(unsigned Width) {
@@ -494,7 +499,7 @@ TEST(FoldPass, MixedCellsMatchTheirOneCellPasses) {
                        Mul == MulAlgorithm::Kern
                            ? Broken
                            : transferFunction(BinaryOp::Mul, Mul, Width));
-  const AbstractBinaryFn Our =
+  const FoldTransfer Our =
       transferFunction(BinaryOp::Mul, MulAlgorithm::Our, Width);
   Cells.emplace_back(FoldCheck::Optimality, Our);
   Cells.emplace_back(FoldCheck::OptimalityFirst, Our);
@@ -537,11 +542,121 @@ TEST(FoldPass, MixedCellsMatchTheirOneCellPasses) {
   }
 }
 
+/// Each built-in transfer function written out directly -- the algorithm
+/// itself, not applyAbstractBinary or withAbstractBinary -- as an override.
+AbstractBinaryFn directTransfer(BinaryOp Op, MulAlgorithm Mul, unsigned W) {
+  switch (Op) {
+  case BinaryOp::Add:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(tnumAdd(P, Q), W);
+    };
+  case BinaryOp::Sub:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(tnumSub(P, Q), W);
+    };
+  case BinaryOp::Mul:
+    break;
+  case BinaryOp::Div:
+    return [W](const Tnum &P, const Tnum &Q) { return tnumDiv(P, Q, W); };
+  case BinaryOp::Mod:
+    return [W](const Tnum &P, const Tnum &Q) { return tnumMod(P, Q, W); };
+  case BinaryOp::And:
+    return [](const Tnum &P, const Tnum &Q) { return tnumAnd(P, Q); };
+  case BinaryOp::Or:
+    return [](const Tnum &P, const Tnum &Q) { return tnumOr(P, Q); };
+  case BinaryOp::Xor:
+    return [](const Tnum &P, const Tnum &Q) { return tnumXor(P, Q); };
+  case BinaryOp::Lsh:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumLshiftByTnum(P, Q, W);
+    };
+  case BinaryOp::Rsh:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumRshiftByTnum(P, Q, W);
+    };
+  case BinaryOp::Arsh:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumArshiftByTnum(P, Q, W);
+    };
+  }
+  switch (Mul) {
+  case MulAlgorithm::Kern:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(kernMul(P, Q), W);
+    };
+  case MulAlgorithm::BitwiseNaive:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(bitwiseMulNaive(P, Q, W), W);
+    };
+  case MulAlgorithm::BitwiseOpt:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(bitwiseMulOpt(P, Q, W), W);
+    };
+  case MulAlgorithm::OurSimplified:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(ourMulSimplified(P, Q, W), W);
+    };
+  case MulAlgorithm::Our:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(ourMul(P, Q), W);
+    };
+  case MulAlgorithm::OurFullLoop:
+    return [W](const Tnum &P, const Tnum &Q) {
+      return tnumTruncate(ourMulFullLoop(P, Q, W), W);
+    };
+  }
+  return nullptr;
+}
+
+TEST(FoldPass, BuiltinCellsMatchDirectOverrides) {
+  // The inline dispatch (withAbstractBinary, withMulAlgorithm) must call
+  // each operator's own algorithm: the four checks of every built-in cell
+  // equal those of an override that calls the algorithm directly. The mul
+  // algorithms differ in precision, so an arm that runs the wrong one
+  // changes a precision report: the bitwise pair differs from the others
+  // at width 4, kern_mul from our_mul only from width 5. (bitwise naive
+  // and opt, and our_mul and its two variants, are input-output
+  // equivalent, so no report tells them apart.)
+  const SweepConfig Config{/*NumThreads=*/1, /*ChunkPairs=*/300};
+  for (unsigned Width : {4u, 5u}) {
+    SweepGrid Grid = makeSweepGrid(Width, Config);
+    std::vector<std::pair<BinaryOp, MulAlgorithm>> Transfers;
+    for (BinaryOp Op : AllBinaryOps)
+      if (Op != BinaryOp::Mul && (!isShiftOp(Op) || Width == 4))
+        Transfers.push_back({Op, MulAlgorithm::Our});
+    for (MulAlgorithm Mul : AllMulAlgorithms)
+      Transfers.push_back({BinaryOp::Mul, Mul});
+    for (auto [Op, Mul] : Transfers) {
+      SCOPED_TRACE(::testing::Message() << binaryOpName(Op) << " "
+                                        << mulAlgorithmName(Mul) << " width "
+                                        << Width);
+      std::vector<FoldCell> Builtin =
+          foldChecks(Op, FoldTransfer(Op, Mul, Width), Grid, 0,
+                     Grid.TotalPairs, Config, /*OnePass=*/true);
+      std::vector<FoldCell> Direct =
+          foldChecks(Op, directTransfer(Op, Mul, Width), Grid, 0,
+                     Grid.TotalPairs, Config, /*OnePass=*/true);
+      for (size_t C = 0; C != Builtin.size(); ++C) {
+        SCOPED_TRACE(::testing::Message() << "cell " << C);
+        EXPECT_EQ(Builtin[C].FailureIndex, Direct[C].FailureIndex);
+        EXPECT_EQ(Builtin[C].Soundness, Direct[C].Soundness);
+        EXPECT_EQ(Builtin[C].Optimality, Direct[C].Optimality);
+        EXPECT_EQ(Builtin[C].Precision, Direct[C].Precision);
+      }
+    }
+  }
+}
+
+/// The process-wide value of the counter \p Name.
+uint64_t counterValue(const char *Name) {
+  MetricsSnapshot Snap = MetricsRegistry::instance().snapshot();
+  const MetricValue *Value = Snap.find(Name);
+  return Value ? Value->Count : 0;
+}
+
 /// Row segments the row scans have folded so far, process-wide.
 uint64_t segmentsScanned() {
-  MetricsSnapshot Snap = MetricsRegistry::instance().snapshot();
-  const MetricValue *Segments = Snap.find("tnums_sweep_segments_total");
-  return Segments ? Segments->Count : 0;
+  return counterValue("tnums_sweep_segments_total");
 }
 
 TEST(FoldPass, FoldsASegmentOnlyWhileSomeCellIsLive) {
@@ -575,6 +690,85 @@ TEST(FoldPass, FoldsASegmentOnlyWhileSomeCellIsLive) {
   EXPECT_EQ(Pass[0].Soundness, Alone.Soundness);
   EXPECT_EQ(Pass[1].Precision.PairsChecked, Grid.TotalPairs);
   EXPECT_EQ(Pass[1].Precision.MaxGap, 0u); // Add is optimal everywhere.
+}
+
+TEST(FoldPass, CountsTableRowsLanesAndTimeWithoutChangingReports) {
+  // One row per chunk on one thread. A table pass builds 2^w constant rows
+  // on the lane loop (their lanes are the only lanes it runs) and a second
+  // pass of the same operator reuses them; a lane-loop pass builds none
+  // and runs every segment's lanes. Both count one segment per row, add
+  // to the alpha and check clocks, and report what they report with the
+  // recorder off.
+  constexpr unsigned Width = 3;
+  const uint64_t Constants = uint64_t(1) << Width;
+  const uint64_t RowLanes = uint64_t(1) << (2 * Width); // Sum of |gamma(Q)|.
+  auto grid = [](bool Members) {
+    SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
+    if (!Members)
+      Grid.Members.reset();
+    return Grid;
+  };
+  const SweepConfig Config{/*NumThreads=*/1,
+                           /*ChunkPairs=*/numWellFormedTnums(Width)};
+  auto pass = [&](SweepGrid &Grid) {
+    std::vector<FoldCell> Cells;
+    for (FoldCheck Check : kFoldChecks)
+      Cells.emplace_back(Check,
+                         transferFunction(BinaryOp::Mul, MulAlgorithm::Our,
+                                          Width));
+    checkFoldRangeParallel(BinaryOp::Mul, Grid, 0, Grid.TotalPairs, Config,
+                           Cells);
+    return Cells;
+  };
+  const char *const Names[] = {
+      "tnums_sweep_table_rows_total", "tnums_sweep_lanes_total",
+      "tnums_sweep_segments_total", "tnums_sweep_alpha_ns_total",
+      "tnums_sweep_check_ns_total"};
+  auto counters = [&] {
+    std::vector<uint64_t> Values;
+    for (const char *Name : Names)
+      Values.push_back(counterValue(Name));
+    return Values;
+  };
+  auto delta = [&](const std::vector<uint64_t> &Before) {
+    std::vector<uint64_t> Values = counters();
+    for (size_t I = 0; I != Values.size(); ++I)
+      Values[I] -= Before[I];
+    return Values;
+  };
+
+  for (bool Table : {true, false}) {
+    SCOPED_TRACE(Table ? "table join" : "lane loop");
+    SweepGrid Unmetered = grid(Table);
+    const std::vector<FoldCell> Want = pass(Unmetered);
+    SweepGrid Grid = grid(Table);
+    enableProcessMetrics();
+    std::vector<uint64_t> Before = counters();
+    std::vector<FoldCell> Got = pass(Grid);
+    std::vector<uint64_t> First = delta(Before);
+    Before = counters();
+    pass(Grid);
+    std::vector<uint64_t> Second = delta(Before);
+    disableProcessMetrics();
+
+    const uint64_t Rows = numWellFormedTnums(Width);
+    EXPECT_EQ(First[0], Table ? Constants : 0u);
+    EXPECT_EQ(First[1], Table ? Constants * RowLanes : Rows * RowLanes);
+    EXPECT_EQ(First[2], Rows);
+    EXPECT_GT(First[3], 0u);
+    EXPECT_GT(First[4], 0u);
+    EXPECT_EQ(Second[0], 0u);
+    EXPECT_EQ(Second[1], Table ? 0u : Rows * RowLanes);
+    EXPECT_EQ(Second[2], Rows);
+    EXPECT_EQ(Grid.Rows.has_value(), Table);
+    for (size_t C = 0; C != Got.size(); ++C) {
+      SCOPED_TRACE(::testing::Message() << "cell " << C);
+      EXPECT_EQ(Want[C].FailureIndex, Got[C].FailureIndex);
+      EXPECT_EQ(Want[C].Soundness, Got[C].Soundness);
+      EXPECT_EQ(Want[C].Optimality, Got[C].Optimality);
+      EXPECT_EQ(Want[C].Precision, Got[C].Precision);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

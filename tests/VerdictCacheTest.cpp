@@ -437,6 +437,31 @@ TEST(VerdictCache, OpenSweepsOverCapStoreOldestMtimeFirst) {
   VerificationService Service;
   std::vector<VerifyResult> Results;
   std::vector<std::string> Files;
+  // Foreign files whose names only resemble an entry's: a sign, a space,
+  // a 0x prefix, upper case. The sweep must neither count nor touch them
+  // (eviction unlinks the canonical name, which none of them is).
+  std::vector<std::string> Foreign;
+  {
+    std::unique_ptr<VerdictCache> Empty = VerdictCache::open(Dir, Error);
+    ASSERT_TRUE(Empty) << Error;
+  }
+  for (const char *Name :
+       {"verdict-+00000000000001f.vkt", "verdict- 00000000000002f.vkt",
+        "verdict-0x0000000000003f.vkt", "verdict-00000000000004F.vkt"}) {
+    Foreign.push_back(Dir + "/" + Name);
+    std::FILE *File = std::fopen(Foreign.back().c_str(), "wb");
+    ASSERT_NE(File, nullptr) << Foreign.back();
+    std::fputs(Name, File);
+    std::fclose(File);
+  }
+  {
+    VerdictCacheLimits One;
+    One.MaxEntries = 1;
+    std::unique_ptr<VerdictCache> Swept =
+        VerdictCache::open(Dir, analyzerVerdictFingerprint(), One, Error);
+    ASSERT_TRUE(Swept) << Error;
+    EXPECT_EQ(Swept->stats().Evictions, 0u);
+  }
   {
     // Fill uncapped -- the ops story: caps are introduced (or lowered)
     // on a store a previous daemon grew without them.
@@ -476,6 +501,8 @@ TEST(VerdictCache, OpenSweepsOverCapStoreOldestMtimeFirst) {
     EXPECT_TRUE(sameVerdict(*Hit, Results[I]));
   }
   EXPECT_EQ(Capped->stats().DiskHits, 2u);
+  for (const std::string &Path : Foreign)
+    EXPECT_EQ(slurp(Path), Path.substr(Dir.size() + 1)) << "foreign file";
 }
 
 TEST(VerdictCache, ByteCapBoundsTheDiskFootprint) {
