@@ -214,30 +214,30 @@ decltype(auto) withMulAlgorithm(MulAlgorithm Algorithm, unsigned Width,
                                 FnT &&Fn) {
   switch (Algorithm) {
   case MulAlgorithm::Kern:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(kernMul(P, Q), Width);
     });
   case MulAlgorithm::BitwiseNaive:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(bitwiseMulNaive(P, Q, Width), Width);
     });
   case MulAlgorithm::BitwiseOpt:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(bitwiseMulOpt(P, Q, Width), Width);
     });
   case MulAlgorithm::OurSimplified:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(ourMulSimplified(P, Q, Width), Width);
     });
   case MulAlgorithm::OurFullLoop:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(ourMulFullLoop(P, Q, Width), Width);
     });
   case MulAlgorithm::Our:
     break;
   }
   assert(Algorithm == MulAlgorithm::Our && "unknown multiplication algorithm");
-  return Fn([Width](Tnum P, Tnum Q) {
+  return Fn([Width](const Tnum &P, const Tnum &Q) {
     return tnumTruncate(ourMul(P, Q), Width);
   });
 }

@@ -72,38 +72,42 @@ decltype(auto) withAbstractBinary(BinaryOp Op, MulAlgorithm Mul,
                                   unsigned Width, FnT &&Fn) {
   switch (Op) {
   case BinaryOp::Add:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(tnumAdd(P, Q), Width);
     });
   case BinaryOp::Sub:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumTruncate(tnumSub(P, Q), Width);
     });
   case BinaryOp::Mul:
     return withMulAlgorithm(Mul, Width, Fn);
   case BinaryOp::Div:
-    return Fn([Width](Tnum P, Tnum Q) { return tnumDiv(P, Q, Width); });
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
+      return tnumDiv(P, Q, Width);
+    });
   case BinaryOp::Mod:
-    return Fn([Width](Tnum P, Tnum Q) { return tnumMod(P, Q, Width); });
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
+      return tnumMod(P, Q, Width);
+    });
   case BinaryOp::And:
-    return Fn([](Tnum P, Tnum Q) { return tnumAnd(P, Q); });
+    return Fn([](const Tnum &P, const Tnum &Q) { return tnumAnd(P, Q); });
   case BinaryOp::Or:
-    return Fn([](Tnum P, Tnum Q) { return tnumOr(P, Q); });
+    return Fn([](const Tnum &P, const Tnum &Q) { return tnumOr(P, Q); });
   case BinaryOp::Xor:
-    return Fn([](Tnum P, Tnum Q) { return tnumXor(P, Q); });
+    return Fn([](const Tnum &P, const Tnum &Q) { return tnumXor(P, Q); });
   case BinaryOp::Lsh:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumLshiftByTnum(P, Q, Width);
     });
   case BinaryOp::Rsh:
-    return Fn([Width](Tnum P, Tnum Q) {
+    return Fn([Width](const Tnum &P, const Tnum &Q) {
       return tnumRshiftByTnum(P, Q, Width);
     });
   case BinaryOp::Arsh:
     break;
   }
   assert(Op == BinaryOp::Arsh && "unknown binary op");
-  return Fn([Width](Tnum P, Tnum Q) {
+  return Fn([Width](const Tnum &P, const Tnum &Q) {
     return tnumArshiftByTnum(P, Q, Width);
   });
 }
