@@ -352,11 +352,6 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const FoldTransfer &Fn,
   EXPECT_FALSE(Materialized.Rows.has_value());
 }
 
-/// The built-in transfer function of (\p Op, \p Mul) at \p Width.
-FoldTransfer transferFunction(BinaryOp Op, MulAlgorithm Mul, unsigned Width) {
-  return FoldTransfer(Op, Mul, Width);
-}
-
 void expectRowScanAgreesOnEveryOperator(unsigned Width) {
   SCOPED_TRACE(::testing::Message() << "width " << Width);
   bool PowerOfTwo = (Width & (Width - 1)) == 0;
@@ -365,14 +360,14 @@ void expectRowScanAgreesOnEveryOperator(unsigned Width) {
       continue;
     SCOPED_TRACE(binaryOpName(Op));
     expectRowScanAgreesWithScalar(
-        Op, transferFunction(Op, MulAlgorithm::Our, Width), Width);
+        Op, FoldTransfer(Op, MulAlgorithm::Our, Width), Width);
   }
   for (MulAlgorithm Mul : AllMulAlgorithms) {
     if (Mul == MulAlgorithm::Our)
       continue; // Covered above.
     SCOPED_TRACE(mulAlgorithmName(Mul));
     expectRowScanAgreesWithScalar(
-        BinaryOp::Mul, transferFunction(BinaryOp::Mul, Mul, Width), Width);
+        BinaryOp::Mul, FoldTransfer(BinaryOp::Mul, Mul, Width), Width);
   }
 }
 
@@ -498,9 +493,8 @@ TEST(FoldPass, MixedCellsMatchTheirOneCellPasses) {
     Cells.emplace_back(FoldCheck::Soundness,
                        Mul == MulAlgorithm::Kern
                            ? Broken
-                           : transferFunction(BinaryOp::Mul, Mul, Width));
-  const FoldTransfer Our =
-      transferFunction(BinaryOp::Mul, MulAlgorithm::Our, Width);
+                           : FoldTransfer(BinaryOp::Mul, Mul, Width));
+  const FoldTransfer Our(BinaryOp::Mul, MulAlgorithm::Our, Width);
   Cells.emplace_back(FoldCheck::Optimality, Our);
   Cells.emplace_back(FoldCheck::OptimalityFirst, Our);
   Cells.emplace_back(FoldCheck::Precision, Our);
@@ -682,7 +676,7 @@ TEST(FoldPass, FoldsASegmentOnlyWhileSomeCellIsLive) {
   std::vector<FoldCell> Pass{
       FoldCell(FoldCheck::Soundness, Bottom),
       FoldCell(FoldCheck::Precision,
-               transferFunction(BinaryOp::Add, MulAlgorithm::Our, Width))};
+               FoldTransfer(BinaryOp::Add, MulAlgorithm::Our, Width))};
   checkFoldRangeParallel(BinaryOp::Add, Grid, 0, Grid.TotalPairs, Config,
                          Pass);
   EXPECT_EQ(segmentsScanned() - Before, Grid.NumTnums);
@@ -714,8 +708,7 @@ TEST(FoldPass, CountsTableRowsLanesAndTimeWithoutChangingReports) {
     std::vector<FoldCell> Cells;
     for (FoldCheck Check : kFoldChecks)
       Cells.emplace_back(Check,
-                         transferFunction(BinaryOp::Mul, MulAlgorithm::Our,
-                                          Width));
+                         FoldTransfer(BinaryOp::Mul, MulAlgorithm::Our, Width));
     checkFoldRangeParallel(BinaryOp::Mul, Grid, 0, Grid.TotalPairs, Config,
                            Cells);
     return Cells;

@@ -294,7 +294,12 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
 
 //===----------------------------------------------------------------------===//
 // Whole-report equivalence: a campaign in every SimdMode must report
-// exactly what the scalar serial checkers report.
+// exactly what the scalar serial checkers report. Campaign grids have
+// member tables, so the batched modes join constant-row table rows on
+// their tier, and the lane loop runs only to build those rows; the
+// optimalAbstractRow tests below run the lane loop over gamma(P) itself.
+// RowScan.* (ParallelSweepTest.cpp) runs both alpha sources through whole
+// fold passes on every host tier.
 //===----------------------------------------------------------------------===//
 
 /// \p Spec as one in-memory campaign under \p Config.
@@ -342,6 +347,7 @@ TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
 }
 
 TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
+  // The lane loop over gamma(P) x lanes, in every mode.
   Xoshiro256 Rng(5);
   RowScratch Scratch;
   for (unsigned Width = 4; Width <= 8; ++Width) {
