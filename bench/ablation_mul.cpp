@@ -32,11 +32,13 @@
 
 #include "support/CycleTimer.h"
 #include "support/Random.h"
+#include "support/Record.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumMul.h"
 #include "tnum/TnumOps.h"
+#include "verify/Campaign.h"
 #include "verify/SoundnessChecker.h"
 
 #include <cinttypes>
@@ -99,47 +101,28 @@ uint64_t countAddsOur(Tnum P, Tnum Q) {
 // Witness-corpus replay (bench/precision_atlas --witness-corpus output).
 //===----------------------------------------------------------------------===//
 
-/// One corpus pair at its atlas width, kept narrow; the sampler widens it.
-struct WitnessSeed {
-  Tnum P;
-  Tnum Q;
-  unsigned Width;
-};
-
-/// Loads the multiplication entries of a tnums-witness-corpus v1 file.
-/// Hard error (nullopt) on a missing file or wrong header; non-mul entries
-/// are skipped (div/mod witnesses say nothing about the mul ablation).
-std::optional<std::vector<WitnessSeed>> loadWitnessCorpus(const char *Path) {
-  std::FILE *File = std::fopen(Path, "r");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot read %s\n", Path);
+/// The multiplication entries of a tnums-witness-corpus v1 file
+/// (verify/Campaign.h). Hard error (nullopt) on a missing file or any
+/// malformed line; non-mul entries are skipped (div/mod witnesses say
+/// nothing about the mul ablation), and so are width-64 ones (no room to
+/// slide through the lane).
+std::optional<std::vector<WitnessPair>> loadWitnessCorpus(const char *Path) {
+  std::string Error = formatString("cannot read %s", Path);
+  std::optional<std::vector<WitnessPair>> Pairs;
+  if (std::optional<std::string> Text = readWholeFile(Path))
+    Pairs = parseWitnessCorpus(*Text, Path, Error);
+  if (!Pairs) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return std::nullopt;
   }
-  char Header[64] = {0};
-  if (!std::fgets(Header, sizeof(Header), File) ||
-      std::strcmp(Header, "tnums-witness-corpus v1\n") != 0) {
-    std::fprintf(stderr, "error: %s is not a tnums-witness-corpus v1 file\n",
-                 Path);
-    std::fclose(File);
-    return std::nullopt;
-  }
-  std::vector<WitnessSeed> Seeds;
-  char Op[32], Alg[32];
-  unsigned SeedWidth, Gap;
-  uint64_t Pv, Pm, Qv, Qm;
-  while (std::fscanf(File, "pair %31s %31s %u %" SCNx64 " %" SCNx64
-                           " %" SCNx64 " %" SCNx64 " %u\n",
-                     Op, Alg, &SeedWidth, &Pv, &Pm, &Qv, &Qm, &Gap) == 8) {
-    if (std::strcmp(Op, "mul") != 0 || SeedWidth == 0 || SeedWidth > 63)
-      continue;
-    Seeds.push_back({Tnum(Pv, Pm), Tnum(Qv, Qm), SeedWidth});
-  }
-  std::fclose(File);
-  if (Seeds.empty())
+  std::erase_if(*Pairs, [](const WitnessPair &W) {
+    return W.Op != BinaryOp::Mul || W.Width == 64;
+  });
+  if (Pairs->empty())
     std::fprintf(stderr, "warning: %s has no mul witness pairs; sections "
                          "(a)/(b) fall back to random sampling\n",
                  Path);
-  return Seeds;
+  return Pairs;
 }
 
 /// Pair source for sections (a) and (b): replays the witness corpus when
@@ -149,13 +132,13 @@ std::optional<std::vector<WitnessSeed>> loadWitnessCorpus(const char *Path) {
 /// keeps the tnum well-formed), otherwise the historical random draw.
 class PairSource {
 public:
-  PairSource(const std::vector<WitnessSeed> &Seeds, uint64_t RngSeed)
+  PairSource(const std::vector<WitnessPair> &Seeds, uint64_t RngSeed)
       : Seeds(Seeds), Rng(RngSeed) {}
 
   std::pair<Tnum, Tnum> next() {
     if (Seeds.empty())
       return {randomWellFormedTnum(Rng, 64), randomWellFormedTnum(Rng, 64)};
-    const WitnessSeed &S = Seeds[Index % Seeds.size()];
+    const WitnessPair &S = Seeds[Index % Seeds.size()];
     unsigned Shift = (Index * 7) % (64 - S.Width);
     ++Index;
     return {Tnum(S.P.value() << Shift, S.P.mask() << Shift),
@@ -163,7 +146,7 @@ public:
   }
 
 private:
-  const std::vector<WitnessSeed> &Seeds;
+  const std::vector<WitnessPair> &Seeds;
   Xoshiro256 Rng;
   size_t Index = 0;
 };
@@ -188,9 +171,9 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  std::vector<WitnessSeed> Seeds;
+  std::vector<WitnessPair> Seeds;
   if (CorpusPath) {
-    std::optional<std::vector<WitnessSeed>> Loaded =
+    std::optional<std::vector<WitnessPair>> Loaded =
         loadWitnessCorpus(CorpusPath);
     if (!Loaded)
       return 1;

@@ -34,6 +34,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ArgParse.h"
+#include "support/Record.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
@@ -90,43 +91,34 @@ std::string serializeShard(uint64_t Total, const CmpCounters (&C)[2]) {
   return Payload;
 }
 
+/// The shard serializeShard wrote: accepted only if it writes back the
+/// same bytes (support/Record.h), which also requires both "cmp" lines.
 bool parseShard(const std::string &Payload, uint64_t &Total,
                 CmpCounters (&C)[2]) {
-  size_t Pos = 0;
-  bool SawTotal = false;
-  bool SawCmp[2] = {false, false};
-  while (Pos < Payload.size()) {
-    size_t Eol = Payload.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Payload.size();
-    std::string Line = Payload.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    uint64_t V[5];
-    size_t CI;
-    int64_t Bucket;
-    if (std::sscanf(Line.c_str(), "total %" SCNu64, &V[0]) == 1) {
-      Total = V[0];
-      SawTotal = true;
-    } else if (std::sscanf(Line.c_str(),
-                           "cmp %zu %" SCNu64 " %" SCNu64 " %" SCNu64
-                           " %" SCNu64 " %" SCNu64,
-                           &CI, &V[0], &V[1], &V[2], &V[3], &V[4]) == 6 &&
-               CI < 2) {
-      C[CI].Equal = V[0];
-      C[CI].Differing = V[1];
-      C[CI].Comparable = V[2];
-      C[CI].OurMorePrecise = V[3];
-      C[CI].BaselineMorePrecise = V[4];
-      SawCmp[CI] = true;
-    } else if (std::sscanf(Line.c_str(), "bucket %zu %" SCNd64 " %" SCNu64,
-                           &CI, &Bucket, &V[0]) == 3 &&
-               CI < 2) {
-      C[CI].Buckets[Bucket] = V[0];
-    } else if (!Line.empty()) {
+  std::string_view Text = Payload;
+  if (!takeNumber(Text, Total))
+    return false;
+  while (!Text.empty()) {
+    // "cmp <i> <five counters>" or "bucket <i> <bucket> <count>". A missing
+    // word reads as empty and fails to parse; the round trip refuses a
+    // wrong key, an extra word or a line out of order.
+    std::vector<std::string_view> Words = splitWords(takeLine(Text));
+    Words.resize(7);
+    std::optional<size_t> CI = parseNumber<size_t>(Words[1]);
+    std::optional<int64_t> Bucket = parseNumber<int64_t>(Words[2]);
+    std::optional<uint64_t> V[5];
+    for (size_t I = 0; I != 5; ++I)
+      V[I] = parseNumber<uint64_t>(Words[I + 2]);
+    if (!CI || *CI >= 2)
       return false;
-    }
+    if (Words[0] == "bucket" && Bucket && V[1])
+      C[*CI].Buckets[*Bucket] = *V[1];
+    else if (V[0] && V[1] && V[2] && V[3] && V[4])
+      C[*CI] = CmpCounters{*V[0], *V[1], *V[2], *V[3], *V[4], {}};
+    else
+      return false;
   }
-  return SawTotal && SawCmp[0] && SawCmp[1];
+  return serializeShard(Total, C) == Payload;
 }
 
 /// The Figure 4 property driver: the one width cell's pair walk, both

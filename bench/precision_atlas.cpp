@@ -333,28 +333,20 @@ int main(int Argc, char **Argv) {
   // in deterministic cell order. bench/ablation_mul --witness-corpus
   // replays the mul entries as its sample seeds.
   if (CorpusPath) {
+    std::vector<WitnessPair> Pairs;
+    for (const CampaignCellResult &Cell : Campaign.Cells)
+      if (const std::optional<PrecisionWitness> &W = Cell.Precision.Worst)
+        Pairs.push_back({Cell.Cell.Op, Cell.Cell.Mul, Cell.Cell.Width, W->P,
+                         W->Q, W->Gap});
     std::FILE *Corpus = std::fopen(CorpusPath, "w");
     if (!Corpus) {
       std::fprintf(stderr, "error: cannot write %s\n", CorpusPath);
       return 1;
     }
-    std::fprintf(Corpus, "tnums-witness-corpus v1\n");
-    unsigned Pairs = 0;
-    for (const CampaignCellResult &Cell : Campaign.Cells) {
-      if (!Cell.Precision.Worst)
-        continue;
-      const PrecisionWitness &W = *Cell.Precision.Worst;
-      std::fprintf(Corpus,
-                   "pair %s %s %u %" PRIx64 " %" PRIx64 " %" PRIx64
-                   " %" PRIx64 " %u\n",
-                   binaryOpName(Cell.Cell.Op),
-                   mulAlgorithmName(Cell.Cell.Mul), Cell.Cell.Width,
-                   W.P.value(), W.P.mask(), W.Q.value(), W.Q.mask(), W.Gap);
-      ++Pairs;
-    }
+    std::fputs(encodeWitnessCorpus(Pairs).c_str(), Corpus);
     std::fclose(Corpus);
-    std::printf("\nwrote %s (%u worst-case witness pairs)\n", CorpusPath,
-                Pairs);
+    std::printf("\nwrote %s (%zu worst-case witness pairs)\n", CorpusPath,
+                Pairs.size());
   }
 
   //===--------------------------------------------------------------------===//

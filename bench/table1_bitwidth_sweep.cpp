@@ -31,6 +31,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ArgParse.h"
+#include "support/Record.h"
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumMul.h"
@@ -103,13 +104,13 @@ std::string serializeRow(const Row &R) {
                       R.OurWins);
 }
 
+/// Accepts only what serializeRow writes back byte for byte.
 bool parseRow(const std::string &Payload, Row &R) {
-  return std::sscanf(Payload.c_str(),
-                     "total %" SCNu64 "\nequal %" SCNu64 "\ndiffer %" SCNu64
-                     "\ncomparable %" SCNu64 "\nkern_wins %" SCNu64
-                     "\nour_wins %" SCNu64,
-                     &R.Total, &R.Equal, &R.Differ, &R.Comparable,
-                     &R.KernWins, &R.OurWins) == 6;
+  std::string_view Text = Payload;
+  return takeNumber(Text, R.Total) && takeNumber(Text, R.Equal) &&
+         takeNumber(Text, R.Differ) && takeNumber(Text, R.Comparable) &&
+         takeNumber(Text, R.KernWins) && takeNumber(Text, R.OurWins) &&
+         serializeRow(R) == Payload;
 }
 
 /// The Table I property driver: one width per cell, one Row of six

@@ -8,6 +8,7 @@
 #include "service/Corpus.h"
 
 #include "service/WireProtocol.h"
+#include "support/Record.h"
 #include "support/Table.h"
 
 #include <cstdio>
@@ -18,21 +19,6 @@ using namespace tnums::service;
 namespace {
 
 constexpr const char *HeaderLine = "tnums-corpus v1";
-
-char hexDigit(unsigned Nibble) {
-  return Nibble < 10 ? static_cast<char>('0' + Nibble)
-                     : static_cast<char>('a' + (Nibble - 10));
-}
-
-int hexValue(char C) {
-  if (C >= '0' && C <= '9')
-    return C - '0';
-  if (C >= 'a' && C <= 'f')
-    return C - 'a' + 10;
-  if (C >= 'A' && C <= 'F')
-    return C - 'A' + 10;
-  return -1;
-}
 
 std::string diag(const std::string &Name, size_t Line, const std::string &Why) {
   return formatString("%s:%zu: %s", Name.c_str(), Line, Why.c_str());
@@ -45,12 +31,7 @@ tnums::service::encodeCorpusText(const std::vector<VerifyRequest> &Requests) {
   std::string Text = HeaderLine;
   Text += '\n';
   for (const VerifyRequest &Request : Requests) {
-    std::string Bytes = encodeRequestCanonical(Request);
-    for (char C : Bytes) {
-      uint8_t B = static_cast<uint8_t>(C);
-      Text += hexDigit(B >> 4);
-      Text += hexDigit(B & 0xF);
-    }
+    Text += hexEncode(encodeRequestCanonical(Request));
     Text += '\n';
   }
   return Text;
@@ -60,51 +41,31 @@ std::optional<std::vector<VerifyRequest>>
 tnums::service::parseCorpusText(const std::string &Text,
                                 const std::string &Name, std::string &Error) {
   std::vector<VerifyRequest> Requests;
-  size_t Pos = 0, LineNo = 0;
-  bool SawHeader = false;
-  while (Pos <= Text.size()) {
-    size_t End = Text.find('\n', Pos);
-    bool Last = End == std::string::npos;
-    std::string Line = Text.substr(Pos, Last ? std::string::npos : End - Pos);
-    Pos = Last ? Text.size() + 1 : End + 1;
-    ++LineNo;
-    if (Last && Line.empty())
-      break; // No trailing newline after the final line is fine.
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back(); // Tolerate CRLF corpora.
-
-    if (!SawHeader) {
+  std::string_view Rest = Text;
+  // No trailing newline after the final line is fine (takeLine).
+  for (size_t LineNo = 1; LineNo == 1 || !Rest.empty(); ++LineNo) {
+    std::string_view Line = takeLine(Rest);
+    if (Line.ends_with('\r'))
+      Line.remove_suffix(1); // Tolerate CRLF corpora.
+    if (LineNo == 1) {
       if (Line != HeaderLine) {
         Error = diag(Name, LineNo,
                      formatString("expected header \"%s\"", HeaderLine));
         return std::nullopt;
       }
-      SawHeader = true;
       continue;
     }
     if (Line.empty() || Line[0] == '#')
       continue;
 
-    if (Line.size() % 2 != 0) {
-      Error = diag(Name, LineNo, "odd-length hex entry");
+    std::optional<std::string> Bytes = hexDecode(Line);
+    if (!Bytes) {
+      Error = diag(Name, LineNo, "entry is not lower-case hex");
       return std::nullopt;
     }
-    std::string Bytes;
-    Bytes.reserve(Line.size() / 2);
-    for (size_t C = 0; C != Line.size(); C += 2) {
-      int Hi = hexValue(Line[C]), Lo = hexValue(Line[C + 1]);
-      if (Hi < 0 || Lo < 0) {
-        Error = diag(Name, LineNo,
-                     formatString("invalid hex character '%c'",
-                                  Hi < 0 ? Line[C] : Line[C + 1]));
-        return std::nullopt;
-      }
-      Bytes += static_cast<char>((Hi << 4) | Lo);
-    }
-
     std::string DecodeError;
     std::optional<VerifyRequest> Request =
-        decodeRequestCanonical(Bytes, DecodeError);
+        decodeRequestCanonical(*Bytes, DecodeError);
     if (!Request) {
       Error = diag(Name, LineNo, "undecodable entry: " + DecodeError);
       return std::nullopt;
@@ -113,11 +74,11 @@ tnums::service::parseCorpusText(const std::string &Text,
       Error = diag(Name, LineNo, "invalid program: " + *Invalid);
       return std::nullopt;
     }
+    if (hexEncode(encodeRequestCanonical(*Request)) != Line) {
+      Error = diag(Name, LineNo, "entry is not its request's encoding");
+      return std::nullopt;
+    }
     Requests.push_back(std::move(*Request));
-  }
-  if (!SawHeader) {
-    Error = diag(Name, 1, formatString("expected header \"%s\"", HeaderLine));
-    return std::nullopt;
   }
   return Requests;
 }
@@ -140,21 +101,10 @@ bool tnums::service::saveCorpus(const std::string &Path,
 
 std::optional<std::vector<VerifyRequest>>
 tnums::service::loadCorpus(const std::string &Path, std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    Error = formatString("cannot open %s", Path.c_str());
+  std::optional<std::string> Text = readWholeFile(Path);
+  if (!Text) {
+    Error = formatString("cannot read %s", Path.c_str());
     return std::nullopt;
   }
-  std::string Text;
-  char Buffer[64 * 1024];
-  size_t Got;
-  while ((Got = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Text.append(Buffer, Got);
-  bool ReadError = std::ferror(File) != 0;
-  std::fclose(File);
-  if (ReadError) {
-    Error = formatString("read error on %s", Path.c_str());
-    return std::nullopt;
-  }
-  return parseCorpusText(Text, Path, Error);
+  return parseCorpusText(*Text, Path, Error);
 }

@@ -24,10 +24,13 @@
 /// same way every other subsystem does. Text + hex keeps corpora
 /// greppable, diffable, and safely versionable.
 ///
-/// Loading is strict: a bad header, stray character, odd-length line, or
-/// undecodable entry fails the whole load with a "<name>:<line>: why"
-/// diagnostic, and every decoded program must pass Program::validate().
-/// A corpus either replays exactly or is refused -- no silent skips.
+/// Loading is strict: a bad header, or an entry line that is not what
+/// encodeCorpusText writes for the request it decodes to (upper case, a
+/// stray character, odd length, undecodable bytes), fails the whole load
+/// with a "<name>:<line>: why" diagnostic, and every decoded program must
+/// pass Program::validate(). Comment and blank lines, CRLF and a missing
+/// final newline are the only tolerances. A corpus either replays exactly
+/// or is refused -- no silent skips.
 ///
 //===----------------------------------------------------------------------===//
 

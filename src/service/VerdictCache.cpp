@@ -10,13 +10,12 @@
 #include "bpf/Analyzer.h"
 #include "service/WireProtocol.h"
 #include "support/Checkpoint.h"
+#include "support/Record.h"
 #include "support/Table.h"
 #include "verify/Oracle.h"
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string_view>
 #include <vector>
@@ -31,104 +30,42 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char *ManifestName = "verdicts.manifest";
-constexpr const char *ManifestMagic = "tnums-verdict-cache v1";
+constexpr const char *ManifestText = "tnums-verdict-cache v1\n";
 constexpr const char *EntryMagic = "tnums-verdict-entry v1";
 
-std::optional<std::string> readFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return std::nullopt;
-  std::string Contents;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) != 0)
-    Contents.append(Buf, N);
-  std::fclose(File);
-  return Contents;
+/// The cache key of a request's canonical bytes (verdictCacheKey).
+uint64_t canonicalKey(const std::string &Canonical) {
+  Fnv1a Hash;
+  Hash.mixString(Canonical);
+  return Hash.digest();
 }
 
-std::string takeLine(std::string &Text) {
-  size_t Eol = Text.find('\n');
-  std::string Line = Text.substr(0, Eol);
-  Text.erase(0, Eol == std::string::npos ? Text.size() : Eol + 1);
-  return Line;
+/// The file name entryPath gives the entry of \p Key.
+std::string entryName(uint64_t Key) {
+  return formatString("verdict-%016" PRIx64 ".vkt", Key);
 }
 
-/// The value of the hex digit \p C, or -1. Lower case only: that is what
-/// every writer here emits.
-int hexNibble(char C) {
-  if (C >= '0' && C <= '9')
-    return C - '0';
-  if (C >= 'a' && C <= 'f')
-    return C - 'a' + 10;
-  return -1;
-}
-
-/// Parses exactly 16 lower-case hex digits, as store() and entryPath()
-/// write a 64-bit word. No sign, prefix, space or padding.
-std::optional<uint64_t> parseHex64(std::string_view Digits) {
-  if (Digits.size() != 16)
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Digits) {
-    int Digit = hexNibble(C);
-    if (Digit < 0)
-      return std::nullopt;
-    Value = Value << 4 | static_cast<uint64_t>(Digit);
-  }
-  return Value;
-}
-
-/// Parses "<key> <hex64>" exactly as store() writes it: the key, one
-/// space, 16 lower-case hex digits.
-std::optional<uint64_t> parseKeyedHex64(const std::string &Line,
-                                        const char *Key) {
-  size_t KeyLen = std::strlen(Key);
-  if (Line.size() != KeyLen + 17 || Line.compare(0, KeyLen, Key) != 0 ||
-      Line[KeyLen] != ' ')
-    return std::nullopt;
-  return parseHex64(std::string_view(Line).substr(KeyLen + 1));
-}
-
-std::string hexEncode(const std::string &Bytes) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out;
-  Out.reserve(Bytes.size() * 2);
-  for (unsigned char C : Bytes) {
-    Out.push_back(Digits[C >> 4]);
-    Out.push_back(Digits[C & 0xF]);
-  }
-  return Out;
-}
-
-std::optional<std::string> hexDecode(const std::string &Text) {
-  if (Text.size() % 2 != 0)
-    return std::nullopt;
-  std::string Out;
-  Out.reserve(Text.size() / 2);
-  for (size_t I = 0; I != Text.size(); I += 2) {
-    int Hi = hexNibble(Text[I]), Lo = hexNibble(Text[I + 1]);
-    if (Hi < 0 || Lo < 0)
-      return std::nullopt;
-    Out.push_back(static_cast<char>((Hi << 4) | Lo));
-  }
-  return Out;
-}
-
-/// The binary body of one entry: length-prefixed canonical request bytes
-/// followed by the wire verdict payload. Reuses the protocol codec so an
-/// entry is parseable iff its verdict round-trips the wire format.
-std::string encodeEntryBody(const std::string &Canonical,
-                            const VerifyResult &Result) {
+/// An entry file: the version fingerprint, the key of the canonical
+/// request bytes, and the hex of a body that holds the length-prefixed
+/// canonical bytes and the wire verdict (so an entry parses only if its
+/// verdict round-trips the protocol). lookup() accepts a file only if this
+/// reproduces it from the fingerprint and body it parsed.
+std::string entryText(uint64_t VersionFp, const std::string &Canonical,
+                      const VerifyResult &Result) {
+  const uint32_t Len = static_cast<uint32_t>(Canonical.size());
   std::string Body;
-  uint32_t Len = static_cast<uint32_t>(Canonical.size());
   for (unsigned Byte = 0; Byte != 4; ++Byte)
     Body.push_back(static_cast<char>(Len >> (8 * Byte)));
-  Body.append(Canonical);
-  Body.append(encodeVerdict(resultToVerdict(Result, /*CacheHit=*/false)));
-  return Body;
+  Body += Canonical;
+  Body += encodeVerdict(resultToVerdict(Result, /*CacheHit=*/false));
+  return formatString("%s\nversionfp %016" PRIx64 "\nkey %016" PRIx64
+                      "\npayload ",
+                      EntryMagic, VersionFp, canonicalKey(Canonical)) +
+         hexEncode(Body) + "\n";
 }
 
+/// Splits an entry body (see entryText) into its canonical bytes and
+/// verdict.
 bool decodeEntryBody(const std::string &Body, std::string &Canonical,
                      VerifyResult &Result) {
   if (Body.size() < 4)
@@ -163,13 +100,11 @@ uint64_t tnums::service::analyzerVerdictFingerprint() {
 }
 
 uint64_t tnums::service::verdictCacheKey(const VerifyRequest &Request) {
-  Fnv1a Hash;
-  Hash.mixString(encodeRequestCanonical(Request));
-  return Hash.digest();
+  return canonicalKey(encodeRequestCanonical(Request));
 }
 
 std::string VerdictCache::entryPath(uint64_t Key) const {
-  return formatString("%s/verdict-%016" PRIx64 ".vkt", Dir.c_str(), Key);
+  return Dir + "/" + entryName(Key);
 }
 
 std::unique_ptr<VerdictCache> VerdictCache::open(const std::string &Dir,
@@ -195,9 +130,8 @@ VerdictCache::open(const std::string &Dir, uint64_t VersionFingerprint,
   }
   sweepOrphanedTempFiles(Dir);
   std::string ManifestPath = Dir + "/" + ManifestName;
-  if (std::optional<std::string> Existing = readFile(ManifestPath)) {
-    std::string Text = *Existing;
-    if (takeLine(Text) != ManifestMagic) {
+  if (std::optional<std::string> Existing = readWholeFile(ManifestPath)) {
+    if (*Existing != ManifestText) {
       Error = formatString("%s is not a tnums verdict cache",
                            ManifestPath.c_str());
       return nullptr;
@@ -205,8 +139,7 @@ VerdictCache::open(const std::string &Dir, uint64_t VersionFingerprint,
     // Note: deliberately no fingerprint in the manifest. Entries carry
     // their own, so a version bump invalidates exactly the stale entries
     // lazily instead of refusing (or wiping) the whole store.
-  } else if (!writeFileDurable(ManifestPath,
-                               std::string(ManifestMagic) + "\n", Error)) {
+  } else if (!writeFileDurable(ManifestPath, ManifestText, Error)) {
     return nullptr;
   }
   std::unique_ptr<VerdictCache> Cache(
@@ -230,15 +163,14 @@ void VerdictCache::loadDiskIndex() {
   std::error_code Ec;
   for (const fs::directory_entry &Ent : fs::directory_iterator(Dir, Ec)) {
     std::string Name = Ent.path().filename().string();
-    // Exactly "verdict-<16 lower-case hex>.vkt", as entryPath() writes it:
-    // eviction unlinks that canonical name. Anything else in the directory
-    // (the manifest, foreign files) is not the cache's to manage.
-    if (Name.size() != 28 || Name.compare(0, 8, "verdict-") != 0 ||
-        Name.compare(24, 4, ".vkt") != 0)
+    // Exactly the name entryPath() writes: eviction unlinks that name.
+    // Anything else in the directory (the manifest, foreign files) is not
+    // the cache's to manage.
+    if (!Name.starts_with("verdict-"))
       continue;
     std::optional<uint64_t> Key =
-        parseHex64(std::string_view(Name).substr(8, 16));
-    if (!Key)
+        parseNumber<uint64_t>(std::string_view(Name).substr(8, 16), 16);
+    if (!Key || entryName(*Key) != Name)
       continue;
     std::error_code SizeEc, TimeEc;
     uint64_t Bytes = Ent.file_size(SizeEc);
@@ -320,7 +252,7 @@ VerdictCache::lookup(const VerifyRequest &Request) {
   }
 
   std::string Path = entryPath(Key);
-  std::optional<std::string> Contents = readFile(Path);
+  std::optional<std::string> Contents = readWholeFile(Path);
   if (!Contents) {
     ++Stats.Misses;
     forgetDiskEntryLocked(Key); // Vanished externally; stop tracking it.
@@ -328,34 +260,29 @@ VerdictCache::lookup(const VerifyRequest &Request) {
   }
   const uint64_t EntryBytes = Contents->size();
 
-  // Parse strictly; anything unexpected is poison -- refuse and GC.
+  // Anything entryText would not write back byte for byte is poison
+  // (a torn tail, a respelled field, a stray CacheHit byte): refuse and
+  // GC it. The magic and key lines are left to that round trip.
   auto Poisoned = [&]() -> std::optional<VerifyResult> {
     ++Stats.PoisonedRejected;
     ::unlink(Path.c_str());
     forgetDiskEntryLocked(Key);
     return std::nullopt;
   };
-  std::string Text = std::move(*Contents);
-  // A complete entry always ends in a newline; a torn tail never does.
-  if (Text.empty() || Text.back() != '\n')
-    return Poisoned();
-  if (takeLine(Text) != EntryMagic)
-    return Poisoned();
-  std::optional<uint64_t> EntryFp =
-      parseKeyedHex64(takeLine(Text), "versionfp");
-  std::optional<uint64_t> EntryKey = parseKeyedHex64(takeLine(Text), "key");
-  if (!EntryFp || !EntryKey || *EntryKey != Key)
-    return Poisoned();
-  std::string PayloadLine = takeLine(Text);
-  if (PayloadLine.compare(0, 8, "payload ") != 0 || !Text.empty())
-    return Poisoned();
-  std::optional<std::string> Body = hexDecode(PayloadLine.substr(8));
+  std::string_view Text = *Contents;
+  takeLine(Text);
+  uint64_t EntryFp = 0;
+  const bool HaveFp = takeNumber(Text, EntryFp, 16);
+  takeLine(Text);
+  std::optional<std::string> Body = hexDecode(takeField(Text));
   std::string EntryCanonical;
   VerifyResult Result;
-  if (!Body || !decodeEntryBody(*Body, EntryCanonical, Result))
+  if (!HaveFp || !Body || !decodeEntryBody(*Body, EntryCanonical, Result) ||
+      entryText(EntryFp, EntryCanonical, Result) != *Contents ||
+      canonicalKey(EntryCanonical) != Key)
     return Poisoned();
 
-  if (*EntryFp != VersionFp) {
+  if (EntryFp != VersionFp) {
     // A verdict of an older analyzer/tnum-op version: stale, exactly like
     // a campaign cell whose operator fingerprint moved. GC and re-verify.
     ++Stats.StaleInvalidated;
@@ -385,11 +312,7 @@ bool VerdictCache::store(const VerifyRequest &Request,
   VerifyResult Slim = Result;
   Slim.InStates.clear();
 
-  std::string Contents = formatString(
-      "%s\nversionfp %016" PRIx64 "\nkey %016" PRIx64 "\npayload ",
-      EntryMagic, VersionFp, Key);
-  Contents += hexEncode(encodeEntryBody(Canonical, Slim));
-  Contents += "\n";
+  std::string Contents = entryText(VersionFp, Canonical, Slim);
 
   std::lock_guard<std::mutex> Lock(Mutex);
   ++Stats.Stores;

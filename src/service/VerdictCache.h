@@ -31,8 +31,11 @@
 ///    stale: lookup treats it as a miss, unlinks it (GC), and counts it
 ///    in StaleInvalidated. Entries written under the current fingerprint
 ///    are untouched -- invalidation is exact, not whole-store.
-///  * A truncated, bit-flipped, or otherwise unparsable entry is REFUSED
-///    (miss + PoisonedRejected + unlink), never misread as a verdict.
+///  * An entry is REFUSED (miss + PoisonedRejected + unlink), never misread
+///    as a verdict, unless store() would write back its bytes exactly
+///    (support/Record.h): a truncated, bit-flipped or respelled entry, or
+///    one whose stored CacheHit byte is set, is poison. open() likewise
+///    refuses a manifest that is not exactly its one line.
 ///  * Occupancy is bounded when caps are configured (VerdictCacheLimits):
 ///    exceeding MaxEntries or MaxBytes evicts least-recently-used entries
 ///    (disk file and in-memory mirror together) until back under both

@@ -36,7 +36,9 @@
 namespace tnums {
 
 /// Parses \p Text as a base-10 integer confined to [\p Min, \p Max];
-/// nullopt on any syntax error, stray suffix, sign, or range violation.
+/// nullopt on any syntax error, stray suffix, "-", or range violation. It
+/// reads a command line, so like strtoull it takes leading whitespace, a
+/// "+" and leading zeros; stored records are read with support/Record.h.
 std::optional<uint64_t> parseBoundedU64(const char *Text, uint64_t Min,
                                         uint64_t Max);
 

@@ -7,17 +7,13 @@
 
 #include "support/Checkpoint.h"
 
-#include "support/ArgParse.h"
+#include "support/Record.h"
 #include "support/Table.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
@@ -65,6 +61,13 @@ uint64_t tempNonce() {
   return Hash.digest();
 }
 
+/// The temp sibling writeFileDurable writes \p Path through. The sweep
+/// takes a file as an orphan only if this reproduces its name.
+std::string tempPath(const std::string &Path, pid_t Pid, uint64_t Nonce) {
+  return formatString("%s.tmp.%ld.%016" PRIx64, Path.c_str(),
+                      static_cast<long>(Pid), Nonce);
+}
+
 } // namespace
 
 // (Declared in Checkpoint.h; the shard store below and the service
@@ -76,9 +79,7 @@ uint64_t tempNonce() {
 bool tnums::writeFileDurable(const std::string &Path,
                              const std::string &Contents,
                              std::string &Error) {
-  std::string Temp =
-      formatString("%s.tmp.%ld.%016" PRIx64, Path.c_str(),
-                   static_cast<long>(::getpid()), tempNonce());
+  std::string Temp = tempPath(Path, ::getpid(), tempNonce());
   int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (Fd < 0) {
     Error = formatString("cannot create %s: %s", Temp.c_str(),
@@ -146,29 +147,30 @@ constexpr time_t OrphanTempGraceSeconds = 15 * 60;
 } // namespace
 
 // (Declared in Checkpoint.h.) Unlinks temp files in \p Dir whose writer
-// is provably dead. A temp name is "<target>.tmp.<pid>[.<nonce>]"; the
-// file is an orphan when kill(pid, 0) reports ESRCH AND its mtime is
-// older than the grace period above. A live pid -- even one recycled to
-// an unrelated process -- leaves the file alone: sweeping is an
-// opportunistic cleanup, and the nonce already guarantees no live writer
-// can be addressed by a new one.
+// is provably dead. A temp name is "<target>.tmp.<pid>.<nonce>", spelled
+// exactly as writeFileDurable spells it; the file is an orphan when
+// kill(pid, 0) reports ESRCH AND its mtime is older than the grace period
+// above. Any other name is not ours to remove. A live pid -- even one
+// recycled to an unrelated process -- leaves the file alone: sweeping is
+// an opportunistic cleanup, and the nonce already guarantees no live
+// writer can be addressed by a new one.
 void tnums::sweepOrphanedTempFiles(const std::string &Dir) {
   std::error_code Ec;
   const time_t Now = ::time(nullptr);
   for (const fs::directory_entry &Entry : fs::directory_iterator(Dir, Ec)) {
-    std::string Name = Entry.path().filename().string();
-    size_t Marker = Name.rfind(".tmp.");
+    const std::string Name = Entry.path().filename().string();
+    const size_t Marker = Name.rfind(".tmp.");
     if (Marker == std::string::npos)
       continue;
-    const char *PidText = Name.c_str() + Marker + 5;
-    char *End = nullptr;
-    errno = 0;
-    long Pid = std::strtol(PidText, &End, 10);
-    if (errno != 0 || End == PidText || Pid <= 0)
-      continue;
-    if (*End != '\0' && *End != '.')
-      continue; // Not one of our temp names.
-    if (::kill(static_cast<pid_t>(Pid), 0) == 0 || errno != ESRCH)
+    std::string_view Suffix = std::string_view(Name).substr(Marker + 5);
+    const size_t Dot = Suffix.find('.');
+    std::optional<pid_t> Pid = parseNumber<pid_t>(Suffix.substr(0, Dot));
+    std::optional<uint64_t> Nonce =
+        parseNumber<uint64_t>(Suffix.substr(Dot + 1), 16);
+    if (!Pid || *Pid <= 0 || !Nonce ||
+        tempPath(Name.substr(0, Marker), *Pid, *Nonce) != Name)
+      continue; // Not a name writeFileDurable writes.
+    if (::kill(*Pid, 0) == 0 || errno != ESRCH)
       continue; // A live (or indeterminate) writer on this machine.
     struct stat St;
     if (::stat(Entry.path().c_str(), &St) != 0 ||
@@ -180,52 +182,19 @@ void tnums::sweepOrphanedTempFiles(const std::string &Dir) {
 
 namespace {
 
-std::optional<std::string> readFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return std::nullopt;
-  std::string Contents;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) != 0)
-    Contents.append(Buf, N);
-  std::fclose(File);
-  return Contents;
-}
-
-/// Pops the first line (without the newline) off \p Text.
-std::string takeLine(std::string &Text) {
-  size_t Eol = Text.find('\n');
-  std::string Line = Text.substr(0, Eol);
-  Text.erase(0, Eol == std::string::npos ? Text.size() : Eol + 1);
-  return Line;
-}
-
-/// Parses "<key> <hex-or-dec u64>"; nullopt unless the line starts with
-/// exactly \p Key followed by one value.
-std::optional<uint64_t> parseKeyedU64(const std::string &Line,
-                                      const char *Key, bool Hex) {
-  size_t KeyLen = std::strlen(Key);
-  if (Line.compare(0, KeyLen, Key) != 0 || Line.size() <= KeyLen ||
-      Line[KeyLen] != ' ')
-    return std::nullopt;
-  const char *Text = Line.c_str() + KeyLen + 1;
-  if (!Hex)
-    return parseBoundedU64(Text, 0, UINT64_MAX);
-  // strtoull would take a sign (and read "-1" as 2^64 - 1).
-  if (!std::isxdigit(static_cast<unsigned char>(*Text)))
-    return std::nullopt;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long Value = std::strtoull(Text, &End, 16);
-  if (errno != 0 || End == Text || *End != '\0')
-    return std::nullopt;
-  return static_cast<uint64_t>(Value);
-}
-
 std::string manifestContents(uint64_t Fingerprint, uint64_t NumShards) {
   return formatString("%s\nfingerprint %016" PRIx64 "\nshards %" PRIu64 "\n",
                       ManifestMagic, Fingerprint, NumShards);
+}
+
+/// A shard file's header lines; the payload follows them.
+std::string shardHeader(uint64_t Fingerprint, uint64_t Index,
+                        const ShardRecord &Record) {
+  return formatString("%s\nfingerprint %016" PRIx64 "\nshard %" PRIu64
+                      "\ncell %" PRIu64 "\ncellfp %016" PRIx64
+                      "\nterminal %d\n",
+                      ShardMagic, Fingerprint, Index, Record.Cell,
+                      Record.CellFingerprint, Record.Terminal ? 1 : 0);
 }
 
 } // namespace
@@ -246,11 +215,10 @@ CheckpointStore::open(const std::string &Dir, uint64_t Fingerprint,
   }
   sweepOrphanedTempFiles(Dir);
   std::string ManifestPath = Dir + "/" + ManifestName;
-  if (std::optional<std::string> Existing = readFile(ManifestPath)) {
+  if (std::optional<std::string> Existing = readWholeFile(ManifestPath)) {
     // Resuming: the directory must belong to this exact campaign.
-    std::string Text = *Existing;
-    std::string Magic = takeLine(Text);
-    if (Magic == ManifestMagicV1) {
+    std::string_view Text = *Existing;
+    if (takeLine(Text) == ManifestMagicV1) {
       Error = formatString(
           "%s is a v1 checkpoint store; the v2 per-cell format cannot "
           "safely reuse it (v1 shards carry no operator fingerprints, so "
@@ -259,22 +227,20 @@ CheckpointStore::open(const std::string &Dir, uint64_t Fingerprint,
           Dir.c_str());
       return std::nullopt;
     }
-    std::optional<uint64_t> HaveFp =
-        parseKeyedU64(takeLine(Text), "fingerprint", /*Hex=*/true);
-    std::optional<uint64_t> HaveShards =
-        parseKeyedU64(takeLine(Text), "shards", /*Hex=*/false);
-    if (Magic != ManifestMagic || !HaveFp || !HaveShards) {
+    uint64_t HaveFp = 0, HaveShards = 0;
+    if (!takeNumber(Text, HaveFp, 16) || !takeNumber(Text, HaveShards) ||
+        manifestContents(HaveFp, HaveShards) != *Existing) {
       Error = formatString("%s is not a v2 campaign manifest",
                            ManifestPath.c_str());
       return std::nullopt;
     }
-    if (*HaveFp != Fingerprint || *HaveShards != NumShards) {
+    if (HaveFp != Fingerprint || HaveShards != NumShards) {
       Error = formatString(
           "checkpoint directory %s belongs to a different campaign "
           "(manifest fingerprint %016" PRIx64 "/%" PRIu64
           " shards, this spec %016" PRIx64 "/%" PRIu64
           " shards); refusing to mix state",
-          Dir.c_str(), *HaveFp, *HaveShards, Fingerprint, NumShards);
+          Dir.c_str(), HaveFp, HaveShards, Fingerprint, NumShards);
       return std::nullopt;
     }
   } else if (!writeFileDurable(ManifestPath,
@@ -287,57 +253,46 @@ CheckpointStore::open(const std::string &Dir, uint64_t Fingerprint,
 
 bool CheckpointStore::storeShard(uint64_t Index, const ShardRecord &Record,
                                  std::string &Error) const {
-  std::string Contents = formatString(
-      "%s\nfingerprint %016" PRIx64 "\nshard %" PRIu64 "\ncell %" PRIu64
-      "\ncellfp %016" PRIx64 "\nterminal %d\n",
-      ShardMagic, Fingerprint, Index, Record.Cell, Record.CellFingerprint,
-      Record.Terminal ? 1 : 0);
-  Contents += Record.Payload;
-  return writeFileDurable(shardPath(Index), Contents, Error);
+  return writeFileDurable(shardPath(Index),
+                          shardHeader(Fingerprint, Index, Record) +
+                              Record.Payload,
+                          Error);
 }
 
 std::optional<ShardRecord>
 CheckpointStore::loadShard(uint64_t Index, std::string &Error) const {
   Error.clear();
   std::string Path = shardPath(Index);
-  std::optional<std::string> Contents = readFile(Path);
+  std::optional<std::string> Contents = readWholeFile(Path);
   if (!Contents)
     return std::nullopt; // Not completed yet; Error stays empty.
-  std::string Text = std::move(*Contents);
-  std::string Magic = takeLine(Text);
-  if (Magic == ShardMagicV1) {
+  std::string_view Text = *Contents;
+  if (takeLine(Text) == ShardMagicV1) {
     Error = formatString(
         "%s is a v1 campaign shard (no per-cell operator fingerprint); "
         "v1 state cannot be reused -- point at a fresh directory",
         Path.c_str());
     return std::nullopt;
   }
-  std::optional<uint64_t> Fp =
-      parseKeyedU64(takeLine(Text), "fingerprint", /*Hex=*/true);
-  std::optional<uint64_t> Shard =
-      parseKeyedU64(takeLine(Text), "shard", /*Hex=*/false);
-  std::optional<uint64_t> Cell =
-      parseKeyedU64(takeLine(Text), "cell", /*Hex=*/false);
-  std::optional<uint64_t> CellFp =
-      parseKeyedU64(takeLine(Text), "cellfp", /*Hex=*/true);
-  std::optional<uint64_t> Terminal =
-      parseKeyedU64(takeLine(Text), "terminal", /*Hex=*/false);
-  if (Magic != ShardMagic || !Fp || !Shard || !Cell || !CellFp ||
-      !Terminal || (*Terminal != 0 && *Terminal != 1)) {
+  ShardRecord Record;
+  uint64_t Fp = 0, Shard = 0, Terminal = 0;
+  const bool Parsed = takeNumber(Text, Fp, 16) && takeNumber(Text, Shard) &&
+                      takeNumber(Text, Record.Cell) &&
+                      takeNumber(Text, Record.CellFingerprint, 16) &&
+                      takeNumber(Text, Terminal) && Terminal <= 1;
+  Record.Terminal = Terminal == 1;
+  const std::string Header = shardHeader(Fp, Shard, Record);
+  if (!Parsed || !Contents->starts_with(Header)) {
     Error = formatString("%s is not a v2 campaign shard file", Path.c_str());
     return std::nullopt;
   }
-  if (*Fp != Fingerprint || *Shard != Index) {
+  if (Fp != Fingerprint || Shard != Index) {
     Error = formatString("%s belongs to a different campaign or shard "
                          "(fingerprint %016" PRIx64 ", shard %" PRIu64 ")",
-                         Path.c_str(), *Fp, *Shard);
+                         Path.c_str(), Fp, Shard);
     return std::nullopt;
   }
-  ShardRecord Record;
-  Record.Terminal = *Terminal == 1;
-  Record.Cell = *Cell;
-  Record.CellFingerprint = *CellFp;
-  Record.Payload = std::move(Text);
+  Record.Payload = Contents->substr(Header.size());
   return Record;
 }
 
@@ -352,21 +307,4 @@ bool CheckpointStore::removeShard(uint64_t Index, std::string &Error) const {
 bool CheckpointStore::hasShard(uint64_t Index) const {
   struct stat St;
   return ::stat(shardPath(Index).c_str(), &St) == 0;
-}
-
-std::vector<uint64_t> CheckpointStore::completedShards() const {
-  std::vector<uint64_t> Indices;
-  std::error_code Ec;
-  for (const fs::directory_entry &Entry : fs::directory_iterator(Dir, Ec)) {
-    std::string Name = Entry.path().filename().string();
-    uint64_t Index;
-    char Trailer[6] = {};
-    // shard-<index>.ckpt, and nothing after the suffix (excludes temps).
-    if (std::sscanf(Name.c_str(), "shard-%" SCNu64 ".ckp%5s", &Index,
-                    Trailer) == 2 &&
-        std::strcmp(Trailer, "t") == 0)
-      Indices.push_back(Index);
-  }
-  std::sort(Indices.begin(), Indices.end());
-  return Indices;
 }

@@ -60,6 +60,10 @@
 /// early-exit optimality mode): the merge may stop there, so shards after
 /// it are allowed to be missing forever.
 ///
+/// A manifest or shard header loads only if its writer reproduces it from
+/// the parsed values (support/Record.h), terminal is 0 or 1, and the
+/// fingerprint and shard index are this store's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_SUPPORT_CHECKPOINT_H
@@ -68,7 +72,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace tnums {
 
@@ -124,9 +127,6 @@ public:
   /// True when shard \p Index has a completed file.
   bool hasShard(uint64_t Index) const;
 
-  /// Indices of every completed shard file present, ascending.
-  std::vector<uint64_t> completedShards() const;
-
   const std::string &path() const { return Dir; }
 
 private:
@@ -155,7 +155,9 @@ bool writeFileDurable(const std::string &Path, const std::string &Contents,
 
 /// Unlinks "<target>.tmp.<pid>.<nonce>" temp files in \p Dir whose writer
 /// pid is provably dead and whose mtime is past the cross-machine grace
-/// period. Best-effort cleanup; call once when opening a durable store.
+/// period. Only the exact spelling writeFileDurable writes (a decimal pid
+/// and 16 lower-case hex nonce digits) is taken; every other file is left
+/// alone. Best-effort cleanup; call once when opening a durable store.
 void sweepOrphanedTempFiles(const std::string &Dir);
 /// @}
 

@@ -9,6 +9,7 @@
 
 #include "support/ArgParse.h"
 #include "support/Metrics.h"
+#include "support/Record.h"
 #include "support/Table.h"
 #include "support/Trace.h"
 #include "tnum/TnumEnum.h"
@@ -16,14 +17,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include <sys/stat.h>
@@ -45,9 +42,9 @@ const char *tnums::campaignPropertyName(CampaignProperty Property) {
 }
 
 unsigned tnums::campaignPropertyPayloadVersion(CampaignProperty Property) {
-  // Bump a property's version whenever its serialize*/parse* pair below
-  // changes format; the fingerprint mix then invalidates stored shards
-  // of that property and nothing else.
+  // Bump a property's version whenever encodePropertyShard changes its
+  // format; the fingerprint mix then invalidates stored shards of that
+  // property and nothing else.
   switch (Property) {
   case CampaignProperty::Soundness:
   case CampaignProperty::Optimality:
@@ -258,10 +255,6 @@ std::vector<ShardRef> buildManifest(const std::vector<uint64_t> &CellPairs,
 
 namespace {
 
-std::string hexTnum(const Tnum &T) {
-  return formatString("%016" PRIx64 " %016" PRIx64, T.value(), T.mask());
-}
-
 /// The engine-stamped first line of every property payload, naming the
 /// driver and its payload-format version. The header travels with the
 /// shard so a store can be refused BY CONTENT, independently of the
@@ -277,9 +270,8 @@ std::string payloadHeaderLine(const char *Name, unsigned Version) {
 bool stripPayloadHeader(const std::string &Payload, const char *Name,
                         unsigned Version, size_t CellIndex, std::string &Body,
                         std::string &Error) {
-  const size_t Eol = Payload.find('\n');
-  const std::string Header =
-      Eol == std::string::npos ? Payload : Payload.substr(0, Eol);
+  std::string_view Text = Payload;
+  const std::string Header(takeLine(Text));
   const std::string Expected = formatString("payload %s %u", Name, Version);
   if (Header != Expected) {
     Error = formatString(
@@ -290,222 +282,229 @@ bool stripPayloadHeader(const std::string &Payload, const char *Name,
         CellIndex, Header.c_str(), Expected.c_str());
     return false;
   }
-  Body = Eol == std::string::npos ? std::string() : Payload.substr(Eol + 1);
+  Body = Text;
   return true;
 }
 
-/// Fields shared by every property payload.
-struct PayloadReader {
-  std::map<std::string, std::string> Fields;
+/// A witness line: the words as 16-digit hex, a tnum as its value and mask.
+std::string witnessLine(std::initializer_list<uint64_t> Words) {
+  std::string Line = "witness";
+  for (uint64_t Word : Words)
+    Line += formatString(" %016" PRIx64, Word);
+  return Line + "\n";
+}
 
-  explicit PayloadReader(const std::string &Payload) {
-    size_t Pos = 0;
-    while (Pos < Payload.size()) {
-      size_t Eol = Payload.find('\n', Pos);
-      if (Eol == std::string::npos)
-        Eol = Payload.size();
-      std::string Line = Payload.substr(Pos, Eol - Pos);
-      Pos = Eol + 1;
-      size_t Space = Line.find(' ');
-      if (Space == std::string::npos || Space == 0)
-        continue;
-      Fields.emplace(Line.substr(0, Space), Line.substr(Space + 1));
-    }
+} // namespace
+
+std::string tnums::encodePropertyShard(const CampaignCellResult &Shard) {
+  std::string Payload;
+  switch (Shard.Cell.Property) {
+  case CampaignProperty::Soundness: {
+    const SoundnessReport &R = Shard.Soundness;
+    Payload = formatString("pairs %" PRIu64 "\nconcrete %" PRIu64
+                           "\nseconds %.9g\n",
+                           R.PairsChecked, R.ConcreteChecked, Shard.Seconds);
+    if (const std::optional<SoundnessCounterexample> &W = R.Failure)
+      Payload += witnessLine({W->P.value(), W->P.mask(), W->Q.value(),
+                              W->Q.mask(), W->X, W->Y, W->Z, W->R.value(),
+                              W->R.mask()});
+    break;
   }
+  case CampaignProperty::Optimality: {
+    const OptimalityReport &R = Shard.Optimality;
+    Payload = formatString("pairs %" PRIu64 "\noptimal %" PRIu64
+                           "\nseconds %.9g\n",
+                           R.PairsChecked, R.OptimalPairs, Shard.Seconds);
+    if (const std::optional<OptimalityCounterexample> &W = R.Failure)
+      Payload += witnessLine({W->P.value(), W->P.mask(), W->Q.value(),
+                              W->Q.mask(), W->Actual.value(),
+                              W->Actual.mask(), W->Optimal.value(),
+                              W->Optimal.mask()});
+    break;
+  }
+  case CampaignProperty::Monotonicity: {
+    const MonotonicityReport &R = Shard.Monotonicity;
+    Payload = formatString("quadruples %" PRIu64 "\nseconds %.9g\n",
+                           R.QuadruplesChecked, Shard.Seconds);
+    if (const std::optional<MonotonicityCounterexample> &W = R.Failure)
+      Payload += witnessLine({W->P1.value(), W->P1.mask(), W->Q1.value(),
+                              W->Q1.mask(), W->P2.value(), W->P2.mask(),
+                              W->Q2.value(), W->Q2.mask(), W->R1.value(),
+                              W->R1.mask(), W->R2.value(), W->R2.mask()});
+    break;
+  }
+  case CampaignProperty::Precision: {
+    const PrecisionReport &R = Shard.Precision;
+    Payload = formatString("pairs %" PRIu64 "\nsumgap %" PRIu64
+                           "\nmaxgap %u\nseconds %.9g\n",
+                           R.PairsChecked, R.SumGap, R.MaxGap, Shard.Seconds);
+    // Sparse histogram, one line per nonzero bucket.
+    for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
+      if (R.Buckets[G])
+        Payload += formatString("hist%u %" PRIu64 "\n", G, R.Buckets[G]);
+    if (const std::optional<PrecisionWitness> &W = R.Worst)
+      Payload += witnessLine({W->P.value(), W->P.mask(), W->Q.value(),
+                              W->Q.mask(), W->Actual.value(),
+                              W->Actual.mask(), W->Optimal.value(),
+                              W->Optimal.mask()});
+    break;
+  }
+  }
+  return Payload;
+}
 
-  bool u64(const char *Key, uint64_t &Out) const {
-    auto It = Fields.find(Key);
-    if (It == Fields.end())
+bool tnums::parsePropertyShard(std::string_view Body,
+                               CampaignCellResult &Shard) {
+  // Every line is read by position; the round trip at the end checks the
+  // keys, the spelling and that nothing is missing or left over.
+  std::string_view Text = Body;
+  PrecisionReport &Precision = Shard.Precision;
+  bool Counted = false;
+  switch (Shard.Cell.Property) {
+  case CampaignProperty::Soundness:
+    Counted = takeNumber(Text, Shard.Soundness.PairsChecked) &&
+              takeNumber(Text, Shard.Soundness.ConcreteChecked);
+    break;
+  case CampaignProperty::Optimality:
+    Counted = takeNumber(Text, Shard.Optimality.PairsChecked) &&
+              takeNumber(Text, Shard.Optimality.OptimalPairs);
+    break;
+  case CampaignProperty::Monotonicity:
+    Counted = takeNumber(Text, Shard.Monotonicity.QuadruplesChecked);
+    break;
+  case CampaignProperty::Precision:
+    Counted = takeNumber(Text, Precision.PairsChecked) &&
+              takeNumber(Text, Precision.SumGap) &&
+              takeNumber(Text, Precision.MaxGap) &&
+              Precision.MaxGap < PrecisionGapBuckets;
+    break;
+  }
+  if (!Counted || !takeNumber(Text, Shard.Seconds))
+    return false;
+  while (Text.starts_with("hist")) { // "hist<gap> <count>"
+    std::string_view Line = takeLine(Text).substr(4);
+    std::optional<unsigned> Gap =
+        parseNumber<unsigned>(Line.substr(0, Line.find(' ')));
+    std::optional<uint64_t> Count = parseNumber<uint64_t>(takeField(Line));
+    if (!Gap || *Gap >= PrecisionGapBuckets || !Count)
       return false;
+    Precision.Buckets[*Gap] = *Count;
+  }
+  std::vector<uint64_t> W; // The witness line's hex words, if any.
+  if (!Text.empty())
+    for (std::string_view Word : splitWords(takeField(Text))) {
+      std::optional<uint64_t> Value = parseNumber<uint64_t>(Word, 16);
+      if (!Value)
+        return false;
+      W.push_back(*Value);
+    }
+  auto T = [&](size_t I) { return Tnum(W[I], W[I + 1]); };
+  switch (Shard.Cell.Property) {
+  case CampaignProperty::Soundness:
+    if (W.size() == 9)
+      Shard.Soundness.Failure =
+          SoundnessCounterexample{T(0), T(2), W[4], W[5], W[6], T(7)};
+    break;
+  case CampaignProperty::Optimality:
+    if (W.size() == 8)
+      Shard.Optimality.Failure =
+          OptimalityCounterexample{T(0), T(2), T(4), T(6)};
+    break;
+  case CampaignProperty::Monotonicity:
+    if (W.size() == 12)
+      Shard.Monotonicity.Failure =
+          MonotonicityCounterexample{T(0), T(2), T(4), T(6), T(8), T(10)};
+    break;
+  case CampaignProperty::Precision:
+    // The worst pair's gap IS maxgap, so it is not stored twice.
+    if (W.size() == 8)
+      Precision.Worst =
+          PrecisionWitness{T(0), T(2), T(4), T(6), Precision.MaxGap};
+    break;
+  }
+  // "%.9g" writes nan and -5 back as they were read, so the round trip
+  // cannot refuse them.
+  return std::isfinite(Shard.Seconds) && !std::signbit(Shard.Seconds) &&
+         encodePropertyShard(Shard) == Body;
+}
+
+namespace {
+
+constexpr const char *WitnessCorpusHeader = "tnums-witness-corpus v1\n";
+
+std::string witnessCorpusLine(const WitnessPair &W) {
+  return formatString("pair %s %s %u %" PRIx64 " %" PRIx64 " %" PRIx64
+                      " %" PRIx64 " %u\n",
+                      binaryOpName(W.Op), mulAlgorithmName(W.Mul), W.Width,
+                      W.P.value(), W.P.mask(), W.Q.value(), W.Q.mask(),
+                      W.Gap);
+}
+
+/// The pair a witness-corpus line spells, if it passes the checks a round
+/// trip cannot make; the caller compares the line with witnessCorpusLine.
+std::optional<WitnessPair> parseWitnessLine(std::string_view Line) {
+  std::vector<std::string_view> Words = splitWords(Line);
+  if (Words.size() != 9)
+    return std::nullopt;
+  std::optional<BinaryOp> Op;
+  for (BinaryOp Each : AllBinaryOps)
+    if (Words[1] == binaryOpName(Each))
+      Op = Each;
+  std::optional<MulAlgorithm> Mul;
+  for (MulAlgorithm Each : AllMulAlgorithms)
+    if (Words[2] == mulAlgorithmName(Each))
+      Mul = Each;
+  uint64_t N[6]; // Width, P.v, P.m, Q.v, Q.m and gap.
+  for (size_t I = 0; I != 6; ++I) {
     std::optional<uint64_t> Value =
-        parseBoundedU64(It->second.c_str(), 0, UINT64_MAX);
+        parseNumber<uint64_t>(Words[3 + I], I == 0 || I == 5 ? 10 : 16);
     if (!Value)
-      return false;
-    Out = *Value;
-    return true;
+      return std::nullopt;
+    N[I] = *Value;
   }
+  const Tnum P(N[1], N[2]), Q(N[3], N[4]);
+  if (!Op || !Mul || N[0] == 0 || N[0] > 64 || N[5] > N[0] ||
+      !P.isWellFormed() || !Q.isWellFormed() || !P.fitsWidth(N[0]) ||
+      !Q.fitsWidth(N[0]))
+    return std::nullopt;
+  return WitnessPair{*Op, *Mul, static_cast<unsigned>(N[0]), P, Q,
+                     static_cast<unsigned>(N[5])};
+}
 
-  /// The shard's wall time: the whole field, a finite non-negative
-  /// decimal (strtod alone would take a sign, "nan", "inf" or hex).
-  bool seconds(double &Out) const {
-    auto It = Fields.find("seconds");
-    if (It == Fields.end())
-      return false;
-    const char *Text = It->second.c_str();
-    char *End = nullptr;
-    Out = std::strtod(Text, &End);
-    return std::isdigit(static_cast<unsigned char>(*Text)) && *End == '\0' &&
-           std::isfinite(Out) && !std::strpbrk(Text, "xX");
+} // namespace
+
+std::string tnums::encodeWitnessCorpus(const std::vector<WitnessPair> &Pairs) {
+  std::string Text = WitnessCorpusHeader;
+  for (const WitnessPair &W : Pairs)
+    Text += witnessCorpusLine(W);
+  return Text;
+}
+
+std::optional<std::vector<WitnessPair>>
+tnums::parseWitnessCorpus(std::string_view Text, const std::string &Name,
+                          std::string &Error) {
+  if (!Text.starts_with(WitnessCorpusHeader)) {
+    Error = formatString("%s:1: expected header \"tnums-witness-corpus v1\"",
+                         Name.c_str());
+    return std::nullopt;
   }
-
-  /// Parses \p Count whitespace-separated hex words from field \p Key.
-  bool hexWords(const char *Key, uint64_t *Out, unsigned Count) const {
-    auto It = Fields.find(Key);
-    if (It == Fields.end())
-      return false;
-    const char *Text = It->second.c_str();
-    for (unsigned I = 0; I != Count; ++I) {
-      // strtoull would take a sign (and read "-1" as 2^64 - 1).
-      while (*Text == ' ')
-        ++Text;
-      if (!std::isxdigit(static_cast<unsigned char>(*Text)))
-        return false;
-      char *End = nullptr;
-      errno = 0;
-      unsigned long long Value = std::strtoull(Text, &End, 16);
-      if (errno != 0 || End == Text)
-        return false;
-      Out[I] = static_cast<uint64_t>(Value);
-      Text = End;
+  takeLine(Text);
+  std::vector<WitnessPair> Pairs;
+  for (size_t LineNo = 2; !Text.empty(); ++LineNo) {
+    const std::string_view Rest = Text;
+    std::optional<WitnessPair> W = parseWitnessLine(takeLine(Text));
+    if (!W || !Rest.starts_with(witnessCorpusLine(*W))) {
+      Error = formatString("%s:%zu: not a witness pair as precision_atlas "
+                           "writes one",
+                           Name.c_str(), LineNo);
+      return std::nullopt;
     }
-    return *Text == '\0' || *Text == ' ';
+    Pairs.push_back(*W);
   }
-
-  bool has(const char *Key) const { return Fields.count(Key) != 0; }
-};
-
-std::string serializeSoundnessShard(const SoundnessReport &Report,
-                                    double Seconds) {
-  std::string Payload = formatString(
-      "pairs %" PRIu64 "\nconcrete %" PRIu64 "\nseconds %.9g\n",
-      Report.PairsChecked, Report.ConcreteChecked, Seconds);
-  if (Report.Failure) {
-    const SoundnessCounterexample &W = *Report.Failure;
-    Payload += formatString("witness %s %s %016" PRIx64 " %016" PRIx64
-                            " %016" PRIx64 " %s\n",
-                            hexTnum(W.P).c_str(), hexTnum(W.Q).c_str(), W.X,
-                            W.Y, W.Z, hexTnum(W.R).c_str());
-  }
-  return Payload;
+  return Pairs;
 }
 
-bool parseSoundnessShard(const std::string &Payload, SoundnessReport &Out,
-                         double &Seconds) {
-  PayloadReader Reader(Payload);
-  if (!Reader.u64("pairs", Out.PairsChecked) ||
-      !Reader.u64("concrete", Out.ConcreteChecked) ||
-      !Reader.seconds(Seconds))
-    return false;
-  if (Reader.has("witness")) {
-    uint64_t W[9];
-    if (!Reader.hexWords("witness", W, 9))
-      return false;
-    Out.Failure = SoundnessCounterexample{Tnum(W[0], W[1]), Tnum(W[2], W[3]),
-                                          W[4], W[5], W[6],
-                                          Tnum(W[7], W[8])};
-  }
-  return true;
-}
-
-std::string serializeOptimalityShard(const OptimalityReport &Report,
-                                     double Seconds) {
-  std::string Payload = formatString(
-      "pairs %" PRIu64 "\noptimal %" PRIu64 "\nseconds %.9g\n",
-      Report.PairsChecked, Report.OptimalPairs, Seconds);
-  if (Report.Failure) {
-    const OptimalityCounterexample &W = *Report.Failure;
-    Payload += formatString("witness %s %s %s %s\n", hexTnum(W.P).c_str(),
-                            hexTnum(W.Q).c_str(), hexTnum(W.Actual).c_str(),
-                            hexTnum(W.Optimal).c_str());
-  }
-  return Payload;
-}
-
-bool parseOptimalityShard(const std::string &Payload, OptimalityReport &Out,
-                          double &Seconds) {
-  PayloadReader Reader(Payload);
-  if (!Reader.u64("pairs", Out.PairsChecked) ||
-      !Reader.u64("optimal", Out.OptimalPairs) || !Reader.seconds(Seconds))
-    return false;
-  if (Reader.has("witness")) {
-    uint64_t W[8];
-    if (!Reader.hexWords("witness", W, 8))
-      return false;
-    Out.Failure = OptimalityCounterexample{Tnum(W[0], W[1]), Tnum(W[2], W[3]),
-                                           Tnum(W[4], W[5]),
-                                           Tnum(W[6], W[7])};
-  }
-  return true;
-}
-
-std::string serializeMonotonicityShard(const MonotonicityReport &Report,
-                                       double Seconds) {
-  std::string Payload =
-      formatString("quadruples %" PRIu64 "\nseconds %.9g\n",
-                   Report.QuadruplesChecked, Seconds);
-  if (Report.Failure) {
-    const MonotonicityCounterexample &W = *Report.Failure;
-    Payload += formatString("witness %s %s %s %s %s %s\n",
-                            hexTnum(W.P1).c_str(), hexTnum(W.Q1).c_str(),
-                            hexTnum(W.P2).c_str(), hexTnum(W.Q2).c_str(),
-                            hexTnum(W.R1).c_str(), hexTnum(W.R2).c_str());
-  }
-  return Payload;
-}
-
-bool parseMonotonicityShard(const std::string &Payload,
-                            MonotonicityReport &Out, double &Seconds) {
-  PayloadReader Reader(Payload);
-  if (!Reader.u64("quadruples", Out.QuadruplesChecked) ||
-      !Reader.seconds(Seconds))
-    return false;
-  if (Reader.has("witness")) {
-    uint64_t W[12];
-    if (!Reader.hexWords("witness", W, 12))
-      return false;
-    Out.Failure = MonotonicityCounterexample{
-        Tnum(W[0], W[1]), Tnum(W[2], W[3]),  Tnum(W[4], W[5]),
-        Tnum(W[6], W[7]), Tnum(W[8], W[9]), Tnum(W[10], W[11])};
-  }
-  return true;
-}
-
-std::string serializePrecisionShard(const PrecisionReport &Report,
-                                    double Seconds) {
-  std::string Payload = formatString(
-      "pairs %" PRIu64 "\nsumgap %" PRIu64 "\nmaxgap %u\nseconds %.9g\n",
-      Report.PairsChecked, Report.SumGap, Report.MaxGap, Seconds);
-  // Sparse histogram, one DISTINCT key per nonzero bucket: PayloadReader
-  // keeps only the first occurrence of a duplicate key, so the buckets
-  // cannot share one.
-  for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
-    if (Report.Buckets[G])
-      Payload += formatString("hist%u %" PRIu64 "\n", G, Report.Buckets[G]);
-  if (Report.Worst) {
-    const PrecisionWitness &W = *Report.Worst;
-    Payload += formatString("witness %s %s %s %s\n", hexTnum(W.P).c_str(),
-                            hexTnum(W.Q).c_str(), hexTnum(W.Actual).c_str(),
-                            hexTnum(W.Optimal).c_str());
-  }
-  return Payload;
-}
-
-bool parsePrecisionShard(const std::string &Payload, PrecisionReport &Out,
-                         double &Seconds) {
-  PayloadReader Reader(Payload);
-  uint64_t MaxGap = 0;
-  if (!Reader.u64("pairs", Out.PairsChecked) ||
-      !Reader.u64("sumgap", Out.SumGap) || !Reader.u64("maxgap", MaxGap) ||
-      MaxGap >= PrecisionGapBuckets || !Reader.seconds(Seconds))
-    return false;
-  Out.MaxGap = static_cast<unsigned>(MaxGap);
-  for (unsigned G = 0; G != PrecisionGapBuckets; ++G) {
-    uint64_t Count = 0;
-    if (Reader.u64(formatString("hist%u", G).c_str(), Count))
-      Out.Buckets[G] = Count;
-  }
-  // The witness, when present, is the shard's worst pair: its gap IS
-  // maxgap, so the value is not serialized separately.
-  if (Reader.has("witness")) {
-    uint64_t W[8];
-    if (!Reader.hexWords("witness", W, 8))
-      return false;
-    Out.Worst = PrecisionWitness{Tnum(W[0], W[1]), Tnum(W[2], W[3]),
-                                 Tnum(W[4], W[5]), Tnum(W[6], W[7]),
-                                 Out.MaxGap};
-  }
-  return true;
-}
+namespace {
 
 /// Parses one shard payload BODY (header already stripped) and folds it
 /// into \p Cell according to the cell's property -- the one merge used
@@ -514,66 +513,47 @@ bool parsePrecisionShard(const std::string &Payload, PrecisionReport &Out,
 /// \p Error set) on a malformed payload.
 bool mergePropertyShard(CampaignCellResult &Cell, size_t CellIndex,
                         const std::string &Payload, std::string &Error) {
-  double Seconds = 0;
-  bool Ok = false;
-  switch (Cell.Cell.Property) {
-  case CampaignProperty::Soundness: {
-    SoundnessReport Shard;
-    Ok = parseSoundnessShard(Payload, Shard, Seconds);
-    if (Ok) {
-      Cell.Soundness.PairsChecked += Shard.PairsChecked;
-      Cell.Soundness.ConcreteChecked += Shard.ConcreteChecked;
-      if (Shard.Failure && !Cell.Soundness.Failure)
-        Cell.Soundness.Failure = Shard.Failure;
-    }
-    break;
-  }
-  case CampaignProperty::Optimality: {
-    OptimalityReport Shard;
-    Ok = parseOptimalityShard(Payload, Shard, Seconds);
-    if (Ok) {
-      Cell.Optimality.PairsChecked += Shard.PairsChecked;
-      Cell.Optimality.OptimalPairs += Shard.OptimalPairs;
-      if (Shard.Failure && !Cell.Optimality.Failure)
-        Cell.Optimality.Failure = Shard.Failure;
-    }
-    break;
-  }
-  case CampaignProperty::Monotonicity: {
-    MonotonicityReport Shard;
-    Ok = parseMonotonicityShard(Payload, Shard, Seconds);
-    if (Ok) {
-      Cell.Monotonicity.QuadruplesChecked += Shard.QuadruplesChecked;
-      if (Shard.Failure && !Cell.Monotonicity.Failure)
-        Cell.Monotonicity.Failure = Shard.Failure;
-    }
-    break;
-  }
-  case CampaignProperty::Precision: {
-    PrecisionReport Shard;
-    Ok = parsePrecisionShard(Payload, Shard, Seconds);
-    if (Ok) {
-      Cell.Precision.PairsChecked += Shard.PairsChecked;
-      Cell.Precision.SumGap += Shard.SumGap;
-      for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
-        Cell.Precision.Buckets[G] += Shard.Buckets[G];
-      // Strictly-greater replacement in manifest order keeps the
-      // earliest shard's witness on ties -- exactly the serial scan's
-      // first pair attaining the global maximum.
-      if (Shard.MaxGap > Cell.Precision.MaxGap) {
-        Cell.Precision.MaxGap = Shard.MaxGap;
-        Cell.Precision.Worst = Shard.Worst;
-      }
-    }
-    break;
-  }
-  }
-  if (!Ok) {
+  CampaignCellResult Shard;
+  Shard.Cell = Cell.Cell;
+  if (!parsePropertyShard(Payload, Shard)) {
     Error = formatString("malformed %s shard payload for cell %zu",
                          campaignPropertyName(Cell.Cell.Property), CellIndex);
     return false;
   }
-  Cell.Seconds += Seconds;
+  switch (Cell.Cell.Property) {
+  case CampaignProperty::Soundness:
+    Cell.Soundness.PairsChecked += Shard.Soundness.PairsChecked;
+    Cell.Soundness.ConcreteChecked += Shard.Soundness.ConcreteChecked;
+    if (Shard.Soundness.Failure && !Cell.Soundness.Failure)
+      Cell.Soundness.Failure = Shard.Soundness.Failure;
+    break;
+  case CampaignProperty::Optimality:
+    Cell.Optimality.PairsChecked += Shard.Optimality.PairsChecked;
+    Cell.Optimality.OptimalPairs += Shard.Optimality.OptimalPairs;
+    if (Shard.Optimality.Failure && !Cell.Optimality.Failure)
+      Cell.Optimality.Failure = Shard.Optimality.Failure;
+    break;
+  case CampaignProperty::Monotonicity:
+    Cell.Monotonicity.QuadruplesChecked +=
+        Shard.Monotonicity.QuadruplesChecked;
+    if (Shard.Monotonicity.Failure && !Cell.Monotonicity.Failure)
+      Cell.Monotonicity.Failure = Shard.Monotonicity.Failure;
+    break;
+  case CampaignProperty::Precision:
+    Cell.Precision.PairsChecked += Shard.Precision.PairsChecked;
+    Cell.Precision.SumGap += Shard.Precision.SumGap;
+    for (unsigned G = 0; G != PrecisionGapBuckets; ++G)
+      Cell.Precision.Buckets[G] += Shard.Precision.Buckets[G];
+    // Strictly-greater replacement in manifest order keeps the earliest
+    // shard's witness on ties -- exactly the serial scan's first pair
+    // attaining the global maximum.
+    if (Shard.Precision.MaxGap > Cell.Precision.MaxGap) {
+      Cell.Precision.MaxGap = Shard.Precision.MaxGap;
+      Cell.Precision.Worst = Shard.Precision.Worst;
+    }
+    break;
+  }
+  Cell.Seconds += Shard.Seconds;
   ++Cell.ShardsMerged;
   return true;
 }
@@ -1130,7 +1110,11 @@ struct CampaignEngine {
                                      *FailIndex, Report);
         Jobs[0].Terminal = true;
       }
-      Jobs[0].Payload = serializeMonotonicityShard(Report, seconds());
+      CampaignCellResult Shard;
+      Shard.Cell = First;
+      Shard.Monotonicity = Report;
+      Shard.Seconds = seconds();
+      Jobs[0].Payload = encodePropertyShard(Shard);
       return;
     }
 
@@ -1161,21 +1145,13 @@ struct CampaignEngine {
     }
     const double Seconds = seconds();
     for (size_t I = 0; I != Jobs.size(); ++I) {
-      const FoldCell &Fold = Folds[I];
-      switch (Spec.Cells[Jobs[I].Cell].Property) {
-      case CampaignProperty::Soundness:
-        Jobs[I].Payload = serializeSoundnessShard(Fold.Soundness, Seconds);
-        break;
-      case CampaignProperty::Optimality:
-        Jobs[I].Payload = serializeOptimalityShard(Fold.Optimality, Seconds);
-        break;
-      case CampaignProperty::Precision:
-        Jobs[I].Payload = serializePrecisionShard(Fold.Precision, Seconds);
-        break;
-      case CampaignProperty::Monotonicity:
-        assert(false && "monotonicity cells run alone");
-        break;
-      }
+      CampaignCellResult Shard;
+      Shard.Cell = Spec.Cells[Jobs[I].Cell];
+      Shard.Soundness = Folds[I].Soundness;
+      Shard.Optimality = Folds[I].Optimality;
+      Shard.Precision = Folds[I].Precision;
+      Shard.Seconds = Seconds;
+      Jobs[I].Payload = encodePropertyShard(Shard);
     }
   }
 };

@@ -88,6 +88,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tnums {
@@ -110,10 +111,10 @@ const char *campaignPropertyName(CampaignProperty Property);
 
 /// The payload-format version of a built-in property's shard
 /// serialization. Mixed into every cell fingerprint
-/// (propertyCellFingerprint), so bumping it when a serialize*/parse*
-/// pair changes format invalidates stored shards instead of merging
-/// bytes they cannot parse -- the refusal-safety contract for stores
-/// that outlive binaries.
+/// (propertyCellFingerprint), so bumping it when encodePropertyShard
+/// changes format invalidates stored shards instead of merging bytes they
+/// cannot parse -- the refusal-safety contract for stores that outlive
+/// binaries.
 unsigned campaignPropertyPayloadVersion(CampaignProperty Property);
 
 /// One (operator, algorithm, width, property) cell of a campaign. Mul is
@@ -239,6 +240,41 @@ struct CampaignCellResult {
   /// Property-specific "no counterexample" (meaningful when Complete).
   bool holds() const;
 };
+
+/// A built-in property shard's payload body (docs/CAMPAIGN.md): the report
+/// for \p Shard.Cell.Property and \p Shard.Seconds.
+std::string encodePropertyShard(const CampaignCellResult &Shard);
+
+/// Parses \p Body into a fresh \p Shard. False unless encodePropertyShard
+/// reproduces \p Body byte for byte (support/Record.h), seconds is finite
+/// and not negative, and every gap is below PrecisionGapBuckets.
+bool parsePropertyShard(std::string_view Body, CampaignCellResult &Shard);
+
+/// One line of a witness corpus ("tnums-witness-corpus v1", written by
+/// bench/precision_atlas and replayed by bench/ablation_mul): a precision
+/// cell's worst-case pair, "pair <op> <algorithm> <width> <P.v> <P.m>
+/// <Q.v> <Q.m> <gap>" with the tnum words in hex without leading zeros.
+struct WitnessPair {
+  BinaryOp Op = BinaryOp::Add;
+  MulAlgorithm Mul = MulAlgorithm::Our;
+  unsigned Width = 0;
+  Tnum P;
+  Tnum Q;
+  unsigned Gap = 0;
+
+  bool operator==(const WitnessPair &) const = default;
+};
+
+/// The corpus text: the header line, then one line per pair.
+std::string encodeWitnessCorpus(const std::vector<WitnessPair> &Pairs);
+
+/// Parses a witness corpus; nullopt with a "<name>:<line>: why" diagnostic
+/// unless encodeWitnessCorpus writes back every line, whose names are in
+/// the rosters, width is 1..64, and tnums are well formed, fit the width
+/// and lose at most width bits.
+std::optional<std::vector<WitnessPair>>
+parseWitnessCorpus(std::string_view Text, const std::string &Name,
+                   std::string &Error);
 
 /// Outcome of one runCampaign invocation.
 struct CampaignResult {

@@ -439,7 +439,8 @@ TEST(Campaign, StoreRoundTripsShardsAndRejectsForeignFiles) {
   // decision depends on it.
   EXPECT_EQ(Loaded->Cell, Record.Cell);
   EXPECT_EQ(Loaded->CellFingerprint, Record.CellFingerprint);
-  EXPECT_EQ(Store->completedShards(), std::vector<uint64_t>{2});
+  for (uint64_t Index : {0, 1, 3})
+    EXPECT_FALSE(Store->hasShard(Index)) << Index;
 
   // removeShard is the invalidated-cell GC; removing twice is fine (a
   // concurrent GC may win the race).
@@ -507,23 +508,33 @@ TEST(Campaign, OpenSweepsOrphanedTempFilesButSparesLiveWriters) {
   // An old orphan from a writer whose pid cannot exist (beyond
   // PID_MAX_LIMIT), a FRESH temp with the same dead pid (could be a
   // remote farming machine's live writer -- the pid test is only
-  // meaningful locally), and a temp owned by THIS live process.
-  std::string Orphan = Dir + "/shard-00000000.ckpt.tmp.536870911.deadbeef";
+  // meaningful locally), and a temp owned by THIS live process. The
+  // nonces have the 16 hex digits writeFileDurable writes.
+  std::string Orphan =
+      Dir + "/shard-00000000.ckpt.tmp.536870911.00000000deadbeef";
   std::string FreshDeadPid =
-      Dir + "/shard-00000000.ckpt.tmp.536870911.0badf00d";
+      Dir + "/shard-00000000.ckpt.tmp.536870911.000000000badf00d";
   std::string Live = Dir + "/shard-00000001.ckpt.tmp." +
                      std::to_string(static_cast<long>(::getpid())) +
-                     ".00c0ffee";
-  for (const std::string &Path : {Orphan, FreshDeadPid, Live}) {
+                     ".0000000000c0ffee";
+  // Aged files with dead pids whose names writeFileDurable never writes:
+  // no nonce, a foreign suffix, a signed pid. They are not the store's.
+  const std::string Foreign[] = {
+      Dir + "/notes.tmp.2147483000", Dir + "/my-results.tmp.2147483001.csv",
+      Dir + "/shard-00000000.ckpt.tmp.+2147483002.0123456789abcdef"};
+  for (const std::string &Path : {Orphan, FreshDeadPid, Live, Foreign[0],
+                                  Foreign[1], Foreign[2]}) {
     std::FILE *File = std::fopen(Path.c_str(), "w");
     ASSERT_NE(File, nullptr);
     std::fputs("partial", File);
     std::fclose(File);
   }
-  // Age the orphan past the sweep's grace period (an hour is plenty).
+  // Age the orphan and the foreign files past the sweep's grace period
+  // (an hour is plenty).
   struct utimbuf Old;
   Old.actime = Old.modtime = ::time(nullptr) - 3600;
-  ASSERT_EQ(::utime(Orphan.c_str(), &Old), 0);
+  for (const std::string &Path : {Orphan, Foreign[0], Foreign[1], Foreign[2]})
+    ASSERT_EQ(::utime(Path.c_str(), &Old), 0);
   ASSERT_TRUE(CheckpointStore::open(Dir, 0x1, 2, Error).has_value())
       << Error;
   EXPECT_NE(::access(Orphan.c_str(), F_OK), 0)
@@ -532,8 +543,12 @@ TEST(Campaign, OpenSweepsOrphanedTempFilesButSparesLiveWriters) {
       << "fresh temp was swept inside the grace period";
   EXPECT_EQ(::access(Live.c_str(), F_OK), 0)
       << "live writer's temp was swept";
-  ::unlink(FreshDeadPid.c_str());
-  ::unlink(Live.c_str());
+  for (const std::string &Path : Foreign)
+    EXPECT_EQ(::access(Path.c_str(), F_OK), 0)
+        << "a file writeFileDurable never names was swept: " << Path;
+  for (const std::string &Path : {FreshDeadPid, Live, Foreign[0], Foreign[1],
+                                  Foreign[2]})
+    ::unlink(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1130,8 +1145,8 @@ TEST(Campaign, GroupedShardSplitKeepsEachInvocationToItsOwnShards) {
         Dir, campaignFingerprint(Spec, Split), Last.ShardsTotal, Error);
     ASSERT_TRUE(Store.has_value()) << Error;
     uint64_t Added = 0;
-    for (uint64_t Id : Store->completedShards())
-      if (Stored.insert(Id).second) {
+    for (uint64_t Id = 0; Id != Last.ShardsTotal; ++Id)
+      if (Store->hasShard(Id) && Stored.insert(Id).second) {
         ++Added;
         EXPECT_EQ(Id % 2, Index) << "shard " << Id;
       }
@@ -1187,7 +1202,7 @@ TEST(Campaign, GroupedCellSecondsShareThePassWallTime) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stored counters are unsigned
+// Stored records load only as their writer spells them
 //===----------------------------------------------------------------------===//
 
 /// Replaces the first \p From in \p Path with \p To; false if absent.
@@ -1210,29 +1225,41 @@ TEST(Campaign, RefusesSignedCountersInStoredShards) {
   // strtoull reads "-256" as 2^64 - 256: a sign in a stored counter or
   // witness word must make the shard malformed, on resume and in a
   // baseline diff alike. So must a seconds field that is not a finite,
-  // non-negative decimal (strtod takes "-", "nan", and stops at "x").
+  // non-negative decimal (strtod takes "-", "nan", and stops at "x"), and
+  // any other spelling the payload's writer would not write back: a "+",
+  // extra space, a leading zero, a "0x", a duplicate, unknown or keyless
+  // line, or an extra witness word (which would shift every word after
+  // it into the wrong field).
+  const CampaignCell Add{BinaryOp::Add, MulAlgorithm::Our, 3,
+                         CampaignProperty::Soundness};
+  const CampaignCell Div{BinaryOp::Div, MulAlgorithm::Our, 3,
+                         CampaignProperty::Precision};
   struct Case {
     CampaignCell Cell;
     const char *From;
     const char *To;
   };
   const Case Cases[] = {
-      {{BinaryOp::Add, MulAlgorithm::Our, 3, CampaignProperty::Soundness},
-       "\nconcrete ", "\nconcrete -"},
+      {Add, "\nconcrete ", "\nconcrete -"},
       {{BinaryOp::Mul, MulAlgorithm::Our, 3, CampaignProperty::Optimality},
        "\noptimal ", "\noptimal -"},
       {{BinaryOp::Mul, MulAlgorithm::Kern, 3, CampaignProperty::Monotonicity},
        "\nquadruples ", "\nquadruples -"},
-      {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
-       "\npairs ", "\npairs -"},
-      {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
-       "\nwitness ", "\nwitness -"},
-      {{BinaryOp::Add, MulAlgorithm::Our, 3, CampaignProperty::Soundness},
-       "\nseconds ", "\nseconds -"},
+      {Div, "\npairs ", "\npairs -"},
+      {Div, "\nwitness ", "\nwitness -"},
+      {Add, "\nseconds ", "\nseconds -"},
       {{BinaryOp::Mul, MulAlgorithm::Our, 3, CampaignProperty::Optimality},
        "\nseconds ", "\nseconds nan"},
-      {{BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision},
-       "\nseconds ", "\nseconds x"},
+      {Div, "\nseconds ", "\nseconds x"},
+      {Add, "\npairs ", "\npairs +"},
+      {Add, "\npairs ", "\npairs  "},
+      {Add, "\npairs ", "\npairs \t"},
+      {Add, "\npairs ", "\npairs 0"},
+      {Add, "\npairs 729\n", "\npairs 729\npairs 729\n"},
+      {Add, "\nseconds ", "\nnospace\nseconds "},
+      {Add, "\nseconds ", "\nunknown 1\nseconds "},
+      {Div, "\nwitness ", "\nwitness 0x"},
+      {Div, "\nwitness ", "\nwitness 0000000000000000 "},
   };
   for (const Case &C : Cases) {
     const char *Name = campaignPropertyName(C.Cell.Property);
@@ -1261,23 +1288,97 @@ TEST(Campaign, RefusesSignedCountersInStoredShards) {
     EXPECT_NE(Diff.Error.find(Malformed), std::string::npos) << Diff.Error;
   }
 
-  // The shard file's own header fields are unsigned too.
+  // The shard file's own header fields and the manifest are spelled as
+  // their writer spells them, too.
+  struct StoreCase {
+    const char *File;
+    const char *From;
+    const char *To;
+    const char *Refusal;
+  };
+  const StoreCase StoreCases[] = {
+      {"shard-00000000.ckpt", "\ncell 0\n", "\ncell -0\n",
+       "not a v2 campaign shard"},
+      {"shard-00000000.ckpt", "\nfingerprint ", "\nfingerprint 0x",
+       "not a v2 campaign shard"},
+      {"shard-00000000.ckpt", "\ncell 0\n", "\ncell 00\n",
+       "not a v2 campaign shard"},
+      {"shard-00000000.ckpt", "\nterminal 0\n", "\nterminal +0\n",
+       "not a v2 campaign shard"},
+      {"campaign.manifest", "\nshards ", "\nshards +",
+       "not a v2 campaign manifest"},
+  };
+  for (const StoreCase &C : StoreCases) {
+    SCOPED_TRACE(testing::Message() << C.File << " " << C.To);
+    CampaignSpec Spec;
+    Spec.Cells.push_back(Add);
+    CampaignIO IO;
+    IO.CheckpointDir = makeCheckpointDir();
+    CampaignResult Clean = runCampaign(Spec, IO, kConfigs[0]);
+    ASSERT_TRUE(Clean.Complete) << Clean.Error;
+    ASSERT_TRUE(editFile(IO.CheckpointDir + "/" + C.File, C.From, C.To));
+    IO.Resume = true;
+    CampaignResult Resumed = runCampaign(Spec, IO, kConfigs[0]);
+    EXPECT_FALSE(Resumed.ok());
+    EXPECT_NE(Resumed.Error.find(C.Refusal), std::string::npos)
+        << Resumed.Error;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Witness corpora
+//===----------------------------------------------------------------------===//
+
+TEST(Campaign, WitnessCorpusRoundTripsAndRefusesDamagedLines) {
+  // The worst-case pairs of every mul algorithm at width 4 and of div at
+  // width 3, collected as precision_atlas collects them.
   CampaignSpec Spec;
-  Spec.Cells.push_back(Cases[0].Cell);
-  CampaignIO IO;
-  IO.CheckpointDir = makeCheckpointDir();
-  CampaignResult Clean = runCampaign(Spec, IO, kConfigs[0]);
-  ASSERT_TRUE(Clean.Complete) << Clean.Error;
-  ASSERT_TRUE(editFile(IO.CheckpointDir + "/shard-00000000.ckpt",
-                       "\ncell 0\n", "\ncell -0\n"));
+  for (MulAlgorithm Mul : AllMulAlgorithms)
+    Spec.Cells.push_back({BinaryOp::Mul, Mul, 4, CampaignProperty::Precision});
+  Spec.Cells.push_back(
+      {BinaryOp::Div, MulAlgorithm::Our, 3, CampaignProperty::Precision});
+  CampaignResult Campaign = runCampaign(Spec, CampaignIO(), kConfigs[0]);
+  ASSERT_TRUE(Campaign.Complete) << Campaign.Error;
+  std::vector<WitnessPair> Pairs;
+  for (const CampaignCellResult &Cell : Campaign.Cells)
+    if (const std::optional<PrecisionWitness> &W = Cell.Precision.Worst)
+      Pairs.push_back({Cell.Cell.Op, Cell.Cell.Mul, Cell.Cell.Width, W->P,
+                       W->Q, W->Gap});
+  ASSERT_EQ(Pairs.size(), Spec.Cells.size());
+  const std::string Text = encodeWitnessCorpus(Pairs);
   std::string Error;
-  std::optional<CheckpointStore> Store =
-      CheckpointStore::open(IO.CheckpointDir, campaignFingerprint(Spec, IO),
-                            Clean.ShardsTotal, Error);
-  ASSERT_TRUE(Store.has_value()) << Error;
-  EXPECT_FALSE(Store->loadShard(0, Error).has_value());
-  EXPECT_NE(Error.find("not a v2 campaign shard"), std::string::npos)
-      << Error;
+  EXPECT_EQ(parseWitnessCorpus(Text, "atlas", Error), Pairs) << Error;
+  EXPECT_EQ(parseWitnessCorpus("tnums-witness-corpus v1\n", "empty", Error),
+            std::vector<WitnessPair>());
+
+  // Each damaged line, appended after the good ones, refuses the whole
+  // corpus with its line number -- never a replay of the pairs before it.
+  const std::string Line = formatString("%zu", Pairs.size() + 2);
+  for (const char *Bad : {
+           "pair mul our_mul 4 -1 0 0 0 0\n",  // signed word
+           "pair mul our_mul 4 0x1 0 0 0 0\n", // prefixed word
+           "pair mul our_mul 4 01 0 0 0 0\n",  // leading zero
+           "pair mul our_mul 4 A 0 0 0 0\n",   // upper case
+           "pair mul our_mul 4 1 1 0 0 0\n",   // v & m != 0
+           "pair mul our_mul 4 10 0 0 0 0\n",  // wider than width 4
+           "pair mul our_mul 4 1 0 0 f 5\n",   // gap above the width
+           "pair mul our_mul 0 0 0 0 0 0\n",   // width 0
+           "pair mul our_mul 65 0 0 0 0 0\n",  // width 65
+           "pair pow our_mul 4 1 0 0 0 0\n",   // op not in the roster
+           "pair mul my_mul 4 1 0 0 0 0\n",    // algorithm not in it
+           "pair mul our_mul 4 1 0 0 0 0 0\n", // extra word
+           "pair mul our_mul 4 1 0 0 0\n",     // missing word
+           "pair  mul our_mul 4 1 0 0 0 0\n",  // double space
+           "pair mul our_mul 4 1 0 0 0 0",      // no final newline
+           "\n"}) {
+    SCOPED_TRACE(Bad);
+    Error.clear();
+    EXPECT_FALSE(parseWitnessCorpus(Text + Bad, "damaged", Error));
+    EXPECT_NE(Error.find("damaged:" + Line + ":"), std::string::npos)
+        << Error;
+  }
+  EXPECT_FALSE(parseWitnessCorpus("tnums-witness-corpus v2\n", "v2", Error));
+  EXPECT_NE(Error.find("v2:1:"), std::string::npos) << Error;
 }
 
 } // namespace

@@ -9,10 +9,10 @@
 /// Locks the "tnums-corpus v1" format (service/Corpus.h): encode/parse and
 /// save/load round-trip requests bit-exactly (canonical-encoding
 /// identity), comments / blank lines / CRLF / a missing final newline are
-/// tolerated, and every malformed input -- bad header, odd-length or
-/// non-hex entry, undecodable bytes, structurally invalid program -- fails
-/// the WHOLE load with a "<name>:<line>:" diagnostic. A corpus either
-/// replays exactly or is refused.
+/// tolerated, and every malformed input -- bad header, odd-length,
+/// non-hex or upper-case entry, undecodable bytes, structurally invalid
+/// program -- fails the WHOLE load with a "<name>:<line>:" diagnostic. A
+/// corpus either replays exactly or is refused.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -137,6 +138,15 @@ TEST(Corpus, RefusesMalformedEntriesWithLineDiagnostics) {
   Error.clear();
   EXPECT_FALSE(parseCorpusText(Good + "deadbeef\n", "undec", Error));
   EXPECT_NE(Error.find("undec:3:"), std::string::npos) << Error;
+
+  // A valid entry in upper case: not what encodeCorpusText writes.
+  std::string Upper = Good;
+  for (size_t I = Upper.find('\n'); I != Upper.size(); ++I)
+    Upper[I] = static_cast<char>(std::toupper(Upper[I]));
+  ASSERT_NE(Upper, Good);
+  Error.clear();
+  EXPECT_FALSE(parseCorpusText(Upper, "upper", Error));
+  EXPECT_NE(Error.find("upper:2:"), std::string::npos) << Error;
 
   // The good entries do not rescue a malformed load: nothing is returned.
   // (Asserted by the nullopt results above -- all or nothing.)

@@ -253,12 +253,14 @@ TEST(VerdictCache, TornAndPoisonedEntriesRefusedNeverMisread) {
     SignedKey,
     PlusSign,
     LeadingSpace,
-    HexPrefix
+    HexPrefix,
+    CacheHitSet
   };
   for (Damage Kind :
        {Damage::TruncateHalf, Damage::TruncateOneByte, Damage::GarbageMagic,
         Damage::FlipHeader, Damage::SignedVersionFp, Damage::SignedKey,
-        Damage::PlusSign, Damage::LeadingSpace, Damage::HexPrefix}) {
+        Damage::PlusSign, Damage::LeadingSpace, Damage::HexPrefix,
+        Damage::CacheHitSet}) {
     std::string Dir = makeCacheDir();
     std::string Path;
     {
@@ -313,6 +315,20 @@ TEST(VerdictCache, TornAndPoisonedEntriesRefusedNeverMisread) {
     case Damage::HexPrefix:
       Respell("versionfp", [](const std::string &D) { return "0x" + D; });
       break;
+    case Damage::CacheHitSet: {
+      // The payload is the hex of a 4-byte little-endian length, the
+      // canonical request and the wire verdict, whose second byte is
+      // CacheHit. The writer always stores 0 there; a 1 still decodes.
+      const size_t Hex = Contents.find("\npayload ") + 9;
+      size_t Len = 0;
+      for (unsigned Byte = 0; Byte != 4; ++Byte)
+        Len |= std::stoul(Contents.substr(Hex + 2 * Byte, 2), nullptr, 16)
+               << (8 * Byte);
+      ASSERT_EQ(Contents.substr(Hex + 2 * (4 + Len + 1), 2), "00");
+      Contents.replace(Hex + 2 * (4 + Len + 1), 2, "01");
+      spew(Path, Contents);
+      break;
+    }
     }
 
     std::unique_ptr<VerdictCache> Reopened = VerdictCache::open(Dir, Error);
@@ -358,12 +374,20 @@ TEST(VerdictCache, WrongKeyEntryRefusedAsPoison) {
 }
 
 TEST(VerdictCache, RefusesForeignManifest) {
-  std::string Dir = makeCacheDir();
-  std::string Error;
-  ASSERT_EQ(::mkdir(Dir.c_str(), 0755), 0);
-  spew(Dir + "/verdicts.manifest", "some other tool's file\n");
-  EXPECT_FALSE(VerdictCache::open(Dir, Error));
-  EXPECT_FALSE(Error.empty());
+  // The manifest is exactly the one line open() writes: another tool's
+  // file, trailing bytes and a missing final newline are all refused.
+  for (const char *Manifest :
+       {"some other tool's file\n", "tnums-verdict-cache v1\ntrailing\n",
+        "tnums-verdict-cache v1\n\n", "tnums-verdict-cache v1"}) {
+    SCOPED_TRACE(Manifest);
+    std::string Dir = makeCacheDir();
+    std::string Error;
+    ASSERT_EQ(::mkdir(Dir.c_str(), 0755), 0);
+    spew(Dir + "/verdicts.manifest", Manifest);
+    EXPECT_FALSE(VerdictCache::open(Dir, Error));
+    EXPECT_NE(Error.find("is not a tnums verdict cache"), std::string::npos)
+        << Error;
+  }
 }
 
 TEST(VerdictCache, StatesAreNeverPersisted) {
