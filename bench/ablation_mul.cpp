@@ -30,6 +30,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParse.h"
 #include "support/CycleTimer.h"
 #include "support/Random.h"
 #include "support/Record.h"
@@ -41,10 +42,8 @@
 #include "verify/Campaign.h"
 #include "verify/SoundnessChecker.h"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -157,19 +156,22 @@ int main(int Argc, char **Argv) {
   uint64_t Pairs = 200000;
   unsigned Width = 6;
   const char *CorpusPath = nullptr;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--pairs") == 0 && I + 1 < Argc)
-      Pairs = std::strtoull(Argv[++I], nullptr, 10);
-    else if (std::strcmp(Argv[I], "--width") == 0 && I + 1 < Argc)
-      Width = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--witness-corpus") == 0 && I + 1 < Argc)
-      CorpusPath = Argv[++I];
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--pairs N] [--width N] [--witness-corpus F]\n",
-                   Argv[0]);
-      return 1;
-    }
+  ArgParser Args(Argc, Argv);
+  while (Args.more()) {
+    if (Args.matchU64("--pairs", 1, uint64_t(1) << 32, Pairs))
+      continue;
+    if (Args.matchUnsigned("--width", 1, 16, Width))
+      continue;
+    if (Args.matchString("--witness-corpus", CorpusPath))
+      continue;
+    Args.reject();
+  }
+  if (Args.failed()) {
+    std::fprintf(stderr,
+                 "usage: %s [--pairs 1..2^32] [--width 1..16] "
+                 "[--witness-corpus F]\n",
+                 Argv[0]);
+    return 1;
   }
   std::vector<WitnessPair> Seeds;
   if (CorpusPath) {
@@ -183,11 +185,14 @@ int main(int Argc, char **Argv) {
                   "through the 64-bit lane)\n\n",
                   Seeds.size(), CorpusPath);
   }
+  std::string OperandSource =
+      Seeds.empty() ? std::string("random 64-bit pairs")
+                    : formatString("pairs replayed from %s", CorpusPath);
 
   //===--------------------------------------------------------------------===//
   std::printf("[a] abstract additions per multiplication (mean over %llu "
-              "random 64-bit pairs)\n\n",
-              static_cast<unsigned long long>(Pairs));
+              "%s)\n\n",
+              static_cast<unsigned long long>(Pairs), OperandSource.c_str());
   {
     PairSource Source(Seeds, 4242);
     double SumKern = 0;
@@ -241,12 +246,13 @@ int main(int Argc, char **Argv) {
 
     // The naive algorithm is ~10x slower; cap its sample count so the
     // ablation stays quick while the others see the full pair budget.
+    uint64_t NaivePairs = std::max<uint64_t>(1, Pairs / 10);
     PairSource Source(Seeds, 777);
     uint64_t Sink = 0;
     for (uint64_t I = 0; I != Pairs; ++I) {
       auto [P, Q] = Source.next();
       for (Step &S : Steps) {
-        if (S.Fn == NaiveFn && I >= Pairs / 10)
+        if (S.Fn == NaiveFn && I >= NaivePairs)
           continue;
         S.Cycles.add(minCyclesOverTrials(
             10, [&] { return S.Fn(P, Q).value(); }, Sink));

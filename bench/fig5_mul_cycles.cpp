@@ -31,6 +31,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParse.h"
 #include "support/CycleTimer.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
@@ -40,7 +41,6 @@
 #include "verify/SoundnessChecker.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -67,26 +67,32 @@ int main(int Argc, char **Argv) {
   bool WithNaive = false;
   bool Csv = false;
   const char *JsonPath = nullptr;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--pairs") == 0 && I + 1 < Argc)
-      Pairs = std::strtoull(Argv[++I], nullptr, 10);
-    else if (std::strcmp(Argv[I], "--trials") == 0 && I + 1 < Argc)
-      Trials = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--low-bits") == 0 && I + 1 < Argc)
-      LowBits = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--with-naive") == 0)
+  ArgParser Args(Argc, Argv);
+  while (Args.more()) {
+    if (Args.matchU64("--pairs", 1, uint64_t(1) << 32, Pairs))
+      continue;
+    if (Args.matchUnsigned("--trials", 1, 1000, Trials))
+      continue;
+    if (Args.matchUnsigned("--low-bits", 1, 64, LowBits))
+      continue;
+    if (Args.matchFlag("--with-naive")) {
       WithNaive = true;
-    else if (std::strcmp(Argv[I], "--csv") == 0)
-      Csv = true;
-    else if (std::strcmp(Argv[I], "--json") == 0 && I + 1 < Argc)
-      JsonPath = Argv[++I];
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--pairs N] [--trials N] [--low-bits N] "
-                   "[--with-naive] [--csv] [--json FILE]\n",
-                   Argv[0]);
-      return 1;
+      continue;
     }
+    if (Args.matchFlag("--csv")) {
+      Csv = true;
+      continue;
+    }
+    if (Args.matchString("--json", JsonPath))
+      continue;
+    Args.reject();
+  }
+  if (Args.failed()) {
+    std::fprintf(stderr,
+                 "usage: %s [--pairs 1..2^32] [--trials 1..1000] "
+                 "[--low-bits 1..64] [--with-naive] [--csv] [--json FILE]\n",
+                 Argv[0]);
+    return 1;
   }
 
   std::printf("Figure 5: multiplication cost over %llu random tnum pairs "

@@ -23,6 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParse.h"
 #include "support/CycleTimer.h"
 #include "support/Random.h"
 #include "support/Stats.h"
@@ -32,23 +33,24 @@
 #include "verify/SoundnessChecker.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace tnums;
 
 int main(int Argc, char **Argv) {
   uint64_t Pairs = 200000;
   unsigned PrecisionWidth = 6;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--pairs") == 0 && I + 1 < Argc)
-      Pairs = std::strtoull(Argv[++I], nullptr, 10);
-    else if (std::strcmp(Argv[I], "--width") == 0 && I + 1 < Argc)
-      PrecisionWidth = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else {
-      std::fprintf(stderr, "usage: %s [--pairs N] [--width N]\n", Argv[0]);
-      return 1;
-    }
+  ArgParser Args(Argc, Argv);
+  while (Args.more()) {
+    if (Args.matchU64("--pairs", 1, uint64_t(1) << 32, Pairs))
+      continue;
+    if (Args.matchUnsigned("--width", 1, 16, PrecisionWidth))
+      continue;
+    Args.reject();
+  }
+  if (Args.failed()) {
+    std::fprintf(stderr, "usage: %s [--pairs 1..2^32] [--width 1..16]\n",
+                 Argv[0]);
+    return 1;
   }
 
   //===--------------------------------------------------------------------===//

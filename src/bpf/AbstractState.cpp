@@ -31,25 +31,6 @@ const char *tnums::bpf::regKindName(RegKind Kind) {
   return "unknown";
 }
 
-AbsReg AbsReg::joinWith(const AbsReg &Q) const {
-  if (Kind == Q.Kind) {
-    if (!isUsable())
-      return *this; // Uninit ∨ Uninit, Invalid ∨ Invalid.
-    return AbsReg(Kind, Val.joinWith(Q.Val));
-  }
-  return makeInvalid();
-}
-
-bool AbsReg::isSubsetOf(const AbsReg &Q) const {
-  if (Q.Kind == RegKind::Invalid)
-    return true; // Invalid is the top of the kind lattice.
-  if (Kind != Q.Kind)
-    return false;
-  if (!isUsable())
-    return true;
-  return Val.isSubsetOf(Q.Val);
-}
-
 std::string AbsReg::toString() const {
   if (!isUsable())
     return regKindName(Kind);

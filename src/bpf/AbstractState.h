@@ -76,10 +76,25 @@ public:
 
   /// Least upper bound. Same kinds join their values; incompatible kinds
   /// collapse to Invalid (two Uninits stay Uninit).
-  AbsReg joinWith(const AbsReg &Q) const;
+  AbsReg joinWith(const AbsReg &Q) const {
+    if (Kind == Q.Kind) {
+      if (!isUsable())
+        return *this; // Uninit ∨ Uninit, Invalid ∨ Invalid.
+      return AbsReg(Kind, Val.joinWith(Q.Val));
+    }
+    return makeInvalid();
+  }
 
   /// Partial order consistent with joinWith.
-  bool isSubsetOf(const AbsReg &Q) const;
+  bool isSubsetOf(const AbsReg &Q) const {
+    if (Q.Kind == RegKind::Invalid)
+      return true; // Invalid is the top of the kind lattice.
+    if (Kind != Q.Kind)
+      return false;
+    if (!isUsable())
+      return true;
+    return Val.isSubsetOf(Q.Val);
+  }
 
   std::string toString() const;
 

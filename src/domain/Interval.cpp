@@ -14,46 +14,15 @@
 
 using namespace tnums;
 
-Interval::Interval(uint64_t MinV, uint64_t MaxV)
-    : Min(MinV), Max(MaxV), Bottom(false) {
-  assert(MinV <= MaxV && "inverted interval; use makeBottom for empty");
-}
-
-bool Interval::isSubsetOf(const Interval &Q) const {
-  if (Bottom)
-    return true;
-  if (Q.Bottom)
-    return false;
-  return Q.Min <= Min && Max <= Q.Max;
-}
-
-Interval Interval::joinWith(const Interval &Q) const {
-  if (Bottom)
-    return Q;
-  if (Q.Bottom)
-    return *this;
-  return Interval(std::min(Min, Q.Min), std::max(Max, Q.Max));
-}
-
-Interval Interval::meetWith(const Interval &Q) const {
-  if (Bottom || Q.Bottom)
-    return makeBottom();
-  uint64_t NewMin = std::max(Min, Q.Min);
-  uint64_t NewMax = std::min(Max, Q.Max);
-  if (NewMin > NewMax)
-    return makeBottom();
-  return Interval(NewMin, NewMax);
-}
-
 uint64_t Interval::size() const {
-  if (Bottom)
+  if (isBottom())
     return 0;
   uint64_t Span = Max - Min;
   return Span == ~uint64_t(0) ? ~uint64_t(0) : Span + 1;
 }
 
 std::string Interval::toString() const {
-  if (Bottom)
+  if (isBottom())
     return "<bottom>";
   return formatString("[%llu, %llu]", static_cast<unsigned long long>(Min),
                       static_cast<unsigned long long>(Max));

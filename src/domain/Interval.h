@@ -19,13 +19,18 @@
 
 #include "support/Bits.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace tnums {
 
 /// An unsigned interval [Min, Max] over width-n values, or bottom (empty).
+/// Like the kernel's bare umin/umax words, the interval has no bottom flag:
+/// it is empty exactly when Min > Max. Every operation that empties an
+/// interval returns the canonical bottom (1, 0) of makeBottom(), so equality
+/// compares the two words.
 class Interval {
 public:
   /// Top at \p Width: [0, 2^Width - 1].
@@ -33,37 +38,54 @@ public:
     return Interval(0, lowBitsMask(Width));
   }
 
-  /// The empty interval.
-  static Interval makeBottom() {
-    Interval I(1, 0, /*Bottom=*/true);
-    return I;
-  }
+  /// The empty interval, (1, 0).
+  static Interval makeBottom() { return Interval(EmptyTag()); }
 
   /// The singleton [C, C].
   static Interval makeConstant(uint64_t C) { return Interval(C, C); }
 
   /// [Min, Max]; requires Min <= Max (use makeBottom for empty).
-  Interval(uint64_t Min, uint64_t Max);
+  Interval(uint64_t MinV, uint64_t MaxV) : Min(MinV), Max(MaxV) {
+    assert(MinV <= MaxV && "inverted interval; use makeBottom for empty");
+  }
 
-  bool isBottom() const { return Bottom; }
-  bool isConstant() const { return !Bottom && Min == Max; }
+  bool isBottom() const { return Min > Max; }
+  bool isConstant() const { return Min == Max; }
 
   uint64_t min() const {
-    assert(!Bottom && "min of empty interval");
+    assert(!isBottom() && "min of empty interval");
     return Min;
   }
   uint64_t max() const {
-    assert(!Bottom && "max of empty interval");
+    assert(!isBottom() && "max of empty interval");
     return Max;
   }
 
-  bool contains(uint64_t V) const { return !Bottom && Min <= V && V <= Max; }
+  bool contains(uint64_t V) const { return Min <= V && V <= Max; }
 
-  /// gamma(this) ⊆ gamma(Q).
-  bool isSubsetOf(const Interval &Q) const;
+  /// gamma(this) ⊆ gamma(Q). A non-empty interval inside Q forces
+  /// Q.Min <= Q.Max, so an empty Q contains only the empty interval.
+  bool isSubsetOf(const Interval &Q) const {
+    return isBottom() || (Q.Min <= Min && Max <= Q.Max);
+  }
 
-  Interval joinWith(const Interval &Q) const;
-  Interval meetWith(const Interval &Q) const;
+  Interval joinWith(const Interval &Q) const {
+    if (isBottom())
+      return Q;
+    if (Q.isBottom())
+      return *this;
+    return Interval(std::min(Min, Q.Min), std::max(Max, Q.Max));
+  }
+
+  /// An empty operand needs no test: its Min > Max carries through the
+  /// max of the mins and the min of the maxes.
+  Interval meetWith(const Interval &Q) const {
+    uint64_t NewMin = std::max(Min, Q.Min);
+    uint64_t NewMax = std::min(Max, Q.Max);
+    if (NewMin > NewMax)
+      return makeBottom();
+    return Interval(NewMin, NewMax);
+  }
 
   /// Number of values in the interval, saturating at UINT64_MAX for the
   /// full 64-bit top.
@@ -72,8 +94,6 @@ public:
   std::string toString() const;
 
   friend bool operator==(const Interval &A, const Interval &B) {
-    if (A.Bottom || B.Bottom)
-      return A.Bottom == B.Bottom;
     return A.Min == B.Min && A.Max == B.Max;
   }
   friend bool operator!=(const Interval &A, const Interval &B) {
@@ -81,13 +101,17 @@ public:
   }
 
 private:
-  Interval(uint64_t MinV, uint64_t MaxV, bool BottomV)
-      : Min(MinV), Max(MaxV), Bottom(BottomV) {}
+  struct EmptyTag {};
+  explicit Interval(EmptyTag) : Min(1), Max(0) {}
 
   uint64_t Min;
   uint64_t Max;
-  bool Bottom;
 };
+
+// Two words, like the kernel's umin/umax: every copied RegValue and
+// analyzer state carries two of these.
+static_assert(sizeof(Interval) == 2 * sizeof(uint64_t),
+              "Interval is its two bounds");
 
 /// Abstract addition at \p Width; top on possible wrap-around.
 Interval intervalAdd(const Interval &P, const Interval &Q, unsigned Width);

@@ -29,31 +29,6 @@ RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV)
   sync();
 }
 
-// The canonical constants skip sync(): top's three components all describe
-// the full width, and a constant's all describe the same single value, so a
-// reduction round changes nothing (tests/DomainTest.cpp checks both against
-// constructors that do reduce).
-RegValue RegValue::makeTop(unsigned Width) {
-  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
-  return RegValue(Tnum::makeUnknown(Width), Interval::makeTop(Width),
-                  SignedRange::makeTop(Width), Width, /*BottomV=*/false);
-}
-
-RegValue RegValue::makeBottom(unsigned Width) {
-  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
-  return RegValue(Tnum::makeBottom(), Interval::makeBottom(),
-                  SignedRange::makeBottom(), Width, /*BottomV=*/true);
-}
-
-RegValue RegValue::makeConstant(uint64_t C, unsigned Width) {
-  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
-  uint64_t Truncated = truncateToWidth(C, Width);
-  return RegValue(Tnum::makeConstant(Truncated),
-                  Interval::makeConstant(Truncated),
-                  SignedRange::makeConstant(signExtend(Truncated, Width)),
-                  Width, /*BottomV=*/false);
-}
-
 RegValue RegValue::fromTnum(Tnum T, unsigned Width) {
   assert(T.fitsWidth(Width) && "tnum wider than requested width");
   if (T.isBottom())
@@ -75,17 +50,6 @@ bool RegValue::contains(uint64_t V) const {
   uint64_t Truncated = truncateToWidth(V, Width);
   return TnumPart.contains(Truncated) && UnsignedPart.contains(Truncated) &&
          SignedPart.contains(signExtend(Truncated, Width));
-}
-
-bool RegValue::isSubsetOf(const RegValue &Q) const {
-  assert(Width == Q.Width && "width mismatch");
-  if (Bottom)
-    return true;
-  if (Q.Bottom)
-    return false;
-  return TnumPart.isSubsetOf(Q.TnumPart) &&
-         UnsignedPart.isSubsetOf(Q.UnsignedPart) &&
-         SignedPart.isSubsetOf(Q.SignedPart);
 }
 
 RegValue RegValue::joinWith(const RegValue &Q) const {
@@ -133,15 +97,6 @@ std::string RegValue::toString() const {
                       TnumPart.toString(Width).c_str(),
                       UnsignedPart.toString().c_str(),
                       SignedPart.toString().c_str());
-}
-
-bool tnums::operator==(const RegValue &A, const RegValue &B) {
-  if (A.Width != B.Width)
-    return false;
-  if (A.Bottom || B.Bottom)
-    return A.Bottom == B.Bottom;
-  return A.TnumPart == B.TnumPart && A.UnsignedPart == B.UnsignedPart &&
-         A.SignedPart == B.SignedPart;
 }
 
 bool RegValue::reduceOnce() {

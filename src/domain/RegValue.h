@@ -34,23 +34,39 @@ class RegValue;
 /// computing every component and reducing. Widths must match.
 RegValue applyBinary(BinaryOp Op, const RegValue &L, const RegValue &R);
 
-bool operator==(const RegValue &A, const RegValue &B);
-
 /// Reduced product Tnum × Interval × SignedRange at a fixed bit width.
 /// All mutating operations keep the three components mutually consistent
 /// (sync()) and collapse to a canonical bottom when any component empties.
 class RegValue {
 public:
   /// Top at \p Width (everything unknown). Like makeBottom and
-  /// makeConstant, this builds the reduced value directly: its components
-  /// are already a fixpoint of the reduction, so no sync() runs.
-  static RegValue makeTop(unsigned Width = MaxBitWidth);
+  /// makeConstant, this builds the reduced value directly: top's three
+  /// components all describe the full width, and a constant's all describe
+  /// the same single value, so a reduction round would change nothing and
+  /// no sync() runs (tests/DomainTest.cpp checks both against constructors
+  /// that do reduce).
+  static RegValue makeTop(unsigned Width = MaxBitWidth) {
+    assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+    return RegValue(Tnum::makeUnknown(Width), Interval::makeTop(Width),
+                    SignedRange::makeTop(Width), Width, /*BottomV=*/false);
+  }
 
   /// Bottom (unreachable) at \p Width.
-  static RegValue makeBottom(unsigned Width = MaxBitWidth);
+  static RegValue makeBottom(unsigned Width = MaxBitWidth) {
+    assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+    return RegValue(Tnum::makeBottom(), Interval::makeBottom(),
+                    SignedRange::makeBottom(), Width, /*BottomV=*/true);
+  }
 
   /// The exact abstraction of constant \p C (truncated to the width).
-  static RegValue makeConstant(uint64_t C, unsigned Width = MaxBitWidth);
+  static RegValue makeConstant(uint64_t C, unsigned Width = MaxBitWidth) {
+    assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+    uint64_t Truncated = truncateToWidth(C, Width);
+    return RegValue(Tnum::makeConstant(Truncated),
+                    Interval::makeConstant(Truncated),
+                    SignedRange::makeConstant(signExtend(Truncated, Width)),
+                    Width, /*BottomV=*/false);
+  }
 
   /// The best product value whose tnum component is \p T.
   static RegValue fromTnum(Tnum T, unsigned Width = MaxBitWidth);
@@ -73,7 +89,16 @@ public:
   bool contains(uint64_t V) const;
 
   /// Product order: componentwise subset.
-  bool isSubsetOf(const RegValue &Q) const;
+  bool isSubsetOf(const RegValue &Q) const {
+    assert(Width == Q.Width && "width mismatch");
+    if (Bottom)
+      return true;
+    if (Q.Bottom)
+      return false;
+    return TnumPart.isSubsetOf(Q.TnumPart) &&
+           UnsignedPart.isSubsetOf(Q.UnsignedPart) &&
+           SignedPart.isSubsetOf(Q.SignedPart);
+  }
 
   RegValue joinWith(const RegValue &Q) const;
   RegValue meetWith(const RegValue &Q) const;
@@ -89,7 +114,18 @@ public:
 
   std::string toString() const;
 
-  friend bool tnums::operator==(const RegValue &A, const RegValue &B);
+  friend bool operator==(const RegValue &A, const RegValue &B) {
+    if (A.Width != B.Width)
+      return false;
+    if (A.Bottom || B.Bottom)
+      return A.Bottom == B.Bottom;
+    return A.TnumPart == B.TnumPart && A.UnsignedPart == B.UnsignedPart &&
+           A.SignedPart == B.SignedPart;
+  }
+  friend bool operator!=(const RegValue &A, const RegValue &B) {
+    return !(A == B);
+  }
+
   friend RegValue tnums::applyBinary(BinaryOp Op, const RegValue &L,
                                      const RegValue &R);
 
@@ -118,10 +154,6 @@ private:
   unsigned Width;
   bool Bottom;
 };
-
-inline bool operator!=(const RegValue &A, const RegValue &B) {
-  return !(A == B);
-}
 
 /// BPF conditional-jump comparison kinds (subset used by the analyzer).
 enum class CompareOp {

@@ -9,51 +9,10 @@
 
 #include "support/Table.h"
 
-#include <algorithm>
-
 using namespace tnums;
 
-SignedRange SignedRange::makeTop(unsigned Width) {
-  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
-  if (Width == MaxBitWidth)
-    return SignedRange(INT64_MIN, INT64_MAX);
-  int64_t Half = int64_t(1) << (Width - 1);
-  return SignedRange(-Half, Half - 1);
-}
-
-SignedRange::SignedRange(int64_t MinV, int64_t MaxV)
-    : Min(MinV), Max(MaxV), Bottom(false) {
-  assert(MinV <= MaxV && "inverted range; use makeBottom for empty");
-}
-
-bool SignedRange::isSubsetOf(const SignedRange &Q) const {
-  if (Bottom)
-    return true;
-  if (Q.Bottom)
-    return false;
-  return Q.Min <= Min && Max <= Q.Max;
-}
-
-SignedRange SignedRange::joinWith(const SignedRange &Q) const {
-  if (Bottom)
-    return Q;
-  if (Q.Bottom)
-    return *this;
-  return SignedRange(std::min(Min, Q.Min), std::max(Max, Q.Max));
-}
-
-SignedRange SignedRange::meetWith(const SignedRange &Q) const {
-  if (Bottom || Q.Bottom)
-    return makeBottom();
-  int64_t NewMin = std::max(Min, Q.Min);
-  int64_t NewMax = std::min(Max, Q.Max);
-  if (NewMin > NewMax)
-    return makeBottom();
-  return SignedRange(NewMin, NewMax);
-}
-
 std::string SignedRange::toString() const {
-  if (Bottom)
+  if (isBottom())
     return "<bottom>";
   return formatString("[%lld, %lld]", static_cast<long long>(Min),
                       static_cast<long long>(Max));

@@ -18,49 +18,78 @@
 
 #include "support/Bits.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string>
 
 namespace tnums {
 
-/// A signed interval [Min, Max] over width-n values, or bottom.
+/// A signed interval [Min, Max] over width-n values, or bottom. As in
+/// Interval, bottom is Min > Max (the kernel's bare smin/smax words), and
+/// the operations only ever build the canonical bottom (1, 0).
 class SignedRange {
 public:
   /// Top at \p Width: [-2^(Width-1), 2^(Width-1) - 1].
-  static SignedRange makeTop(unsigned Width = MaxBitWidth);
+  static SignedRange makeTop(unsigned Width = MaxBitWidth) {
+    assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+    if (Width == MaxBitWidth)
+      return SignedRange(INT64_MIN, INT64_MAX);
+    int64_t Half = int64_t(1) << (Width - 1);
+    return SignedRange(-Half, Half - 1);
+  }
 
-  static SignedRange makeBottom() { return SignedRange(1, 0, true); }
+  static SignedRange makeBottom() { return SignedRange(EmptyTag()); }
 
   static SignedRange makeConstant(int64_t C) { return SignedRange(C, C); }
 
-  SignedRange(int64_t Min, int64_t Max);
+  SignedRange(int64_t MinV, int64_t MaxV) : Min(MinV), Max(MaxV) {
+    assert(MinV <= MaxV && "inverted range; use makeBottom for empty");
+  }
 
-  bool isBottom() const { return Bottom; }
-  bool isConstant() const { return !Bottom && Min == Max; }
+  bool isBottom() const { return Min > Max; }
+  bool isConstant() const { return Min == Max; }
 
   int64_t min() const {
-    assert(!Bottom && "min of empty range");
+    assert(!isBottom() && "min of empty range");
     return Min;
   }
   int64_t max() const {
-    assert(!Bottom && "max of empty range");
+    assert(!isBottom() && "max of empty range");
     return Max;
   }
 
-  bool contains(int64_t V) const { return !Bottom && Min <= V && V <= Max; }
+  bool contains(int64_t V) const { return Min <= V && V <= Max; }
 
-  bool isSubsetOf(const SignedRange &Q) const;
-  SignedRange joinWith(const SignedRange &Q) const;
-  SignedRange meetWith(const SignedRange &Q) const;
+  /// gamma(this) ⊆ gamma(Q); see Interval::isSubsetOf.
+  bool isSubsetOf(const SignedRange &Q) const {
+    return isBottom() || (Q.Min <= Min && Max <= Q.Max);
+  }
+
+  SignedRange joinWith(const SignedRange &Q) const {
+    if (isBottom())
+      return Q;
+    if (Q.isBottom())
+      return *this;
+    return SignedRange(std::min(Min, Q.Min), std::max(Max, Q.Max));
+  }
+
+  /// An empty operand empties the result with no test; see
+  /// Interval::meetWith.
+  SignedRange meetWith(const SignedRange &Q) const {
+    int64_t NewMin = std::max(Min, Q.Min);
+    int64_t NewMax = std::min(Max, Q.Max);
+    if (NewMin > NewMax)
+      return makeBottom();
+    return SignedRange(NewMin, NewMax);
+  }
 
   /// True if every member is non-negative (so signed == unsigned order).
-  bool isNonNegative() const { return !Bottom && Min >= 0; }
+  bool isNonNegative() const { return !isBottom() && Min >= 0; }
 
   std::string toString() const;
 
   friend bool operator==(const SignedRange &A, const SignedRange &B) {
-    if (A.Bottom || B.Bottom)
-      return A.Bottom == B.Bottom;
     return A.Min == B.Min && A.Max == B.Max;
   }
   friend bool operator!=(const SignedRange &A, const SignedRange &B) {
@@ -68,13 +97,16 @@ public:
   }
 
 private:
-  SignedRange(int64_t MinV, int64_t MaxV, bool BottomV)
-      : Min(MinV), Max(MaxV), Bottom(BottomV) {}
+  struct EmptyTag {};
+  explicit SignedRange(EmptyTag) : Min(1), Max(0) {}
 
   int64_t Min;
   int64_t Max;
-  bool Bottom;
 };
+
+// Two words, like the kernel's smin/smax.
+static_assert(sizeof(SignedRange) == 2 * sizeof(int64_t),
+              "SignedRange is its two bounds");
 
 /// Abstract signed addition at \p Width; top on possible signed overflow.
 SignedRange signedAdd(const SignedRange &P, const SignedRange &Q,

@@ -9,22 +9,7 @@
 
 #include "support/Table.h"
 
-#include <bit>
-
 using namespace tnums;
-
-Tnum Tnum::makeRange(uint64_t Min, uint64_t Max) {
-  assert(Min <= Max && "empty range");
-  // Kernel tnum_range(): keep the bits shared by every value in [Min, Max]
-  // (the common prefix above the highest bit where Min and Max differ) and
-  // mark everything below as unknown.
-  uint64_t Chi = Min ^ Max;
-  unsigned Bits = MaxBitWidth - static_cast<unsigned>(std::countl_zero(Chi));
-  if (Bits > 63)
-    return makeUnknown();
-  uint64_t Delta = (uint64_t(1) << Bits) - 1;
-  return Tnum(Min & ~Delta, Delta);
-}
 
 std::optional<Tnum> Tnum::parse(const std::string &Text) {
   if (Text.empty() || Text.size() > MaxBitWidth)
@@ -60,28 +45,6 @@ uint64_t Tnum::concretizationSize() const {
   if (UnknownBits >= MaxBitWidth)
     return ~uint64_t(0); // Saturate: the true size 2^64 is unrepresentable.
   return uint64_t(1) << UnknownBits;
-}
-
-Tnum Tnum::joinWith(const Tnum &Q) const {
-  if (isBottom())
-    return Q.isBottom() ? makeBottom() : Q;
-  if (Q.isBottom())
-    return *this;
-  // A trit stays known only if both sides know it and agree on it.
-  uint64_t NewMask = Mask | Q.Mask | (Value ^ Q.Value);
-  return Tnum(Value & ~NewMask, NewMask);
-}
-
-Tnum Tnum::meetWith(const Tnum &Q) const {
-  if (isBottom() || Q.isBottom())
-    return makeBottom();
-  // A contradiction (some bit known 0 on one side and known 1 on the other)
-  // makes the intersection empty.
-  if (((Value ^ Q.Value) & ~Mask & ~Q.Mask) != 0)
-    return makeBottom();
-  uint64_t NewValue = Value | Q.Value;
-  uint64_t NewMask = Mask & Q.Mask;
-  return Tnum(NewValue & ~NewMask, NewMask);
 }
 
 std::string Tnum::toString(unsigned Width, char UnknownChar) const {

@@ -29,6 +29,7 @@
 
 #include "support/Bits.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -75,7 +76,18 @@ public:
   /// The kernel's tnum_range(): the least tnum whose concretization
   /// contains every value in [\p Min, \p Max] (unsigned). Requires
   /// Min <= Max.
-  static Tnum makeRange(uint64_t Min, uint64_t Max);
+  static Tnum makeRange(uint64_t Min, uint64_t Max) {
+    assert(Min <= Max && "empty range");
+    // Keep the bits shared by every value in [Min, Max] (the common prefix
+    // above the highest bit where Min and Max differ) and mark everything
+    // below as unknown.
+    uint64_t Chi = Min ^ Max;
+    unsigned Bits = MaxBitWidth - static_cast<unsigned>(std::countl_zero(Chi));
+    if (Bits > 63)
+      return makeUnknown();
+    uint64_t Delta = (uint64_t(1) << Bits) - 1;
+    return Tnum(Min & ~Delta, Delta);
+  }
 
   /// Parses a trit string, most significant trit first, e.g. "01u0".
   /// Accepts '0', '1', and 'u'/'U'/'x'/'X' for unknown. Returns
@@ -175,12 +187,30 @@ public:
 
   /// Least upper bound (join / kernel tnum_union semantics): the smallest
   /// tnum whose concretization contains gamma(P) ∪ gamma(Q).
-  Tnum joinWith(const Tnum &Q) const;
+  Tnum joinWith(const Tnum &Q) const {
+    if (isBottom())
+      return Q.isBottom() ? makeBottom() : Q;
+    if (Q.isBottom())
+      return *this;
+    // A trit stays known only if both sides know it and agree on it.
+    uint64_t NewMask = Mask | Q.Mask | (Value ^ Q.Value);
+    return Tnum(Value & ~NewMask, NewMask);
+  }
 
   /// Greatest lower bound (meet / kernel tnum_intersect semantics): keeps
   /// bits known on either side. If the two tnums disagree on a known bit
   /// the result is bottom (returned in canonical form).
-  Tnum meetWith(const Tnum &Q) const;
+  Tnum meetWith(const Tnum &Q) const {
+    if (isBottom() || Q.isBottom())
+      return makeBottom();
+    // A contradiction (some bit known 0 on one side and known 1 on the
+    // other) makes the intersection empty.
+    if (((Value ^ Q.Value) & ~Mask & ~Q.Mask) != 0)
+      return makeBottom();
+    uint64_t NewValue = Value | Q.Value;
+    uint64_t NewMask = Mask & Q.Mask;
+    return Tnum(NewValue & ~NewMask, NewMask);
+  }
 
   /// Renders the low \p Width trits, most significant first, using
   /// \p UnknownChar for µ (default 'u', matching parse()). Bottom renders

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace tnums;
 
 namespace {
@@ -123,6 +125,84 @@ TEST(SignedRange, ArithmeticOverflowGoesTop) {
   EXPECT_EQ(signedNeg(SignedRange(-3, 7), 8), SignedRange(-7, 3));
   EXPECT_EQ(signedNeg(SignedRange(-128, 0), 8), SignedRange::makeTop(8));
   EXPECT_EQ(signedArshift(SignedRange(-16, 8), 2), SignedRange(-4, 2));
+}
+
+//===----------------------------------------------------------------------===//
+// Bottom encoding: an empty range is Min > Max, with no flag, and every
+// empty result is the canonical makeBottom() = (1, 0).
+//===----------------------------------------------------------------------===//
+
+/// Every range [Lo, Hi] with Lo <= Hi in [\p Min, \p Max], plus bottom.
+template <typename Range, typename T>
+std::vector<Range> rangesWithBottom(T Min, T Max) {
+  std::vector<Range> Values = {Range::makeBottom()};
+  for (T Lo = Min; Lo <= Max; ++Lo)
+    for (T Hi = Lo; Hi <= Max; ++Hi)
+      Values.emplace_back(Lo, Hi);
+  return Values;
+}
+
+/// Checks the bottom laws over \p Values; \p Probes are the points tried
+/// for membership.
+template <typename Range, typename T>
+void checkBottomEncoding(const std::vector<Range> &Values,
+                         const std::vector<T> &Probes) {
+  const Range Bottom = Range::makeBottom();
+  EXPECT_TRUE(Bottom.isBottom());
+  EXPECT_FALSE(Bottom.isConstant());
+  EXPECT_EQ(Bottom.toString(), "<bottom>");
+  for (T P : Probes)
+    EXPECT_FALSE(Bottom.contains(P)) << P;
+  for (const Range &A : Values) {
+    EXPECT_TRUE(Bottom.isSubsetOf(A)) << A.toString();
+    EXPECT_EQ(A.isSubsetOf(Bottom), A.isBottom()) << A.toString();
+    EXPECT_EQ(Bottom.joinWith(A), A) << A.toString();
+    EXPECT_EQ(A.joinWith(Bottom), A) << A.toString();
+    for (const Range &B : Values) {
+      bool Disjoint = A.isBottom() || B.isBottom() || A.max() < B.min() ||
+                      B.max() < A.min();
+      Range Meet = A.meetWith(B);
+      EXPECT_EQ(Meet.isBottom(), Disjoint)
+          << A.toString() << " meet " << B.toString();
+      if (Disjoint)
+        EXPECT_EQ(Meet, Bottom) << A.toString() << " meet " << B.toString();
+      else
+        EXPECT_NE(Meet, Bottom) << A.toString() << " meet " << B.toString();
+    }
+  }
+}
+
+TEST(Interval, EmptyMeetsAreTheCanonicalBottom) {
+  checkBottomEncoding(rangesWithBottom<Interval, uint64_t>(0, 7),
+                      std::vector<uint64_t>{0, 1, 2, 7, 8, UINT64_MAX});
+  EXPECT_EQ(Interval::makeBottom().size(), 0u);
+}
+
+TEST(SignedRange, EmptyMeetsAreTheCanonicalBottom) {
+  checkBottomEncoding(
+      rangesWithBottom<SignedRange, int64_t>(-4, 3),
+      std::vector<int64_t>{INT64_MIN, -4, -1, 0, 1, 3, INT64_MAX});
+  EXPECT_FALSE(SignedRange::makeBottom().isNonNegative());
+}
+
+TEST(RegValue, BottomsCompareEqualAndContainNothing) {
+  RegValue Bottom = RegValue::makeBottom(8);
+  RegValue Emptied =
+      RegValue::makeConstant(1, 8).meetWith(RegValue::makeConstant(2, 8));
+  RegValue Refined = RegValue::fromUnsignedRange(0, 9, 8).refineUnsigned(
+      Interval(10, 20));
+  for (const RegValue &V : {Emptied, Refined}) {
+    EXPECT_TRUE(V.isBottom());
+    EXPECT_EQ(V, Bottom);
+    EXPECT_TRUE(V.unsignedBounds().isBottom());
+    EXPECT_TRUE(V.signedBounds().isBottom());
+  }
+  EXPECT_NE(Bottom, RegValue::makeBottom(16));
+  for (uint64_t C : {uint64_t(0), uint64_t(1), uint64_t(255)}) {
+    EXPECT_FALSE(Bottom.contains(C));
+    EXPECT_TRUE(Bottom.isSubsetOf(RegValue::makeConstant(C, 8)));
+    EXPECT_FALSE(RegValue::makeConstant(C, 8).isSubsetOf(Bottom));
+  }
 }
 
 //===----------------------------------------------------------------------===//
