@@ -20,11 +20,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParse.h"
 #include "tnum/TnumEnum.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,16 +53,14 @@ static bool isCoveringSubset(uint64_t Sub, uint64_t Super) {
 
 int main(int Argc, char **Argv) {
   unsigned Width = 2;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--width") == 0 && I + 1 < Argc)
-      Width = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else {
-      std::fprintf(stderr, "usage: %s [--width N]\n", Argv[0]);
-      return 1;
-    }
+  ArgParser Args(Argc, Argv);
+  while (Args.more()) {
+    if (Args.matchUnsigned("--width", 1, 3, Width))
+      continue;
+    Args.reject();
   }
-  if (Width < 1 || Width > 3) {
-    std::fprintf(stderr, "error: width must be in [1, 3]\n");
+  if (Args.failed()) {
+    std::fprintf(stderr, "usage: %s [--width N]   (N in [1, 3])\n", Argv[0]);
     return 1;
   }
   unsigned NumValues = 1u << Width;

@@ -24,6 +24,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParse.h"
 #include "support/Table.h"
 #include "verify/Campaign.h"
 
@@ -64,8 +65,16 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  if (Argc >= 3)
-    Width = static_cast<unsigned>(std::atoi(Argv[2]));
+  if (Argc >= 3) {
+    std::optional<uint64_t> Parsed = parseBoundedU64(Argv[2], 1, 8);
+    if (!Parsed) {
+      std::fprintf(stderr,
+                   "error: width must be in [1, 8] (cost grows as 16^n; 7-8 "
+                   "take minutes even on the parallel SIMD path)\n");
+      return 1;
+    }
+    Width = static_cast<unsigned>(*Parsed);
+  }
   if (Argc >= 4) {
     std::optional<MulAlgorithm> Parsed = parseMulAlgorithm(Argv[3]);
     if (!Parsed) {
@@ -74,13 +83,6 @@ int main(int Argc, char **Argv) {
     }
     Mul = *Parsed;
   }
-  if (Width < 1 || Width > 8) {
-    std::fprintf(stderr,
-                 "error: width must be in [1, 8] (cost grows as 16^n; 7-8 "
-                 "take minutes even on the parallel SIMD path)\n");
-    return 1;
-  }
-
   std::vector<BinaryOp> Ops;
   if (Only)
     Ops.push_back(*Only);

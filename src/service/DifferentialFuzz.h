@@ -19,6 +19,12 @@
 ///      proves memory safety, and mutated loop guards can legitimately
 ///      produce accepted-but-nonterminating programs (the kernel instead
 ///      rejects unbounded loops; our analyzer stays total via widening).
+///      A budget run is only counted, so when the first run of a
+///      memory-blind program (isMemoryBlind) exhausts the budget, its
+///      other runs are counted as budget runs without executing: each
+///      would follow the first one's path to the same budget exhaustion.
+///      Runs that exit or trap still execute on every memory, because
+///      oracle 2 reads each run's registers.
 ///   2. At the exit instruction each run actually reached, every concrete
 ///      scalar register value lies inside the analyzer's fixpoint abstract
 ///      value there -- the whole-system form of the paper's Eqn. 8.
@@ -104,6 +110,18 @@ struct FuzzReport {
 
 /// Runs the campaign. Deterministic in (\p Seed, \p Config).
 FuzzReport runDifferentialFuzz(uint64_t Seed, const FuzzConfig &Config);
+
+/// True when no branch condition and no load or store address of \p Prog
+/// can depend on a loaded value. The check is a flow-insensitive register
+/// taint iterated to a fixpoint: a Load taints its destination, and a
+/// register-form ALU op (Mov included; Neg reads no source) passes its
+/// source's taint to its destination; a Jmp reading a tainted register,
+/// or a Load or Store through a tainted base, makes the program
+/// memory-dependent. Every other input to control flow (R1, R2 = the
+/// region size, R10, the zeroed stack) is the same on every run, so all
+/// runs of a memory-blind program over one region size follow one path
+/// and agree in status, Steps, ExitPc, FaultPc and Message.
+bool isMemoryBlind(const bpf::Program &Prog);
 
 } // namespace service
 } // namespace tnums
