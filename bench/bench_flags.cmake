@@ -1,6 +1,7 @@
 # The paper benches' flag contract: a flag value a bench cannot run is
 # refused with its usage line and exit status 1, never a crash or a table
-# of nonsense; the smallest values it can run exit 0; and ablation_mul's
+# of nonsense; the smallest values it can run exit 0; the campaign front
+# ends take --simd=auto or --simd=off and nothing else; and ablation_mul's
 # section [a] names the operand source it used. Each expect() row is one
 # command and what it must do. The status must match exactly, so a crash
 # (which execute_process reports as a signal name) fails every row.
@@ -34,6 +35,13 @@ expect(1 "" fig5_mul_cycles --pairs 10 --trials 0)
 expect(1 "" fig5_mul_cycles --pairs 10 --low-bits 0)
 expect(1 "" ablation_mul --pairs 20 --width 0)
 expect(1 "" ripple_vs_kernel_add --pairs 20 --width 0)
+
+# --simd takes auto or off: an instruction-set tier is a bad value, not a
+# host error.
+expect(1 "" soundness_verification --width 1 --mul-width 1 --simd=avx512)
+expect(1 "" precision_atlas --width 2 --simd=portable)
+expect(0 "" soundness_verification --width 2 --mul-width 2 --random-pairs 0
+       --simd=off)
 
 # Fewer than ten pairs still give the naive step one sample.
 expect(0 "bitwise_mul_naive" ablation_mul --pairs 5 --width 2)

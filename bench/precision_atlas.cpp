@@ -46,7 +46,7 @@
 ///                       (e2e.atlas_baseline): gap fields are exact;
 ///                       campaign_pairs_per_s gets the throughput floor
 ///
-/// Reports are bit-identical across schedulers, SIMD tiers, shard splits,
+/// Reports are bit-identical across schedulers, SIMD modes, shard splits,
 /// and kill/resume interleavings (the campaign determinism contract).
 /// The atlas measures; it does not judge: exit status is 0 unless a hard
 /// error occurs.
@@ -174,18 +174,10 @@ int main(int Argc, char **Argv) {
   }
   bool BadArgs = Args.failed();
   if (SimdText) {
-    if (std::optional<SimdMode> Parsed = parseSimdMode(SimdText)) {
+    if (std::optional<SimdMode> Parsed = parseSimdMode(SimdText))
       Simd = *Parsed;
-      if (!simdModeSupported(Simd)) {
-        std::fprintf(stderr,
-                     "error: --simd=%s is not supported on this host; "
-                     "supported modes: %s\n",
-                     simdModeName(Simd), supportedSimdModeList().c_str());
-        return 1;
-      }
-    } else {
+    else
       BadArgs = true;
-    }
   }
   if ((ShiftWidth & (ShiftWidth - 1)) != 0) {
     std::fprintf(stderr,

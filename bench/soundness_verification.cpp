@@ -53,11 +53,10 @@
 ///                        exactly that algorithm's soundness cells -- the
 ///                        CI incremental smoke leg drives this
 ///
-/// --simd={auto,off,portable,avx2,avx512,neon} selects the member-scan
-/// path and kernel tier (support/SimdBatch.h). Reports are bit-identical
-/// across modes, so --simd=auto vs --simd=off is the A/B measurement of
-/// the batched kernels; forcing an unsupported tier is a hard error naming
-/// what this host supports. --compare-serial times the scalar serial
+/// --simd={auto,off} selects the member-scan path (support/SimdBatch.h):
+/// the row scan, or its off switch, the scalar reference. Reports are
+/// bit-identical across the two, so --simd=auto vs --simd=off is the A/B
+/// measurement of the row scan. --compare-serial times the scalar serial
 /// checkers on the multiplication campaign.
 /// --optimality={first,full} picks first-witness-only (default; the
 /// ROADMAP's deterministic early-exit mode) or exact-total optimality
@@ -216,21 +215,10 @@ int main(int Argc, char **Argv) {
   }
   bool BadArgs = Args.failed();
   if (SimdText) {
-    if (std::optional<SimdMode> Parsed = parseSimdMode(SimdText)) {
+    if (std::optional<SimdMode> Parsed = parseSimdMode(SimdText))
       Simd = *Parsed;
-      if (!simdModeSupported(Simd)) {
-        // Forced tiers the host cannot execute are a hard error here
-        // (the library would silently fall back to portable kernels;
-        // a benchmark front end should say so instead).
-        std::fprintf(stderr,
-                     "error: --simd=%s is not supported on this host; "
-                     "supported modes: %s\n",
-                     simdModeName(Simd), supportedSimdModeList().c_str());
-        return 1;
-      }
-    } else {
+    else
       BadArgs = true;
-    }
   }
   bool OptimalityEarlyExit = true;
   if (OptimalityText) {
@@ -265,8 +253,9 @@ int main(int Argc, char **Argv) {
   SweepConfig Sweep;
   Sweep.NumThreads = Jobs;
   Sweep.Simd = Simd;
-  std::printf("member-scan path: --simd=%s resolves to %s on this host\n\n",
-              simdModeName(Simd), simdPathDescription(Simd).c_str());
+  std::printf("member-scan path: --simd=%s runs the %s\n\n",
+              simdModeName(Simd),
+              simdModeBatches(Simd) ? "row scan" : "scalar reference");
 
   //===--------------------------------------------------------------------===//
   // Compile the exhaustive sections into one campaign spec.
@@ -513,9 +502,8 @@ int main(int Argc, char **Argv) {
                                                   : 0.0),
                         Same ? "identical" : "DIVERGED");
     }
-    std::printf("soundness + optimality row scan (%s) vs the scalar "
-                "per-pair path (--simd=off):\n",
-                simdPathDescription(Sweep.Simd).c_str());
+    std::printf("soundness + optimality row scan vs the scalar per-pair "
+                "path (--simd=off):\n");
     CmpTable.printAligned(stdout);
     std::printf("\n");
     AllHold &= Identical;
@@ -711,15 +699,13 @@ int main(int Argc, char **Argv) {
                  "  \"mul_width\": %u,\n"
                  "  \"jobs\": %u,\n"
                  "  \"simd\": \"%s\",\n"
-                 "  \"simd_kernels\": \"%s\",\n"
                  "  \"all_hold\": %s,\n"
                  "  \"campaign_evals\": %llu,\n"
                  "  \"campaign_seconds\": %.6f,\n"
                  "  \"campaign_mevals_per_s\": %.3f,\n"
                  "  \"algorithms\": [\n",
                  buildInfoJson().c_str(), Width, MulWidth, Sweep.NumThreads,
-                 simdModeName(Simd), selectSimdKernels(Simd).Name,
-                 AllHold ? "true" : "false",
+                 simdModeName(Simd), AllHold ? "true" : "false",
                  static_cast<unsigned long long>(CampaignEvals),
                  ParallelSeconds,
                  ParallelSeconds > 0 ? CampaignEvals / ParallelSeconds / 1e6

@@ -67,7 +67,6 @@ def daemon_latency(current, baseline, ratio, failures):
 #   report as true.
 # rosters: section -> (row-key fields, exact fields). The row keys of the
 #   two files must match, then each row's fields must.
-# report: keys printed, never gated.
 # floor: the primary rate, a top-level key or (section, key, value, field)
 #   in the row whose key is value. The row must exist at every ratio.
 # ceilings: (roster section, cost field, unit key the two files must agree
@@ -115,7 +114,6 @@ SCHEMA = {
         "exact": ("campaign_evals",),
         "true": ("all_hold",),
         "rosters": {"algorithms": (("name",), ("pairs", "evals"))},
-        "report": ("simd_kernels",),
         "floor": "campaign_mevals_per_s",
     },
     "precision_atlas": {
@@ -202,9 +200,6 @@ def gate(schema, current, baseline, ratio):
         for key, row in baseline_rows.items():
             failures += differ(current_rows[key], row, exact,
                                f"{section}[{'/'.join(map(str, key))}].")
-    for key in schema.get("report", ()):
-        print(f"bench gate: {key} {current.get(key)!r} (baseline "
-              f"{baseline.get(key)!r}; reported, not gated)")
     if len(rows) < len(rosters):
         return failures  # a changed roster skips the perf checks
 

@@ -24,12 +24,14 @@
 
 using namespace tnums;
 
-static void explore(const std::string &PText, const std::string &QText) {
+/// Prints the table for P * Q. False, after an error on stderr, when an
+/// operand is not a trit string.
+static bool explore(const std::string &PText, const std::string &QText) {
   std::optional<Tnum> P = Tnum::parse(PText);
   std::optional<Tnum> Q = Tnum::parse(QText);
   if (!P || !Q) {
     std::fprintf(stderr, "error: operands must be trit strings over 01u\n");
-    return;
+    return false;
   }
   unsigned Width = static_cast<unsigned>(std::max(PText.size(),
                                                   QText.size())) + 3;
@@ -55,13 +57,12 @@ static void explore(const std::string &PText, const std::string &QText) {
   }
   Table.printAligned(stdout);
   std::printf("\n");
+  return true;
 }
 
 int main(int Argc, char **Argv) {
-  if (Argc == 3) {
-    explore(Argv[1], Argv[2]);
-    return 0;
-  }
+  if (Argc == 3)
+    return explore(Argv[1], Argv[2]) ? 0 : 1;
   if (Argc != 1) {
     std::fprintf(stderr, "usage: %s [<tritsP> <tritsQ>]\n", Argv[0]);
     return 1;

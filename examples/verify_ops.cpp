@@ -99,7 +99,7 @@ int main(int Argc, char **Argv) {
     if (Admitted(Op))
       Spec.addGrid(Op, Op == BinaryOp::Mul ? Mul : MulAlgorithm::Our, {Width},
                    {CampaignProperty::Soundness, CampaignProperty::Optimality});
-  // Hardware concurrency, the host's best row-scan tier, in memory.
+  // Hardware concurrency, the row scan, in memory.
   CampaignResult Campaign = runCampaign(Spec, CampaignIO(), SweepConfig());
   if (!Campaign.ok()) {
     std::fprintf(stderr, "error: %s\n", Campaign.Error.c_str());

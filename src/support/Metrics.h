@@ -238,7 +238,7 @@ private:
 struct BuildInfo {
   std::string Compiler;     ///< e.g. "gcc 12.2.0" (from __VERSION__).
   std::string BuildType;    ///< "release" (NDEBUG) or "debug".
-  std::string SimdDispatch; ///< Runtime SIMD path, e.g. "batched/avx2".
+  std::string SimdDispatch; ///< SimdBatch kernel tier, e.g. "batched/avx2".
   bool ComputedGoto = false; ///< Threaded interpreter dispatch available.
 };
 

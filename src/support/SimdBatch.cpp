@@ -9,6 +9,25 @@
 
 #include <cstring>
 
+/// True when this build target can contain AVX2/AVX-512 code paths behind
+/// per-function target attributes (the functions are only *called* after
+/// cpuHasAvx2() / cpuHasAvx512() says the host executes them).
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TNUMS_SIMD_HAVE_X86_KERNELS 1
+#else
+#define TNUMS_SIMD_HAVE_X86_KERNELS 0
+#endif
+
+/// True when this build target is the NEON tier. Advanced SIMD is
+/// architecturally baseline on AArch64, so no runtime probe or target
+/// attribute is needed -- the tier is the plain build iff the target is
+/// AArch64.
+#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
+#define TNUMS_SIMD_HAVE_NEON_KERNELS 1
+#else
+#define TNUMS_SIMD_HAVE_NEON_KERNELS 0
+#endif
+
 using namespace tnums;
 
 std::optional<SimdMode> tnums::parseSimdMode(const char *Text) {
@@ -16,60 +35,11 @@ std::optional<SimdMode> tnums::parseSimdMode(const char *Text) {
     return SimdMode::Auto;
   if (std::strcmp(Text, "off") == 0)
     return SimdMode::Off;
-  if (std::strcmp(Text, "portable") == 0)
-    return SimdMode::Portable;
-  if (std::strcmp(Text, "avx2") == 0)
-    return SimdMode::Avx2;
-  if (std::strcmp(Text, "avx512") == 0)
-    return SimdMode::Avx512;
-  if (std::strcmp(Text, "neon") == 0)
-    return SimdMode::Neon;
   return std::nullopt;
 }
 
 const char *tnums::simdModeName(SimdMode Mode) {
-  switch (Mode) {
-  case SimdMode::Auto:
-    return "auto";
-  case SimdMode::Off:
-    return "off";
-  case SimdMode::Portable:
-    return "portable";
-  case SimdMode::Avx2:
-    return "avx2";
-  case SimdMode::Avx512:
-    return "avx512";
-  case SimdMode::Neon:
-    return "neon";
-  }
-  return "unknown";
-}
-
-bool tnums::simdModeSupported(SimdMode Mode) {
-  switch (Mode) {
-  case SimdMode::Auto:
-  case SimdMode::Off:
-  case SimdMode::Portable:
-    return true;
-  case SimdMode::Avx2:
-    return cpuHasAvx2();
-  case SimdMode::Avx512:
-    return cpuHasAvx512();
-  case SimdMode::Neon:
-    return cpuHasNeon();
-  }
-  return false;
-}
-
-std::string tnums::supportedSimdModeList() {
-  std::string Out = "auto, off, portable";
-  if (cpuHasAvx2())
-    Out += ", avx2";
-  if (cpuHasAvx512())
-    Out += ", avx512";
-  if (cpuHasNeon())
-    Out += ", neon";
-  return Out;
+  return Mode == SimdMode::Off ? "off" : "auto";
 }
 
 //===----------------------------------------------------------------------===//
@@ -78,7 +48,7 @@ std::string tnums::supportedSimdModeList() {
 // One plain loop body per kernel, no intrinsics, instantiated once per tier:
 // the wrappers carry the target attribute and the always_inline body is
 // compiled inside each, so the auto-vectorizer emits that tier's
-// instructions (the row scans' scheme, verify/RowScan.cpp). The x86 tiers
+// instructions (lambdas would not inherit the attribute). The x86 tiers
 // use per-function attributes rather than a file-wide -mavx2/-mavx512f so
 // the translation unit stays safe to build into a generic x86-64 binary;
 // they are only ever *called* after cpuHasAvx2() / cpuHasAvx512() says the
@@ -148,38 +118,39 @@ struct Avx512Kernels {
     reduceAndOrBody(Z, N, AndAcc, OrAcc);
   }
 };
+
+/// True if the running CPU executes the AVX2 kernels (a runtime check: the
+/// binary always contains the portable fallback).
+bool cpuHasAvx2() {
+  static const bool Has = __builtin_cpu_supports("avx2");
+  return Has;
+}
+
+/// True if the running CPU executes the AVX-512 kernels: F for the qword
+/// compare/logic mask forms, BW for the byte mask-register moves the
+/// vectorized loops may use.
+bool cpuHasAvx512() {
+  static const bool Has =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
+  return Has;
+}
 #endif
 
 } // namespace
 
 const SimdKernels &tnums::scalarSimdKernels() {
   static const SimdKernels Kernels = {PortableKernels::nonMemberMask,
-                                      PortableKernels::reduceAndOr, "scalar",
-                                      SimdTier::Portable};
+                                      PortableKernels::reduceAndOr, "scalar"};
   return Kernels;
 }
 
 #if TNUMS_SIMD_HAVE_X86_KERNELS
 
-bool tnums::cpuHasAvx2() {
-  static const bool Has = __builtin_cpu_supports("avx2");
-  return Has;
-}
-
-bool tnums::cpuHasAvx512() {
-  // F for the qword compare/logic mask forms, BW for the byte mask-register
-  // moves the vectorized loops may use.
-  static const bool Has =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
-  return Has;
-}
-
 const SimdKernels *tnums::avx2SimdKernels() {
   if (!cpuHasAvx2())
     return nullptr;
   static const SimdKernels Kernels = {Avx2Kernels::nonMemberMask,
-                                      Avx2Kernels::reduceAndOr, "avx2",
-                                      SimdTier::Avx2};
+                                      Avx2Kernels::reduceAndOr, "avx2"};
   return &Kernels;
 }
 
@@ -187,15 +158,11 @@ const SimdKernels *tnums::avx512SimdKernels() {
   if (!cpuHasAvx512())
     return nullptr;
   static const SimdKernels Kernels = {Avx512Kernels::nonMemberMask,
-                                      Avx512Kernels::reduceAndOr, "avx512",
-                                      SimdTier::Avx512};
+                                      Avx512Kernels::reduceAndOr, "avx512"};
   return &Kernels;
 }
 
 #else // !TNUMS_SIMD_HAVE_X86_KERNELS
-
-bool tnums::cpuHasAvx2() { return false; }
-bool tnums::cpuHasAvx512() { return false; }
 
 const SimdKernels *tnums::avx2SimdKernels() { return nullptr; }
 const SimdKernels *tnums::avx512SimdKernels() { return nullptr; }
@@ -204,31 +171,21 @@ const SimdKernels *tnums::avx512SimdKernels() { return nullptr; }
 
 #if TNUMS_SIMD_HAVE_NEON_KERNELS
 
-bool tnums::cpuHasNeon() { return true; }
-
 const SimdKernels *tnums::neonSimdKernels() {
   static const SimdKernels Kernels = {PortableKernels::nonMemberMask,
-                                      PortableKernels::reduceAndOr, "neon",
-                                      SimdTier::Neon};
+                                      PortableKernels::reduceAndOr, "neon"};
   return &Kernels;
 }
 
 #else // !TNUMS_SIMD_HAVE_NEON_KERNELS
 
-bool tnums::cpuHasNeon() { return false; }
-
 const SimdKernels *tnums::neonSimdKernels() { return nullptr; }
 
 #endif
 
-//===----------------------------------------------------------------------===//
-// Mode resolution
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Best tier the host supports: avx512 > avx2 > neon > portable.
-const SimdKernels &bestSimdKernels() {
+const SimdKernels &tnums::selectSimdKernels(SimdMode Mode) {
+  if (Mode == SimdMode::Off)
+    return scalarSimdKernels();
   if (const SimdKernels *Avx512 = avx512SimdKernels())
     return *Avx512;
   if (const SimdKernels *Avx2 = avx2SimdKernels())
@@ -238,46 +195,8 @@ const SimdKernels &bestSimdKernels() {
   return scalarSimdKernels();
 }
 
-} // namespace
-
-const SimdKernels &tnums::selectSimdKernels(SimdMode Mode) {
-  switch (Mode) {
-  case SimdMode::Off:
-  case SimdMode::Portable:
-    return scalarSimdKernels();
-  case SimdMode::Auto:
-    return bestSimdKernels();
-  case SimdMode::Avx2:
-    if (const SimdKernels *Avx2 = avx2SimdKernels())
-      return *Avx2;
-    return scalarSimdKernels();
-  case SimdMode::Avx512:
-    if (const SimdKernels *Avx512 = avx512SimdKernels())
-      return *Avx512;
-    return scalarSimdKernels();
-  case SimdMode::Neon:
-    if (const SimdKernels *Neon = neonSimdKernels())
-      return *Neon;
-    return scalarSimdKernels();
-  }
-  return scalarSimdKernels();
-}
-
 std::string tnums::simdPathDescription(SimdMode Mode) {
   if (!simdModeBatches(Mode))
     return "scalar reference";
-  const SimdKernels &Kernels = selectSimdKernels(Mode);
-  std::string Out = std::string("batched/") + Kernels.Name;
-  switch (Mode) {
-  case SimdMode::Auto:
-  case SimdMode::Off:
-    break;
-  default:
-    if (!simdModeSupported(Mode))
-      Out += " (forced tier unsupported; portable fallback)";
-    else if (Kernels.Tier != SimdTier::Portable)
-      Out += " (forced)";
-    break;
-  }
-  return Out;
+  return std::string("batched/") + selectSimdKernels(Mode).Name;
 }

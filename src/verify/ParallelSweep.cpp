@@ -83,7 +83,6 @@ FoldMetrics &foldMetrics() {
 /// constant. Null when \p Grid has no member table or the table would not
 /// fit ConstantRowTableBytesCap: its segments then run the lane loop.
 const ConstantRowTable *constantRows(SweepGrid &Grid, BinaryOp Op,
-                                     SimdTier Tier,
                                      const SweepConfig &Config) {
   if (!Grid.Members ||
       constantRowTableBytes(Grid.Width) > ConstantRowTableBytesCap)
@@ -105,8 +104,8 @@ const ConstantRowTable *constantRows(SweepGrid &Grid, BinaryOp Op,
                "the universe lists the constants first, ascending");
         const uint64_t StartNs = Timed ? traceNowNs() : 0;
         const MemberTable &Members = *Grid.Members;
-        buildConstantRow(RowSegment{Op, Grid.Width, Tier, Grid.Universe[X],
-                                    Qs, Members.span(X, X + 1),
+        buildConstantRow(RowSegment{Op, Grid.Width, Grid.Universe[X], Qs,
+                                    Members.span(X, X + 1),
                                     Members.span(0, Grid.NumTnums),
                                     Members.offsets(0, Grid.NumTnums)},
                          Scratch, Table);
@@ -117,21 +116,19 @@ const ConstantRowTable *constantRows(SweepGrid &Grid, BinaryOp Op,
 }
 
 /// What every row segment of one fold pass shares: the grid, the concrete
-/// operator, the tier, and the constant-row table when the grid has one.
+/// operator, and the constant-row table when the grid has one.
 /// Batched is false under SimdMode::Off, where every segment takes the
 /// scalar per-pair path instead.
 struct RowScanner {
   const SweepGrid &Grid;
   BinaryOp Op;
   bool Batched;
-  SimdTier Tier;
   const ConstantRowTable *Table = nullptr;
 
   RowScanner(SweepGrid &Grid, BinaryOp Op, const SweepConfig &Config)
-      : Grid(Grid), Op(Op), Batched(simdModeBatches(Config.Simd)),
-        Tier(selectSimdKernels(Config.Simd).Tier) {
+      : Grid(Grid), Op(Op), Batched(simdModeBatches(Config.Simd)) {
     if (Batched)
-      Table = constantRows(Grid, Op, Tier, Config);
+      Table = constantRows(Grid, Op, Config);
   }
 
   std::span<const Tnum> qs(uint64_t QBegin, uint64_t QEnd) const {
@@ -144,11 +141,9 @@ struct RowScanner {
                      RowScratch &Scratch) const {
     const Tnum &P = Grid.Universe[PIndex];
     if (!Grid.Members)
-      return materializeRow(Op, Grid.Width, Tier, P, qs(QBegin, QEnd),
-                            Scratch);
+      return materializeRow(Op, Grid.Width, P, qs(QBegin, QEnd), Scratch);
     return RowSegment{Op,
                       Grid.Width,
-                      Tier,
                       P,
                       qs(QBegin, QEnd),
                       Grid.Members->span(PIndex, PIndex + 1),
@@ -168,7 +163,7 @@ struct RowScanner {
     if (Batched) {
       RowSegment Row = segment(PIndex, QBegin, QEnd, Scratch);
       if (Table)
-        joinConstantRows(*Table, Tier, Row.Xs, QBegin, Scratch, Optimal);
+        joinConstantRows(*Table, Row.Xs, QBegin, Scratch, Optimal);
       else
         optimalAbstractRow(Row, Scratch, Optimal);
       return Row.Xs.size() * Row.Lanes.size();

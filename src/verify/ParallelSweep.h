@@ -15,7 +15,8 @@
 /// engine splits the same grid into fixed-size chunks of consecutive
 /// (P, Q) pair indices, scans each chunk one row segment at a time
 /// (verify/RowScan.h), and runs the chunks on a work-stealing thread pool
-/// (support/ThreadPool.h), pushing exhaustive sweeps to width 10-12.
+/// (support/ThreadPool.h), pushing exhaustive sweeps past the paper's
+/// SMT horizon (the six-mul soundness campaign runs at width 9).
 ///
 /// The engine is *range-based*: a SweepGrid (the enumerated universe plus
 /// the optional memoized member table) is built once per width and any
@@ -85,9 +86,9 @@ struct SweepConfig {
   uint64_t ChunkPairs = 4096;
 
   /// How the scans compute each pair's alpha (support/SimdBatch.h): the
-  /// row scan (verify/RowScan.h) with the host's best tier by default,
-  /// SimdMode::Off for the scalar per-pair reference. Orthogonal to the
-  /// determinism contract -- every mode produces bit-identical reports.
+  /// row scan (verify/RowScan.h) by default, SimdMode::Off for the scalar
+  /// per-pair reference. Orthogonal to the determinism contract -- both
+  /// modes produce bit-identical reports.
   SimdMode Simd = SimdMode::Auto;
 };
 
@@ -204,7 +205,7 @@ struct FoldCell {
 /// buckets and sums add, and the retained Worst witness is the one with
 /// the greatest gap, ties broken by lowest pair index -- so they are
 /// bit-identical to the serial reference for every thread count, chunk
-/// size, and SIMD tier.
+/// size, and SIMD mode.
 ///
 /// A batched pass over a grid whose constant-row table is missing or was
 /// built for another operator first (re)builds it, on the sweep pool, so

@@ -93,8 +93,7 @@ constexpr uint64_t LaneBlock = 1024;
 
 /// The row scan proper, one block of lanes at a time: folds every x into
 /// the per-lane AND/OR accumulators.
-template <BinaryOp Op, bool Narrow>
-[[gnu::always_inline]] inline void laneLoop(const LaneArgs &A) {
+template <BinaryOp Op, bool Narrow> void laneLoop(const LaneArgs &A) {
   for (uint64_t B = 0; B < A.NumLanes; B += LaneBlock) {
     const uint64_t N = std::min(LaneBlock, A.NumLanes - B);
     const uint64_t *__restrict Ys = A.Ys + B;
@@ -128,7 +127,7 @@ struct JoinArgs {
 /// The table's counterpart of laneLoop: the per-Q accumulators start as
 /// the table's row of the first x and fold in the row of every other x,
 /// one block of Qs at a time.
-[[gnu::always_inline]] inline void joinLoop(const JoinArgs &A) {
+void joinLoop(const JoinArgs &A) {
   for (uint64_t B = 0; B < A.NumQs; B += LaneBlock) {
     const uint64_t N = std::min(LaneBlock, A.NumQs - B);
     uint64_t *__restrict Ands = A.Ands + B;
@@ -150,101 +149,38 @@ struct JoinArgs {
   }
 }
 
-// One instantiation of the lane loop and of the join loop per SimdTier.
-// The wrappers carry the target attribute and the always_inline bodies are
-// compiled inside each (lambdas would not inherit the attribute). NEON is
-// the AArch64 baseline, so the plain build is that tier's instantiation.
-
-struct PortableLanes {
-  template <BinaryOp Op, bool Narrow> static void run(const LaneArgs &A) {
-    laneLoop<Op, Narrow>(A);
-  }
-  static void join(const JoinArgs &A) { joinLoop(A); }
-};
-
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-struct Avx2Lanes {
-  template <BinaryOp Op, bool Narrow>
-  __attribute__((target("avx2"))) static void run(const LaneArgs &A) {
-    laneLoop<Op, Narrow>(A);
-  }
-  __attribute__((target("avx2"))) static void join(const JoinArgs &A) {
-    joinLoop(A);
-  }
-};
-
-/// The features cpuHasAvx512() probes, and no more.
-struct Avx512Lanes {
-  template <BinaryOp Op, bool Narrow>
-  __attribute__((target("avx512f,avx512bw"))) static void
-  run(const LaneArgs &A) {
-    laneLoop<Op, Narrow>(A);
-  }
-  __attribute__((target("avx512f,avx512bw"))) static void
-  join(const JoinArgs &A) {
-    joinLoop(A);
-  }
-};
-#endif
-
-/// Dispatches (Op, Width) to \p TierT's instantiation; only mul, div and
-/// mod have a separate narrow form.
-template <typename TierT> void runOnTier(BinaryOp Op, const LaneArgs &A) {
+/// Dispatches \p Op to its lane loop; only mul, div and mod have a
+/// separate narrow form.
+void runLanes(BinaryOp Op, const LaneArgs &A) {
   const bool Narrow = A.Width <= 32;
   switch (Op) {
   case BinaryOp::Add:
-    return TierT::template run<BinaryOp::Add, false>(A);
+    return laneLoop<BinaryOp::Add, false>(A);
   case BinaryOp::Sub:
-    return TierT::template run<BinaryOp::Sub, false>(A);
+    return laneLoop<BinaryOp::Sub, false>(A);
   case BinaryOp::Mul:
-    return Narrow ? TierT::template run<BinaryOp::Mul, true>(A)
-                  : TierT::template run<BinaryOp::Mul, false>(A);
+    return Narrow ? laneLoop<BinaryOp::Mul, true>(A)
+                  : laneLoop<BinaryOp::Mul, false>(A);
   case BinaryOp::Div:
-    return Narrow ? TierT::template run<BinaryOp::Div, true>(A)
-                  : TierT::template run<BinaryOp::Div, false>(A);
+    return Narrow ? laneLoop<BinaryOp::Div, true>(A)
+                  : laneLoop<BinaryOp::Div, false>(A);
   case BinaryOp::Mod:
-    return Narrow ? TierT::template run<BinaryOp::Mod, true>(A)
-                  : TierT::template run<BinaryOp::Mod, false>(A);
+    return Narrow ? laneLoop<BinaryOp::Mod, true>(A)
+                  : laneLoop<BinaryOp::Mod, false>(A);
   case BinaryOp::And:
-    return TierT::template run<BinaryOp::And, false>(A);
+    return laneLoop<BinaryOp::And, false>(A);
   case BinaryOp::Or:
-    return TierT::template run<BinaryOp::Or, false>(A);
+    return laneLoop<BinaryOp::Or, false>(A);
   case BinaryOp::Xor:
-    return TierT::template run<BinaryOp::Xor, false>(A);
+    return laneLoop<BinaryOp::Xor, false>(A);
   case BinaryOp::Lsh:
-    return TierT::template run<BinaryOp::Lsh, false>(A);
+    return laneLoop<BinaryOp::Lsh, false>(A);
   case BinaryOp::Rsh:
-    return TierT::template run<BinaryOp::Rsh, false>(A);
+    return laneLoop<BinaryOp::Rsh, false>(A);
   case BinaryOp::Arsh:
-    return TierT::template run<BinaryOp::Arsh, false>(A);
+    return laneLoop<BinaryOp::Arsh, false>(A);
   }
   assert(false && "unknown binary op");
-}
-
-void runLanes(SimdTier Tier, BinaryOp Op, const LaneArgs &A) {
-  switch (Tier) {
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-  case SimdTier::Avx2:
-    return runOnTier<Avx2Lanes>(Op, A);
-  case SimdTier::Avx512:
-    return runOnTier<Avx512Lanes>(Op, A);
-#endif
-  default:
-    return runOnTier<PortableLanes>(Op, A);
-  }
-}
-
-void runJoin(SimdTier Tier, const JoinArgs &A) {
-  switch (Tier) {
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-  case SimdTier::Avx2:
-    return Avx2Lanes::join(A);
-  case SimdTier::Avx512:
-    return Avx512Lanes::join(A);
-#endif
-  default:
-    return PortableLanes::join(A);
-  }
 }
 
 LaneArgs laneArgs(const RowSegment &Row) {
@@ -289,7 +225,7 @@ void foldRow(const RowSegment &Row, RowScratch &Scratch, const OutT &Out) {
   LaneArgs A = laneArgs(Row);
   A.Ands = Scratch.Ands.data();
   A.Ors = Scratch.Ors.data();
-  runLanes(Row.Tier, Row.Op, A);
+  runLanes(Row.Op, A);
 
   const uint64_t *Ands = Scratch.Ands.data();
   const uint64_t *Ors = Scratch.Ors.data();
@@ -309,8 +245,8 @@ void foldRow(const RowSegment &Row, RowScratch &Scratch, const OutT &Out) {
 
 } // namespace
 
-RowSegment tnums::materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
-                                 const Tnum &P, std::span<const Tnum> Qs,
+RowSegment tnums::materializeRow(BinaryOp Op, unsigned Width, const Tnum &P,
+                                 std::span<const Tnum> Qs,
                                  RowScratch &Scratch) {
   materializeMembers(P, Scratch.Xs);
   Scratch.Lanes.clear();
@@ -319,8 +255,8 @@ RowSegment tnums::materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
     appendMembers(Q, Scratch.Lanes);
     Scratch.Offsets.push_back(Scratch.Lanes.size());
   }
-  return RowSegment{Op,        Width,      Tier,          P,
-                    Qs,        Scratch.Xs, Scratch.Lanes, Scratch.Offsets};
+  return RowSegment{Op,         Width,         P,      Qs,
+                    Scratch.Xs, Scratch.Lanes, Scratch.Offsets};
 }
 
 void tnums::optimalAbstractRow(const RowSegment &Row, RowScratch &Scratch,
@@ -349,7 +285,7 @@ void tnums::buildConstantRow(const RowSegment &Row, RowScratch &Scratch,
   });
 }
 
-void tnums::joinConstantRows(const ConstantRowTable &Table, SimdTier Tier,
+void tnums::joinConstantRows(const ConstantRowTable &Table,
                              std::span<const uint64_t> Xs, uint64_t QBegin,
                              RowScratch &Scratch, std::span<Tnum> Optimal) {
   assert(!Xs.empty() && "optimal abstraction of bottom");
@@ -366,7 +302,7 @@ void tnums::joinConstantRows(const ConstantRowTable &Table, SimdTier Tier,
   A.NumQs = Optimal.size();
   A.Ands = Scratch.Ands.data();
   A.Ors = Scratch.Ors.data();
-  runJoin(Tier, A);
+  joinLoop(A);
   for (size_t K = 0; K != Optimal.size(); ++K)
     Optimal[K] = Tnum(Scratch.Ands[K], Scratch.Ands[K] ^ Scratch.Ors[K]);
 }

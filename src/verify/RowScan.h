@@ -27,10 +27,10 @@
 ///  * precision: the gap between R and alpha (verify/OptimalityChecker.h).
 ///
 /// The per-pair fixed cost (a call, a dispatch and a short vector tail per
-/// pair and per x) becomes one long pass per x. The lane loop is written
-/// once, as plain C++ templated on the operator, and instantiated once per
-/// SimdTier through target-attributed wrappers; the compiler's
-/// auto-vectorizer supplies each tier's instructions (docs/SIMD.md).
+/// pair and per x) becomes one long pass per x. The lane loop is plain C++
+/// templated on the operator, compiled once for the build's baseline
+/// instruction set; the compiler's auto-vectorizer supplies the vector
+/// instructions (docs/SIMD.md).
 ///
 /// AND and OR are associative and commutative, so alpha of a pair is also
 /// the join, over x in gamma(P), of the constant-operand folds of opC(x, .)
@@ -49,7 +49,6 @@
 #ifndef TNUMS_VERIFY_ROWSCAN_H
 #define TNUMS_VERIFY_ROWSCAN_H
 
-#include "support/SimdBatch.h"
 #include "verify/Oracle.h"
 
 #include <span>
@@ -65,7 +64,6 @@ namespace tnums {
 struct RowSegment {
   BinaryOp Op;
   unsigned Width;
-  SimdTier Tier; ///< Which instantiation of the lane loop runs.
   Tnum P;
   std::span<const Tnum> Qs;
   std::span<const uint64_t> Xs;
@@ -88,9 +86,8 @@ struct RowScratch {
 /// MemberTableBytesCap's reach, or a grid whose Members a test reset), and
 /// what tests use to build segments from explicit tnums. Valid until
 /// \p Scratch is next reused.
-RowSegment materializeRow(BinaryOp Op, unsigned Width, SimdTier Tier,
-                          const Tnum &P, std::span<const Tnum> Qs,
-                          RowScratch &Scratch);
+RowSegment materializeRow(BinaryOp Op, unsigned Width, const Tnum &P,
+                          std::span<const Tnum> Qs, RowScratch &Scratch);
 
 /// alpha(opC(gamma(P), gamma(Qs[k]))) for every Q of a row segment, into
 /// Optimal[k]: bit-identical to optimalAbstractBinary pair by pair (both
@@ -123,9 +120,8 @@ void buildConstantRow(const RowSegment &Row, RowScratch &Scratch,
 
 /// alpha(opC(gamma(P), gamma(Universe[QBegin + k]))) into Optimal[k], as
 /// the join of \p Table's entries (x, QBegin + k) over x in \p Xs =
-/// gamma(P), on \p Tier's instantiation of the join loop: bit-identical to
-/// optimalAbstractRow.
-void joinConstantRows(const ConstantRowTable &Table, SimdTier Tier,
+/// gamma(P): bit-identical to optimalAbstractRow.
+void joinConstantRows(const ConstantRowTable &Table,
                       std::span<const uint64_t> Xs, uint64_t QBegin,
                       RowScratch &Scratch, std::span<Tnum> Optimal);
 

@@ -192,20 +192,11 @@ TEST(ParallelSweep, OptimalityStopAtFirstKeepsSerialWitness) {
 }
 
 //===----------------------------------------------------------------------===//
-// Row-scan differential: every range scan on the row scan (every tier the
-// host runs) against the same scan with SimdMode::Off, the scalar per-pair
-// path, over ranges that start and end mid-row, with chunks of one pair,
-// of a few pairs, just short of a row, just past a row, and of many rows.
+// Row-scan differential: every range scan on the row scan against the same
+// scan with SimdMode::Off, the scalar per-pair path, over ranges that start
+// and end mid-row, with chunks of one pair, of a few pairs, just short of a
+// row, just past a row, and of many rows.
 //===----------------------------------------------------------------------===//
-
-/// The forced modes of every row-scan tier this host executes.
-std::vector<SimdMode> hostRowScanModes() {
-  std::vector<SimdMode> Modes{SimdMode::Portable};
-  for (SimdMode Mode : {SimdMode::Avx2, SimdMode::Avx512, SimdMode::Neon})
-    if (simdModeSupported(Mode))
-      Modes.push_back(Mode);
-  return Modes;
-}
 
 std::vector<SweepConfig> rowScanSchedulers(uint64_t NumTnums) {
   std::vector<SweepConfig> Configs;
@@ -297,12 +288,12 @@ std::vector<FoldCell> foldChecks(BinaryOp Op, const FoldTransfer &Fn,
 }
 
 /// One operator (and transfer function) through every fold check: the
-/// four checks as one pass of the row scan on every host tier, scheduler,
-/// and both alpha sources, against one-cell passes with SimdMode::Off. The
+/// four checks as one pass of the row scan on every scheduler and both
+/// alpha sources, against one-cell passes with SimdMode::Off. The
 /// member-table grid takes the table path: its first batched pass builds
 /// the constant-row table on the lane loop, and every pass then joins
-/// table rows on its tier. The materialized grid, with no member table and
-/// so no table, takes the lane loop over gamma(P) on every tier. The
+/// table rows. The materialized grid, with no member table and so no
+/// table, takes the lane loop over gamma(P). The
 /// failure pair indices must match too; work counters must match wherever
 /// they are exact (every holding scan, and one-thread scans of failing
 /// ones).
@@ -321,29 +312,25 @@ void expectRowScanAgreesWithScalar(BinaryOp Op, const FoldTransfer &Fn,
   const SoundnessReport &Sound = Want[0].Soundness;
   const OptimalityReport &First = Want[2].Optimality;
 
-  for (SimdMode Mode : hostRowScanModes()) {
-    for (SweepConfig Config : rowScanSchedulers(Grid.NumTnums)) {
-      Config.Simd = Mode;
-      for (SweepGrid *G : {&Grid, &Materialized}) {
-        // The materialized path once per tier is enough.
-        if (G == &Materialized && Config.ChunkPairs != 7)
-          continue;
-        SCOPED_TRACE(::testing::Message()
-                     << simdModeName(Mode) << " threads " << Config.NumThreads
-                     << " chunk " << Config.ChunkPairs
-                     << (G->Members ? " table join" : " lane loop"));
-        bool Exact = Config.NumThreads == 1;
-        std::vector<FoldCell> Got =
-            foldChecks(Op, Fn, *G, Begin, End, Config, /*OnePass=*/true);
-        expectSameSoundness(Sound, Got[0].Soundness, Exact || Sound.holds());
-        expectSameOptimality(Want[1].Optimality, Got[1].Optimality,
-                             /*ExactCounts=*/true);
-        expectSameOptimality(First, Got[2].Optimality,
-                             Exact || !First.Failure);
-        expectSamePrecision(Want[3].Precision, Got[3].Precision);
-        for (size_t C = 0; C != Got.size(); ++C)
-          EXPECT_EQ(Want[C].FailureIndex, Got[C].FailureIndex) << "cell " << C;
-      }
+  for (const SweepConfig &Config : rowScanSchedulers(Grid.NumTnums)) {
+    for (SweepGrid *G : {&Grid, &Materialized}) {
+      // The materialized path once per thread count is enough.
+      if (G == &Materialized && Config.ChunkPairs != 7)
+        continue;
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << Config.NumThreads << " chunk "
+                   << Config.ChunkPairs
+                   << (G->Members ? " table join" : " lane loop"));
+      bool Exact = Config.NumThreads == 1;
+      std::vector<FoldCell> Got =
+          foldChecks(Op, Fn, *G, Begin, End, Config, /*OnePass=*/true);
+      expectSameSoundness(Sound, Got[0].Soundness, Exact || Sound.holds());
+      expectSameOptimality(Want[1].Optimality, Got[1].Optimality,
+                           /*ExactCounts=*/true);
+      expectSameOptimality(First, Got[2].Optimality, Exact || !First.Failure);
+      expectSamePrecision(Want[3].Precision, Got[3].Precision);
+      for (size_t C = 0; C != Got.size(); ++C)
+        EXPECT_EQ(Want[C].FailureIndex, Got[C].FailureIndex) << "cell " << C;
     }
   }
   // Each leg took the path it names.
@@ -443,7 +430,7 @@ Tnum bottomingAdd(const Tnum &P, const Tnum &Q, unsigned Width) {
 TEST(RowScan, BottomResultsFailAgainstTheMemberScan) {
   // No member lies in a bottom R, whatever its bits. Both kinds of bottom
   // must fail soundness at the pair that returns them, with the hand
-  // scan's witness and counts, on the scalar path and on every tier.
+  // scan's witness and counts, on the scalar path and on the row scan.
   for (unsigned Width : {3u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "width " << Width);
     AbstractBinaryFn Fn = [Width](const Tnum &P, const Tnum &Q) {
@@ -452,15 +439,13 @@ TEST(RowScan, BottomResultsFailAgainstTheMemberScan) {
     expectRowScanAgreesWithScalar(BinaryOp::Add, Fn, Width);
 
     SweepGrid Grid = makeSweepGrid(Width, SweepConfig());
-    std::vector<SimdMode> Modes = hostRowScanModes();
-    Modes.push_back(SimdMode::Off);
     for (uint64_t Begin : {uint64_t(0), Grid.TotalPairs - Grid.NumTnums}) {
       SoundnessReport Expected =
           soundnessByHand(BinaryOp::Add, Fn, Width, Begin);
       ASSERT_TRUE(Expected.Failure.has_value());
       EXPECT_TRUE(Expected.Failure->R.isBottom());
       EXPECT_EQ(Expected.Failure->R == Tnum::makeBottom(), Begin == 0);
-      for (SimdMode Mode : Modes) {
+      for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off}) {
         SCOPED_TRACE(::testing::Message()
                      << simdModeName(Mode) << " from pair " << Begin);
         SweepConfig Config{/*NumThreads=*/1, /*ChunkPairs=*/7};
@@ -482,8 +467,9 @@ TEST(RowScan, BottomResultsFailAgainstTheMemberScan) {
 TEST(FoldPass, MixedCellsMatchTheirOneCellPasses) {
   // Six mul transfer functions (one of them unsound) under soundness, one
   // full and one early-exit optimality cell, and two precision cells: each
-  // cell of the one pass equals its one-cell scalar pass, on every tier
-  // and scheduler, over the whole grid and over a mid-row range.
+  // cell of the one pass equals its one-cell scalar pass, in both simd
+  // modes and on every scheduler, over the whole grid and over a mid-row
+  // range.
   constexpr unsigned Width = 4;
   const AbstractBinaryFn Broken = [](const Tnum &P, const Tnum &Q) {
     return brokenMul(P, Q, Width);

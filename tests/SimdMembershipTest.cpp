@@ -112,7 +112,7 @@ void expectTierAgreesWithScalar(const SimdKernels *Tier, const char *What) {
                  << " kernels; portable covers it";
   const SimdKernels &Scalar = scalarSimdKernels();
   Xoshiro256 Rng(7);
-  alignas(SimdBatchAlign) uint64_t Z[SimdBatchLanes];
+  uint64_t Z[SimdBatchLanes];
   for (int Trial = 0; Trial != 500; ++Trial) {
     unsigned N = 1 + static_cast<unsigned>(Rng.next() % SimdBatchLanes);
     for (unsigned I = 0; I != N; ++I)
@@ -149,99 +149,38 @@ TEST(SimdKernels, NeonAgreesWithScalarOnRandomBatches) {
 TEST(SimdKernels, ModeParsingIsTotal) {
   EXPECT_EQ(parseSimdMode("auto"), SimdMode::Auto);
   EXPECT_EQ(parseSimdMode("off"), SimdMode::Off);
-  EXPECT_EQ(parseSimdMode("portable"), SimdMode::Portable);
-  EXPECT_EQ(parseSimdMode("avx2"), SimdMode::Avx2);
-  EXPECT_EQ(parseSimdMode("avx512"), SimdMode::Avx512);
-  EXPECT_EQ(parseSimdMode("neon"), SimdMode::Neon);
   EXPECT_EQ(parseSimdMode("fast"), std::nullopt);
   EXPECT_EQ(parseSimdMode("on"), std::nullopt); // The old alias of auto.
-  EXPECT_EQ(parseSimdMode("AVX2"), std::nullopt); // Spellings are exact.
-  for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off, SimdMode::Portable,
-                        SimdMode::Avx2, SimdMode::Avx512, SimdMode::Neon}) {
+  EXPECT_EQ(parseSimdMode("AUTO"), std::nullopt); // Spellings are exact.
+  // Instruction-set tiers are not modes: the row scan has one build.
+  for (const char *Retired : {"portable", "avx2", "avx512", "neon"})
+    EXPECT_EQ(parseSimdMode(Retired), std::nullopt) << Retired;
+  for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off})
     EXPECT_EQ(parseSimdMode(simdModeName(Mode)), Mode);
-  }
 }
 
 TEST(SimdKernels, ModeResolutionIsTotal) {
-  // Off and Portable always resolve to the portable kernels (which keep
-  // the historical "scalar" name).
-  EXPECT_STREQ(selectSimdKernels(SimdMode::Off).Name, "scalar");
-  EXPECT_STREQ(selectSimdKernels(SimdMode::Portable).Name, "scalar");
-  EXPECT_EQ(selectSimdKernels(SimdMode::Portable).Tier, SimdTier::Portable);
-
-  // Auto resolves to the best tier the host supports
+  // Off resolves to the portable kernels (which keep the historical
+  // "scalar" name), Auto to the best tier the host executes
   // (avx512 > avx2 > neon > portable).
-  if (cpuHasAvx512())
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "avx512");
-  else if (cpuHasAvx2())
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "avx2");
-  else if (cpuHasNeon())
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "neon");
-  else
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "scalar");
-
-  // A forced tier resolves to its own kernels when the host supports it
-  // and falls back to the portable kernels (silently -- reports are
-  // bit-identical across tiers) when it does not. simdModeSupported is
-  // how front ends turn the fallback into a hard error.
-  struct ForcedTier {
-    SimdMode Mode;
-    bool Supported;
-    const char *Name;
-    SimdTier Tier;
-  };
-  const ForcedTier Forced[] = {
-      {SimdMode::Avx2, cpuHasAvx2(), "avx2", SimdTier::Avx2},
-      {SimdMode::Avx512, cpuHasAvx512(), "avx512", SimdTier::Avx512},
-      {SimdMode::Neon, cpuHasNeon(), "neon", SimdTier::Neon},
-  };
-  for (const ForcedTier &F : Forced) {
-    SCOPED_TRACE(F.Name);
-    EXPECT_EQ(simdModeSupported(F.Mode), F.Supported);
-    const SimdKernels &K = selectSimdKernels(F.Mode);
-    if (F.Supported) {
-      EXPECT_STREQ(K.Name, F.Name);
-      EXPECT_EQ(K.Tier, F.Tier);
-    } else {
-      EXPECT_STREQ(K.Name, "scalar");
-      EXPECT_EQ(K.Tier, SimdTier::Portable);
-    }
-  }
-
-  // The non-forced modes are supported everywhere, and the supported-mode
-  // diagnostic list always offers the portable spellings.
-  for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off, SimdMode::Portable})
-    EXPECT_TRUE(simdModeSupported(Mode));
-  std::string Supported = supportedSimdModeList();
-  EXPECT_NE(Supported.find("auto"), std::string::npos);
-  EXPECT_NE(Supported.find("portable"), std::string::npos);
-  EXPECT_EQ(Supported.find("avx2") != std::string::npos, cpuHasAvx2());
-  EXPECT_EQ(Supported.find("avx512") != std::string::npos, cpuHasAvx512());
-  EXPECT_EQ(Supported.find("neon") != std::string::npos, cpuHasNeon());
+  EXPECT_STREQ(selectSimdKernels(SimdMode::Off).Name, "scalar");
+  const SimdKernels *Best = avx512SimdKernels();
+  if (!Best)
+    Best = avx2SimdKernels();
+  if (!Best)
+    Best = neonSimdKernels();
+  EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name,
+               Best ? Best->Name : "scalar");
+  EXPECT_EQ(simdPathDescription(SimdMode::Off), "scalar reference");
+  EXPECT_EQ(simdPathDescription(SimdMode::Auto),
+            std::string("batched/") + selectSimdKernels(SimdMode::Auto).Name);
 }
 
 //===----------------------------------------------------------------------===//
-// Pair-scan differential: on every tier, the row scan's alpha of one
-// (P, Q) cell must lie below R exactly when the scalar member scan finds no
-// violation -- for sound R, violated R, bottom R and R with a known bit
-// above the width.
+// Pair-scan differential: the row scan's alpha of one (P, Q) cell must lie
+// below R exactly when the scalar member scan finds no violation -- for
+// sound R, violated R, bottom R and R with a known bit above the width.
 //===----------------------------------------------------------------------===//
-
-/// Every SimdMode spelling; the ones the host lacks resolve to the
-/// portable tier, which must agree just the same.
-constexpr SimdMode AllModes[] = {SimdMode::Off,      SimdMode::Auto,
-                                 SimdMode::Portable, SimdMode::Avx2,
-                                 SimdMode::Avx512,   SimdMode::Neon};
-
-/// The lane-loop tiers this host executes.
-std::vector<SimdTier> hostTiers() {
-  std::vector<SimdTier> Tiers{SimdTier::Portable};
-  for (const SimdKernels *K :
-       {avx2SimdKernels(), avx512SimdKernels(), neonSimdKernels()})
-    if (K)
-      Tiers.push_back(K->Tier);
-  return Tiers;
-}
 
 /// The pre-batching reference scan: forEachMember x Tnum::contains. True
 /// when every opC(x, y) lies in gamma(R).
@@ -276,31 +215,29 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
       const Tnum Rs[] = {R, Tnum(R.value() | 1, R.mask() | 1),
                          Tnum(R.value() | (uint64_t(1) << Width), R.mask())};
       for (BinaryOp Op : Ops) {
-        for (SimdTier Tier : hostTiers()) {
-          optimalAbstractRow(
-              materializeRow(Op, Width, Tier, P, {&Q, 1}, Scratch), Scratch,
-              {&Alpha, 1});
-          for (const Tnum &Result : Rs)
-            EXPECT_EQ(scalarScanHolds(Op, Width, P, Q, Result),
-                      Alpha.isSubsetOf(Result))
-                << binaryOpName(Op) << " width " << Width
-                << " P=" << P.toString(Width) << " Q=" << Q.toString(Width)
-                << " R=(" << Result.value() << ", " << Result.mask() << ")";
-        }
+        optimalAbstractRow(materializeRow(Op, Width, P, {&Q, 1}, Scratch),
+                           Scratch, {&Alpha, 1});
+        for (const Tnum &Result : Rs)
+          EXPECT_EQ(scalarScanHolds(Op, Width, P, Q, Result),
+                    Alpha.isSubsetOf(Result))
+              << binaryOpName(Op) << " width " << Width
+              << " P=" << P.toString(Width) << " Q=" << Q.toString(Width)
+              << " R=(" << Result.value() << ", " << Result.mask() << ")";
       }
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-report equivalence: a campaign in every SimdMode must report
+// Whole-report equivalence: a campaign in both SimdModes must report
 // exactly what the scalar serial checkers report. Campaign grids have
-// member tables, so the batched modes join constant-row table rows on
-// their tier, and the lane loop runs only to build those rows; the
-// optimalAbstractRow tests below run the lane loop over gamma(P) itself.
-// RowScan.* (ParallelSweepTest.cpp) runs both alpha sources through whole
-// fold passes on every host tier.
+// member tables, so Auto joins constant-row table rows, and the lane loop
+// runs only to build those rows; the optimalAbstractRow tests below run
+// the lane loop over gamma(P) itself. RowScan.* (ParallelSweepTest.cpp)
+// runs both alpha sources through whole fold passes.
 //===----------------------------------------------------------------------===//
+
+constexpr SimdMode AllModes[] = {SimdMode::Off, SimdMode::Auto};
 
 /// \p Spec as one in-memory campaign under \p Config.
 CampaignResult runInMemory(const CampaignSpec &Spec,
@@ -312,9 +249,6 @@ CampaignResult runInMemory(const CampaignSpec &Spec,
 }
 
 TEST(SimdSweep, SerialSoundnessBitIdenticalAcrossModesAtWidth4) {
-  // Forced tiers the host lacks silently fall back to portable, so every
-  // mode -- including neon on x86 or avx512 on an old Xeon -- must still
-  // reproduce the scalar reference report exactly.
   CampaignSpec Spec;
   for (BinaryOp Op : AllBinaryOps)
     Spec.addGrid(Op, MulAlgorithm::Our, {4}, {CampaignProperty::Soundness});
@@ -347,7 +281,7 @@ TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
 }
 
 TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
-  // The lane loop over gamma(P) x lanes, in every mode.
+  // The lane loop over gamma(P) x lanes.
   Xoshiro256 Rng(5);
   RowScratch Scratch;
   for (unsigned Width = 4; Width <= 8; ++Width) {
@@ -357,16 +291,11 @@ TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
       // Sub is the non-commutative lane loop; Div never vectorizes.
       for (BinaryOp Op :
            {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
-        Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        for (SimdMode Mode : AllModes) {
-          Tnum Row;
-          optimalAbstractRow(materializeRow(Op, Width,
-                                            selectSimdKernels(Mode).Tier, P,
-                                            {&Q, 1}, Scratch),
-                             Scratch, {&Row, 1});
-          EXPECT_EQ(Scalar, Row) << binaryOpName(Op) << " width " << Width
-                                 << " mode " << simdModeName(Mode);
-        }
+        Tnum Row;
+        optimalAbstractRow(materializeRow(Op, Width, P, {&Q, 1}, Scratch),
+                           Scratch, {&Row, 1});
+        EXPECT_EQ(optimalAbstractBinary(Op, P, Q, Width), Row)
+            << binaryOpName(Op) << " width " << Width;
       }
     }
   }
@@ -386,20 +315,14 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
       for (BinaryOp Op :
            {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
         for (auto [Lhs, Rhs] : {std::pair{P, Q}, std::pair{Q, P}}) {
-          Tnum Scalar = optimalAbstractBinary(Op, Lhs, Rhs, Width);
-          for (SimdMode Mode :
-               {SimdMode::Off, SimdMode::Auto, SimdMode::Portable}) {
-            Tnum Row;
-            optimalAbstractRow(materializeRow(Op, Width,
-                                              selectSimdKernels(Mode).Tier,
-                                              Lhs, {&Rhs, 1}, Scratch),
-                               Scratch, {&Row, 1});
-            EXPECT_EQ(Scalar, Row)
-                << binaryOpName(Op) << " width " << Width << " mode "
-                << simdModeName(Mode) << " |gamma(lhs)|="
-                << (uint64_t(1) << Lhs.numUnknownBits())
-                << " |gamma(rhs)|=" << (uint64_t(1) << Rhs.numUnknownBits());
-          }
+          Tnum Row;
+          optimalAbstractRow(materializeRow(Op, Width, Lhs, {&Rhs, 1},
+                                            Scratch),
+                             Scratch, {&Row, 1});
+          EXPECT_EQ(optimalAbstractBinary(Op, Lhs, Rhs, Width), Row)
+              << binaryOpName(Op) << " width " << Width << " |gamma(lhs)|="
+              << (uint64_t(1) << Lhs.numUnknownBits())
+              << " |gamma(rhs)|=" << (uint64_t(1) << Rhs.numUnknownBits());
         }
       }
     }
@@ -407,7 +330,7 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
 }
 
 TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
-  // The row scan must never change a report: cross simd mode x three
+  // The row scan must never change a report: cross both simd modes x three
   // scheduler shapes against the serial scalar reference. Sub exercises
   // the non-commutative lane loop; Mul the narrow multiply; Div the
   // branch-free zero-divisor select.
@@ -422,7 +345,7 @@ TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
                       BinaryOp::Div})
     Spec.addGrid(Op, MulAlgorithm::Our, {Width},
                  {CampaignProperty::Optimality});
-  for (SimdMode Mode : {SimdMode::Off, SimdMode::Portable, SimdMode::Auto}) {
+  for (SimdMode Mode : AllModes) {
     for (SweepConfig Config : Schedulers) {
       Config.Simd = Mode;
       SCOPED_TRACE(::testing::Message()
@@ -483,7 +406,7 @@ TEST(SimdSweep, BrokenOperatorWitnessDeterministicAcrossSchedulersAndModes) {
       {/*NumThreads=*/8, /*ChunkPairs=*/4096},
       {/*NumThreads=*/0, /*ChunkPairs=*/257},
   };
-  for (SimdMode Mode : {SimdMode::Off, SimdMode::Auto, SimdMode::Portable}) {
+  for (SimdMode Mode : AllModes) {
     for (SweepConfig Config : Schedulers) {
       Config.Simd = Mode;
       SCOPED_TRACE(::testing::Message()
