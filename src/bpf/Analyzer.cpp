@@ -408,7 +408,13 @@ AnalysisResult Analyzer::run() {
 
   AnalysisResult Result;
   size_t N = Prog->size();
-  Result.InStates.assign(N, AbstractState::makeUnreachable());
+  // Take the recycled table, if any. Every read of a state tests Reachable
+  // first and a first arrival overwrites the whole state, so clearing the
+  // flag is all a reused entry needs.
+  Result.InStates.swap(SpareStates);
+  Result.InStates.resize(N);
+  for (AbstractState &State : Result.InStates)
+    State.Reachable = false;
   Result.InStates[0] = AbstractState::makeEntry(Opts.MemSize);
 
   JoinCounts.assign(N, 0);
@@ -456,35 +462,54 @@ AnalysisResult Analyzer::run() {
     return AbsReg::makePointer(Joined.kind(), RegValue::makeTop());
   };
 
-  // Joins State into Target's in-state in place. A propagation counts as a
-  // join at Target once some entry grows; past the threshold, the growing
-  // entries widen.
+  // Counts the first arrival at Target, whose in-state was just written,
+  // as a growing join.
+  auto Arrive = [&](size_t Target) {
+    ++JoinCounts[Target];
+    Metrics.JoinsChanged.add();
+    Push(Target);
+  };
+
+  // Joins reachable State into Target's in-state in place. A propagation
+  // counts as a join at Target once some entry grows; past the threshold,
+  // the growing entries widen.
   auto Propagate = [&](size_t Target, const AbstractState &State) {
-    if (!State.Reachable)
-      return;
     AbstractState &Into = Result.InStates[Target];
-    bool Changed = true;
     if (!Into.Reachable) {
-      ++JoinCounts[Target];
       Into = State;
-    } else {
-      bool Counted = false, Widening = false;
-      Changed = Into.joinInPlace(State, [&](AbsReg Joined) {
-        if (!Counted) {
-          Counted = true;
-          Widening = ++JoinCounts[Target] > Opts.WideningThreshold;
-          if (Widening)
-            Metrics.Widenings.add();
-        }
-        return Widening ? Widen(std::move(Joined)) : Joined;
-      });
+      Arrive(Target);
+      return;
     }
+    bool Counted = false, Widening = false;
+    bool Changed = Into.joinInPlace(State, [&](AbsReg Joined) {
+      if (!Counted) {
+        Counted = true;
+        Widening = ++JoinCounts[Target] > Opts.WideningThreshold;
+        if (Widening)
+          Metrics.Widenings.add();
+      }
+      return Widening ? Widen(std::move(Joined)) : Joined;
+    });
     if (!Changed) {
       Metrics.JoinsSubsumed.add();
       return;
     }
     Metrics.JoinsChanged.add();
     Push(Target);
+  };
+
+  // Propagates the out-state Build(AbstractState &) writes. A first
+  // arrival is built straight into Target's in-state; otherwise it is
+  // built in Scratch and joined in.
+  auto Emit = [&](size_t Target, auto Build) {
+    AbstractState &Into = Result.InStates[Target];
+    if (Into.Reachable) {
+      Build(Scratch);
+      Propagate(Target, Scratch);
+      return;
+    }
+    Build(Into);
+    Arrive(Target);
   };
 
   while (NumPending != 0) {
@@ -551,17 +576,18 @@ AnalysisResult Analyzer::run() {
           refineByComparison(I.Cmp, Taken, LV, RV);
         if (LV.isBottom() || RV.isBottom())
           continue; // This branch direction is infeasible.
-        Scratch = In;
-        Scratch.Regs[I.Dst] = AbsReg::makeScalar(LV);
-        if (!I.UsesImm)
-          Scratch.Regs[I.Src] = AbsReg::makeScalar(RV);
-        Propagate(Target, Scratch);
+        Emit(Target, [&](AbstractState &Out) {
+          Out = In;
+          Out.Regs[I.Dst] = AbsReg::makeScalar(LV);
+          if (!I.UsesImm)
+            Out.Regs[I.Src] = AbsReg::makeScalar(RV);
+        });
       }
       break;
     }
     default:
-      transfer(Pc, In, Scratch, Result);
-      Propagate(Pc + 1, Scratch);
+      Emit(Pc + 1,
+           [&](AbstractState &Out) { transfer(Pc, In, Out, Result); });
       break;
     }
   }

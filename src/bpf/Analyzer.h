@@ -14,7 +14,9 @@
 /// mechanism that lets the paper's intro example prove x <= 8 from the
 /// tnum 01µ0. Loops are handled soundly with join + widening after a visit
 /// threshold (the kernel instead bounds path exploration; widening keeps
-/// this substrate total on looping inputs).
+/// this substrate total on looping inputs). A reused engine keeps its
+/// reverse post-order vector, its worklist scratch and, when handed back
+/// through recycle(), the previous program's state table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +54,9 @@ struct AnalysisResult {
   /// program as rejected).
   bool Converged = true;
   std::vector<Violation> Violations;
-  /// Abstract state *before* each instruction (the fixpoint solution).
+  /// Abstract state *before* each instruction (the fixpoint solution). An
+  /// unreachable state's registers and stack are unspecified (a recycled
+  /// table's leftovers); operator== and toString() ignore them.
   std::vector<AbstractState> InStates;
   /// Total instruction-transfer evaluations performed.
   uint64_t InsnVisits = 0;
@@ -76,10 +80,10 @@ public:
   Analyzer(const Program &Prog, Options Opts);
 
   /// An unbound engine for analyzing a stream of programs via
-  /// analyze(Prog, Opts). Construct once per worker and reuse: the CFG
-  /// edge storage and the fixpoint worklist scratch are recycled across
-  /// programs, which is the per-worker amortization the batch service
-  /// (service/VerificationService.h) relies on.
+  /// analyze(Prog, Opts). Construct once per worker and reuse: the
+  /// reverse post-order vector and the fixpoint worklist scratch are
+  /// recycled across programs, which is the per-worker amortization the
+  /// batch service (service/VerificationService.h) relies on.
   Analyzer() = default;
 
   /// Runs the fixpoint on the program bound at construction.
@@ -88,6 +92,13 @@ public:
   /// Rebinds the engine to \p Prog (which must pass Program::validate())
   /// and runs the fixpoint, recycling internal storage.
   AnalysisResult analyze(const Program &Prog, const Options &Opts);
+
+  /// Hands a spent AnalysisResult::InStates table back to the engine. The
+  /// next run() reuses its entries (and their stack storage) instead of
+  /// allocating a fresh table, resetting only each entry's Reachable flag.
+  void recycle(std::vector<AbstractState> &&States) {
+    SpareStates = std::move(States);
+  }
 
 private:
   /// Applies the straight-line transfer of instruction \p Pc to \p In,
@@ -134,9 +145,11 @@ private:
   /// later pops count as worklist revisits. Empty while the recorder is
   /// off.
   std::vector<uint8_t> Popped;
-  /// The out-state of the instruction being visited; reusing it keeps the
-  /// stack's storage across visits.
+  /// The out-state of a visit that joins into a reachable successor;
+  /// reusing it keeps the stack's storage across visits.
   AbstractState Scratch;
+  /// The table recycle() handed back, taken by the next run().
+  std::vector<AbstractState> SpareStates;
   /// @}
 };
 

@@ -12,74 +12,39 @@
 using namespace tnums;
 using namespace tnums::bpf;
 
+/// The \p Index-th successor of \p Pc (fall-through before the taken
+/// target, and a jump to Pc + 1 counted once), or SIZE_MAX past the last.
+static size_t successor(const Program &Prog, size_t Pc, unsigned Index) {
+  const Insn &I = Prog.insn(Pc);
+  if (I.InsnKind == Insn::Kind::Exit)
+    return SIZE_MAX;
+  if (Index == 0)
+    return I.InsnKind == Insn::Kind::Ja ? Program::jumpTarget(Pc, I) : Pc + 1;
+  if (Index == 1 && I.InsnKind == Insn::Kind::Jmp &&
+      Program::jumpTarget(Pc, I) != Pc + 1)
+    return Program::jumpTarget(Pc, I);
+  return SIZE_MAX;
+}
+
 void Cfg::rebuild(const Program &Prog) {
   assert(!Prog.validate() && "building CFG of an invalid program");
-  size_t N = Prog.size();
-  // Clear-in-place instead of assign, and never shrink the outer vectors
-  // (size() reports NumInsns, not Succs.size()): the inner edge vectors
-  // keep their capacity across a stream of variably sized programs, so a
-  // long-lived engine stops allocating after its high-water program (the
-  // batch service's per-worker amortization).
-  NumInsns = N;
-  if (Succs.size() < N) {
-    Succs.resize(N);
-    Preds.resize(N);
-  }
-  for (size_t Pc = 0; Pc != N; ++Pc) {
-    Succs[Pc].clear();
-    Preds[Pc].clear();
-  }
-  Reachable.assign(N, false);
+  // Iterative DFS from entry; the post-order collects in Rpo and is
+  // reversed in place at the end.
+  Visited.assign(Prog.size(), 0);
   Rpo.clear();
-  Loop = false;
-
-  for (size_t Pc = 0; Pc != N; ++Pc) {
-    const Insn &I = Prog.insn(Pc);
-    switch (I.InsnKind) {
-    case Insn::Kind::Exit:
-      break;
-    case Insn::Kind::Ja:
-      Succs[Pc].push_back(Program::jumpTarget(Pc, I));
-      break;
-    case Insn::Kind::Jmp:
-      Succs[Pc].push_back(Pc + 1); // Fall-through first.
-      if (Program::jumpTarget(Pc, I) != Pc + 1)
-        Succs[Pc].push_back(Program::jumpTarget(Pc, I));
-      break;
-    default:
-      Succs[Pc].push_back(Pc + 1);
-      break;
-    }
-    for (size_t Succ : Succs[Pc])
-      Preds[Succ].push_back(Pc);
-  }
-
-  // Iterative DFS from entry computing post-order and back-edge (loop)
-  // detection. The traversal scratch lives on the object so rebuild()
-  // reuses its capacity along with the edge vectors.
-  Colors.assign(N, Color::White);
-  PostOrder.clear();
   Stack.clear();
   Stack.emplace_back(0, 0);
-  Colors[0] = Color::Grey;
-  Reachable[0] = true;
+  Visited[0] = 1;
   while (!Stack.empty()) {
-    auto &[Node, NextSucc] = Stack.back();
-    if (NextSucc < Succs[Node].size()) {
-      size_t Succ = Succs[Node][NextSucc++];
-      if (Colors[Succ] == Color::Grey)
-        Loop = true;
-      if (Colors[Succ] == Color::White) {
-        Colors[Succ] = Color::Grey;
-        Reachable[Succ] = true;
-        Stack.emplace_back(Succ, 0);
-      }
-      continue;
+    auto &[Node, Next] = Stack.back();
+    size_t Succ = successor(Prog, Node, Next++);
+    if (Succ == SIZE_MAX) {
+      Rpo.push_back(Node);
+      Stack.pop_back();
+    } else if (!Visited[Succ]) {
+      Visited[Succ] = 1;
+      Stack.emplace_back(Succ, 0);
     }
-    Colors[Node] = Color::Black;
-    PostOrder.push_back(Node);
-    Stack.pop_back();
   }
-
-  Rpo.assign(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(Rpo.begin(), Rpo.end());
 }

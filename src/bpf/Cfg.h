@@ -8,8 +8,9 @@
 /// \file
 /// Control-flow structure over a validated program, at instruction
 /// granularity (every instruction is a node, like the kernel verifier's
-/// per-insn state table). Provides successor/predecessor edges and a
-/// reverse post-order for efficient fixpoint iteration in the analyzer.
+/// per-insn state table). Provides the reverse post-order the analyzer's
+/// worklist iterates in; its DFS reads each successor straight from the
+/// instruction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,7 @@
 namespace tnums {
 namespace bpf {
 
-/// Successor/predecessor edges and iteration order for one program.
+/// The reverse post-order of one program's reachable instructions.
 class Cfg {
 public:
   /// An empty CFG; call rebuild() before use.
@@ -32,53 +33,25 @@ public:
   /// Builds the CFG of \p Prog (which must validate()).
   explicit Cfg(const Program &Prog) { rebuild(Prog); }
 
-  /// Rebuilds the CFG for \p Prog (which must validate()), recycling the
-  /// edge/order storage of the previous program. This is what lets a
+  /// Rebuilds the order for \p Prog (which must validate()), recycling the
+  /// order and DFS storage of the previous program. This is what lets a
   /// long-lived analysis engine (service/VerificationService.h) process a
-  /// stream of programs without reallocating the graph for each one.
+  /// stream of programs without reallocating for each one.
   void rebuild(const Program &Prog);
 
-  /// Successor instruction indices of \p Pc: empty for exit, one entry for
-  /// straight-line/ja, two for conditional jumps (fall-through first, then
-  /// the taken target).
-  const std::vector<size_t> &successors(size_t Pc) const {
-    return Succs[Pc];
-  }
-
-  const std::vector<size_t> &predecessors(size_t Pc) const {
-    return Preds[Pc];
-  }
-
-  /// Instructions reachable from entry, in reverse post-order.
+  /// Instructions reachable from entry, in reverse post-order of a DFS
+  /// that visits a conditional jump's fall-through before its taken
+  /// target. Unreachable instructions are absent.
   const std::vector<size_t> &reversePostOrder() const { return Rpo; }
 
-  /// True if \p Pc is reachable from the entry instruction.
-  bool isReachable(size_t Pc) const { return Reachable[Pc]; }
-
-  /// True if some reachable cycle exists (the program loops).
-  bool hasLoop() const { return Loop; }
-
-  /// Instruction count of the current program.
-  size_t size() const { return NumInsns; }
-
 private:
-  /// Logical size; the edge vectors below are high-water sized (rebuild
-  /// never shrinks them) so their per-node capacity survives a stream of
-  /// variably sized programs.
-  size_t NumInsns = 0;
-  std::vector<std::vector<size_t>> Succs;
-  std::vector<std::vector<size_t>> Preds;
   std::vector<size_t> Rpo;
-  std::vector<bool> Reachable;
-  bool Loop = false;
 
-  /// \name rebuild()'s DFS scratch, recycled like the edge vectors.
+  /// \name rebuild()'s DFS scratch, recycled like the order.
   /// @{
-  enum class Color : uint8_t { White, Grey, Black };
-  std::vector<Color> Colors;
-  std::vector<size_t> PostOrder;
-  /// Stack frames: (node, next successor index to visit).
-  std::vector<std::pair<size_t, size_t>> Stack;
+  std::vector<uint8_t> Visited;
+  /// Stack frames: (node, index of the next successor to visit).
+  std::vector<std::pair<size_t, unsigned>> Stack;
   /// @}
 };
 

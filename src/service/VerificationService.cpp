@@ -8,14 +8,13 @@
 #include "service/VerificationService.h"
 
 #include "support/Atomic.h"
-#include "support/Checkpoint.h"
 #include "support/ChunkSchedule.h"
 #include "support/Table.h"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
-#include <unordered_map>
 
 using namespace tnums;
 using namespace tnums::bpf;
@@ -29,33 +28,40 @@ namespace {
 // Two requests with identical canonicalized program bytes and identical
 // verdict-relevant options necessarily produce identical verdicts (a
 // verdict is a pure function of the request), so a batch only needs to
-// analyze the first occurrence. Hash buckets are confirmed by exact
+// analyze the first occurrence. Hash matches are confirmed by exact
 // field-wise comparison -- a collision degrades to a miss, never to a
 // wrong verdict.
 //===----------------------------------------------------------------------===//
 
-/// Canonical digest of everything that can influence a verdict: the
-/// per-instruction fields (field-wise, not memcpy, so struct padding
-/// never leaks in) plus the context size and analyzer knobs.
+/// Mixes one 64-bit word into \p Hash. The multiply and the xor-shift are
+/// both bijections, so requests that differ in one field never collide.
+uint64_t mixWord(uint64_t Hash, uint64_t Word) {
+  Hash = (Hash ^ Word) * 0x9E3779B97F4A7C15ull;
+  return Hash ^ (Hash >> 32);
+}
+
+/// Digest of everything that can influence a verdict: the context size,
+/// the analyzer knobs and three words per instruction (the narrow fields
+/// packed, Offset, Imm). In memory only: the verdict cache and every
+/// persisted fingerprint keep byte-wise FNV-1a.
 uint64_t hashRequest(const VerifyRequest &Request) {
-  Fnv1a Hash;
-  Hash.mixU64(Request.MemSize);
-  Hash.mixU64(Request.AnalyzerOpts.WideningThreshold);
-  Hash.mixU64(Request.AnalyzerOpts.MaxInsnVisits);
-  Hash.mixU64(Request.Prog.size());
+  uint64_t Hash = mixWord(Request.MemSize, Request.Prog.size());
+  Hash = mixWord(Hash, Request.AnalyzerOpts.WideningThreshold);
+  Hash = mixWord(Hash, Request.AnalyzerOpts.MaxInsnVisits);
   for (const Insn &I : Request.Prog) {
-    Hash.mixU64(static_cast<uint64_t>(I.InsnKind));
-    Hash.mixU64(static_cast<uint64_t>(I.Alu));
-    Hash.mixU64(static_cast<uint64_t>(I.Cmp));
-    Hash.mixU64(I.Dst);
-    Hash.mixU64(I.Src);
-    Hash.mixU64(I.UsesImm ? 1 : 0);
-    Hash.mixU64(static_cast<uint64_t>(I.Imm));
-    Hash.mixU64(static_cast<uint64_t>(static_cast<int64_t>(I.Offset)));
-    Hash.mixU64(I.Size);
-    Hash.mixU64(I.Is32 ? 1 : 0);
+    uint64_t Narrow = static_cast<uint64_t>(I.InsnKind) |
+                      static_cast<uint64_t>(I.Alu) << 8 |
+                      static_cast<uint64_t>(I.Cmp) << 16 |
+                      static_cast<uint64_t>(I.Dst) << 24 |
+                      static_cast<uint64_t>(I.Src) << 32 |
+                      static_cast<uint64_t>(I.UsesImm) << 40 |
+                      static_cast<uint64_t>(I.Size) << 48 |
+                      static_cast<uint64_t>(I.Is32) << 56;
+    Hash = mixWord(Hash, Narrow);
+    Hash = mixWord(Hash, static_cast<uint32_t>(I.Offset));
+    Hash = mixWord(Hash, static_cast<uint64_t>(I.Imm));
   }
-  return Hash.digest();
+  return Hash;
 }
 
 bool sameInsn(const Insn &A, const Insn &B) {
@@ -79,23 +85,28 @@ bool sameRequest(const VerifyRequest &A, const VerifyRequest &B) {
 
 /// Representative[i] = index of the first request identical to
 /// Requests[i] (== i for first occurrences, which are the ones actually
-/// scheduled).
+/// scheduled). First occurrences sit in one open-addressing table of
+/// (hash, index) slots, at least twice the batch and probed linearly; a
+/// slot matches only if sameRequest() confirms it.
 std::vector<size_t>
 computeRepresentatives(const std::vector<VerifyRequest> &Requests) {
+  struct Slot {
+    uint64_t Hash = 0;
+    size_t Index = SIZE_MAX; ///< SIZE_MAX while empty.
+  };
+  std::vector<Slot> Table(std::bit_ceil(2 * Requests.size()));
+  const size_t Mask = Table.size() - 1;
   std::vector<size_t> Representative(Requests.size());
-  std::unordered_map<uint64_t, std::vector<size_t>> Buckets;
-  Buckets.reserve(Requests.size());
   for (size_t Index = 0; Index != Requests.size(); ++Index) {
-    std::vector<size_t> &Bucket = Buckets[hashRequest(Requests[Index])];
-    size_t Found = Index;
-    for (size_t Earlier : Bucket)
-      if (sameRequest(Requests[Earlier], Requests[Index])) {
-        Found = Earlier;
-        break;
-      }
-    Representative[Index] = Found;
-    if (Found == Index)
-      Bucket.push_back(Index);
+    uint64_t Hash = hashRequest(Requests[Index]);
+    size_t Pos = Hash & Mask;
+    while (Table[Pos].Index != SIZE_MAX &&
+           !(Table[Pos].Hash == Hash &&
+             sameRequest(Requests[Table[Pos].Index], Requests[Index])))
+      Pos = (Pos + 1) & Mask;
+    if (Table[Pos].Index == SIZE_MAX)
+      Table[Pos] = Slot{Hash, Index};
+    Representative[Index] = Table[Pos].Index;
   }
   return Representative;
 }
@@ -119,6 +130,8 @@ void tnums::service::verifyRequestInto(const VerifyRequest &Request,
   Out.InsnVisits = Result.InsnVisits;
   if (KeepStates)
     Out.InStates = std::move(Result.InStates);
+  else
+    Engine.recycle(std::move(Result.InStates));
 }
 
 std::string BatchStats::toString() const {
@@ -211,8 +224,9 @@ VerificationService::verifyBatch(const std::vector<VerifyRequest> &Requests) con
 
   forEachChunkOnPool(
       Config.NumThreads, NumChunks,
-      // One engine per worker: its CFG storage and fixpoint scratch are
-      // recycled across every program that worker processes.
+      // One engine per worker: its order vector, fixpoint scratch and
+      // (with KeepStates off) state table are recycled across every
+      // program that worker processes.
       [] { return Analyzer(); },
       [&](uint64_t Chunk, Analyzer &Engine) {
         if (Config.StopAtFirstReject &&

@@ -15,9 +15,9 @@
 /// sweeps.
 ///
 /// Work is scheduled as chunks of consecutive request indices; each pool
-/// worker owns one long-lived Analyzer whose CFG edge storage and fixpoint
-/// scratch are recycled across the programs it processes (per-worker
-/// amortization).
+/// worker owns one long-lived Analyzer whose order vector, fixpoint scratch
+/// and (when states are not kept) in-state table are recycled across the
+/// programs it processes (per-worker amortization).
 ///
 /// Determinism contract (mirrors verify/ParallelSweep.h):
 ///
@@ -64,7 +64,8 @@ struct ServiceConfig {
 
   /// Retain each program's per-instruction fixpoint states in its result
   /// (the differential fuzz oracle needs them; throughput runs leave this
-  /// off to avoid copying whole state tables per program).
+  /// off, so each worker's engine reuses one state table for every
+  /// program).
   bool KeepStates = false;
 
   /// First-fail mode: cancel everything past the serial-order first
@@ -145,7 +146,8 @@ struct BatchResult {
 /// Verifies one request into \p Out (validate -> Analyzer fixpoint) with
 /// a caller-owned, reused engine -- the per-worker amortization shared by
 /// the batch engine and the tnumsd daemon's workers. Sets Out.Done and
-/// fills exactly the fields verifyOne() would.
+/// fills exactly the fields verifyOne() would. Without \p KeepStates the
+/// state table goes back to \p Engine (Analyzer::recycle).
 void verifyRequestInto(const VerifyRequest &Request, bool KeepStates,
                        bpf::Analyzer &Engine, VerifyResult &Out);
 

@@ -8,11 +8,15 @@
 #include "bpf/Builder.h"
 #include "bpf/Cfg.h"
 #include "bpf/Interpreter.h"
+#include "service/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace tnums;
 using namespace tnums::bpf;
+using namespace tnums::service;
 
 namespace {
 
@@ -98,13 +102,81 @@ TEST(Builder, DisassemblyIsReadable) {
 // CFG
 //===----------------------------------------------------------------------===//
 
+/// Per-instruction successor lists, as an edge-list CFG stores them:
+/// fall-through first, and a jump to Pc + 1 counted once.
+std::vector<std::vector<size_t>> edgeLists(const Program &Prog) {
+  std::vector<std::vector<size_t>> Succs(Prog.size());
+  for (size_t Pc = 0; Pc != Prog.size(); ++Pc) {
+    const Insn &I = Prog.insn(Pc);
+    switch (I.InsnKind) {
+    case Insn::Kind::Exit:
+      break;
+    case Insn::Kind::Ja:
+      Succs[Pc].push_back(Program::jumpTarget(Pc, I));
+      break;
+    case Insn::Kind::Jmp:
+      Succs[Pc].push_back(Pc + 1);
+      if (Program::jumpTarget(Pc, I) != Pc + 1)
+        Succs[Pc].push_back(Program::jumpTarget(Pc, I));
+      break;
+    default:
+      Succs[Pc].push_back(Pc + 1);
+      break;
+    }
+  }
+  return Succs;
+}
+
+/// The reverse post-order of an iterative DFS over edgeLists(). Cfg reads
+/// the same successors straight from each instruction; this is the oracle
+/// its order must equal.
+std::vector<size_t> edgeListReversePostOrder(const Program &Prog) {
+  std::vector<std::vector<size_t>> Succs = edgeLists(Prog);
+  std::vector<bool> Seen(Prog.size(), false);
+  std::vector<size_t> PostOrder;
+  std::vector<std::pair<size_t, size_t>> Stack{{0, 0}};
+  Seen[0] = true;
+  while (!Stack.empty()) {
+    auto &[Node, NextSucc] = Stack.back();
+    if (NextSucc < Succs[Node].size()) {
+      size_t Succ = Succs[Node][NextSucc++];
+      if (!Seen[Succ]) {
+        Seen[Succ] = true;
+        Stack.emplace_back(Succ, 0);
+      }
+      continue;
+    }
+    PostOrder.push_back(Node);
+    Stack.pop_back();
+  }
+  return {PostOrder.rbegin(), PostOrder.rend()};
+}
+
+/// Position of \p Pc in \p Order (Order.size() if absent).
+size_t positionOf(const std::vector<size_t> &Order, size_t Pc) {
+  return std::find(Order.begin(), Order.end(), Pc) - Order.begin();
+}
+
+/// The edges (From, To) out of \p Order's instructions whose target does
+/// not come later in it. In a DFS reverse post-order these are exactly the
+/// DFS back edges, so the program loops iff the list is non-empty.
+std::vector<std::pair<size_t, size_t>>
+retreatingEdges(const Program &Prog, const std::vector<size_t> &Order) {
+  std::vector<std::vector<size_t>> Succs = edgeLists(Prog);
+  std::vector<std::pair<size_t, size_t>> Retreating;
+  for (size_t Pos = 0; Pos != Order.size(); ++Pos)
+    for (size_t Succ : Succs[Order[Pos]])
+      if (positionOf(Order, Succ) <= Pos)
+        Retreating.emplace_back(Order[Pos], Succ);
+  return Retreating;
+}
+
 TEST(CfgTest, StraightLine) {
   Program P = simpleReturn(7);
   Cfg G(P);
-  EXPECT_EQ(G.successors(0), std::vector<size_t>{1});
-  EXPECT_TRUE(G.successors(1).empty());
-  EXPECT_FALSE(G.hasLoop());
+  // 1 follows 0, and the exit 1 ends the order.
   EXPECT_EQ(G.reversePostOrder(), (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(retreatingEdges(P, G.reversePostOrder()).empty());
 }
 
 TEST(CfgTest, ConditionalEdges) {
@@ -116,9 +188,29 @@ TEST(CfgTest, ConditionalEdges) {
                   .exit()
                   .build();
   Cfg G(P);
-  EXPECT_EQ(G.successors(1), (std::vector<size_t>{2, 3}));
-  EXPECT_EQ(G.predecessors(3), (std::vector<size_t>{1, 2}));
-  EXPECT_FALSE(G.hasLoop());
+  // Both successors of the jump 1 follow it, and the join point 3 follows
+  // both of its predecessors, 1 and 2.
+  EXPECT_EQ(G.reversePostOrder(), (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(retreatingEdges(P, G.reversePostOrder()).empty());
+}
+
+TEST(CfgTest, FallThroughVisitedBeforeTakenTarget) {
+  // A diamond whose order tells the two successor orders apart: visiting
+  // the fall-through 2 first finishes 2, 3 and 5 before the taken arm 4,
+  // so 4 precedes 2 in the reverse post-order.
+  Program P = ProgramBuilder()
+                  .movImm(R0, 0)
+                  .jmpImm(CompareOp::Eq, R0, 0, "taken")
+                  .movImm(R0, 1)
+                  .ja("join")
+                  .label("taken")
+                  .movImm(R0, 2)
+                  .label("join")
+                  .exit()
+                  .build();
+  Cfg G(P);
+  EXPECT_EQ(G.reversePostOrder(), (std::vector<size_t>{0, 1, 4, 2, 3, 5}));
+  EXPECT_EQ(G.reversePostOrder(), edgeListReversePostOrder(P));
 }
 
 TEST(CfgTest, DetectsLoop) {
@@ -130,7 +222,11 @@ TEST(CfgTest, DetectsLoop) {
                   .exit()
                   .build();
   Cfg G(P);
-  EXPECT_TRUE(G.hasLoop());
+  // The loop shows as the one edge that retreats in the order: 2 back to
+  // its head 1.
+  EXPECT_EQ(G.reversePostOrder(), (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(retreatingEdges(P, G.reversePostOrder()),
+            (std::vector<std::pair<size_t, size_t>>{{2, 1}}));
 }
 
 TEST(CfgTest, UnreachableCode) {
@@ -142,8 +238,33 @@ TEST(CfgTest, UnreachableCode) {
                   .exit()
                   .build();
   Cfg G(P);
-  EXPECT_FALSE(G.isReachable(1));
-  EXPECT_TRUE(G.isReachable(2));
+  // The dead 1 is absent from the order; 2 is in it.
+  EXPECT_EQ(positionOf(G.reversePostOrder(), 1), G.reversePostOrder().size());
+  EXPECT_EQ(G.reversePostOrder(), (std::vector<size_t>{0, 2, 3}));
+}
+
+TEST(CfgTest, OrderMatchesEdgeListOracleOnEveryProfile) {
+  // One reused Cfg, as the analyzer engine keeps it, over every profile's
+  // first 2,000 programs and one mutant of each.
+  Cfg G;
+  for (GenProfile Profile :
+       {GenProfile::AluMix, GenProfile::BoundsCheck, GenProfile::PacketFilter,
+        GenProfile::Loops, GenProfile::MaskIdx, GenProfile::Scaled,
+        GenProfile::Mixed}) {
+    GenOptions Opts;
+    Opts.Profile = Profile;
+    ProgramGen Gen(2022, Opts);
+    for (unsigned Index = 0; Index != 2000; ++Index) {
+      Program Base = Gen.next();
+      for (const Program &P : {Base, Gen.mutate(Base)}) {
+        ASSERT_FALSE(P.validate()) << genProfileName(Profile) << " " << Index;
+        G.rebuild(P);
+        ASSERT_EQ(G.reversePostOrder(), edgeListReversePostOrder(P))
+            << genProfileName(Profile) << " program " << Index << "\n"
+            << P.disassemble();
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace tnums;
 using namespace tnums::bpf;
 using namespace tnums::service;
@@ -332,6 +334,161 @@ TEST(Service, DedupDistinguishesOptionsAndNearMisses) {
   ASSERT_EQ(Batch.Results.size(), 4u);
   EXPECT_EQ(Batch.Results[3].Accepted, Batch.Results[0].Accepted);
   EXPECT_EQ(Batch.Results[3].InsnVisits, Batch.Results[0].InsnVisits);
+
+  // A batch that exercises the table's probe chains: 256 draws from 20
+  // base programs and eleven one-field near-misses of each. Every
+  // near-miss differs from its base in exactly one field, so only a
+  // collision-confirming comparison can tell them apart.
+  auto Identical = [](const VerifyRequest &A, const VerifyRequest &B) {
+    if (A.MemSize != B.MemSize ||
+        A.AnalyzerOpts.WideningThreshold != B.AnalyzerOpts.WideningThreshold ||
+        A.AnalyzerOpts.MaxInsnVisits != B.AnalyzerOpts.MaxInsnVisits ||
+        A.Prog.size() != B.Prog.size())
+      return false;
+    for (size_t Pc = 0; Pc != A.Prog.size(); ++Pc) {
+      const Insn &X = A.Prog.insn(Pc), &Y = B.Prog.insn(Pc);
+      if (X.InsnKind != Y.InsnKind || X.Alu != Y.Alu || X.Cmp != Y.Cmp ||
+          X.Dst != Y.Dst || X.Src != Y.Src || X.UsesImm != Y.UsesImm ||
+          X.Imm != Y.Imm || X.Offset != Y.Offset || X.Size != Y.Size ||
+          X.Is32 != Y.Is32)
+        return false;
+    }
+    return true;
+  };
+  std::mt19937_64 Rng(7);
+  std::vector<VerifyRequest> Pool;
+  for (const VerifyRequest &Base : makeBatch(8, 20)) {
+    Pool.push_back(Base);
+    for (unsigned Field = 0; Field != 11; ++Field) {
+      VerifyRequest Near = Base;
+      size_t Pc = Rng() % Base.Prog.size();
+      std::vector<Insn> Insns(Base.Prog.begin(), Base.Prog.end());
+      Insn &I = Insns[Pc];
+      switch (Field) {
+      case 0:
+        I.InsnKind = static_cast<Insn::Kind>(
+            (static_cast<unsigned>(I.InsnKind) + 1) %
+            (static_cast<unsigned>(Insn::Kind::Exit) + 1));
+        break;
+      case 1:
+        I.Alu = static_cast<AluOp>((static_cast<unsigned>(I.Alu) + 1) %
+                                   (static_cast<unsigned>(AluOp::Neg) + 1));
+        break;
+      case 2:
+        I.Cmp = static_cast<CompareOp>(
+            (static_cast<unsigned>(I.Cmp) + 1) %
+            (static_cast<unsigned>(CompareOp::Set) + 1));
+        break;
+      case 3:
+        I.Dst ^= 1;
+        break;
+      case 4:
+        I.Src ^= 1;
+        break;
+      case 5:
+        I.UsesImm = !I.UsesImm;
+        break;
+      case 6:
+        I.Size = I.Size == 8 ? 4 : 8;
+        break;
+      case 7:
+        I.Is32 = !I.Is32;
+        break;
+      case 8:
+        I.Offset = I.Offset == 0 ? -1 : -I.Offset;
+        break;
+      case 9:
+        I.Imm ^= int64_t(1) << 40; // Equal low 32 bits.
+        break;
+      case 10:
+        ++Near.AnalyzerOpts.WideningThreshold;
+        break;
+      }
+      Near.Prog = Program(std::move(Insns));
+      ASSERT_FALSE(Identical(Near, Base)) << "field " << Field;
+      Pool.push_back(std::move(Near));
+    }
+  }
+  std::vector<VerifyRequest> Draws;
+  for (unsigned Draw = 0; Draw != 256; ++Draw)
+    Draws.push_back(Pool[Rng() % Pool.size()]);
+  uint64_t Repeats = 0;
+  for (size_t Later = 0; Later != Draws.size(); ++Later)
+    for (size_t Earlier = 0; Earlier != Later; ++Earlier)
+      if (Identical(Draws[Earlier], Draws[Later])) {
+        ++Repeats;
+        break;
+      }
+
+  ServiceConfig Off = Config;
+  Off.DedupPrograms = false;
+  BatchResult Deduped = VerificationService(Config).verifyBatch(Draws);
+  BatchResult Plain = VerificationService(Off).verifyBatch(Draws);
+  EXPECT_GT(Repeats, 0u);
+  EXPECT_EQ(Deduped.Stats.DedupHits, Repeats);
+  EXPECT_EQ(verdictFingerprint(Deduped), verdictFingerprint(Plain));
+  ASSERT_EQ(Deduped.Results.size(), Plain.Results.size());
+  for (size_t I = 0; I != Draws.size(); ++I) {
+    const VerifyResult &A = Deduped.Results[I], &B = Plain.Results[I];
+    EXPECT_EQ(A.Accepted, B.Accepted) << "request " << I;
+    EXPECT_EQ(A.StructuralError, B.StructuralError) << "request " << I;
+    EXPECT_EQ(A.InsnVisits, B.InsnVisits) << "request " << I;
+    ASSERT_EQ(A.Violations.size(), B.Violations.size()) << "request " << I;
+    for (size_t V = 0; V != A.Violations.size(); ++V) {
+      EXPECT_EQ(A.Violations[V].Pc, B.Violations[V].Pc);
+      EXPECT_EQ(A.Violations[V].Message, B.Violations[V].Message);
+    }
+  }
+}
+
+TEST(Service, RecycledEngineMatchesFreshAnalyzer) {
+  // One engine over a stream that shrinks and grows: loops programs,
+  // two-instruction programs and packet filters in turn, with KeepStates
+  // alternating so that every kept table is one a previous program
+  // handed back.
+  std::vector<VerifyRequest> Loops = makeBatch(41, 60, GenProfile::Loops);
+  std::vector<VerifyRequest> Packets =
+      makeBatch(42, 60, GenProfile::PacketFilter);
+  Analyzer Engine;
+  for (size_t I = 0; I != 180; ++I) {
+    VerifyRequest Request;
+    if (I % 3 == 0)
+      Request = Loops[I / 3];
+    else if (I % 3 == 2)
+      Request = Packets[I / 3];
+    else
+      Request.Prog = ProgramBuilder().movImm(R0, I).exit().build();
+    Request.MemSize = MemSize;
+    bool KeepStates = I % 2 == 1;
+    VerifyResult Got;
+    verifyRequestInto(Request, KeepStates, Engine, Got);
+
+    ASSERT_FALSE(Request.Prog.validate());
+    Analyzer::Options Opts = Request.AnalyzerOpts;
+    Opts.MemSize = Request.MemSize;
+    AnalysisResult Fresh = Analyzer(Request.Prog, Opts).analyze();
+    EXPECT_EQ(Got.Accepted, Fresh.accepted()) << "program " << I;
+    EXPECT_EQ(Got.InsnVisits, Fresh.InsnVisits) << "program " << I;
+    ASSERT_EQ(Got.Violations.size(), Fresh.Violations.size())
+        << "program " << I;
+    for (size_t V = 0; V != Got.Violations.size(); ++V) {
+      EXPECT_EQ(Got.Violations[V].Pc, Fresh.Violations[V].Pc);
+      EXPECT_EQ(Got.Violations[V].Message, Fresh.Violations[V].Message);
+    }
+    if (!KeepStates) {
+      EXPECT_TRUE(Got.InStates.empty());
+      continue;
+    }
+    ASSERT_EQ(Got.InStates.size(), Fresh.InStates.size()) << "program " << I;
+    for (size_t S = 0; S != Got.InStates.size(); ++S) {
+      EXPECT_TRUE(Got.InStates[S] == Fresh.InStates[S])
+          << "program " << I << " state " << S;
+      if (Fresh.InStates[S].Reachable) {
+        EXPECT_EQ(Got.InStates[S].toString(), Fresh.InStates[S].toString())
+            << "program " << I << " state " << S;
+      }
+    }
+  }
 }
 
 TEST(Service, FuzzReportIsDeterministic) {
