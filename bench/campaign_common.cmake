@@ -1,7 +1,7 @@
 # Helpers shared by the bench contracts (campaign_resume.cmake,
-# campaign_incremental.cmake, corpus_replay.cmake). The including script
-# defines BENCH (the bench binary) and may define ARGS (one space-separated
-# string of the flags every run shares).
+# campaign_incremental.cmake, corpus_replay.cmake, daemon_cold_warm.cmake).
+# The including script defines BENCH (the bench binary) and may define ARGS
+# (one space-separated string of the flags every run shares).
 
 separate_arguments(BenchArgs UNIX_COMMAND "${ARGS}")
 

@@ -8,9 +8,11 @@
 #include "service/DifferentialFuzz.h"
 
 #include "bpf/Decoded.h"
+#include "support/Metrics.h"
 #include "support/Table.h"
 
 #include <algorithm>
+#include <array>
 
 using namespace tnums;
 using namespace tnums::bpf;
@@ -41,12 +43,51 @@ namespace {
 /// the generation sequence is independent of the slicing).
 constexpr uint64_t SlicePrograms = 256;
 
+/// Where the oracle's budget runs and interpreter steps go. Observation
+/// only: reports are byte-identical with the recorder on or off.
+struct FuzzMetrics {
+  Counter BudgetRunsRun{"tnums_fuzz_budget_runs_total", "settled=\"run\""};
+  Counter BudgetRunsProven{"tnums_fuzz_budget_runs_total",
+                           "settled=\"proven\""};
+  Counter BudgetRunsShared{"tnums_fuzz_budget_runs_total",
+                           "settled=\"shared\""};
+  Counter Steps{"tnums_fuzz_steps_total"};
+};
+
+FuzzMetrics &fuzzMetrics() {
+  static FuzzMetrics M;
+  return M;
+}
+
+/// What a run's next step depends on, read after run() stopped at a step
+/// limit: the next pc, every register's init flag, and the values of the
+/// control slice (other registers read as 0).
+struct ControlProjection {
+  size_t Pc = 0;
+  std::array<bool, NumRegs> Inited = {};
+  std::array<uint64_t, NumRegs> Values = {};
+
+  bool operator==(const ControlProjection &) const = default;
+};
+
+ControlProjection project(const DecodedProgram &Exec, const ExecResult &R,
+                          uint32_t SliceRegs) {
+  ControlProjection P;
+  P.Pc = R.FaultPc;
+  P.Inited = Exec.initialized();
+  for (unsigned Reg = 0; Reg != NumRegs; ++Reg)
+    if ((SliceRegs >> Reg) & 1u)
+      P.Values[Reg] = Exec.registers()[Reg];
+  return P;
+}
+
 /// Oracles 1-3 over one verified slice; \p SliceBegin maps slice slots
 /// back to campaign-wide program indices (used in findings and as the
 /// per-program memory seed, so slicing cannot change either).
 void runOracles(uint64_t Seed, const FuzzConfig &Config, uint64_t SliceBegin,
                 const std::vector<VerifyRequest> &Requests,
                 const BatchResult &Batch, FuzzReport &Report) {
+  FuzzMetrics &M = fuzzMetrics();
   for (size_t Slot = 0; Slot != Requests.size(); ++Slot) {
     size_t Index = static_cast<size_t>(SliceBegin) + Slot;
     const VerifyResult &Verdict = Batch.Results[Slot];
@@ -74,6 +115,7 @@ void runOracles(uint64_t Seed, const FuzzConfig &Config, uint64_t SliceBegin,
       continue;
     }
 
+    const ControlSlice Slice = controlSlice(P);
     // Runs of this program that got past the step budget: only those
     // exercise oracles 1-2. A program where none did is zero-coverage.
     unsigned CoveredRuns = 0;
@@ -85,15 +127,19 @@ void runOracles(uint64_t Seed, const FuzzConfig &Config, uint64_t SliceBegin,
       for (uint8_t &Byte : Mem)
         Byte = static_cast<uint8_t>(MemRng.next());
 
-      ExecResult R = Exec->run(Mem, Config.StepLimit);
+      SettledRun Settled = runOrProve(*Exec, Slice, Mem, Config.StepLimit);
+      const ExecResult &R = Settled.Result;
+      M.Steps.add(Settled.ExecutedSteps);
       ++Report.ConcreteRuns;
 
       if (R.St == ExecResult::Status::StepLimit) {
         ++Report.StepLimitRuns; // Tolerated: see the header's oracle 1.
+        (Settled.Proven ? M.BudgetRunsProven : M.BudgetRunsRun).add();
         // Every run of a memory-blind program repeats this one.
-        if (Run == 0 && isMemoryBlind(P)) {
+        if (Run == 0 && !Slice.ReadsMemory) {
           Report.ConcreteRuns += Config.RunsPerProgram - 1;
           Report.StepLimitRuns += Config.RunsPerProgram - 1;
+          M.BudgetRunsShared.add(Config.RunsPerProgram - 1);
           break;
         }
         continue;
@@ -149,39 +195,74 @@ void runOracles(uint64_t Seed, const FuzzConfig &Config, uint64_t SliceBegin,
 
 } // namespace
 
-bool tnums::service::isMemoryBlind(const Program &Prog) {
-  // Bit r: register r may hold a value computed from a load.
-  uint32_t Tainted = 0, Before = 0;
-  do {
-    Before = Tainted;
-    for (const Insn &I : Prog) {
-      if (I.InsnKind == Insn::Kind::Load)
-        Tainted |= 1u << I.Dst;
-      else if (I.InsnKind == Insn::Kind::Alu && !I.UsesImm &&
-               I.Alu != AluOp::Neg)
-        Tainted |= ((Tainted >> I.Src) & 1u) << I.Dst;
-    }
-  } while (Tainted != Before);
-  auto IsTainted = [Tainted](uint8_t Reg) { return (Tainted >> Reg) & 1u; };
+ControlSlice tnums::service::controlSlice(const Program &Prog) {
+  // The roots: what a branch compares and what an access goes through.
+  ControlSlice Slice;
   for (const Insn &I : Prog) {
     switch (I.InsnKind) {
     case Insn::Kind::Jmp:
-      if (IsTainted(I.Dst) || (!I.UsesImm && IsTainted(I.Src)))
-        return false;
+      Slice.Regs |= 1u << I.Dst;
+      if (!I.UsesImm)
+        Slice.Regs |= 1u << I.Src;
       break;
     case Insn::Kind::Load: // The base is Src ...
-      if (IsTainted(I.Src))
-        return false;
+      Slice.Regs |= 1u << I.Src;
       break;
     case Insn::Kind::Store: // ... and Dst.
-      if (IsTainted(I.Dst))
-        return false;
+      Slice.Regs |= 1u << I.Dst;
+      Slice.Stores = true;
       break;
     default:
       break;
     }
   }
-  return true;
+  // Close backward over the register-form ALU ops that can feed a root.
+  uint32_t Before = 0;
+  do {
+    Before = Slice.Regs;
+    for (const Insn &I : Prog)
+      if (I.InsnKind == Insn::Kind::Alu && !I.UsesImm && I.Alu != AluOp::Neg)
+        Slice.Regs |= ((Slice.Regs >> I.Dst) & 1u) << I.Src;
+  } while (Slice.Regs != Before);
+  for (const Insn &I : Prog)
+    if (I.InsnKind == Insn::Kind::Load && ((Slice.Regs >> I.Dst) & 1u))
+      Slice.ReadsMemory = true;
+  return Slice;
+}
+
+bool tnums::service::isMemoryBlind(const Program &Prog) {
+  return !controlSlice(Prog).ReadsMemory;
+}
+
+SettledRun tnums::service::runOrProve(DecodedProgram &Exec,
+                                      const ControlSlice &Slice,
+                                      const std::vector<uint8_t> &Memory,
+                                      uint64_t StepLimit) {
+  SettledRun Out;
+  std::vector<uint8_t> Work;
+  // Runs a fresh copy of Memory; true when the run ended before Limit,
+  // which makes its result the full run's.
+  auto Ends = [&](uint64_t Limit) {
+    Work = Memory;
+    Out.Result = Exec.run(Work, Limit);
+    Out.ExecutedSteps += Out.Result.Steps;
+    return Out.Result.St != ExecResult::Status::StepLimit;
+  };
+  // The proof needs memory that stays fixed wherever control reads it.
+  if (StepLimit > 2 * ProofHorizon && !(Slice.ReadsMemory && Slice.Stores)) {
+    if (Ends(ProofHorizon))
+      return Out;
+    ControlProjection AtH = project(Exec, Out.Result, Slice.Regs);
+    if (Ends(2 * ProofHorizon))
+      return Out;
+    if (project(Exec, Out.Result, Slice.Regs) == AtH) {
+      Out.Result.Steps = StepLimit;
+      Out.Proven = true;
+      return Out;
+    }
+  }
+  Ends(StepLimit);
+  return Out;
 }
 
 FuzzReport tnums::service::runDifferentialFuzz(uint64_t Seed,

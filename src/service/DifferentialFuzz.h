@@ -19,11 +19,14 @@
 ///      proves memory safety, and mutated loop guards can legitimately
 ///      produce accepted-but-nonterminating programs (the kernel instead
 ///      rejects unbounded loops; our analyzer stays total via widening).
-///      A budget run is only counted, so when the first run of a
-///      memory-blind program (isMemoryBlind) exhausts the budget, its
-///      other runs are counted as budget runs without executing: each
-///      would follow the first one's path to the same budget exhaustion.
-///      Runs that exit or trap still execute on every memory, because
+///      A budget run is only counted, so the oracle settles it the
+///      cheapest exact way (runOrProve): a run still going after
+///      ProofHorizon steps whose control projection repeats at twice that
+///      is proven to exhaust the budget instead of executed to it, and
+///      when the first run of a memory-blind program (isMemoryBlind)
+///      exhausts the budget, its other runs are counted without executing:
+///      each would follow the first one's path to the same exhaustion.
+///      Runs that exit or trap always execute to their end, because
 ///      oracle 2 reads each run's registers.
 ///   2. At the exit instruction each run actually reached, every concrete
 ///      scalar register value lies inside the analyzer's fixpoint abstract
@@ -39,6 +42,7 @@
 #ifndef TNUMS_SERVICE_DIFFERENTIALFUZZ_H
 #define TNUMS_SERVICE_DIFFERENTIALFUZZ_H
 
+#include "bpf/Decoded.h"
 #include "service/ProgramGen.h"
 #include "service/VerificationService.h"
 
@@ -111,17 +115,66 @@ struct FuzzReport {
 /// Runs the campaign. Deterministic in (\p Seed, \p Config).
 FuzzReport runDifferentialFuzz(uint64_t Seed, const FuzzConfig &Config);
 
+/// The control slice of a program: the smallest register set C that holds
+/// every register a Jmp reads and the base register of every Load and
+/// Store, and that holds the source of every register-form ALU op (Mov
+/// included; Neg reads no source) whose destination it holds. The walk is
+/// flow-insensitive, so C over-approximates what the next pc and every
+/// trap can depend on: the values of C, the pc, the register-init flags,
+/// and the bytes a Load into C reads.
+struct ControlSlice {
+  /// Bit r: register r is in C.
+  uint32_t Regs = 0;
+  /// Some Load's destination is in C, so a loaded value can reach control.
+  bool ReadsMemory = false;
+  /// The program contains a Store.
+  bool Stores = false;
+};
+
+ControlSlice controlSlice(const bpf::Program &Prog);
+
 /// True when no branch condition and no load or store address of \p Prog
-/// can depend on a loaded value. The check is a flow-insensitive register
-/// taint iterated to a fixpoint: a Load taints its destination, and a
-/// register-form ALU op (Mov included; Neg reads no source) passes its
-/// source's taint to its destination; a Jmp reading a tainted register,
-/// or a Load or Store through a tainted base, makes the program
-/// memory-dependent. Every other input to control flow (R1, R2 = the
-/// region size, R10, the zeroed stack) is the same on every run, so all
-/// runs of a memory-blind program over one region size follow one path
-/// and agree in status, Steps, ExitPc, FaultPc and Message.
+/// can depend on a loaded value: !controlSlice(Prog).ReadsMemory. Every
+/// other input to control flow (R1, R2 = the region size, R10, the zeroed
+/// stack) is the same on every run, so all runs of a memory-blind program
+/// over one region size follow one path and agree in status, Steps,
+/// ExitPc, FaultPc and Message.
 bool isMemoryBlind(const bpf::Program &Prog);
+
+/// H, the steps a run executes before runOrProve checks its control for a
+/// repeat. A run whose control projection (next pc, init flags, C's
+/// values) is periodic from step H on is proven only if its period
+/// divides H; lcm(1..10) = 2520 covers every period of 10 steps or less,
+/// and larger multiples prove no more runs on perfbench's loops stream
+/// (docs/SERVICE.md).
+constexpr uint64_t ProofHorizon = 2520;
+
+/// How runOrProve settled one run.
+struct SettledRun {
+  /// The run's outcome. When Proven, St and Steps are the full run's
+  /// (StepLimit) and the rest is left from the last executed prefix;
+  /// otherwise it is the full run's ExecResult, and the executor's
+  /// registers and init flags are the full run's too.
+  bpf::ExecResult Result;
+  /// Interpreter steps executed, prefixes included.
+  uint64_t ExecutedSteps = 0;
+  /// The budget outcome was proven rather than executed.
+  bool Proven = false;
+};
+
+/// Settles one run of \p Exec (decoded from a program whose slice is
+/// \p Slice) on a copy of \p Memory at \p StepLimit: the full run's
+/// outcome, with a budget exhaustion proven rather than executed where it
+/// can be. When StepLimit > 2H and the program does not both read memory
+/// into C and store, it runs to H, then a fresh copy to 2H; a run that
+/// ended by then is the full run. Equal projections at H and 2H prove the
+/// run exhausts the budget: the next step's outcome is a function of the
+/// projection (and of memory, which nothing changes when a loaded value
+/// can reach C), so the projection repeats every H steps and the run
+/// never exits or traps. Anything else executes the full budget on a
+/// fresh copy.
+SettledRun runOrProve(bpf::DecodedProgram &Exec, const ControlSlice &Slice,
+                      const std::vector<uint8_t> &Memory, uint64_t StepLimit);
 
 } // namespace service
 } // namespace tnums

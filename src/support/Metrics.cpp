@@ -7,7 +7,6 @@
 
 #include "support/Metrics.h"
 
-#include "support/SimdBatch.h"
 #include "support/Table.h"
 
 #include <algorithm>
@@ -450,7 +449,6 @@ const BuildInfo &tnums::buildInfo() {
 #else
     B.BuildType = "debug";
 #endif
-    B.SimdDispatch = simdPathDescription(SimdMode::Auto);
     // Mirrors the dispatch predicate in src/bpf/Decoded.cpp.
 #if defined(__GNUC__) || defined(__clang__)
     B.ComputedGoto = true;
@@ -465,13 +463,12 @@ const BuildInfo &tnums::buildInfo() {
 std::string tnums::buildInfoJson() {
   const BuildInfo &B = buildInfo();
   return "{\"compiler\":\"" + jsonEscape(B.Compiler) + "\",\"build_type\":\"" +
-         jsonEscape(B.BuildType) + "\",\"simd_dispatch\":\"" +
-         jsonEscape(B.SimdDispatch) + "\",\"computed_goto\":" +
+         jsonEscape(B.BuildType) + "\",\"computed_goto\":" +
          (B.ComputedGoto ? "true" : "false") + "}";
 }
 
 std::string tnums::buildInfoString() {
   const BuildInfo &B = buildInfo();
-  return B.Compiler + ", " + B.BuildType + ", simd " + B.SimdDispatch +
-         ", computed-goto " + (B.ComputedGoto ? "yes" : "no");
+  return B.Compiler + ", " + B.BuildType + ", computed-goto " +
+         (B.ComputedGoto ? "yes" : "no");
 }

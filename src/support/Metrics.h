@@ -237,8 +237,7 @@ private:
 /// differences from artifacts alone.
 struct BuildInfo {
   std::string Compiler;     ///< e.g. "gcc 12.2.0" (from __VERSION__).
-  std::string BuildType;    ///< "release" (NDEBUG) or "debug".
-  std::string SimdDispatch; ///< SimdBatch kernel tier, e.g. "batched/avx2".
+  std::string BuildType;     ///< "release" (NDEBUG) or "debug".
   bool ComputedGoto = false; ///< Threaded interpreter dispatch available.
 };
 

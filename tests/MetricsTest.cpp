@@ -250,14 +250,15 @@ TEST_F(MetricsTest, BuildInfoIsPopulated) {
   const BuildInfo &B = buildInfo();
   EXPECT_FALSE(B.Compiler.empty());
   EXPECT_TRUE(B.BuildType == "release" || B.BuildType == "debug");
-  EXPECT_FALSE(B.SimdDispatch.empty());
 
   std::string Json = buildInfoJson();
   EXPECT_NE(Json.find("\"compiler\":\""), std::string::npos);
   EXPECT_NE(Json.find("\"build_type\":\""), std::string::npos);
-  EXPECT_NE(Json.find("\"simd_dispatch\":\""), std::string::npos);
+  // The sweeps run no SimdBatch kernel, so the stamp names no tier.
+  EXPECT_EQ(Json.find("simd"), std::string::npos);
   EXPECT_NE(Json.find("\"computed_goto\":"), std::string::npos);
   EXPECT_FALSE(buildInfoString().empty());
+  EXPECT_EQ(buildInfoString().find("simd"), std::string::npos);
 }
 
 TEST_F(MetricsTest, JsonLineBuilderEscapes) {
